@@ -24,6 +24,10 @@ from htlab.markov_core import (JumpKernel, ReversibleModel, StateSpace,
 
 DEFAULT_GRID_N = 200
 
+# libyaml's C scanner and parser with PyYAML's safe constructor and resolver;
+# the pure-Python loader builds the same objects when libyaml is absent.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -59,7 +63,11 @@ class RunConfig:
 def load_config(path: str) -> RunConfig:
     """Read and structurally validate a YAML config file."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
+        try:
+            raw = yaml.load(fh, Loader=_YAML_LOADER)
+        except yaml.YAMLError as exc:
+            raise ModelValidationError(f"config is not valid YAML: {exc}",
+                                       reason="bad_config") from exc
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):

@@ -235,13 +235,15 @@ def solve_f(model: ReversibleModel, V: PotentialField, f0: InitialWeight,
 
 
 def solve_fk(model: ReversibleModel, V: PotentialField, f0: InitialWeight,
-             gamma1: TerminalWeight, grid: TimeGrid) -> FKSolution:
+             gamma1: TerminalWeight, grid: TimeGrid,
+             propagator: FKPropagator | None = None) -> FKSolution:
     """One-pass computation of (g, f) sharing a single propagator."""
-    prop = fk_propagator(model, V, grid)
-    g, g_mid = _backward_sweep(prop, gamma1.gamma1)
-    f = solve_f(model, V, f0, grid, propagator=prop)
+    if propagator is None:
+        propagator = fk_propagator(model, V, grid)
+    g, g_mid = _backward_sweep(propagator, gamma1.gamma1)
+    f = solve_f(model, V, f0, grid, propagator=propagator)
     return FKSolution(grid=grid, g=_freeze(g), f=_freeze(f),
-                      g_mid=_freeze(g_mid), propagator=prop)
+                      g_mid=_freeze(g_mid), propagator=propagator)
 
 
 def check_semigroup(prop: FKPropagator, s: float, t: float, u: float) -> float:

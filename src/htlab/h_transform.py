@@ -19,7 +19,8 @@ from htlab.errors import (ConvergenceError, DegenerateInputError,
                           PositivityError)
 from htlab.feynman_kac import (FKSolution, InitialWeight, PotentialField,
                                POSITIVITY_THRESHOLD, TerminalWeight,
-                               positivity_report, solve_fk, solve_g)
+                               fk_propagator, positivity_report, solve_fk,
+                               solve_g)
 from htlab.markov_core import PathSample, ReversibleModel, TimeGrid, _freeze
 
 # Mass below which a state is treated as unvisited when reporting residuals
@@ -66,16 +67,18 @@ def build_h_process(model: ReversibleModel, f0: InitialWeight,
     """Normalize the initial weight and assemble the transformed process.
 
     The normalization constant c = sum_x m(x) f0(x) g(0,x) is folded entirely
-    into f0; the terminal weight is left untouched.
+    into f0; the terminal weight is left untouched. g does not depend on f0,
+    so one propagator serves both the sweep that gives c and the final solve.
     """
-    g0 = solve_g(model, V, gamma1, grid)[0]
+    prop = fk_propagator(model, V, grid)
+    g0 = solve_g(model, V, gamma1, grid, propagator=prop)[0]
     c = float(np.sum(model.m * f0.f0 * g0))
     if not np.isfinite(c) or c <= 0.0:
         raise DegenerateInputError(
             "initial and terminal weights give the transform zero mass",
             reason="null_transform")
     f0_scaled = InitialWeight(f0.f0 / c)
-    fk = solve_fk(model, V, f0_scaled, gamma1, grid)
+    fk = solve_fk(model, V, f0_scaled, gamma1, grid, propagator=prop)
     v = V.values
     cell_integrals = 0.5 * grid.dt * (v[:-1] + v[1:])
     V_cum = np.vstack([np.zeros(model.n), np.cumsum(cell_integrals, axis=0)])

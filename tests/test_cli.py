@@ -212,6 +212,15 @@ def test_missing_config_file(tmp_path, capsys):
     assert "reason=missing_file" in capsys.readouterr().err
 
 
+def test_malformed_yaml_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "broken.yaml"
+    cfg.write_text("model:\n  kind: jump\n  J0: [[0, 1], [1, 0\n",
+                   encoding="utf-8")
+    assert main(["model", "--config", str(cfg), "--out",
+                 str(tmp_path / "out")]) == 2
+    assert "reason=bad_config" in capsys.readouterr().err
+
+
 def test_thread_count_validation(jump_config, tmp_path, capsys):
     assert main(["model", "--config", jump_config, "--out",
                  str(tmp_path / "out"), "--threads", "0"]) == 2

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import yaml
 
 from htlab.config import (DEFAULT_GRID_N, RunConfig, build_model_from_config,
                           load_config, transform_pieces)
@@ -114,8 +115,7 @@ def test_vector_forms_for_jump_transform():
         transform_pieces(gauss, model, gauss.time_grid)
 
 
-def test_diffusion_model_and_gaussian_weights(tmp_path):
-    cfg = load_config(write(tmp_path, """
+DIFFUSION_YAML = """
 model:
   kind: diffusion
   x_min: -2.0
@@ -127,7 +127,75 @@ transform:
     gaussian: {center: 0.5, width: 0.6, height: 2.0}
 grid:
   N: 100
-"""))
+"""
+
+
+def generated_jump_yaml(n: int = 100, N: int = 20, seed: int = 5) -> str:
+    """A large config in the style of generated ones: repr float literals,
+    1.0e-8-style exponents and nested flow lists."""
+    rng = np.random.default_rng(seed)
+    J0 = np.zeros((n, n))
+    for i in range(n):
+        J0[i, (i + 1) % n] = J0[(i + 1) % n, i] = 0.3
+    for _ in range(2 * n):
+        i, j = rng.choice(n, size=2, replace=False)
+        J0[i, j] = J0[j, i] = rng.uniform(0.02, 0.1)
+
+    def flow(row):
+        return "[" + ", ".join(repr(float(v)) for v in row) + "]"
+
+    V = rng.uniform(-1.0, 1.0, size=(N + 1, n)) * 10.0 ** rng.integers(
+        -9, 3, size=(N + 1, n))
+    V_rows = ", ".join("[" + ", ".join(f"{v:.6e}" for v in row) + "]"
+                       for row in V)
+    return f"""model:
+  kind: jump
+  J0: [{", ".join(flow(row) for row in J0)}]
+  m0: 1.0
+  U: {flow(rng.uniform(-0.5, 0.5, n))}
+transform:
+  f0: {flow(rng.uniform(0.5, 1.5, n))}
+  gamma1: {flow(rng.uniform(0.5, 1.5, n))}
+  V: [{V_rows}]
+grid:
+  N: {N}
+checks:
+  tolerance_semigroup: 1.0e-8
+  tolerance_pde: 2.5E-6
+  times: [0.25, 0.5, 0.75]
+bridge:
+  mu0: {flow(rng.dirichlet(np.ones(n)))}
+  mu1: {flow(rng.dirichlet(np.ones(n)))}
+sampling:
+  seed: 12345
+  n_paths: 4000
+  process: P
+"""
+
+
+@pytest.mark.parametrize("text", [JUMP_YAML, DIFFUSION_YAML,
+                                  generated_jump_yaml()],
+                         ids=["jump", "diffusion", "generated_n100"])
+def test_loader_matches_pure_python_safe_loader(tmp_path, text):
+    cfg = load_config(write(tmp_path, text))
+    expected = yaml.load(text, Loader=yaml.SafeLoader)
+    for name in ("model", "transform", "grid", "checks", "sampling",
+                 "bridge"):
+        assert getattr(cfg, name) == expected.get(name, {}), name
+
+
+def test_generated_config_parses_floats(tmp_path):
+    cfg = load_config(write(tmp_path, generated_jump_yaml()))
+    assert cfg.checks["tolerance_semigroup"] == 1e-8
+    assert cfg.checks["tolerance_pde"] == 2.5e-6
+    V = np.asarray(cfg.transform["V"])
+    assert V.shape == (21, 100) and V.dtype == float
+    model = build_model_from_config(cfg)
+    assert model.n == 100
+
+
+def test_diffusion_model_and_gaussian_weights(tmp_path):
+    cfg = load_config(write(tmp_path, DIFFUSION_YAML))
     model = build_model_from_config(cfg)
     assert isinstance(model, Diffusion1DModel)
     f0, gamma1, V = transform_pieces(cfg, model, cfg.time_grid)

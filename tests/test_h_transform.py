@@ -15,7 +15,9 @@ from conftest import (five_state_model, generic_hprocess, identity_hprocess,
                       two_state_model, wavy_potential)
 from htlab.errors import (DegenerateInputError, ModelValidationError,
                           PositivityError)
-from htlab.feynman_kac import InitialWeight, PotentialField, TerminalWeight
+from htlab import feynman_kac, h_transform
+from htlab.feynman_kac import (InitialWeight, PotentialField, TerminalWeight,
+                               solve_fk, solve_g)
 from htlab.h_transform import (build_h_process, entropy_sufficiency_report,
                                forward_marginal_evolve,
                                integrate_potential_along_path, jump_kernel,
@@ -48,6 +50,35 @@ def test_constant_potential_is_a_gauge():
     np.testing.assert_allclose(marginal(hp, 0.5), model.m, atol=1e-9)
     np.testing.assert_allclose(jump_kernel(hp, 0.25), model.J.rates, atol=1e-9)
     assert abs(relative_entropy(hp)) <= 1e-9
+
+
+def test_one_propagator_per_h_process(monkeypatch):
+    """build_h_process integrates Phi once and matches the two-solve route."""
+    model = five_state_model()
+    grid = TimeGrid(100)
+    V = wavy_potential(model, grid)
+    f0 = InitialWeight(np.array([1.0, 2.0, 0.5, 1.5, 1.0]))
+    gamma1 = TerminalWeight(np.array([0.2, 0.5, 1.0, 0.3, 0.8]))
+
+    builds = []
+    original = feynman_kac.fk_propagator
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(h_transform, "fk_propagator", counting)
+    monkeypatch.setattr(feynman_kac, "fk_propagator", counting)
+    hp = build_h_process(model, f0, gamma1, V, grid)
+    assert len(builds) == 1
+    monkeypatch.undo()
+
+    g0 = solve_g(model, V, gamma1, grid)[0]
+    c = float(np.sum(model.m * f0.f0 * g0))
+    fk = solve_fk(model, V, InitialWeight(f0.f0 / c), gamma1, grid)
+    assert hp.c == c
+    for name in ("g", "f", "g_mid"):
+        assert np.array_equal(getattr(hp.fk, name), getattr(fk, name)), name
 
 
 def test_marginals_are_probabilities():
