@@ -137,7 +137,7 @@ def bridge_to_hprocess(problem: BridgeProblem, f0: np.ndarray,
 def static_entropy(problem: BridgeProblem, f0: np.ndarray,
                    gamma1: np.ndarray) -> float:
     """Relative entropy of the product-form two-time joint against K."""
-    joint = f0[:, None] * problem.K * gamma1[None, :]
+    joint = joint_distribution(problem, f0, gamma1)
     ratio = np.outer(f0, gamma1)
     return float(xlogy(joint, ratio).sum())
 

@@ -27,8 +27,7 @@ from htlab.config import RunConfig, build_model_from_config, load_config, \
     transform_pieces
 from htlab.errors import (ConvergenceError, HTLabError, InconsistencyError,
                           ModelValidationError)
-from htlab.feynman_kac import (check_fk_generator, check_semigroup,
-                               fk_propagator, solve_fk)
+from htlab.feynman_kac import check_fk_generator, check_semigroup, solve_fk
 from htlab.markov_core import (ReversibleModel, detailed_balance_violation,
                                sample_paths_R)
 from htlab.reports import (diffusion_rows, field_rows, kernel_rows, path_rows,
@@ -57,9 +56,6 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--config", required=True, help="YAML run config")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker cap for independent checks (currently "
-                            "informational; runs are serial)")
         p.add_argument("--verbose", action="store_true")
     return parser
 
@@ -85,7 +81,7 @@ def _hprocess(cfg: RunConfig):
     return model, grid, h_transform.build_h_process(model, f0, gamma1, V, grid)
 
 
-def _check_times(cfg: RunConfig, grid) -> list[float]:
+def _check_times(cfg: RunConfig) -> list[float]:
     times = cfg.checks.get("times", [0.25, 0.5, 0.75])
     return [float(t) for t in times]
 
@@ -130,18 +126,23 @@ def cmd_transform(cfg: RunConfig, args) -> int:
     write_csv(os.path.join(args.out, "marginals.csv"),
               ["t", "state", "p"], field_rows(grid.nodes, marg),
               meta={"grid_N": grid.N})
-    times = _check_times(cfg, grid)
+    times = _check_times(cfg)
     kernels = [h_transform.jump_kernel(hp, t) for t in times]
     write_csv(os.path.join(args.out, "kernel.csv"),
               ["t", "from", "to", "rate"], kernel_rows(times, kernels),
               meta={"grid_N": grid.N})
     entropy = h_transform.relative_entropy(hp)
-    suff = h_transform.entropy_sufficiency_report(hp.f0.f0, hp.gamma1.gamma1,
-                                                  model.m)
+    rep = orlicz_diag.hypothesis_report(
+        hp.f0.f0, hp.gamma1.gamma1, hp.V.values,
+        orlicz_diag.WeightedMeasure(weights=model.m),
+        orlicz_diag.YoungFunction("theta_star_llogl"))
     write_text(os.path.join(args.out, "transform_summary.txt"),
                [f"normalization_c={hp.c!r}",
                 f"relative_entropy={entropy!r}",
-                suff.report().rstrip()])
+                f"p={rep.p}",
+                f"f0_integral={rep.f0_sqlog_integral:.6e}",
+                f"gamma1_integral={rep.gamma1_sqlog_integral:.6e}",
+                f"verdict={rep.verdict}"])
     _say(args, f"transform built, H(P|R)={entropy:.6g}")
     return EXIT_OK
 
@@ -167,7 +168,7 @@ def cmd_sample(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _run_checks(cfg: RunConfig, args) -> list[tuple[str, bool, str]]:
+def _run_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
     """Shared body of `check` and `report`: named pass/fail results."""
     model, grid, hp = _hprocess(cfg)
     checks = cfg.checks
@@ -189,7 +190,7 @@ def _run_checks(cfg: RunConfig, args) -> list[tuple[str, bool, str]]:
     streams = np.random.SeedSequence(seed).spawn(2)
     rng = np.random.default_rng(streams[0])
     worst = 0.0
-    for t in _check_times(cfg, grid):
+    for t in _check_times(cfg):
         for _ in range(3):
             u = rng.standard_normal(model.n)
             res = generator_lab.check_transformed_generator(hp, u, t)
@@ -238,7 +239,7 @@ def _write_check_report(results, out_dir: str, name: str) -> int:
 
 
 def cmd_check(cfg: RunConfig, args) -> int:
-    return _write_check_report(_run_checks(cfg, args), args.out,
+    return _write_check_report(_run_checks(cfg), args.out,
                                "check_report.txt")
 
 
@@ -263,8 +264,8 @@ def cmd_hjb(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_bridge(cfg: RunConfig, args) -> int:
-    model = _jump_model(cfg)
+def _fit_bridge(cfg: RunConfig, model: ReversibleModel):
+    """Read the bridge section and fit its marginals: (problem, tol, result)."""
     sec = cfg.bridge
     if "mu0" not in sec or "mu1" not in sec:
         raise ModelValidationError("bridge section needs mu0 and mu1",
@@ -272,7 +273,13 @@ def cmd_bridge(cfg: RunConfig, args) -> int:
     problem = bridge_mod.build_bridge_problem(model, sec["mu0"], sec["mu1"])
     tol = float(sec.get("tol", bridge_mod.DEFAULT_TOL))
     max_iter = int(sec.get("max_iter", bridge_mod.DEFAULT_MAX_ITER))
-    result = bridge_mod.ipf_solve(problem, tol=tol, max_iter=max_iter)
+    return problem, tol, bridge_mod.ipf_solve(problem, tol=tol,
+                                              max_iter=max_iter)
+
+
+def cmd_bridge(cfg: RunConfig, args) -> int:
+    model = _jump_model(cfg)
+    problem, tol, result = _fit_bridge(cfg, model)
     write_csv(os.path.join(args.out, "bridge_convergence.csv"),
               ["iteration", "error"],
               ((i + 1, e) for i, e in enumerate(result.error_history)),
@@ -320,17 +327,10 @@ def cmd_diffusion(cfg: RunConfig, args) -> int:
 
 
 def cmd_report(cfg: RunConfig, args) -> int:
-    results = _run_checks(cfg, args)
+    results = _run_checks(cfg)
     if "mu0" in cfg.bridge and "mu1" in cfg.bridge:
-        model = _jump_model(cfg)
-        problem = bridge_mod.build_bridge_problem(model, cfg.bridge["mu0"],
-                                                  cfg.bridge["mu1"])
-        tol = float(cfg.bridge.get("tol", bridge_mod.DEFAULT_TOL))
         try:
-            result = bridge_mod.ipf_solve(
-                problem, tol=tol,
-                max_iter=int(cfg.bridge.get("max_iter",
-                                            bridge_mod.DEFAULT_MAX_ITER)))
+            result = _fit_bridge(cfg, _jump_model(cfg))[2]
             results.append(("bridge_convergence", True,
                             f"iterations={result.iterations}"))
         except (ConvergenceError, InconsistencyError) as exc:
@@ -353,10 +353,6 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.threads < 1:
-        print("error: reason=bad_config: --threads must be >= 1",
-              file=sys.stderr)
-        return EXIT_VALIDATION
     try:
         cfg = load_config(args.config)
         return _COMMANDS[args.command](cfg, args)

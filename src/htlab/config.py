@@ -42,7 +42,7 @@ class RunConfig:
 
     @property
     def grid_n(self) -> int:
-        return int(self.grid.get("N", DEFAULT_GRID_N))
+        return _read(int, self.grid.get("N", DEFAULT_GRID_N), "grid.N")
 
     @property
     def time_grid(self) -> TimeGrid:
@@ -57,7 +57,16 @@ class RunConfig:
             raise ModelValidationError(
                 "sampling commands need an explicit seed in the config",
                 reason="missing_seed")
-        return int(self.seed)
+        return _read(int, self.seed, "sampling.seed")
+
+
+def _read(convert, value, what: str):
+    """convert(value), with a malformed value reported as a config error."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ModelValidationError(f"{what}: cannot read {value!r} ({exc})",
+                                   reason="bad_config") from None
 
 
 def load_config(path: str) -> RunConfig:
@@ -89,6 +98,10 @@ def load_config(path: str) -> RunConfig:
     return RunConfig(**sections)
 
 
+def _float_array(entry) -> np.ndarray:
+    return np.asarray(entry, dtype=float)
+
+
 def _vector(entry, n: int, what: str, xs: np.ndarray | None = None) -> np.ndarray:
     """Expand a config entry to a length-n vector.
 
@@ -100,14 +113,17 @@ def _vector(entry, n: int, what: str, xs: np.ndarray | None = None) -> np.ndarra
             raise ModelValidationError(f"{what}: unsupported mapping form",
                                        reason="bad_config")
         spec = entry["gaussian"]
-        center = float(spec["center"])
-        width = float(spec["width"])
-        height = float(spec.get("height", 1.0))
+        if not isinstance(spec, dict) or not {"center", "width"} <= set(spec):
+            raise ModelValidationError(f"{what}: gaussian needs center and "
+                                       "width", reason="bad_config")
+        center = _read(float, spec["center"], f"{what}.center")
+        width = _read(float, spec["width"], f"{what}.width")
+        height = _read(float, spec.get("height", 1.0), f"{what}.height")
         if width <= 0:
             raise ModelValidationError(f"{what}: gaussian width must be > 0",
                                        reason="bad_config")
         return height * np.exp(-0.5 * ((xs - center) / width) ** 2)
-    arr = np.asarray(entry, dtype=float)
+    arr = _read(_float_array, entry, what)
     if arr.ndim == 0:
         return np.full(n, float(arr))
     if arr.shape != (n,):
@@ -133,10 +149,11 @@ def _jump_model(sec: dict) -> ReversibleModel:
     if "J0" not in sec or "m0" not in sec:
         raise ModelValidationError("jump model needs J0 and m0",
                                    reason="bad_config")
-    J0 = np.asarray(sec["J0"], dtype=float)
+    J0 = _read(_float_array, sec["J0"], "J0")
     n = J0.shape[0] if J0.ndim == 2 else 0
-    labels = sec.get("states", [str(i) for i in range(n)])
-    space = StateSpace(labels=tuple(str(s) for s in labels))
+    labels = _read(lambda v: tuple(str(s) for s in v),
+                   sec.get("states", range(n)), "states")
+    space = StateSpace(labels=labels)
     m0 = _vector(sec["m0"], space.n, "m0")
     kernel = JumpKernel(rates=J0)
     if "U" in sec:
@@ -150,11 +167,12 @@ def _diffusion_model(sec: dict) -> Diffusion1DModel:
         if key not in sec:
             raise ModelValidationError(f"diffusion model needs '{key}'",
                                        reason="bad_config")
-    M = int(sec["M"])
-    xs = np.linspace(float(sec["x_min"]), float(sec["x_max"]), M + 1)
+    M = _read(int, sec["M"], "M")
+    x_min = _read(float, sec["x_min"], "x_min")
+    x_max = _read(float, sec["x_max"], "x_max")
+    xs = np.linspace(x_min, x_max, M + 1)
     U = _vector(sec.get("U", 0.0), M + 1, "U", xs=xs)
-    return Diffusion1DModel(x_min=float(sec["x_min"]),
-                            x_max=float(sec["x_max"]), M=M, U=U)
+    return Diffusion1DModel(x_min=x_min, x_max=x_max, M=M, U=U)
 
 
 def transform_pieces(cfg: RunConfig, model, grid: TimeGrid):
@@ -165,7 +183,7 @@ def transform_pieces(cfg: RunConfig, model, grid: TimeGrid):
     vectors and a broadcastable V entry are returned.
     """
     sec = cfg.transform
-    lo = float(sec.get("lo", 0.0))
+    lo = _read(float, sec.get("lo", 0.0), "lo")
     if isinstance(model, ReversibleModel):
         n, xs = model.n, None
     else:
@@ -174,7 +192,7 @@ def transform_pieces(cfg: RunConfig, model, grid: TimeGrid):
     gamma1 = _vector(sec.get("gamma1", 1.0), n, "gamma1", xs=xs)
     V_entry = sec.get("V", 0.0)
     if isinstance(model, ReversibleModel):
-        V_arr = np.asarray(V_entry, dtype=float)
+        V_arr = _read(_float_array, V_entry, "V")
         if V_arr.ndim == 2:
             field_vals = V_arr
         else:

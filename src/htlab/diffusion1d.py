@@ -22,7 +22,7 @@ from scipy.linalg import solve_banded
 
 from htlab.errors import (DegenerateInputError, ModelValidationError,
                           PositivityError)
-from htlab.feynman_kac import time_derivative
+from htlab.feynman_kac import derivative
 from htlab.markov_core import TimeGrid, _freeze
 
 
@@ -61,12 +61,7 @@ class Diffusion1DModel:
     @property
     def U_prime(self) -> np.ndarray:
         """Second-order derivative of U: central inside, one-sided at walls."""
-        U, dx = self.U, self.dx
-        d = np.empty_like(U)
-        d[1:-1] = (U[2:] - U[:-2]) / (2 * dx)
-        d[0] = (-3 * U[0] + 4 * U[1] - U[2]) / (2 * dx)
-        d[-1] = (3 * U[-1] - 4 * U[-2] + U[-3]) / (2 * dx)
-        return d
+        return derivative(self.U, self.dx)
 
     @property
     def m_weights(self) -> np.ndarray:
@@ -116,17 +111,17 @@ def potential_on_grid(V, grid: TimeGrid, M: int) -> np.ndarray:
                                reason="dimension_mismatch")
 
 
-def _operator_bands(model: Diffusion1DModel, v_slice: np.ndarray):
-    """Tridiagonal bands of A = 1/2 d2 - U' d1 - V with mirrored walls.
+def _operator_bands(model: Diffusion1DModel, Vg: np.ndarray) -> list:
+    """Tridiagonal bands of A = 1/2 d2 - U' d1 - V(t_k) with mirrored walls.
 
-    Returns (diag, upper, lower) where upper[i] = A[i, i+1] and
-    lower[i] = A[i+1, i].
+    Returns one (diag, upper, lower) per row of Vg, where upper[i] =
+    A[i, i+1] and lower[i] = A[i+1, i]; only diag depends on the time node,
+    so every entry shares one read-only upper and lower band.
     """
     M, dx = model.M, model.dx
     up = model.U_prime
     c2 = 0.5 / dx ** 2
     c1 = 0.5 / dx
-    diag = np.full(M + 1, -2.0 * c2) - v_slice
     upper = np.full(M, c2)
     lower = np.full(M, c2)
     upper[1:] -= up[1:-1] * c1   # A[i, i+1] for i = 1..M-1
@@ -135,7 +130,9 @@ def _operator_bands(model: Diffusion1DModel, v_slice: np.ndarray):
     # no advection
     upper[0] = 2.0 * c2
     lower[-1] = 2.0 * c2
-    return diag, upper, lower
+    upper.setflags(write=False)
+    lower.setflags(write=False)
+    return [(np.full(M + 1, -2.0 * c2) - v, upper, lower) for v in Vg]
 
 
 def _banded_lhs(diag, upper, lower):
@@ -189,7 +186,7 @@ def solve_g_pde(model: Diffusion1DModel, V, gamma1: np.ndarray,
     vals = np.empty((N + 1, model.M + 1))
     vals[N] = gamma1
     clipped = 0
-    bands = [_operator_bands(model, Vg[k]) for k in range(N + 1)]
+    bands = _operator_bands(model, Vg)
     for k in range(N - 1, -1, -1):
         dl, ul, ll = bands[k]
         dr, ur, lr = bands[k + 1]
@@ -226,7 +223,7 @@ def solve_f_pde(model: Diffusion1DModel, V, f0: np.ndarray,
     vals = np.empty((N + 1, model.M + 1))
     vals[0] = f0
     clipped = 0
-    bands = [_operator_bands(model, Vg[k]) for k in range(N + 1)]
+    bands = _operator_bands(model, Vg)
     for k in range(N):
         dl, ul, ll = bands[k]
         dr, ur, lr = bands[k + 1]
@@ -242,17 +239,6 @@ def solve_f_pde(model: Diffusion1DModel, V, f0: np.ndarray,
                        clipped_nodes=clipped)
 
 
-def _space_derivative(values: np.ndarray, dx: float) -> np.ndarray:
-    """Second-order x-derivative along the last axis."""
-    d = np.empty_like(values)
-    d[..., 1:-1] = (values[..., 2:] - values[..., :-2]) / (2 * dx)
-    d[..., 0] = (-3 * values[..., 0] + 4 * values[..., 1]
-                 - values[..., 2]) / (2 * dx)
-    d[..., -1] = (3 * values[..., -1] - 4 * values[..., -2]
-                  + values[..., -3]) / (2 * dx)
-    return d
-
-
 def psi_and_drift(model: Diffusion1DModel,
                   g: GridFunction) -> tuple[GridFunction, GridFunction]:
     """Log of g and the transformed drift -U' + d/dx log g.
@@ -263,7 +249,7 @@ def psi_and_drift(model: Diffusion1DModel,
     with np.errstate(divide="ignore", invalid="ignore"):
         psi = np.where(g.values > 0, np.log(np.maximum(g.values, 1e-300)),
                        np.nan)
-    drift = -model.U_prime[None, :] + _space_derivative(psi, model.dx)
+    drift = -model.U_prime[None, :] + derivative(psi, model.dx, axis=-1)
     return (GridFunction(grid=g.grid, xs=g.xs, values=psi),
             GridFunction(grid=g.grid, xs=g.xs, values=drift))
 
@@ -274,8 +260,8 @@ def diffusion_hjb_residual(psi: GridFunction, model: Diffusion1DModel,
     Vg = potential_on_grid(V, psi.grid, model.M)
     dx = model.dx
     p = psi.values
-    dt_psi = time_derivative(p, psi.grid.dt)
-    dx_psi = _space_derivative(p, dx)
+    dt_psi = derivative(p, psi.grid.dt)
+    dx_psi = derivative(p, dx, axis=-1)
     dxx_psi = np.empty_like(p)
     dxx_psi[:, 1:-1] = (p[:, 2:] - 2 * p[:, 1:-1] + p[:, :-2]) / dx ** 2
     dxx_psi[:, 0] = (2 * p[:, 0] - 5 * p[:, 1] + 4 * p[:, 2]
@@ -419,14 +405,6 @@ def sample_em_paths(model: Diffusion1DModel, n_paths: int, seed,
                                    reason="too_few_steps")
     return _em_batch(model, n_paths, seed, steps, drift, x0, initial_masses,
                      t_end)
-
-
-def sample_em(model: Diffusion1DModel, x0: float, seed, steps: int,
-              drift: GridFunction | None = None,
-              t_end: float = 1.0) -> np.ndarray:
-    """Single reflected Euler-Maruyama path; deterministic given the seed."""
-    return sample_em_paths(model, 1, seed, steps, drift=drift, x0=x0,
-                           t_end=t_end)[0]
 
 
 def empirical_vs_fk_marginal(transform: DiffusionTransform, t: float,

@@ -271,26 +271,27 @@ class GeneratorResidual:
                 f"grid_N={self.grid_N}\n")
 
 
-def time_derivative(values: np.ndarray, dt: float) -> np.ndarray:
-    """Second-order time derivative on a uniform grid.
+def derivative(values: np.ndarray, step: float, axis: int = 0) -> np.ndarray:
+    """Second-order derivative along one axis of a uniform grid.
 
     Centered differences in the interior, one-sided three-point stencils at
-    both endpoints, so the result is O(dt^2) accurate on every row.
+    both ends, so the result is O(step^2) accurate everywhere.
     """
-    if values.shape[0] < 3:
-        raise ModelValidationError("need at least 3 time nodes",
+    v = np.moveaxis(values, axis, 0)
+    if v.shape[0] < 3:
+        raise ModelValidationError("need at least 3 grid nodes",
                                    reason="grid_too_coarse")
-    d = np.empty_like(values)
-    d[1:-1] = (values[2:] - values[:-2]) / (2.0 * dt)
-    d[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * dt)
-    d[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * dt)
-    return d
+    d = np.empty_like(v)
+    d[1:-1] = (v[2:] - v[:-2]) / (2.0 * step)
+    d[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * step)
+    d[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * step)
+    return np.moveaxis(d, 0, axis)
 
 
 def check_fk_generator(model: ReversibleModel, V: PotentialField,
                        g: np.ndarray, grid: TimeGrid) -> GeneratorResidual:
     """Residual of d/dt g + Q g - V g = 0 at every grid node."""
-    dg = time_derivative(g, grid.dt)
+    dg = derivative(g, grid.dt)
     res = np.abs(dg + g @ model.Q.T - V.values * g)
     return GeneratorResidual(residual=_freeze(res),
                              max_residual=float(res.max()),

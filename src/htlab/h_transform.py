@@ -306,8 +306,9 @@ def _jump_in_slow_cells(ctx: _ThinningContext, rng, tau: float, x: int):
     Used past a state's horizon, where endpoint bounds are infinite because
     g vanishes at t=1. Subdivision re-evaluates bounds on shrinking windows;
     exceeding the maximum depth means the transform is effectively pinned
-    away from x and is reported as a sampling failure. Returns the first
-    jump as (time, destination), or None.
+    away from x and is reported as a sampling failure. A window never spans
+    two cells, so the rate is monotone on it and the endpoint bound holds.
+    Returns the first jump as (time, destination), or None.
     """
     N = ctx.N
     k0 = min(int(tau * N), N - 1)
@@ -330,19 +331,7 @@ def _jump_in_slow_cells(ctx: _ThinningContext, rng, tau: float, x: int):
                 s += rng.exponential(1.0 / bound)
                 if s >= b:
                     break
-                r = ctx.rate(s, x)
-                if r > bound:
-                    # cannot happen for linear-in-g interpolation (monotone
-                    # rate); kept as the contract for other interpolants
-                    if depth >= _THINNING_MAX_DEPTH:
-                        raise ConvergenceError(
-                            "thinning bound violated beyond max depth",
-                            reason="thinning_subdivision_depth")
-                    mid = 0.5 * (s + b)
-                    pending.append((mid, b, depth + 1))
-                    pending.append((s, mid, depth + 1))
-                    break
-                if rng.random() * bound < r:
+                if rng.random() * bound < ctx.rate(s, x):
                     return s, ctx.draw_destination(rng, s, x)
     return None
 
@@ -408,44 +397,3 @@ def sample_paths_P(hp: HProcess, n_paths: int, seed) -> list[PathSample]:
                                 n_states=hp.n, seed=(seed, i)))
     return paths
 
-
-@dataclass(frozen=True)
-class EntropySufficiencyReport:
-    """Finiteness diagnostics for the entropy of the transformed law."""
-
-    p: float
-    f0_integral: float
-    gamma1_integral: float
-    verdict: str
-
-    def report(self) -> str:
-        return (f"p={self.p}\n"
-                f"f0_integral={self.f0_integral:.6e}\n"
-                f"gamma1_integral={self.gamma1_integral:.6e}\n"
-                f"verdict={self.verdict}\n")
-
-
-def entropy_sufficiency_report(f0: np.ndarray, gamma1: np.ndarray,
-                               m: np.ndarray, p: float = 2.0) -> EntropySufficiencyReport:
-    """Square-times-log-power integrals of the weights against m.
-
-    Finiteness of these integrals (for some p > 1) is a sufficient condition
-    for the transformed law to have finite relative entropy. On finite spaces
-    they are always finite; the report computes the actual values for
-    pipeline parity with large-space extensions.
-    """
-    if p <= 1.0:
-        raise ModelValidationError("exponent must exceed 1", reason="bad_exponent")
-    f0 = np.asarray(f0, dtype=float)
-    gamma1 = np.asarray(gamma1, dtype=float)
-    m = np.asarray(m, dtype=float)
-
-    def integral(w: np.ndarray) -> float:
-        logplus = np.where(w > 1.0, np.log(np.maximum(w, 1.0)), 0.0)
-        return float(np.sum(w * w * logplus ** p * m))
-
-    return EntropySufficiencyReport(
-        p=p,
-        f0_integral=integral(f0),
-        gamma1_integral=integral(gamma1),
-        verdict="satisfied (finite space)")

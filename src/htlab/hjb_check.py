@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import xlogy
 
 from htlab.errors import ModelValidationError
-from htlab.feynman_kac import PotentialField, time_derivative
+from htlab.feynman_kac import PotentialField, derivative
 from htlab.markov_core import ReversibleModel, TimeGrid, _freeze
 
 
@@ -124,10 +124,10 @@ def discrete_hjb_residual(psi: PsiField, model: ReversibleModel,
 
     if time_term == "exponential":
         with np.errstate(divide="ignore", invalid="ignore"):
-            dt_psi = time_derivative(psi.g, grid.dt) / psi.g
+            dt_psi = derivative(psi.g, grid.dt) / psi.g
     elif time_term == "log":
         safe_psi = np.where(finite, psi.psi, 0.0)
-        dt_psi = time_derivative(safe_psi, grid.dt)
+        dt_psi = derivative(safe_psi, grid.dt)
     else:
         raise ModelValidationError("time_term must be 'exponential' or 'log'",
                                    reason="bad_time_term")

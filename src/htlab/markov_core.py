@@ -1,6 +1,6 @@
 """Finite-state reversible Markov jump processes.
 
-Construction of Metropolis-type reversible models, generator action, exact
+Construction of Metropolis-type reversible models and their generators, exact
 transition matrices through uniformization, Gillespie path sampling, and
 empirical marginals. States carry opaque labels; every numeric routine works
 on dense integer indices.
@@ -122,16 +122,11 @@ class JumpKernel:
 
 @dataclass(frozen=True)
 class ReversibleModel:
-    """Jump kernel J with reversing probability m, plus the generator Q.
-
-    The potential U is an optional construction record from the Metropolis
-    builder and plays no role in the dynamics once J and m are set.
-    """
+    """Jump kernel J with reversing probability m, plus the generator Q."""
 
     space: StateSpace
     J: JumpKernel
     m: np.ndarray
-    U: np.ndarray | None = None
     Q: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -158,8 +153,6 @@ class ReversibleModel:
         Q = self.J.rates - np.diag(self.J.exit_rates)
         object.__setattr__(self, "m", _freeze(m))
         object.__setattr__(self, "Q", _freeze(Q))
-        if self.U is not None:
-            object.__setattr__(self, "U", _freeze(self.U))
 
     @property
     def n(self) -> int:
@@ -214,11 +207,6 @@ def detailed_balance_violation(rates: np.ndarray, m: np.ndarray) -> float:
     return float(np.max(np.abs(flux - flux.T)))
 
 
-def check_detailed_balance(model: ReversibleModel) -> float:
-    """Max absolute violation of m(x)J(x,y) = m(y)J(y,x) over state pairs."""
-    return detailed_balance_violation(model.J.rates, model.m)
-
-
 def check_irreducibility(J: JumpKernel | np.ndarray) -> bool:
     """True iff the directed graph of positive rates is strongly connected."""
     rates = J.rates if isinstance(J, JumpKernel) else np.asarray(J, dtype=float)
@@ -227,11 +215,11 @@ def check_irreducibility(J: JumpKernel | np.ndarray) -> bool:
     return n_comp == 1
 
 
-def build_reversible_model(space: StateSpace, J: JumpKernel, m: np.ndarray,
-                           U: np.ndarray | None = None) -> ReversibleModel:
+def build_reversible_model(space: StateSpace, J: JumpKernel,
+                           m: np.ndarray) -> ReversibleModel:
     """Validate and assemble a model from explicit (J, m)."""
     m = np.asarray(m, dtype=float)
-    return ReversibleModel(space=space, J=J, m=m / m.sum(), U=U)
+    return ReversibleModel(space=space, J=J, m=m / m.sum())
 
 
 def build_metropolis(space: StateSpace, J0: JumpKernel, m0: np.ndarray,
@@ -240,7 +228,9 @@ def build_metropolis(space: StateSpace, J0: JumpKernel, m0: np.ndarray,
 
     J(x,y) = exp(-[U(y)-U(x)]) J0(x,y), reversed by the normalization of
     e^{-2U} m0. Detailed balance of the result follows from detailed balance
-    of (J0, m0), which is validated here as an input requirement.
+    of (J0, m0), which is validated here as an input requirement. The tilt is
+    positive, so J has the positive pattern of J0 and the irreducibility check
+    of the assembled model covers the base kernel.
     """
     m0 = np.asarray(m0, dtype=float)
     U = np.asarray(U, dtype=float)
@@ -257,22 +247,10 @@ def build_metropolis(space: StateSpace, J0: JumpKernel, m0: np.ndarray,
         raise ModelValidationError(
             f"(m0, J0) violate detailed balance by {viol:.3e}",
             reason="detailed_balance_violation")
-    if not check_irreducibility(J0):
-        raise ModelValidationError("base kernel must be irreducible",
-                                   reason="not_irreducible")
     tilt = np.exp(U[:, None] - U[None, :])
     J = JumpKernel(tilt * J0.rates)
     m = np.exp(-2.0 * U) * m0
-    return ReversibleModel(space=space, J=J, m=m / m.sum(), U=U)
-
-
-def generator_apply(model: ReversibleModel, u: np.ndarray) -> np.ndarray:
-    """(Lu)(x) = sum_y J(x,y)(u(y)-u(x)), i.e. Qu."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (model.n,):
-        raise ModelValidationError("function vector has wrong length",
-                                   reason="dimension_mismatch")
-    return model.Q @ u
+    return ReversibleModel(space=space, J=J, m=m / m.sum())
 
 
 def _uniformized_exponential(Q: np.ndarray, lam: float, t: float) -> np.ndarray:

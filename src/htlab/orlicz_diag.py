@@ -88,14 +88,6 @@ class WeightedMeasure:
         object.__setattr__(self, "weights", w)
 
 
-def young_eval(gammaY: YoungFunction, a):
-    return gammaY(a)
-
-
-def conjugate(gammaY: YoungFunction) -> YoungFunction:
-    return gammaY.conjugate()
-
-
 def luxemburg_norm(u: np.ndarray, m: WeightedMeasure,
                    gammaY: YoungFunction, rtol: float = 1e-10) -> float:
     """inf{alpha > 0 : integral gamma(|u|/alpha) dm <= 1} by bisection."""
@@ -199,8 +191,12 @@ def hypothesis_report(f0: np.ndarray, gamma1: np.ndarray, V: np.ndarray,
     """Evaluate the standing integrability hypotheses on concrete inputs.
 
     V may be a single time slice or a full (N+1) x n field; the conjugate
-    integral is reported as the sup over time slices.
+    integral is reported as the sup over time slices. Finiteness of the two
+    square-log-power integrals for some p > 1 is a sufficient condition for
+    the transformed law to have finite relative entropy.
     """
+    if p <= 1.0:
+        raise ModelValidationError("exponent must exceed 1", reason="bad_exponent")
     f0 = np.asarray(f0, dtype=float)
     gamma1 = np.asarray(gamma1, dtype=float)
     V = np.atleast_2d(np.asarray(V, dtype=float))

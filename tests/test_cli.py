@@ -107,7 +107,10 @@ def test_transform_outputs(jump_config, tmp_path):
     summary = (out / "transform_summary.txt").read_text()
     assert "normalization_c=" in summary
     assert "relative_entropy=" in summary
-    assert "verdict=satisfied" in summary
+    assert summary.splitlines()[2:] == ["p=2.0",
+                                        "f0_integral=6.984351e-01",
+                                        "gamma1_integral=0.000000e+00",
+                                        "verdict=satisfied (finite space)"]
     # marginals at each node sum to one
     rows = (out / "marginals.csv").read_text().splitlines()[2:]
     total = sum(float(r.split(",")[2]) for r in rows)
@@ -221,7 +224,19 @@ def test_malformed_yaml_is_a_config_error(tmp_path, capsys):
     assert "reason=bad_config" in capsys.readouterr().err
 
 
-def test_thread_count_validation(jump_config, tmp_path, capsys):
-    assert main(["model", "--config", jump_config, "--out",
-                 str(tmp_path / "out"), "--threads", "0"]) == 2
+@pytest.mark.parametrize("command,old,new", [
+    ("fk", "gamma1: [0.5, 1.0, 0.8]", "gamma1: abc"),
+    ("fk", "N: 200", "N: many"),
+    ("sample", "seed: 7", "seed: x"),
+    ("model", "J0: [[0.0, 0.3, 0.3], [0.3, 0.0, 0.3], [0.3, 0.3, 0.0]]",
+     "J0: [[0, 1], [1]]"),
+    ("model", "states: [a, b, c]", "states: 5"),
+], ids=["gamma1", "N", "seed", "J0", "states"])
+def test_malformed_value_is_a_config_error(tmp_path, capsys, command, old,
+                                           new):
+    assert old in JUMP_YAML
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(JUMP_YAML.replace(old, new), encoding="utf-8")
+    assert main([command, "--config", str(cfg), "--out",
+                 str(tmp_path / "out")]) == 2
     assert "reason=bad_config" in capsys.readouterr().err

@@ -14,7 +14,7 @@ from htlab.diffusion1d import (Diffusion1DModel, GridFunction,
                                build_diffusion_transform,
                                diffusion_hjb_residual,
                                empirical_vs_fk_marginal, potential_on_grid,
-                               psi_and_drift, sample_em, sample_em_paths,
+                               psi_and_drift, sample_em_paths,
                                solve_f_pde, solve_g_pde)
 from htlab.errors import (DegenerateInputError, ModelValidationError,
                           PositivityError)
@@ -262,11 +262,11 @@ def test_em_reflection_keeps_paths_inside():
 
 def test_em_determinism_and_inputs():
     model = quadratic_model()
-    a = sample_em(model, 0.3, seed=5, steps=200)
-    b = sample_em(model, 0.3, seed=5, steps=200)
+    a, b, c = (sample_em_paths(model, 1, seed=seed, steps=200, x0=0.3)[0]
+               for seed in (5, 5, 6))
     np.testing.assert_array_equal(a, b)
     assert a.shape == (201,)
-    assert not np.array_equal(a, sample_em(model, 0.3, seed=6, steps=200))
+    assert not np.array_equal(a, c)
     batch = sample_em_paths(model, 3, seed=5, steps=200,
                             x0=np.array([-1.0, 0.0, 1.0]))
     np.testing.assert_array_equal(batch[:, 0], [-1.0, 0.0, 1.0])

@@ -15,9 +15,8 @@ from conftest import ring_kernel, two_state_model
 from htlab.errors import DegenerateInputError, ModelValidationError
 from htlab.feynman_kac import (FKPropagator, InitialWeight, PotentialField,
                                TerminalWeight, check_fk_generator,
-                               check_semigroup, fk_propagator,
-                               positivity_report, solve_f, solve_fk, solve_g,
-                               time_derivative)
+                               check_semigroup, derivative, fk_propagator,
+                               positivity_report, solve_f, solve_fk, solve_g)
 from htlab.markov_core import (StateSpace, TimeGrid, build_metropolis,
                                sample_paths_R, transition_matrix)
 
@@ -274,10 +273,19 @@ def test_weight_validation():
 def test_time_derivative_exact_for_quadratics():
     ts = np.linspace(0.0, 1.0, 21)[:, None]
     values = 3.0 * ts ** 2 - 2.0 * ts + 1.0
-    d = time_derivative(values, ts[1, 0] - ts[0, 0])
+    d = derivative(values, ts[1, 0] - ts[0, 0])
     np.testing.assert_allclose(d, 6.0 * ts - 2.0, atol=1e-12)
     with pytest.raises(ModelValidationError):
-        time_derivative(values[:2], 0.05)
+        derivative(values[:2], 0.05)
+
+
+def test_derivative_axis_is_a_transpose():
+    """Along the last axis the stencil gives the transpose, bit for bit."""
+    values = np.random.default_rng(3).standard_normal((7, 5))
+    values[2, 1] = np.nan
+    for step in (0.1, 0.37):
+        np.testing.assert_array_equal(derivative(values.T, step, axis=-1),
+                                      derivative(values, step).T)
 
 
 def test_propagator_dimension_check():

@@ -8,10 +8,14 @@ from htlab.errors import (DegenerateInputError, HTLabError,
                           ModelValidationError)
 from htlab.markov_core import (JumpKernel, PathSample, StateSpace, TimeGrid,
                                build_metropolis, build_reversible_model,
-                               check_detailed_balance, check_irreducibility,
+                               check_irreducibility,
                                detailed_balance_violation, empirical_marginal,
-                               generator_apply, sample_path_R, sample_paths_R,
+                               sample_path_R, sample_paths_R,
                                transition_matrix)
+
+
+def balance_gap(model) -> float:
+    return detailed_balance_violation(model.J.rates, model.m)
 
 
 def test_metropolis_two_state_example():
@@ -35,7 +39,7 @@ def test_metropolis_preserves_detailed_balance_on_ring():
     space = StateSpace(("a", "b", "c"))
     model = build_metropolis(space, ring_kernel(3), np.full(3, 1 / 3),
                              np.array([0.4, -1.1, 2.3]))
-    assert check_detailed_balance(model) <= 1e-14
+    assert balance_gap(model) <= 1e-14
 
 
 def test_metropolis_rejects_unbalanced_base():
@@ -54,13 +58,28 @@ def test_metropolis_rejects_reducible_base():
         build_metropolis(space, JumpKernel(rates), np.full(2, 0.5), np.zeros(2))
 
 
+def test_disjoint_cycles_are_not_irreducible():
+    """Two symmetric 2-cycles pass every check except irreducibility."""
+    space = StateSpace(("a", "b", "c", "d"))
+    rates = np.array([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+                      [0.0, 0.0, 0.0, 2.0], [0.0, 0.0, 2.0, 0.0]])
+    m0 = np.full(4, 0.25)
+    with pytest.raises(ModelValidationError) as err:
+        build_metropolis(space, JumpKernel(rates), m0,
+                         np.array([0.0, 0.3, -0.2, 0.1]))
+    assert err.value.reason == "not_irreducible"
+    with pytest.raises(ModelValidationError) as err:
+        build_reversible_model(space, JumpKernel(rates), m0)
+    assert err.value.reason == "not_irreducible"
+
+
 def test_detailed_balance_violation_examples():
     """Hand values: the tilted model balances, a lopsided kernel misses by 0.5."""
-    assert check_detailed_balance(two_state_model()) <= 1e-14
+    assert balance_gap(two_state_model()) <= 1e-14
     sym = JumpKernel(ring_kernel(3).rates)
     model = build_reversible_model(StateSpace(("a", "b", "c")), sym,
                                    np.full(3, 1 / 3))
-    assert check_detailed_balance(model) == 0.0
+    assert balance_gap(model) == 0.0
     viol = detailed_balance_violation(np.array([[0.0, 1.0], [2.0, 0.0]]),
                                       np.array([0.5, 0.5]))
     assert viol == pytest.approx(0.5, abs=1e-15)
@@ -79,14 +98,11 @@ def test_irreducibility():
 
 def test_generator_apply():
     model = two_state_model()
-    np.testing.assert_allclose(generator_apply(model, np.ones(2)), 0.0,
-                               atol=1e-15)
-    np.testing.assert_allclose(generator_apply(model, np.array([0.0, 1.0])),
+    np.testing.assert_allclose(model.Q @ np.ones(2), 0.0, atol=1e-15)
+    np.testing.assert_allclose(model.Q @ np.array([0.0, 1.0]),
                                [0.5, -2.0], atol=1e-15)
     u = np.array([0.3, -1.7])
-    assert abs(model.m @ generator_apply(model, u)) <= 1e-14
-    with pytest.raises(ModelValidationError):
-        generator_apply(model, np.ones(3))
+    assert abs(model.m @ (model.Q @ u)) <= 1e-14
 
 
 def test_model_invariants():
@@ -132,7 +148,7 @@ def test_generator_matches_transition_finite_difference():
     """(e^{Qh}u - u)/h - Qu shrinks linearly in h."""
     model = two_state_model()
     u = np.array([0.2, -1.0])
-    Qu = generator_apply(model, u)
+    Qu = model.Q @ u
 
     def defect(h):
         return np.max(np.abs((transition_matrix(model, h) @ u - u) / h - Qu))

@@ -10,8 +10,8 @@ import pytest
 
 from htlab.errors import DegenerateInputError, ModelValidationError
 from htlab.orlicz_diag import (KINDS, WeightedMeasure, YoungFunction,
-                               conjugate, holder_check, hypothesis_report,
-                               luxemburg_norm, young_eval)
+                               holder_check, hypothesis_report,
+                               luxemburg_norm)
 
 
 def uniform_measure(n):
@@ -32,7 +32,7 @@ def test_young_function_values():
     assert sup(1.5) == np.inf
     for kind in KINDS:
         fn = YoungFunction(kind, 2.0) if kind == "power" else YoungFunction(kind)
-        assert young_eval(fn, 0.0) == 0.0
+        assert fn(0.0) == 0.0
 
 
 def test_young_function_validation():
@@ -47,15 +47,15 @@ def test_young_function_validation():
 
 
 def test_conjugate_pairs_and_involution():
-    assert conjugate(YoungFunction("power", 2.0)).p == pytest.approx(2.0)
-    assert conjugate(YoungFunction("power", 3.0)).p == pytest.approx(1.5)
-    assert conjugate(YoungFunction("power", 1.0)).kind == "sup_norm"
-    assert conjugate(YoungFunction("sup_norm")).p == 1.0
-    assert conjugate(YoungFunction("theta_exp")).kind == "theta_star_llogl"
-    assert conjugate(YoungFunction("theta_star_llogl")).kind == "theta_exp"
+    assert YoungFunction("power", 2.0).conjugate().p == pytest.approx(2.0)
+    assert YoungFunction("power", 3.0).conjugate().p == pytest.approx(1.5)
+    assert YoungFunction("power", 1.0).conjugate().kind == "sup_norm"
+    assert YoungFunction("sup_norm").conjugate().p == 1.0
+    assert YoungFunction("theta_exp").conjugate().kind == "theta_star_llogl"
+    assert YoungFunction("theta_star_llogl").conjugate().kind == "theta_exp"
     for fn in (YoungFunction("power", 2.0), YoungFunction("power", 1.75),
                YoungFunction("theta_exp"), YoungFunction("sup_norm")):
-        back = conjugate(conjugate(fn))
+        back = fn.conjugate().conjugate()
         assert back.kind == fn.kind
         if fn.p is not None:
             assert back.p == pytest.approx(fn.p)
@@ -67,15 +67,15 @@ def test_fenchel_young_for_each_pair():
     b = rng.uniform(0.0, 3.0, size=300)
     for fn in (YoungFunction("power", 2.0), YoungFunction("power", 3.0),
                YoungFunction("theta_exp")):
-        conj = conjugate(fn)
+        conj = fn.conjugate()
         assert np.all(fn(a) + conj(b) - a * b >= -1e-12)
     # equality loci: b = a^{p-1} for powers, b = e^a - 1 for the exponential
     a = np.linspace(0.1, 2.0, 8)
     p3 = YoungFunction("power", 3.0)
-    np.testing.assert_allclose(p3(a) + conjugate(p3)(a ** 2), a * a ** 2,
+    np.testing.assert_allclose(p3(a) + p3.conjugate()(a ** 2), a * a ** 2,
                                atol=1e-12)
     texp = YoungFunction("theta_exp")
-    np.testing.assert_allclose(texp(a) + conjugate(texp)(np.expm1(a)),
+    np.testing.assert_allclose(texp(a) + texp.conjugate()(np.expm1(a)),
                                a * np.expm1(a), atol=1e-12)
 
 
@@ -178,3 +178,20 @@ def test_hypothesis_report_conjugate_integral():
                             YoungFunction("theta_star_llogl"))
     assert rep.sup_v_conjugate_integral == pytest.approx(
         np.expm1(0.7) - 0.7, rel=1e-12)
+
+
+def test_hypothesis_report_square_log_integrals():
+    m = uniform_measure(2)
+    llogl = YoungFunction("theta_star_llogl")
+    V = np.zeros(2)
+    flat = hypothesis_report(np.ones(2), np.ones(2), V, m, llogl)
+    assert flat.f0_sqlog_integral == 0.0
+    assert flat.gamma1_sqlog_integral == 0.0
+    rep = hypothesis_report(np.array([np.e, 1.0]), np.array([np.e, 1.0]), V,
+                            m, llogl, p=2.0)
+    assert rep.f0_sqlog_integral == pytest.approx(0.5 * np.e ** 2, rel=1e-12)
+    assert rep.verdict == "satisfied (finite space)"
+    assert "f0_sqlog_integral" in rep.report()
+    with pytest.raises(ModelValidationError) as err:
+        hypothesis_report(np.ones(2), np.ones(2), V, m, llogl, p=1.0)
+    assert err.value.reason == "bad_exponent"
