@@ -23,8 +23,8 @@ import numpy as np
 from htlab import bridge as bridge_mod
 from htlab import diffusion1d, generator_lab, h_transform, hjb_check
 from htlab import orlicz_diag
-from htlab.config import RunConfig, build_model_from_config, load_config, \
-    transform_pieces
+from htlab.config import RunConfig, _float_array, _read, \
+    build_model_from_config, load_config, transform_pieces
 from htlab.errors import (ConvergenceError, HTLabError, InconsistencyError,
                           ModelValidationError)
 from htlab.feynman_kac import check_fk_generator, check_semigroup, solve_fk
@@ -81,9 +81,9 @@ def _hprocess(cfg: RunConfig):
     return model, grid, h_transform.build_h_process(model, f0, gamma1, V, grid)
 
 
-def _check_times(cfg: RunConfig) -> list[float]:
-    times = cfg.checks.get("times", [0.25, 0.5, 0.75])
-    return [float(t) for t in times]
+def _check_times(cfg: RunConfig, default=(0.25, 0.5, 0.75)) -> list[float]:
+    return _read(lambda ts: [float(t) for t in ts],
+                 cfg.checks.get("times", default), "checks.times")
 
 
 def cmd_model(cfg: RunConfig, args) -> int:
@@ -149,7 +149,8 @@ def cmd_transform(cfg: RunConfig, args) -> int:
 
 def cmd_sample(cfg: RunConfig, args) -> int:
     seed = cfg.require_seed()
-    n_paths = int(cfg.sampling.get("n_paths", 1000))
+    n_paths = _read(int, cfg.sampling.get("n_paths", 1000),
+                    "sampling.n_paths")
     process = str(cfg.sampling.get("process", "P"))
     if process == "P":
         model, grid, hp = _hprocess(cfg)
@@ -172,9 +173,11 @@ def _run_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
     """Shared body of `check` and `report`: named pass/fail results."""
     model, grid, hp = _hprocess(cfg)
     checks = cfg.checks
-    tol_semigroup = float(checks.get("tolerance_semigroup", 1e-8))
-    tol_pde = float(checks.get("tolerance_pde", 1e-6))
-    tol_generator = float(checks.get("tolerance_generator", 1e-5))
+    tol_semigroup, tol_pde, tol_generator = (
+        _read(float, checks.get(key, default), f"checks.{key}")
+        for key, default in [("tolerance_semigroup", 1e-8),
+                             ("tolerance_pde", 1e-6),
+                             ("tolerance_generator", 1e-5)])
     results = []
 
     mid = 0.5 if grid.N % 2 == 0 else (grid.N // 2) / grid.N
@@ -186,7 +189,7 @@ def _run_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
     results.append(("backward_equation_residual", res.max_residual <= tol_pde,
                     f"max={res.max_residual:.3e} tol={tol_pde:.1e}"))
 
-    seed = int(cfg.sampling.get("seed", 0))
+    seed = _read(int, cfg.sampling.get("seed", 0), "sampling.seed")
     streams = np.random.SeedSequence(seed).spawn(2)
     rng = np.random.default_rng(streams[0])
     worst = 0.0
@@ -270,9 +273,12 @@ def _fit_bridge(cfg: RunConfig, model: ReversibleModel):
     if "mu0" not in sec or "mu1" not in sec:
         raise ModelValidationError("bridge section needs mu0 and mu1",
                                    reason="bad_config")
-    problem = bridge_mod.build_bridge_problem(model, sec["mu0"], sec["mu1"])
-    tol = float(sec.get("tol", bridge_mod.DEFAULT_TOL))
-    max_iter = int(sec.get("max_iter", bridge_mod.DEFAULT_MAX_ITER))
+    mu0, mu1 = (_read(_float_array, sec[key], f"bridge.{key}")
+                for key in ("mu0", "mu1"))
+    problem = bridge_mod.build_bridge_problem(model, mu0, mu1)
+    tol = _read(float, sec.get("tol", bridge_mod.DEFAULT_TOL), "bridge.tol")
+    max_iter = _read(int, sec.get("max_iter", bridge_mod.DEFAULT_MAX_ITER),
+                     "bridge.max_iter")
     return problem, tol, bridge_mod.ipf_solve(problem, tol=tol,
                                               max_iter=max_iter)
 
@@ -306,7 +312,7 @@ def cmd_diffusion(cfg: RunConfig, args) -> int:
     grid = cfg.time_grid
     f0, gamma1, V = transform_pieces(cfg, model, grid)
     tr = diffusion1d.build_diffusion_transform(model, V, f0, gamma1, grid)
-    times = [float(t) for t in cfg.checks.get("times", [0.0, 0.25, 0.5, 0.75])]
+    times = _check_times(cfg, (0.0, 0.25, 0.5, 0.75))
     indices = [grid.node_index(t) for t in times]
     for name, gf in [("diffusion_g.csv", tr.g), ("diffusion_f.csv", tr.f),
                      ("diffusion_drift.csv", tr.drift)]:
@@ -318,8 +324,9 @@ def cmd_diffusion(cfg: RunConfig, args) -> int:
              f"clipped_nodes={tr.clipped_nodes}"]
     if cfg.seed is not None and "n_paths" in cfg.sampling:
         tv = diffusion1d.empirical_vs_fk_marginal(
-            tr, float(cfg.sampling.get("t", 0.5)),
-            int(cfg.sampling["n_paths"]), cfg.require_seed())
+            tr, _read(float, cfg.sampling.get("t", 0.5), "sampling.t"),
+            _read(int, cfg.sampling["n_paths"], "sampling.n_paths"),
+            cfg.require_seed())
         lines.append(f"empirical_tv={tv!r}")
     write_text(os.path.join(args.out, "diffusion_summary.txt"), lines)
     _say(args, "diffusion pipeline done")

@@ -199,6 +199,9 @@ def transform_pieces(cfg: RunConfig, model, grid: TimeGrid):
             field_vals = np.tile(_vector(V_entry, n, "V"), (grid.N + 1, 1))
         V = PotentialField(values=field_vals, lo=max(lo, -float(field_vals.min()), 0.0))
         return InitialWeight(f0=f0), TerminalWeight(gamma1=gamma1), V
-    if isinstance(V_entry, dict) or np.asarray(V_entry).ndim == 1:
-        V_entry = _vector(V_entry, n, "V", xs=xs)
-    return f0, gamma1, V_entry
+    if isinstance(V_entry, dict):
+        return f0, gamma1, _vector(V_entry, n, "V", xs=xs)
+    V_arr = _read(_float_array, V_entry, "V")
+    if V_arr.ndim == 1:
+        V_arr = _vector(V_arr, n, "V")
+    return f0, gamma1, V_arr

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from htlab.errors import (DegenerateInputError, ModelValidationError,
                           PositivityError)
@@ -98,25 +98,23 @@ class GridFunction:
 
 
 def potential_on_grid(V, grid: TimeGrid, M: int) -> np.ndarray:
-    """Broadcast a scalar / spatial vector / full field to (N+1) x (M+1)."""
-    V = np.asarray(V, dtype=float)
-    if V.ndim == 0:
-        return np.full((grid.N + 1, M + 1), float(V))
-    if V.ndim == 1 and V.shape == (M + 1,):
-        return np.tile(V, (grid.N + 1, 1))
-    if V.shape == (grid.N + 1, M + 1):
-        return V.copy()
-    raise ModelValidationError("potential must be scalar, spatial vector, or "
-                               "full time-space field",
-                               reason="dimension_mismatch")
+    """Read-only (N+1) x (M+1) broadcast of a scalar, node vector or field."""
+    V = np.array(V, dtype=float)
+    if V.shape not in ((), (M + 1,), (grid.N + 1, M + 1)):
+        raise ModelValidationError("potential must be scalar, spatial vector, "
+                                   "or full time-space field",
+                                   reason="dimension_mismatch")
+    if not np.all(np.isfinite(V)):
+        raise ModelValidationError("potential must be finite",
+                                   reason="nonfinite_potential")
+    return np.broadcast_to(V, (grid.N + 1, M + 1))
 
 
-def _operator_bands(model: Diffusion1DModel, Vg: np.ndarray) -> list:
-    """Tridiagonal bands of A = 1/2 d2 - U' d1 - V(t_k) with mirrored walls.
+def _operator_bands(model: Diffusion1DModel) -> tuple:
+    """Bands (center, upper, lower) of A = 1/2 d2 - U' d1 with mirrored walls.
 
-    Returns one (diag, upper, lower) per row of Vg, where upper[i] =
-    A[i, i+1] and lower[i] = A[i+1, i]; only diag depends on the time node,
-    so every entry shares one read-only upper and lower band.
+    upper[i] = A[i, i+1] and lower[i] = A[i+1, i]. The diagonal of A - V(t_k)
+    is center - V[k], the only band that depends on the time node.
     """
     M, dx = model.M, model.dx
     up = model.U_prime
@@ -130,18 +128,7 @@ def _operator_bands(model: Diffusion1DModel, Vg: np.ndarray) -> list:
     # no advection
     upper[0] = 2.0 * c2
     lower[-1] = 2.0 * c2
-    upper.setflags(write=False)
-    lower.setflags(write=False)
-    return [(np.full(M + 1, -2.0 * c2) - v, upper, lower) for v in Vg]
-
-
-def _banded_lhs(diag, upper, lower):
-    n = diag.shape[0]
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper
-    ab[1] = diag
-    ab[2, :-1] = lower
-    return ab
+    return -2.0 * c2, upper, lower
 
 
 def _tridiag_mul(diag, upper, lower, v):
@@ -149,6 +136,15 @@ def _tridiag_mul(diag, upper, lower, v):
     out[:-1] += upper * v[1:]
     out[1:] += lower * v[:-1]
     return out
+
+
+def _tridiag_solve(diag, upper, lower, rhs):
+    """Solve the tridiagonal system by LAPACK gtsv (partial pivoting)."""
+    x, info = dgtsv(lower, diag, upper, rhs)[3:]
+    if info != 0:
+        raise DegenerateInputError("Crank-Nicolson system is singular",
+                                   reason="cn_conditioning")
+    return x
 
 
 @dataclass(frozen=True)
@@ -166,6 +162,18 @@ def _check_finite(v: np.ndarray, what: str):
                                    reason="cn_conditioning")
 
 
+def _spatial_weight(w, M: int, what: str, reason: str) -> np.ndarray:
+    """A nonnegative, non-vanishing weight with one value per node."""
+    w = np.asarray(w, dtype=float)
+    if w.shape != (M + 1,) or np.any(w < 0):
+        raise ModelValidationError(f"{what} weight must be a nonnegative "
+                                   "spatial vector", reason=reason)
+    if not np.any(w > 0):
+        raise DegenerateInputError(f"{what} weight must not vanish",
+                                   reason="zero_weight")
+    return w
+
+
 def solve_g_pde(model: Diffusion1DModel, V, gamma1: np.ndarray,
                 grid: TimeGrid) -> PDESolution:
     """Backward Crank-Nicolson for the potential-weighted heat flow.
@@ -174,25 +182,18 @@ def solve_g_pde(model: Diffusion1DModel, V, gamma1: np.ndarray,
     no-flux walls. Negative values produced by dispersion are clipped to zero
     and counted.
     """
-    gamma1 = np.asarray(gamma1, dtype=float)
-    if gamma1.shape != (model.M + 1,) or np.any(gamma1 < 0):
-        raise ModelValidationError("terminal weight must be a nonnegative "
-                                   "spatial vector", reason="bad_terminal")
-    if not np.any(gamma1 > 0):
-        raise DegenerateInputError("terminal weight must not vanish",
-                                   reason="zero_weight")
+    gamma1 = _spatial_weight(gamma1, model.M, "terminal", "bad_terminal")
     Vg = potential_on_grid(V, grid, model.M)
     N, half = grid.N, 0.5 * grid.dt
+    center, upper, lower = _operator_bands(model)
+    hu, hl = half * upper, half * lower
     vals = np.empty((N + 1, model.M + 1))
     vals[N] = gamma1
     clipped = 0
-    bands = _operator_bands(model, Vg)
     for k in range(N - 1, -1, -1):
-        dl, ul, ll = bands[k]
-        dr, ur, lr = bands[k + 1]
-        rhs = _tridiag_mul(1.0 + half * dr, half * ur, half * lr, vals[k + 1])
-        lhs = _banded_lhs(1.0 - half * dl, -half * ul, -half * ll)
-        g = solve_banded((1, 1), lhs, rhs)
+        rhs = _tridiag_mul(1.0 + half * (center - Vg[k + 1]), hu, hl,
+                           vals[k + 1])
+        g = _tridiag_solve(1.0 - half * (center - Vg[k]), -hu, -hl, rhs)
         _check_finite(g, "backward")
         neg = g < 0.0
         clipped += int(neg.sum())
@@ -210,27 +211,21 @@ def solve_f_pde(model: Diffusion1DModel, V, f0: np.ndarray,
     in time exactly, which is the discrete shape of the duality between the
     two functions.
     """
-    f0 = np.asarray(f0, dtype=float)
-    if f0.shape != (model.M + 1,) or np.any(f0 < 0):
-        raise ModelValidationError("initial weight must be a nonnegative "
-                                   "spatial vector", reason="bad_initial")
-    if not np.any(f0 > 0):
-        raise DegenerateInputError("initial weight must not vanish",
-                                   reason="zero_weight")
+    f0 = _spatial_weight(f0, model.M, "initial", "bad_initial")
     Vg = potential_on_grid(V, grid, model.M)
     N, half = grid.N, 0.5 * grid.dt
+    center, upper, lower = _operator_bands(model)
+    hu, hl = half * upper, half * lower
     mw = model.m_weights
     vals = np.empty((N + 1, model.M + 1))
     vals[0] = f0
     clipped = 0
-    bands = _operator_bands(model, Vg)
     for k in range(N):
-        dl, ul, ll = bands[k]
-        dr, ur, lr = bands[k + 1]
-        # transpose of (I - half A_k): swap the off-diagonal bands
-        lhsT = _banded_lhs(1.0 - half * dl, -half * ll, -half * ul)
-        z = solve_banded((1, 1), lhsT, mw * vals[k])
-        f_next = _tridiag_mul(1.0 + half * dr, half * lr, half * ur, z) / mw
+        # transposes of the backward step: swap the off-diagonal bands
+        z = _tridiag_solve(1.0 - half * (center - Vg[k]), -hl, -hu,
+                           mw * vals[k])
+        f_next = _tridiag_mul(1.0 + half * (center - Vg[k + 1]), hl, hu,
+                              z) / mw
         _check_finite(f_next, "forward")
         neg = f_next < 0.0
         clipped += int(neg.sum())
@@ -279,9 +274,6 @@ class DiffusionTransform:
 
     model: Diffusion1DModel
     grid: TimeGrid
-    V: np.ndarray
-    f0: np.ndarray
-    gamma1: np.ndarray
     g: GridFunction
     f: GridFunction
     psi: GridFunction
@@ -299,21 +291,16 @@ def build_diffusion_transform(model: Diffusion1DModel, V, f0, gamma1,
                               grid: TimeGrid) -> DiffusionTransform:
     """Normalize, solve both PDEs, and derive the transformed drift."""
     f0 = np.asarray(f0, dtype=float)
-    gamma1 = np.asarray(gamma1, dtype=float)
     sol_g = solve_g_pde(model, V, gamma1, grid)
     mw = model.m_weights
     c = float(np.sum(mw * f0 * sol_g.gf.values[0]))
     if not np.isfinite(c) or c <= 0:
         raise DegenerateInputError("weights give the transform zero mass",
                                    reason="null_transform")
-    f0_scaled = f0 / c
-    sol_f = solve_f_pde(model, V, f0_scaled, grid)
+    sol_f = solve_f_pde(model, V, f0 / c, grid)
     psi, drift = psi_and_drift(model, sol_g.gf)
-    Vg = potential_on_grid(V, grid, model.M)
-    return DiffusionTransform(model=model, grid=grid, V=_freeze(Vg),
-                              f0=_freeze(f0_scaled), gamma1=_freeze(gamma1),
-                              g=sol_g.gf, f=sol_f.gf, psi=psi, drift=drift,
-                              c=c,
+    return DiffusionTransform(model=model, grid=grid, g=sol_g.gf, f=sol_f.gf,
+                              psi=psi, drift=drift, c=c,
                               clipped_nodes=sol_g.clipped_nodes + sol_f.clipped_nodes)
 
 
@@ -329,14 +316,13 @@ class _DriftField:
     """Drift evaluation with linear interpolation in space and time."""
 
     def __init__(self, model: Diffusion1DModel, drift: GridFunction | None):
-        self.model = model
+        self.xs = model.xs
         self.drift = drift
         self.static = -model.U_prime if drift is None else None
 
     def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
-        xs = self.model.xs
         if self.drift is None:
-            return np.interp(x, xs, self.static)
+            return np.interp(x, self.xs, self.static)
         N = self.drift.grid.N
         s = min(max(t, 0.0), 1.0) * N
         k = min(int(np.floor(s)), N - 1)
@@ -347,16 +333,17 @@ class _DriftField:
             row = self.drift.values[k]
         else:
             row = (1.0 - a) * self.drift.values[k] + a * self.drift.values[k + 1]
-        out = np.interp(x, xs, row)
+        out = np.interp(x, self.xs, row)
         if not np.all(np.isfinite(out)):
             raise PositivityError("a path reached a region where the drift "
                                   "field is masked", reason="masked_drift")
         return out
 
 
-def _em_batch(model: Diffusion1DModel, n_paths: int, seed, steps: int,
-              drift: GridFunction | None, x0, initial_masses,
-              t_end: float) -> np.ndarray:
+def _em_positions(model: Diffusion1DModel, n_paths: int, seed, steps: int,
+                  drift: GridFunction | None, x0, initial_masses,
+                  t_end: float):
+    """Yield the positions at t = 0 and after each of the `steps` steps."""
     rng = np.random.default_rng(seed)
     lo, hi = model.x_min, model.x_max
     width = hi - lo
@@ -371,11 +358,10 @@ def _em_batch(model: Diffusion1DModel, n_paths: int, seed, steps: int,
     else:
         x = np.full(n_paths, x0, dtype=float) if np.isscalar(x0) \
             else np.asarray(x0, dtype=float).copy()
+    yield x
     field = _DriftField(model, drift)
-    dt = t_end / steps
+    dt = t_end / max(steps, 1)  # steps = 0 yields the initial draw only
     sqrt_dt = np.sqrt(dt)
-    out = np.empty((n_paths, steps + 1))
-    out[:, 0] = x
     for k in range(steps):
         t = k * dt
         x = x + field(t, x) * dt + sqrt_dt * rng.standard_normal(n_paths)
@@ -384,8 +370,7 @@ def _em_batch(model: Diffusion1DModel, n_paths: int, seed, steps: int,
                 "a path escaped the padded domain; drift and step size are "
                 "inconsistent with the model window", reason="path_escaped")
         x = _reflect(x, lo, hi)
-        out[:, k + 1] = x
-    return out
+        yield x
 
 
 def sample_em_paths(model: Diffusion1DModel, n_paths: int, seed,
@@ -403,8 +388,11 @@ def sample_em_paths(model: Diffusion1DModel, n_paths: int, seed,
     if steps < 100:
         raise ModelValidationError("need at least 100 steps",
                                    reason="too_few_steps")
-    return _em_batch(model, n_paths, seed, steps, drift, x0, initial_masses,
-                     t_end)
+    out = np.empty((n_paths, steps + 1))
+    for k, x in enumerate(_em_positions(model, n_paths, seed, steps, drift,
+                                        x0, initial_masses, t_end)):
+        out[:, k] = x
+    return out
 
 
 def empirical_vs_fk_marginal(transform: DiffusionTransform, t: float,
@@ -418,17 +406,9 @@ def empirical_vs_fk_marginal(transform: DiffusionTransform, t: float,
     model, grid = transform.model, transform.grid
     k = grid.node_index(t)
     edges = np.linspace(model.x_min, model.x_max, bins + 1)
-    p0 = transform.marginal_masses(0.0)
-    if k > 0:
-        paths = _em_batch(model, n_paths, seed, steps=k,
-                          drift=transform.drift, x0=None,
-                          initial_masses=p0, t_end=t)
-        positions = paths[:, -1]
-    else:
-        rng = np.random.default_rng(seed)
-        cdf = np.cumsum(p0)
-        idx = np.searchsorted(cdf, rng.random(n_paths) * cdf[-1], side="right")
-        positions = model.xs[np.minimum(idx, model.M)]
+    for positions in _em_positions(model, n_paths, seed, k, transform.drift,
+                                   None, transform.marginal_masses(0.0), t):
+        pass  # only the positions at time t are kept
     hist, _ = np.histogram(positions, bins=edges)
     empirical = hist / n_paths
     masses = transform.marginal_masses(t)

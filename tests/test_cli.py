@@ -231,7 +231,17 @@ def test_malformed_yaml_is_a_config_error(tmp_path, capsys):
     ("model", "J0: [[0.0, 0.3, 0.3], [0.3, 0.0, 0.3], [0.3, 0.3, 0.0]]",
      "J0: [[0, 1], [1]]"),
     ("model", "states: [a, b, c]", "states: 5"),
-], ids=["gamma1", "N", "seed", "J0", "states"])
+    ("sample", "n_paths: 50", "n_paths: [1]"),
+    ("check", "seed: 7", "seed: x"),
+    ("check", "tolerance_pde: 1.0e-4", "tolerance_pde: abc"),
+    ("check", "tolerance_generator: 1.0e-4",
+     "tolerance_generator: 1.0e-4\n  times: [a]"),
+    ("bridge", "mu1: [0.2, 0.2, 0.6]", "mu1: [0.2, 0.2, 0.6]\n  tol: abc"),
+    ("bridge", "mu1: [0.2, 0.2, 0.6]",
+     "mu1: [0.2, 0.2, 0.6]\n  max_iter: lots"),
+    ("bridge", "mu0: [0.5, 0.3, 0.2]", "mu0: abc"),
+], ids=["gamma1", "N", "seed", "J0", "states", "n_paths", "check_seed",
+        "tolerance_pde", "times", "tol", "max_iter", "mu0"])
 def test_malformed_value_is_a_config_error(tmp_path, capsys, command, old,
                                            new):
     assert old in JUMP_YAML
@@ -240,3 +250,20 @@ def test_malformed_value_is_a_config_error(tmp_path, capsys, command, old,
     assert main([command, "--config", str(cfg), "--out",
                  str(tmp_path / "out")]) == 2
     assert "reason=bad_config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old,new,reason", [
+    ("V: 0.1", "V: abc", "bad_config"),
+    ("t: 0.5", "t: soon", "bad_config"),
+    ("times: [0.0, 0.5]", "times: [x]", "bad_config"),
+    ("n_paths: 2000", "n_paths: many", "bad_config"),
+    ("V: 0.1", "V: .inf", "nonfinite_potential"),
+], ids=["V", "t", "times", "n_paths", "V_inf"])
+def test_malformed_diffusion_value_is_a_config_error(tmp_path, capsys, old,
+                                                     new, reason):
+    assert old in DIFFUSION_YAML
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(DIFFUSION_YAML.replace(old, new), encoding="utf-8")
+    assert main(["diffusion", "--config", str(cfg), "--out",
+                 str(tmp_path / "out")]) == 2
+    assert f"reason={reason}" in capsys.readouterr().err

@@ -9,9 +9,10 @@ marginals with thresholds calibrated well above the Monte Carlo floor.
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from htlab.diffusion1d import (Diffusion1DModel, GridFunction,
-                               build_diffusion_transform,
+                               _tridiag_solve, build_diffusion_transform,
                                diffusion_hjb_residual,
                                empirical_vs_fk_marginal, potential_on_grid,
                                psi_and_drift, sample_em_paths,
@@ -59,8 +60,35 @@ def test_potential_broadcasting():
     np.testing.assert_array_equal(potential_on_grid(vec, grid, 16)[7], vec)
     full = np.zeros((11, 17))
     assert potential_on_grid(full, grid, 16).shape == (11, 17)
+    # scalars and node vectors are views along time, not tiled copies
+    for V in (0.3, vec):
+        Vg = potential_on_grid(V, grid, 16)
+        assert Vg.strides[0] == 0
+        assert not Vg.flags.writeable
     with pytest.raises(ModelValidationError):
         potential_on_grid(np.zeros(16), grid, 16)
+    for bad in (np.inf, np.where(vec > 0.5, np.nan, vec)):
+        with pytest.raises(ModelValidationError) as info:
+            potential_on_grid(bad, grid, 16)
+        assert info.value.reason == "nonfinite_potential"
+
+
+@pytest.mark.parametrize("n", [17, 1025])
+def test_tridiag_solve_matches_solve_banded(n):
+    rng = np.random.default_rng(n)
+    upper = rng.uniform(-1.0, 1.0, n - 1)
+    lower = rng.uniform(-1.0, 1.0, n - 1)
+    diag = 2.0 + rng.uniform(0.0, 1.0, n)
+    ab = np.zeros((3, n))
+    ab[0, 1:] = upper
+    ab[1] = diag
+    ab[2, :-1] = lower
+    rhs = rng.standard_normal(n)
+    assert np.array_equal(_tridiag_solve(diag, upper, lower, rhs),
+                          solve_banded((1, 1), ab, rhs))
+    with pytest.raises(DegenerateInputError) as info:
+        _tridiag_solve(np.zeros(n), np.zeros(n - 1), np.zeros(n - 1), rhs)
+    assert info.value.reason == "cn_conditioning"
 
 
 def test_backward_flat_solution_is_exact():
@@ -294,6 +322,17 @@ def test_empirical_marginal_identity_transform():
                                    grid)
     assert empirical_vs_fk_marginal(tr, 0.0, 30_000, seed=78) <= 0.03
     assert empirical_vs_fk_marginal(tr, 1.0, 30_000, seed=77) <= 0.03
+
+
+def test_empirical_marginal_stream_is_pinned():
+    """The sampler's random stream, start draw included, is fixed by seed."""
+    model = quadratic_model()
+    tr = build_diffusion_transform(model, 0.1, 1.0 + 0.3 * np.sin(model.xs),
+                                   gaussian_weight(model, 0.8), TimeGrid(200))
+    assert empirical_vs_fk_marginal(tr, 0.0, 2000, seed=4) == \
+        0.06950133994521619
+    assert empirical_vs_fk_marginal(tr, 0.5, 2000, seed=4) == \
+        0.06215240810393192
 
 
 def test_empirical_marginal_bridge_transform():
