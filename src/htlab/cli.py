@@ -30,8 +30,7 @@ from htlab.errors import (ConvergenceError, HTLabError, InconsistencyError,
 from htlab.feynman_kac import check_fk_generator, check_semigroup, solve_fk
 from htlab.markov_core import (ReversibleModel, detailed_balance_violation,
                                sample_paths_R)
-from htlab.reports import (diffusion_rows, field_rows, kernel_rows, path_rows,
-                           write_csv, write_text)
+from htlab.reports import write_csv, write_text
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -86,6 +85,12 @@ def _check_times(cfg: RunConfig, default=(0.25, 0.5, 0.75)) -> list[float]:
                  cfg.checks.get("times", default), "checks.times")
 
 
+def _time_state(nodes, n: int) -> dict:
+    """`t` and `state` columns of a (len(nodes), n) field, row by row."""
+    return {"t": np.repeat(nodes, n),
+            "state": np.tile(np.arange(n), len(nodes))}
+
+
 def cmd_model(cfg: RunConfig, args) -> int:
     model = build_model_from_config(cfg)
     lines = []
@@ -112,10 +117,10 @@ def cmd_fk(cfg: RunConfig, args) -> int:
     grid = cfg.time_grid
     f0, gamma1, V = transform_pieces(cfg, model, grid)
     fk = solve_fk(model, V, f0, gamma1, grid)
-    rows = ((t, x, fk.g[k, x], fk.f[k, x])
-            for k, t in enumerate(grid.nodes) for x in range(model.n))
     write_csv(os.path.join(args.out, "fk.csv"),
-              ["t", "state", "g", "f"], rows, meta={"grid_N": grid.N})
+              {**_time_state(grid.nodes, model.n),
+               "g": fk.g.ravel(), "f": fk.f.ravel()},
+              meta={"grid_N": grid.N})
     _say(args, f"fk solved on N={grid.N}")
     return EXIT_OK
 
@@ -124,12 +129,18 @@ def cmd_transform(cfg: RunConfig, args) -> int:
     model, grid, hp = _hprocess(cfg)
     marg = np.array([h_transform.marginal(hp, t) for t in grid.nodes])
     write_csv(os.path.join(args.out, "marginals.csv"),
-              ["t", "state", "p"], field_rows(grid.nodes, marg),
+              {**_time_state(grid.nodes, model.n), "p": marg.ravel()},
               meta={"grid_N": grid.N})
     times = _check_times(cfg)
-    kernels = [h_transform.jump_kernel(hp, t) for t in times]
+    kernels = np.reshape([h_transform.jump_kernel(hp, t) for t in times],
+                         (len(times), model.n, model.n))
+    off = ~np.eye(model.n, dtype=bool)
+    source, target = np.nonzero(off)
     write_csv(os.path.join(args.out, "kernel.csv"),
-              ["t", "from", "to", "rate"], kernel_rows(times, kernels),
+              {"t": np.repeat(times, len(source)),
+               "from": np.tile(source, len(times)),
+               "to": np.tile(target, len(times)),
+               "rate": kernels[:, off].ravel()},
               meta={"grid_N": grid.N})
     entropy = h_transform.relative_entropy(hp)
     rep = orlicz_diag.hypothesis_report(
@@ -163,7 +174,12 @@ def cmd_sample(cfg: RunConfig, args) -> int:
             f"sampling.process must be 'R' or 'P', got {process!r}",
             reason="bad_config")
     write_csv(os.path.join(args.out, "paths.csv"),
-              ["path_id", "time", "state"], path_rows(paths),
+              {"path_id": np.repeat(np.arange(len(paths)),
+                                    [1 + len(p.times) for p in paths]),
+               "time": np.concatenate(
+                   [a for p in paths for a in ([0.0], p.times)]),
+               "state": np.concatenate(
+                   [a for p in paths for a in ([p.x0], p.states)])},
               meta={"process": process, "seed": seed, "n_paths": n_paths})
     _say(args, f"sampled {n_paths} {process}-paths")
     return EXIT_OK
@@ -253,11 +269,12 @@ def cmd_hjb(cfg: RunConfig, args) -> int:
                                               time_term="exponential")
     res_log = hjb_check.discrete_hjb_residual(psi, model, hp.V,
                                               time_term="log")
-    rows = ((t, x, res_exp.residual[k, x], res_log.residual[k, x])
-            for k, t in enumerate(grid.nodes) for x in range(model.n)
-            if res_exp.defined[k, x])
+    columns = {**_time_state(grid.nodes, model.n),
+               "residual_exponential": res_exp.residual.ravel(),
+               "residual_log": res_log.residual.ravel()}
+    defined = res_exp.defined.ravel()
     write_csv(os.path.join(args.out, "hjb.csv"),
-              ["t", "state", "residual_exponential", "residual_log"], rows,
+              {name: values[defined] for name, values in columns.items()},
               meta={"grid_N": grid.N})
     write_text(os.path.join(args.out, "hjb_summary.txt"),
                ["time_term=exponential", res_exp.report().rstrip(),
@@ -286,13 +303,13 @@ def _fit_bridge(cfg: RunConfig, model: ReversibleModel):
 def cmd_bridge(cfg: RunConfig, args) -> int:
     model = _jump_model(cfg)
     problem, tol, result = _fit_bridge(cfg, model)
+    history = result.error_history
     write_csv(os.path.join(args.out, "bridge_convergence.csv"),
-              ["iteration", "error"],
-              ((i + 1, e) for i, e in enumerate(result.error_history)),
+              {"iteration": np.arange(1, len(history) + 1), "error": history},
               meta={"tol": tol})
     write_csv(os.path.join(args.out, "bridge_multipliers.csv"),
-              ["state", "f0", "gamma1"],
-              ((x, result.f0[x], result.gamma1[x]) for x in range(model.n)))
+              {"state": np.arange(model.n), "f0": result.f0,
+               "gamma1": result.gamma1})
     entropy = bridge_mod.static_entropy(problem, result.f0, result.gamma1)
     write_text(os.path.join(args.out, "bridge_summary.txt"),
                [f"iterations={result.iterations}",
@@ -316,9 +333,10 @@ def cmd_diffusion(cfg: RunConfig, args) -> int:
     indices = [grid.node_index(t) for t in times]
     for name, gf in [("diffusion_g.csv", tr.g), ("diffusion_f.csv", tr.f),
                      ("diffusion_drift.csv", tr.drift)]:
-        write_csv(os.path.join(args.out, name), ["t", "x", "value"],
-                  diffusion_rows(times, model.xs,
-                                 [gf.values[k] for k in indices]),
+        write_csv(os.path.join(args.out, name),
+                  {"t": np.repeat(times, len(model.xs)),
+                   "x": np.tile(model.xs, len(times)),
+                   "value": gf.values[indices].ravel()},
                   meta={"grid_N": grid.N, "M": model.M})
     lines = [f"normalization_c={tr.c!r}",
              f"clipped_nodes={tr.clipped_nodes}"]

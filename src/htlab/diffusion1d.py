@@ -401,10 +401,12 @@ def empirical_vs_fk_marginal(transform: DiffusionTransform, t: float,
 
     Paths start from the transformed initial law and move with the
     transformed drift; node masses of f g m are aggregated onto the same
-    equal-width bins as the path histogram.
+    equal-width bins as the path histogram. There are at most M bins, so
+    every bin holds at least one node.
     """
     model, grid = transform.model, transform.grid
     k = grid.node_index(t)
+    bins = min(bins, model.M)
     edges = np.linspace(model.x_min, model.x_max, bins + 1)
     for positions in _em_positions(model, n_paths, seed, k, transform.drift,
                                    None, transform.marginal_masses(0.0), t):

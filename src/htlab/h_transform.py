@@ -362,28 +362,17 @@ def _sample_path_thinning(ctx: _ThinningContext, rng) -> tuple:
     return x0, times, states
 
 
-def sample_path_P(hp: HProcess, seed,
-                  seed_record: tuple | None = None) -> PathSample:
-    """Thinning sampler for the transformed time-inhomogeneous chain.
-
-    Between grid nodes g is interpolated linearly, so the total transformed
-    exit rate is a ratio of linear functions: monotone on each cell, bounded
-    by its endpoint values. Proposals are drawn against 1.1 times that
-    endpoint bound and accepted with the true-to-bound rate ratio; cells with
-    infinite endpoint bounds (terminal weight vanishing somewhere) fall back
-    to recursive subdivision, up to depth 20. Deterministic given the seed.
-    """
-    rng = np.random.default_rng(seed)
-    x0, times, states = _sample_path_thinning(_ThinningContext(hp), rng)
-    if seed_record is None:
-        seed_record = seed if isinstance(seed, tuple) else (seed,)
-    return PathSample(x0=x0, times=np.array(times),
-                      states=np.array(states, dtype=int),
-                      n_states=hp.n, seed=seed_record)
-
-
 def sample_paths_P(hp: HProcess, n_paths: int, seed) -> list[PathSample]:
-    """Independent transformed paths from spawned seed streams."""
+    """Independent transformed paths from spawned seed streams.
+
+    Thinning sampler for the transformed time-inhomogeneous chain. Between
+    grid nodes g is interpolated linearly, so the total transformed exit
+    rate is a ratio of linear functions: monotone on each cell, bounded by
+    its endpoint values. Proposals are drawn against 1.1 times that endpoint
+    bound and accepted with the true-to-bound rate ratio; cells with infinite
+    endpoint bounds (terminal weight vanishing somewhere) fall back to
+    recursive subdivision, up to depth 20. Deterministic given the seed.
+    """
     if n_paths < 1:
         raise DegenerateInputError("need at least one path", reason="empty_request")
     ctx = _ThinningContext(hp)

@@ -91,6 +91,7 @@ class JumpKernel:
     """Matrix of jump rates J(x, y); diagonal identically zero."""
 
     rates: np.ndarray
+    exit_rates: np.ndarray = field(init=False)
 
     def __post_init__(self):
         r = np.asarray(self.rates, dtype=float)
@@ -106,18 +107,17 @@ class JumpKernel:
         if np.any(np.diag(r) != 0):
             raise ModelValidationError("diagonal rates must be exactly 0",
                                        reason="nonzero_diagonal")
-        if np.any(r.sum(axis=1) <= 0):
+        rates = _freeze(r)
+        exit_rates = _freeze(rates.sum(axis=1))
+        if np.any(exit_rates <= 0):
             raise DegenerateInputError("every state needs a positive exit rate",
                                        reason="absorbing_state")
-        object.__setattr__(self, "rates", _freeze(r))
+        object.__setattr__(self, "rates", rates)
+        object.__setattr__(self, "exit_rates", exit_rates)
 
     @property
     def n(self) -> int:
         return self.rates.shape[0]
-
-    @property
-    def exit_rates(self) -> np.ndarray:
-        return self.rates.sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -304,8 +304,7 @@ def sample_path_R(model: ReversibleModel, x0: int, seed,
         raise ModelValidationError(f"invalid initial state {x0}",
                                    reason="unknown_state")
     rng = np.random.default_rng(seed)
-    exit_rates = model.J.exit_rates
-    cum_rows = np.cumsum(model.J.rates, axis=1)
+    rates, exit_rates = model.J.rates, model.J.exit_rates
     x = int(x0)
     t = 0.0
     times: list[float] = []
@@ -315,7 +314,7 @@ def sample_path_R(model: ReversibleModel, x0: int, seed,
         if t >= 1.0:
             break
         u = rng.random() * exit_rates[x]
-        x = int(min(np.searchsorted(cum_rows[x], u, side="right"),
+        x = int(min(np.searchsorted(np.cumsum(rates[x]), u, side="right"),
                     model.n - 1))
         times.append(t)
         states.append(x)

@@ -7,7 +7,6 @@ and the grid parameters, then a header row. Floats are written with repr
 
 from __future__ import annotations
 
-import csv
 import os
 
 import numpy as np
@@ -16,22 +15,30 @@ import numpy as np
 def _fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     return str(value)
 
 
-def write_csv(path: str, columns: list[str], rows, meta: dict | None = None):
-    """Write rows with a '# key=value' preamble and a named header."""
+def write_csv(path: str, columns: dict[str, np.ndarray],
+              meta: dict | None = None):
+    """Write equal-length 1-d columns under a '# key=value' preamble.
+
+    `columns` maps each header name to its values. Each column is formatted
+    by dtype: floats with repr of the Python float, everything else
+    (integers) with str. Rows are formatted and joined lazily, one at a time,
+    so neither a table of strings nor a list of Python numbers is held.
+    """
+    cells = []
+    for values in columns.values():
+        values = np.asarray(values)
+        cells.append(map(repr, map(float, values))
+                     if values.dtype.kind == "f" else map(str, values))
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if meta:
             for key in meta:
                 fh.write(f"# {key}={_fmt(meta[key])}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells, strict=True))
 
 
 def write_text(path: str, lines: list[str]):
@@ -39,39 +46,3 @@ def write_text(path: str, lines: list[str]):
     with open(path, "w", encoding="utf-8") as fh:
         for line in lines:
             fh.write(line + "\n")
-
-
-def path_rows(paths):
-    """Flatten sampled jump paths to (path_id, time, state) event rows.
-
-    Each path contributes its initial state at time 0.0 followed by one row
-    per jump.
-    """
-    for i, path in enumerate(paths):
-        yield (i, 0.0, path.x0)
-        for t, s in zip(path.times, path.states):
-            yield (i, float(t), int(s))
-
-
-def field_rows(nodes, values):
-    """Flatten a (N+1, n) time-state field to (t, state, value) rows."""
-    for k, t in enumerate(nodes):
-        for x in range(values.shape[1]):
-            yield (float(t), x, values[k, x])
-
-
-def kernel_rows(times, kernels):
-    """Flatten per-time rate matrices to (t, from, to, rate) rows."""
-    for t, K in zip(times, kernels):
-        n = K.shape[0]
-        for x in range(n):
-            for y in range(n):
-                if x != y:
-                    yield (float(t), x, y, K[x, y])
-
-
-def diffusion_rows(times, xs, slices):
-    """Flatten selected time slices of a space field to (t, x, value) rows."""
-    for t, row in zip(times, slices):
-        for x, v in zip(xs, row):
-            yield (float(t), float(x), v)

@@ -117,14 +117,39 @@ def test_transform_outputs(jump_config, tmp_path):
     assert total == pytest.approx(201.0, abs=1e-9)
 
 
-def test_sample_reruns_are_byte_identical(jump_config, tmp_path):
-    assert run("sample", jump_config, tmp_path / "a") == 0
-    assert run("sample", jump_config, tmp_path / "b") == 0
-    a = (tmp_path / "a" / "paths.csv").read_bytes()
-    assert a == (tmp_path / "b" / "paths.csv").read_bytes()
-    header = a.decode().splitlines()
-    assert header[0] == "# process=P"
-    assert header[3] == "path_id,time,state"
+GRID = "# grid_N=200\n"
+DIFFUSION_HEAD = GRID + "# M=64\nt,x,value\n"
+
+# Preamble and header of every CSV each subcommand writes.
+CSV_HEADS = {
+    "fk": {"fk.csv": GRID + "t,state,g,f\n"},
+    "transform": {"kernel.csv": GRID + "t,from,to,rate\n",
+                  "marginals.csv": GRID + "t,state,p\n"},
+    "hjb": {"hjb.csv": GRID + "t,state,residual_exponential,residual_log\n"},
+    "bridge": {"bridge_convergence.csv": "# tol=1e-10\niteration,error\n",
+               "bridge_multipliers.csv": "state,f0,gamma1\n"},
+    "sample": {"paths.csv": "# process=P\n# seed=7\n# n_paths=50\n"
+                            "path_id,time,state\n"},
+    "diffusion": {"diffusion_drift.csv": DIFFUSION_HEAD,
+                  "diffusion_f.csv": DIFFUSION_HEAD,
+                  "diffusion_g.csv": DIFFUSION_HEAD},
+}
+
+
+@pytest.mark.parametrize("command", list(CSV_HEADS))
+def test_reruns_are_byte_identical(command, request, tmp_path):
+    """Every CSV keeps its preamble and header and is identical on rerun."""
+    config = request.getfixturevalue(
+        "diffusion_config" if command == "diffusion" else "jump_config")
+    assert run(command, config, tmp_path / "a") == 0
+    assert run(command, config, tmp_path / "b") == 0
+    heads = CSV_HEADS[command]
+    assert sorted(p.name for p in (tmp_path / "a").glob("*.csv")) == \
+        sorted(heads)
+    for name, head in heads.items():
+        a = (tmp_path / "a" / name).read_bytes()
+        assert a == (tmp_path / "b" / name).read_bytes()
+        assert a.decode().startswith(head)
 
 
 def test_sample_requires_seed(tmp_path, capsys):

@@ -335,6 +335,18 @@ def test_empirical_marginal_stream_is_pinned():
         0.06215240810393192
 
 
+@pytest.mark.parametrize("M", [16, 32, 48])
+@pytest.mark.parametrize("height", [0.0, 0.4])
+def test_empirical_marginal_coarse_grid(M, height):
+    """With fewer cells than bins, no bin is left without a node."""
+    xs = np.linspace(-2.0, 2.0, M + 1)
+    model = Diffusion1DModel(-2.0, 2.0, M,
+                             height * np.exp(-xs ** 2 / (2 * 0.6 ** 2)))
+    tr = build_diffusion_transform(model, 0.3, np.ones(M + 1),
+                                   np.ones(M + 1), TimeGrid(50))
+    assert empirical_vs_fk_marginal(tr, 0.5, 20_000, seed=6) <= 0.1
+
+
 def test_empirical_marginal_bridge_transform():
     """The pinned transform still matches its marginal deep into the squeeze."""
     model = flat_model(M=256)

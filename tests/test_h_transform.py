@@ -21,8 +21,7 @@ from htlab.feynman_kac import (InitialWeight, PotentialField, TerminalWeight,
 from htlab.h_transform import (build_h_process, forward_marginal_evolve,
                                integrate_potential_along_path, jump_kernel,
                                marginal, path_density_ratio, relative_entropy,
-                               sample_path_P, sample_paths_P,
-                               time_dependent_kernel)
+                               sample_paths_P, time_dependent_kernel)
 from htlab.markov_core import (PathSample, TimeGrid, empirical_marginal,
                                sample_paths_R)
 
@@ -253,12 +252,12 @@ def test_thinning_rate_within_cell_endpoint_bound():
 
 def test_sampler_determinism_and_seed_records():
     hp = generic_hprocess()
-    a = sample_path_P(hp, 7)
-    b = sample_path_P(hp, 7)
+    [a] = sample_paths_P(hp, 1, 7)
+    [b] = sample_paths_P(hp, 1, 7)
     assert a.x0 == b.x0
     np.testing.assert_array_equal(a.times, b.times)
     np.testing.assert_array_equal(a.states, b.states)
-    assert a.seed == (7,)
+    assert a.seed == (7, 0)
     batch1 = sample_paths_P(hp, 5, seed=11)
     batch2 = sample_paths_P(hp, 5, seed=11)
     for i, (p, q) in enumerate(zip(batch1, batch2)):
