@@ -305,24 +305,91 @@ def build_diffusion_transform(model: Diffusion1DModel, V, f0, gamma1,
 
 
 def _reflect(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Fold positions back into [lo, hi] (billiard reflection)."""
+    """Fold positions back into [lo, hi] (billiard reflection).
+
+    Only positions outside the window are folded: for y in [0, width] the
+    fold returns y itself, so skipping it changes no bit.
+    """
     width = hi - lo
-    y = np.mod(x - lo, 2.0 * width)
-    y = np.where(y > width, 2.0 * width - y, y)
-    return lo + y
+    y = x - lo
+    out = (y < 0.0) | (y > width)
+    if out.any():
+        z = np.mod(y[out], 2.0 * width)
+        y[out] = np.where(z > width, 2.0 * width - z, z)
+    y += lo
+    return y
 
 
 class _DriftField:
-    """Drift evaluation with linear interpolation in space and time."""
+    """Drift evaluation with linear interpolation in space and time.
+
+    The space lookup `_interp(x, row, slopes)` returns exactly
+    np.interp(x, xs, row), bit for bit, but finds the cell directly on the
+    uniform grid instead of by binary search:
+    - the cell j is floor((x - x_min) * (1 / dx)), moved by at most one
+      cell on each side to undo rounding, so that xs[j] <= x < xs[j+1];
+    - inside the window the value is slopes[j] (x - xs[j]) + row[j], with
+      the per-interval slopes np.diff(row) / np.diff(xs);
+    - a node hit x == xs[j] returns row[j] itself, so a NaN in the next
+      node does not leak onto the node;
+    - x >= xs[-1] returns row[-1] and x < xs[0] returns row[0] (xs[-1] can
+      differ from x_max by rounding);
+    - NaN x gives NaN, and a NaN value from an infinite row entry is
+      retried from the right end of the cell, as np.interp does.
+    """
 
     def __init__(self, model: Diffusion1DModel, drift: GridFunction | None):
-        self.xs = model.xs
+        self.xs = xs = model.xs
+        self.x_min, self.inv_dx, self.M = model.x_min, 1.0 / model.dx, model.M
+        self.widths = np.diff(xs)
+        # x <= node_max[j] marks node hits, x < xs[0] (j = 0) and
+        # x >= xs[-1] (j = M)
+        self.node_max = xs.copy()
+        self.node_max[-1] = np.inf
         self.drift = drift
-        self.static = -model.U_prime if drift is None else None
+        if drift is None:
+            self.static = -model.U_prime
+            self.static_slopes = self._slopes(self.static)
+
+    def _slopes(self, row: np.ndarray) -> np.ndarray:
+        """Per-interval slopes, padded with a 0 for the right end (j = M)."""
+        with np.errstate(all="ignore"):  # inf - inf is NaN, as in np.interp
+            return np.append(np.diff(row) / self.widths, 0.0)
+
+    def _interp(self, x: np.ndarray, row: np.ndarray,
+                slopes: np.ndarray) -> np.ndarray:
+        # in-place steps keep few path-sized temporaries alive at once
+        xs = self.xs
+        # far or infinite x would warn where np.interp stays silent
+        with np.errstate(all="ignore"):
+            s = x - self.x_min
+            s *= self.inv_dx
+            np.floor(s, out=s)
+            np.fmax(s, 0.0, out=s)  # NaN x maps to cell 0, stays NaN below
+            np.fmin(s, self.M - 1, out=s)
+            j = s.astype(np.intp)
+            # where= steps, since j -= bool_mask buffers a cast per call
+            np.subtract(j, 1, out=j, where=x < xs[j])
+            np.add(j, 1, out=j, where=xs[1:][j] <= x)
+            np.maximum(j, 0, out=j)
+            out = np.subtract(x, xs[j], out=s)
+            out *= slopes[j]
+            node = x <= self.node_max[j]
+            row_j = row[j]
+            out += row_j
+            retry = np.isnan(out)
+            if retry.any():
+                i = np.flatnonzero(retry & (xs[j] < x) & (j < self.M))
+                ji = j[i]
+                y = slopes[ji] * (x[i] - xs[ji + 1]) + row[ji + 1]
+                out[i] = np.where(np.isnan(y) & (row[ji] == row[ji + 1]),
+                                  row[ji], y)
+        np.copyto(out, row_j, where=node)
+        return out
 
     def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
         if self.drift is None:
-            return np.interp(x, self.xs, self.static)
+            return self._interp(x, self.static, self.static_slopes)
         N = self.drift.grid.N
         s = min(max(t, 0.0), 1.0) * N
         k = min(int(np.floor(s)), N - 1)
@@ -333,11 +400,18 @@ class _DriftField:
             row = self.drift.values[k]
         else:
             row = (1.0 - a) * self.drift.values[k] + a * self.drift.values[k + 1]
-        out = np.interp(x, self.xs, row)
+        out = self._interp(x, row, self._slopes(row))
         if not np.all(np.isfinite(out)):
             raise PositivityError("a path reached a region where the drift "
                                   "field is masked", reason="masked_drift")
         return out
+
+
+def _require_paths(n_paths: int):
+    """Reject an empty or negative path count before anything is allocated."""
+    if n_paths < 1:
+        raise DegenerateInputError("need at least one path",
+                                   reason="empty_request")
 
 
 def _em_positions(model: Diffusion1DModel, n_paths: int, seed, steps: int,
@@ -385,6 +459,7 @@ def sample_em_paths(model: Diffusion1DModel, n_paths: int, seed,
     A path escaping the 2x-padded domain aborts the run: the drift and step
     size are inconsistent with the model window.
     """
+    _require_paths(n_paths)
     if steps < 100:
         raise ModelValidationError("need at least 100 steps",
                                    reason="too_few_steps")
@@ -404,6 +479,7 @@ def empirical_vs_fk_marginal(transform: DiffusionTransform, t: float,
     equal-width bins as the path histogram. There are at most M bins, so
     every bin holds at least one node.
     """
+    _require_paths(n_paths)
     model, grid = transform.model, transform.grid
     k = grid.node_index(t)
     bins = min(bins, model.M)

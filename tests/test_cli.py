@@ -229,6 +229,17 @@ def test_diffusion_outputs(diffusion_config, tmp_path):
     assert "empirical_tv=" in summary
 
 
+@pytest.mark.parametrize("n_paths", ["0", "-5"])
+def test_diffusion_empty_path_count_is_rejected(tmp_path, capsys, n_paths):
+    cfg = tmp_path / "empty.yaml"
+    cfg.write_text(DIFFUSION_YAML.replace("n_paths: 2000",
+                                          f"n_paths: {n_paths}"),
+                   encoding="utf-8")
+    assert main(["diffusion", "--config", str(cfg), "--out",
+                 str(tmp_path / "out")]) == 2
+    assert "reason=empty_request" in capsys.readouterr().err
+
+
 def test_wrong_model_kind(diffusion_config, tmp_path, capsys):
     assert run("fk", diffusion_config, tmp_path / "out") == 2
     assert "reason=wrong_model_kind" in capsys.readouterr().err

@@ -7,12 +7,15 @@ drift. Sampling checks use binned total variation against the solved
 marginals with thresholds calibrated well above the Monte Carlo floor.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from htlab.diffusion1d import (Diffusion1DModel, GridFunction,
-                               _tridiag_solve, build_diffusion_transform,
+from htlab.diffusion1d import (Diffusion1DModel, GridFunction, _DriftField,
+                               _reflect, _tridiag_solve,
+                               build_diffusion_transform,
                                diffusion_hjb_residual,
                                empirical_vs_fk_marginal, potential_on_grid,
                                psi_and_drift, sample_em_paths,
@@ -270,6 +273,100 @@ def test_hjb_residual_gaussian_scales_with_dx():
     assert coarse / fine >= 2.5
 
 
+def assert_same_bits(a, b):
+    """Equal arrays, NaN where NaN, and the same sign on every zero."""
+    np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(np.signbit(a) | np.isnan(a),
+                                  np.signbit(b) | np.isnan(b))
+
+
+def interp_probe(model, rng):
+    """Random points around the window, every node, and the ends."""
+    xs, width = model.xs, model.x_max - model.x_min
+    return np.concatenate([
+        rng.uniform(model.x_min - 0.5 * width, model.x_max + 0.5 * width,
+                    2000),
+        xs, np.nextafter(xs, -np.inf), np.nextafter(xs, np.inf),
+        [model.x_min, model.x_max, xs[-1], np.inf, -np.inf, np.nan,
+         -1e308, 1e308]])
+
+
+@pytest.mark.parametrize("M", [16, 17, 1024])
+@pytest.mark.parametrize("lo,hi", [(-1.0, 0.3), (-2.0, 2.0), (0.1, 0.7)])
+def test_interp_kernel_matches_np_interp(M, lo, hi):
+    model = Diffusion1DModel(lo, hi, M, 0.0)
+    field = _DriftField(model, None)
+    rng = np.random.default_rng(M)
+    x = interp_probe(model, rng)
+    for trial in range(20):
+        row = rng.standard_normal(M + 1) * 10.0 ** rng.uniform(-3, 3)
+        if trial % 4 == 1:
+            row[rng.integers(0, M + 1, 3)] = np.nan
+        if trial % 4 == 2:
+            row[rng.integers(0, M + 1, 3)] = [np.inf, -np.inf, np.inf]
+        if trial % 4 == 3:
+            row[rng.integers(0, M + 1, 6)] = [0.0, -0.0] * 3
+        assert_same_bits(field._interp(x, row, field._slopes(row)),
+                         np.interp(x, model.xs, row))
+
+
+def test_interp_kernel_node_hits_and_ends():
+    model = Diffusion1DModel(-1.0, 0.3, 16, 0.0)
+    assert model.xs[-1] != model.x_max
+    model = Diffusion1DModel(-1.0, 0.3, 17, 0.0)
+    field = _DriftField(model, None)
+    xs = model.xs
+    row = np.linspace(0.0, 4.0, 18)
+    row[5] = np.nan
+    got = field._interp(xs, row, field._slopes(row))
+    # a node hit returns the node value even when its right neighbour is NaN
+    assert got[4] == row[4]
+    assert np.isnan(got[5])
+    assert_same_bits(got, np.interp(xs, xs, row))
+    ends = np.array([model.x_min, model.x_max, xs[-1], -5.0, 5.0])
+    np.testing.assert_array_equal(
+        field._interp(ends, row, field._slopes(row)),
+        [row[0], row[-1], row[-1], row[0], row[-1]])
+
+
+def test_drift_field_branches_match_np_interp():
+    model = quadratic_model(M=64)
+    rng = np.random.default_rng(3)
+    x = interp_probe(model, rng)[:-5]  # finite points only
+    static = _DriftField(model, None)
+    for t in (0.0, 0.37, 1.0):
+        assert_same_bits(static(t, x), np.interp(x, model.xs, -model.U_prime))
+    grid = TimeGrid(50)
+    drift = GridFunction(grid=grid, xs=model.xs,
+                         values=rng.standard_normal((51, 65)))
+    blended = _DriftField(model, drift)
+    for t in (0.0, 0.013, 0.5, 0.731, 1.0):
+        s = t * grid.N
+        k = min(int(np.floor(s)), grid.N - 1)
+        a = s - k
+        row = drift.values[k] if a == 0.0 else \
+            (1.0 - a) * drift.values[k] + a * drift.values[k + 1]
+        assert_same_bits(blended(t, x), np.interp(x, model.xs, row))
+
+
+def test_reflect_matches_full_fold():
+    def fold(x, lo, hi):
+        width = hi - lo
+        y = np.mod(x - lo, 2.0 * width)
+        return lo + np.where(y > width, 2.0 * width - y, y)
+
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        lo = rng.uniform(-5.0, 5.0)
+        hi = lo + 10.0 ** rng.uniform(-3, 1)
+        width = hi - lo
+        x = np.concatenate([rng.uniform(lo - width, hi + width, 500),
+                            [lo, hi, lo - width, hi + width]])
+        assert_same_bits(_reflect(x.copy(), lo, hi), fold(x, lo, hi))
+    x = np.array([0.0, -0.0, -1.0, 1.0, -3.0, 3.0, 1.5, -2.5])
+    assert_same_bits(_reflect(x.copy(), -1.0, 1.0), fold(x, -1.0, 1.0))
+
+
 def test_em_increments_are_gaussian():
     model = flat_model(M=64, lo=-20.0, hi=20.0)
     paths = sample_em_paths(model, 100, seed=21, steps=1000, x0=0.0)
@@ -302,6 +399,27 @@ def test_em_determinism_and_inputs():
         sample_em_paths(model, 2, seed=1, steps=50, x0=0.0)
     with pytest.raises(ModelValidationError):
         sample_em_paths(model, 2, seed=1, steps=200)
+
+
+def test_em_static_drift_stream_is_pinned():
+    """Reference-drift paths are fixed by seed, down to the last bit."""
+    paths = sample_em_paths(quadratic_model(), 200, seed=3, steps=400, x0=0.3)
+    assert paths.shape == (200, 401)
+    assert hashlib.sha256(paths.astype("<f8").tobytes()).hexdigest() == \
+        "f6efa06c3aa302f82d7d8d2641093d706efb4da2aeea42ecc4b5c095a2ccf39a"
+
+
+@pytest.mark.parametrize("n_paths", [0, -5])
+def test_em_rejects_empty_requests(n_paths):
+    model = quadratic_model()
+    with pytest.raises(DegenerateInputError) as info:
+        sample_em_paths(model, n_paths, seed=1, steps=200, x0=0.0)
+    assert info.value.reason == "empty_request"
+    tr = build_diffusion_transform(model, 0.0, np.ones(129), np.ones(129),
+                                   TimeGrid(100))
+    with pytest.raises(DegenerateInputError) as info:
+        empirical_vs_fk_marginal(tr, 0.5, n_paths, seed=1)
+    assert info.value.reason == "empty_request"
 
 
 def test_em_escape_guard():
