@@ -126,14 +126,19 @@ def cmd_fk(cfg: RunConfig, args) -> int:
 
 
 def cmd_transform(cfg: RunConfig, args) -> int:
+    times = _check_times(cfg)
     model, grid, hp = _hprocess(cfg)
     marg = np.array([h_transform.marginal(hp, t) for t in grid.nodes])
+    kernels = np.reshape([h_transform.jump_kernel(hp, t) for t in times],
+                         (len(times), model.n, model.n))
+    entropy = h_transform.relative_entropy(hp)
+    rep = orlicz_diag.hypothesis_report(
+        hp.f0.f0, hp.gamma1.gamma1, hp.V.values,
+        orlicz_diag.WeightedMeasure(weights=model.m),
+        orlicz_diag.YoungFunction("theta_star_llogl"))
     write_csv(os.path.join(args.out, "marginals.csv"),
               {**_time_state(grid.nodes, model.n), "p": marg.ravel()},
               meta={"grid_N": grid.N})
-    times = _check_times(cfg)
-    kernels = np.reshape([h_transform.jump_kernel(hp, t) for t in times],
-                         (len(times), model.n, model.n))
     off = ~np.eye(model.n, dtype=bool)
     source, target = np.nonzero(off)
     write_csv(os.path.join(args.out, "kernel.csv"),
@@ -142,11 +147,6 @@ def cmd_transform(cfg: RunConfig, args) -> int:
                "to": np.tile(target, len(times)),
                "rate": kernels[:, off].ravel()},
               meta={"grid_N": grid.N})
-    entropy = h_transform.relative_entropy(hp)
-    rep = orlicz_diag.hypothesis_report(
-        hp.f0.f0, hp.gamma1.gamma1, hp.V.values,
-        orlicz_diag.WeightedMeasure(weights=model.m),
-        orlicz_diag.YoungFunction("theta_star_llogl"))
     write_text(os.path.join(args.out, "transform_summary.txt"),
                [f"normalization_c={hp.c!r}",
                 f"relative_entropy={entropy!r}",
@@ -328,9 +328,19 @@ def cmd_diffusion(cfg: RunConfig, args) -> int:
             reason="wrong_model_kind")
     grid = cfg.time_grid
     f0, gamma1, V = transform_pieces(cfg, model, grid)
-    tr = diffusion1d.build_diffusion_transform(model, V, f0, gamma1, grid)
     times = _check_times(cfg, (0.0, 0.25, 0.5, 0.75))
     indices = [grid.node_index(t) for t in times]
+    sampling = None
+    if cfg.seed is not None and "n_paths" in cfg.sampling:
+        sampling = (_read(float, cfg.sampling.get("t", 0.5), "sampling.t"),
+                    _read(int, cfg.sampling["n_paths"], "sampling.n_paths"),
+                    cfg.require_seed())
+    tr = diffusion1d.build_diffusion_transform(model, V, f0, gamma1, grid)
+    lines = [f"normalization_c={tr.c!r}",
+             f"clipped_nodes={tr.clipped_nodes}"]
+    if sampling is not None:
+        tv = diffusion1d.empirical_vs_fk_marginal(tr, *sampling)
+        lines.append(f"empirical_tv={tv!r}")
     for name, gf in [("diffusion_g.csv", tr.g), ("diffusion_f.csv", tr.f),
                      ("diffusion_drift.csv", tr.drift)]:
         write_csv(os.path.join(args.out, name),
@@ -338,14 +348,6 @@ def cmd_diffusion(cfg: RunConfig, args) -> int:
                    "x": np.tile(model.xs, len(times)),
                    "value": gf.values[indices].ravel()},
                   meta={"grid_N": grid.N, "M": model.M})
-    lines = [f"normalization_c={tr.c!r}",
-             f"clipped_nodes={tr.clipped_nodes}"]
-    if cfg.seed is not None and "n_paths" in cfg.sampling:
-        tv = diffusion1d.empirical_vs_fk_marginal(
-            tr, _read(float, cfg.sampling.get("t", 0.5), "sampling.t"),
-            _read(int, cfg.sampling["n_paths"], "sampling.n_paths"),
-            cfg.require_seed())
-        lines.append(f"empirical_tv={tv!r}")
     write_text(os.path.join(args.out, "diffusion_summary.txt"), lines)
     _say(args, "diffusion pipeline done")
     return EXIT_OK

@@ -66,13 +66,6 @@ class PotentialField:
             lo = max(0.0, -float(np.min(vals)))
         return cls(values=vals, lo=lo)
 
-    def at(self, tau: float, grid: TimeGrid) -> np.ndarray:
-        """Linear-in-time interpolation between the sampled nodes."""
-        s = tau * grid.N
-        k = min(int(np.floor(s)), grid.N - 1)
-        a = s - k
-        return (1.0 - a) * self.values[k] + a * self.values[k + 1]
-
 
 def _nonneg_weight(vec: np.ndarray, what: str) -> np.ndarray:
     v = np.asarray(vec, dtype=float)
@@ -112,8 +105,9 @@ class InitialWeight:
 class FKPropagator:
     """Per-step propagator factors plus on-demand products.
 
-    step[k] = Phi(t_k, t_{k+1}); half_step[k] = Phi(t_k + dt/2, t_{k+1}),
-    used to recover solver-accurate mid-cell values of g.
+    step[k] = Phi(t_k, t_{k+1}). half_step is an empty read-only (0, n, n)
+    array that exists only because the bytes hook in perfbench/tracer.py
+    reads it; g between grid nodes comes from h_transform.g_at.
     """
 
     grid: TimeGrid
@@ -134,17 +128,11 @@ class FKPropagator:
 
 @dataclass(frozen=True)
 class FKSolution:
-    """Grid values of the backward function g and forward function f.
-
-    g_mid holds g at cell midpoints (from the half-step factors), which the
-    forward evolution and transformed-kernel integrators use as Runge-Kutta
-    stage values.
-    """
+    """Grid values of the backward function g and forward function f."""
 
     grid: TimeGrid
     g: np.ndarray
     f: np.ndarray
-    g_mid: np.ndarray
     propagator: FKPropagator = field(repr=False, default=None)
 
 
@@ -172,7 +160,7 @@ def _rk4_factor(Q: np.ndarray, v_stages: tuple[np.ndarray, np.ndarray, np.ndarra
 
 def fk_propagator(model: ReversibleModel, V: PotentialField,
                   grid: TimeGrid) -> FKPropagator:
-    """Integrate the propagator over every grid cell (and half cell)."""
+    """Integrate the propagator over every grid cell."""
     n = model.n
     if V.values.shape != (grid.N + 1, n):
         raise ModelValidationError("potential shape must be (N+1) x n",
@@ -181,15 +169,11 @@ def fk_propagator(model: ReversibleModel, V: PotentialField,
     Q = model.Q
     vals = V.values
     steps = np.empty((grid.N, n, n))
-    halves = np.empty((grid.N, n, n))
     for k in range(grid.N):
         v0, v1 = vals[k], vals[k + 1]
-        v_half = 0.5 * (v0 + v1)
-        steps[k] = _rk4_factor(Q, (v0, v_half, v1), h)
-        # Phi(t_k + dt/2, t_{k+1}): one step of width dt/2 starting mid-cell.
-        v_three_quarter = 0.25 * v0 + 0.75 * v1
-        halves[k] = _rk4_factor(Q, (v_half, v_three_quarter, v1), 0.5 * h)
-    return FKPropagator(grid=grid, step=_freeze(steps), half_step=_freeze(halves))
+        steps[k] = _rk4_factor(Q, (v0, 0.5 * (v0 + v1), v1), h)
+    return FKPropagator(grid=grid, step=_freeze(steps),
+                        half_step=_freeze(np.empty((0, n, n))))
 
 
 def solve_g(model: ReversibleModel, V: PotentialField, gamma1: TerminalWeight,
@@ -197,22 +181,18 @@ def solve_g(model: ReversibleModel, V: PotentialField, gamma1: TerminalWeight,
     """Backward recursion g(t_k) = Phi(t_k, t_{k+1}) g(t_{k+1}), g(1) = gamma1."""
     if propagator is None:
         propagator = fk_propagator(model, V, grid)
-    g = _backward_sweep(propagator, gamma1.gamma1)[0]
-    return g
+    return _backward_sweep(propagator, gamma1.gamma1)
 
 
-def _backward_sweep(prop: FKPropagator, terminal: np.ndarray):
+def _backward_sweep(prop: FKPropagator, terminal: np.ndarray) -> np.ndarray:
     N = prop.grid.N
-    n = terminal.shape[0]
-    g = np.empty((N + 1, n))
-    g_mid = np.empty((N, n))
+    g = np.empty((N + 1, terminal.shape[0]))
     g[N] = terminal
     for k in range(N - 1, -1, -1):
         g[k] = prop.step[k] @ g[k + 1]
-        g_mid[k] = prop.half_step[k] @ g[k + 1]
     # The weighted semigroup preserves nonnegativity; tiny negative values can
     # only be integrator artifacts near zero and are clamped.
-    return np.maximum(g, 0.0), np.maximum(g_mid, 0.0)
+    return np.maximum(g, 0.0)
 
 
 def solve_f(model: ReversibleModel, V: PotentialField, f0: InitialWeight,
@@ -240,10 +220,10 @@ def solve_fk(model: ReversibleModel, V: PotentialField, f0: InitialWeight,
     """One-pass computation of (g, f) sharing a single propagator."""
     if propagator is None:
         propagator = fk_propagator(model, V, grid)
-    g, g_mid = _backward_sweep(propagator, gamma1.gamma1)
+    g = _backward_sweep(propagator, gamma1.gamma1)
     f = solve_f(model, V, f0, grid, propagator=propagator)
     return FKSolution(grid=grid, g=_freeze(g), f=_freeze(f),
-                      g_mid=_freeze(g_mid), propagator=propagator)
+                      propagator=propagator)
 
 
 def check_semigroup(prop: FKPropagator, s: float, t: float, u: float) -> float:

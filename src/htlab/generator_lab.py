@@ -15,7 +15,7 @@ import numpy as np
 from htlab.errors import (InconsistencyError, ModelValidationError,
                           PositivityError)
 from htlab.feynman_kac import PotentialField, rk4_matrix_step
-from htlab.h_transform import MASS_THRESHOLD, HProcess, marginal
+from htlab.h_transform import MASS_THRESHOLD, HProcess, g_at, marginal
 from htlab.markov_core import ReversibleModel, TimeGrid, transition_matrix
 
 DEFAULT_H_SEQUENCE = (1e-2, 5e-3, 2.5e-3)
@@ -84,20 +84,6 @@ def transformed_rate_matrix(g_slice: np.ndarray, J: np.ndarray) -> np.ndarray:
     return rates - np.diag(rates.sum(axis=1))
 
 
-def _g_interp(hp: HProcess, tau: float) -> np.ndarray:
-    """Quadratic interpolation of g through node, midpoint and node values."""
-    grid = hp.grid
-    s = tau * grid.N
-    k = min(int(np.floor(s)), grid.N - 1)
-    a = s - k  # position within the cell, in [0, 1]
-    g0, gm, g1 = hp.fk.g[k], hp.fk.g_mid[k], hp.fk.g[k + 1]
-    # Lagrange basis on points 0, 1/2, 1.
-    w0 = 2.0 * (a - 0.5) * (a - 1.0)
-    wm = -4.0 * a * (a - 1.0)
-    w1 = 2.0 * a * (a - 0.5)
-    return w0 * g0 + wm * gm + w1 * g1
-
-
 def transition_matrix_P(hp: HProcess, s: float, t: float) -> np.ndarray:
     """Transition matrix of the transformed chain between two times.
 
@@ -114,9 +100,9 @@ def transition_matrix_P(hp: HProcess, s: float, t: float) -> np.ndarray:
         cell = min(int(np.floor(a * N + 1e-12)), N - 1)
         b = min((cell + 1) / N, t)
         mid = 0.5 * (a + b)
-        step = rk4_matrix_step(transformed_rate_matrix(_g_interp(hp, a), J),
-                               transformed_rate_matrix(_g_interp(hp, mid), J),
-                               transformed_rate_matrix(_g_interp(hp, b), J),
+        step = rk4_matrix_step(transformed_rate_matrix(g_at(hp, a), J),
+                               transformed_rate_matrix(g_at(hp, mid), J),
+                               transformed_rate_matrix(g_at(hp, b), J),
                                b - a)
         out = out @ step
         a = b

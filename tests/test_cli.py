@@ -303,3 +303,30 @@ def test_malformed_diffusion_value_is_a_config_error(tmp_path, capsys, old,
     assert main(["diffusion", "--config", str(cfg), "--out",
                  str(tmp_path / "out")]) == 2
     assert f"reason={reason}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,edits,reason", [
+    ("diffusion", [("n_paths: 2000", "n_paths: 0")], "empty_request"),
+    ("diffusion", [("t: 0.5", "t: soon")], "bad_config"),
+    ("diffusion", [("t: 0.5", "t: 0.3333"), ("N: 200", "N: 100")],
+     "off_grid_time"),
+    ("transform", [("tolerance_generator: 1.0e-4",
+                    "tolerance_generator: 1.0e-4\n  times: [a]")],
+     "bad_config"),
+    ("transform", [("tolerance_generator: 1.0e-4",
+                    "tolerance_generator: 1.0e-4\n  times: [0.3333]")],
+     "off_grid_time"),
+], ids=["diffusion_n_paths", "diffusion_t", "diffusion_off_grid_t",
+        "transform_times", "transform_off_grid_times"])
+def test_failed_run_writes_no_outputs(tmp_path, capsys, command, edits,
+                                      reason):
+    text = DIFFUSION_YAML if command == "diffusion" else JUMP_YAML
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(command, str(cfg), out) == 2
+    assert f"reason={reason}" in capsys.readouterr().err
+    assert list(out.glob("*")) == []

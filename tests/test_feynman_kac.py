@@ -257,8 +257,6 @@ def test_potential_field_validation():
         PotentialField(np.full((11, 2), np.nan))
     field = PotentialField.from_function(lambda t, x: t * (x + 1), grid, 2)
     assert field.values[5, 1] == pytest.approx(1.0)
-    # linear-in-time interpolation between nodes
-    np.testing.assert_allclose(field.at(0.55, grid), [0.55, 1.1], atol=1e-14)
 
 
 def test_weight_validation():

@@ -17,8 +17,8 @@ from htlab.errors import (DegenerateInputError, ModelValidationError,
                           PositivityError)
 from htlab import feynman_kac, h_transform
 from htlab.feynman_kac import (InitialWeight, PotentialField, TerminalWeight,
-                               solve_fk, solve_g)
-from htlab.h_transform import (build_h_process, forward_marginal_evolve,
+                               rk4_matrix_step, solve_fk, solve_g)
+from htlab.h_transform import (build_h_process, forward_marginal_evolve, g_at,
                                integrate_potential_along_path, jump_kernel,
                                marginal, path_density_ratio, relative_entropy,
                                sample_paths_P, time_dependent_kernel)
@@ -75,8 +75,39 @@ def test_one_propagator_per_h_process(monkeypatch):
     c = float(np.sum(model.m * f0.f0 * g0))
     fk = solve_fk(model, V, InitialWeight(f0.f0 / c), gamma1, grid)
     assert hp.c == c
-    for name in ("g", "f", "g_mid"):
+    for name in ("g", "f"):
         assert np.array_equal(getattr(hp.fk, name), getattr(fk, name)), name
+
+
+def test_g_at_returns_the_grid_values_at_nodes():
+    hp = generic_hprocess()
+    N = hp.grid.N
+    for k in range(N + 1):
+        assert np.array_equal(g_at(hp, k / N), hp.fk.g[k]), k
+
+
+def _half_step_midpoints(hp):
+    """g(t_k + dt/2) = Phi(t_k + dt/2, t_{k+1}) g(t_{k+1}), by one RK4 step."""
+    Q, v, h = hp.model.Q, hp.V.values, hp.grid.dt
+    out = np.empty((hp.grid.N, hp.n))
+    for k in range(hp.grid.N):
+        factor = rk4_matrix_step(Q - np.diag(0.5 * (v[k] + v[k + 1])),
+                                 Q - np.diag(0.25 * v[k] + 0.75 * v[k + 1]),
+                                 Q - np.diag(v[k + 1]), 0.5 * h)
+        out[k] = factor @ hp.fk.g[k + 1]
+    return out
+
+
+def test_g_at_midpoints_converge_at_fourth_order():
+    """The Hermite midpoints agree with an integrated half step to O(dt^4)."""
+    gaps = []
+    for N in (100, 200, 400):
+        hp = generic_hprocess(N)
+        mid = np.array([g_at(hp, (k + 0.5) * hp.grid.dt) for k in range(N)])
+        gaps.append(float(np.max(np.abs(mid - _half_step_midpoints(hp)))))
+    assert gaps[0] <= 1e-10
+    orders = np.log2(np.array(gaps[:-1]) / np.array(gaps[1:]))
+    assert orders.min() >= 3.5, gaps
 
 
 def test_marginals_are_probabilities():
