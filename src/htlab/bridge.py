@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from htlab.errors import (ConvergenceError, InconsistencyError,
                           ModelValidationError)
@@ -139,7 +138,8 @@ def static_entropy(problem: BridgeProblem, f0: np.ndarray,
     """Relative entropy of the product-form two-time joint against K."""
     joint = joint_distribution(problem, f0, gamma1)
     ratio = np.outer(f0, gamma1)
-    return float(xlogy(joint, ratio).sum())
+    # 0 log 0 = 0: the joint vanishes wherever the ratio does.
+    return float((joint * np.log(np.where(joint > 0.0, ratio, 1.0))).sum())
 
 
 def joint_distribution(problem: BridgeProblem, f0: np.ndarray,

@@ -27,7 +27,8 @@ from htlab.config import RunConfig, _float_array, _read, \
     build_model_from_config, load_config, transform_pieces
 from htlab.errors import (ConvergenceError, HTLabError, InconsistencyError,
                           ModelValidationError)
-from htlab.feynman_kac import check_fk_generator, check_semigroup, solve_fk
+from htlab.feynman_kac import (check_fk_generator, check_semigroup,
+                               fk_propagator, solve_fk)
 from htlab.markov_core import (ReversibleModel, detailed_balance_violation,
                                sample_paths_R)
 from htlab.reports import write_csv, write_text
@@ -197,7 +198,7 @@ def _run_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
     results = []
 
     mid = 0.5 if grid.N % 2 == 0 else (grid.N // 2) / grid.N
-    gap = check_semigroup(hp.fk.propagator, 0.0, mid, 1.0)
+    gap = check_semigroup(fk_propagator(model, hp.V, grid), 0.0, mid, 1.0)
     results.append(("semigroup_identity", gap <= tol_semigroup,
                     f"gap={gap:.3e} tol={tol_semigroup:.1e}"))
 
@@ -335,6 +336,8 @@ def cmd_diffusion(cfg: RunConfig, args) -> int:
         sampling = (_read(float, cfg.sampling.get("t", 0.5), "sampling.t"),
                     _read(int, cfg.sampling["n_paths"], "sampling.n_paths"),
                     cfg.require_seed())
+        diffusion1d._require_paths(sampling[1])
+        grid.node_index(sampling[0])
     tr = diffusion1d.build_diffusion_transform(model, V, f0, gamma1, grid)
     lines = [f"normalization_c={tr.c!r}",
              f"clipped_nodes={tr.clipped_nodes}"]

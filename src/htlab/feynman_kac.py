@@ -1,18 +1,17 @@
 """Backward and forward Feynman-Kac functions for jump models.
 
-Computes the propagator Phi(s,t) of the potential-weighted transition
-semigroup, the backward function g (conditional expectation of the weighted
+Computes the backward function g (conditional expectation of the weighted
 terminal reward) and the forward function f (density of the weighted initial
-law), all on a uniform time grid with classical fourth-order Runge-Kutta.
+law) as vector sweeps of classical fourth-order Runge-Kutta on a uniform time
+grid, in O(N n) memory, and the propagator Phi(s,t) as dense RK4 factors.
 
-The per-step factors S_k = Phi(t_k, t_{k+1}) are the primitive objects; every
-Phi(t_k, t_l) is a product of factors, so the semigroup property holds by
-construction and g(t_k) = Phi(t_k, t_l) g(t_l) is exact in floating point.
+A factor S_k = Phi(t_k, t_{k+1}) is the same polynomial in h(Q - V) as one
+sweep cell, so g(t_k) = Phi(t_k, t_l) g(t_l) holds to rounding, not exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,9 +104,9 @@ class InitialWeight:
 class FKPropagator:
     """Per-step propagator factors plus on-demand products.
 
-    step[k] = Phi(t_k, t_{k+1}). half_step is an empty read-only (0, n, n)
-    array that exists only because the bytes hook in perfbench/tracer.py
-    reads it; g between grid nodes comes from h_transform.g_at.
+    step[k] = Phi(t_k, t_{k+1}), dense, for Phi as a matrix (check_semigroup
+    and test references). half_step is an empty read-only (0, n, n) array
+    that exists only because the bytes hook in perfbench/tracer.py reads it.
     """
 
     grid: TimeGrid
@@ -133,7 +132,6 @@ class FKSolution:
     grid: TimeGrid
     g: np.ndarray
     f: np.ndarray
-    propagator: FKPropagator = field(repr=False, default=None)
 
 
 def rk4_matrix_step(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray,
@@ -151,79 +149,77 @@ def rk4_matrix_step(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray,
     return eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rk4_factor(Q: np.ndarray, v_stages: tuple[np.ndarray, np.ndarray, np.ndarray],
-                h: float) -> np.ndarray:
-    """RK4 propagator factor for dM/dtau = M (Q - diag V(tau))."""
-    v0, v1, v2 = v_stages
-    return rk4_matrix_step(Q - np.diag(v0), Q - np.diag(v1), Q - np.diag(v2), h)
+def _require_shape(model: ReversibleModel, V: PotentialField, grid: TimeGrid):
+    if V.values.shape != (grid.N + 1, model.n):
+        raise ModelValidationError("potential shape must be (N+1) x n",
+                                   reason="dimension_mismatch")
 
 
 def fk_propagator(model: ReversibleModel, V: PotentialField,
                   grid: TimeGrid) -> FKPropagator:
     """Integrate the propagator over every grid cell."""
-    n = model.n
-    if V.values.shape != (grid.N + 1, n):
-        raise ModelValidationError("potential shape must be (N+1) x n",
-                                   reason="dimension_mismatch")
-    h = grid.dt
-    Q = model.Q
-    vals = V.values
+    _require_shape(model, V, grid)
+    n, h, Q, vals = model.n, grid.dt, model.Q, V.values
     steps = np.empty((grid.N, n, n))
     for k in range(grid.N):
-        v0, v1 = vals[k], vals[k + 1]
-        steps[k] = _rk4_factor(Q, (v0, 0.5 * (v0 + v1), v1), h)
+        v0, v2 = vals[k], vals[k + 1]
+        steps[k] = rk4_matrix_step(Q - np.diag(v0),
+                                   Q - np.diag(0.5 * (v0 + v2)),
+                                   Q - np.diag(v2), h)
     return FKPropagator(grid=grid, step=_freeze(steps),
                         half_step=_freeze(np.empty((0, n, n))))
 
 
+def _rk4_sweep(A: np.ndarray, v_rows: np.ndarray, x0: np.ndarray,
+               h: float) -> np.ndarray:
+    """Classical RK4 for dx/dtau = (A - diag v(tau)) x from x0 at node 0.
+
+    v_rows[k] is v at node k, linear in tau between nodes; row k is x there.
+    """
+    def rate(v, y):
+        return A @ y - v * y
+
+    x = np.empty(v_rows.shape)
+    x[0] = x0
+    for k in range(len(v_rows) - 1):
+        v0, v2 = v_rows[k], v_rows[k + 1]
+        v1, xk = 0.5 * (v0 + v2), x[k]
+        k1 = rate(v0, xk)
+        k2 = rate(v1, xk + 0.5 * h * k1)
+        k3 = rate(v1, xk + 0.5 * h * k2)
+        k4 = rate(v2, xk + h * k3)
+        x[k + 1] = xk + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x
+
+
 def solve_g(model: ReversibleModel, V: PotentialField, gamma1: TerminalWeight,
-            grid: TimeGrid, propagator: FKPropagator | None = None) -> np.ndarray:
-    """Backward recursion g(t_k) = Phi(t_k, t_{k+1}) g(t_{k+1}), g(1) = gamma1."""
-    if propagator is None:
-        propagator = fk_propagator(model, V, grid)
-    return _backward_sweep(propagator, gamma1.gamma1)
-
-
-def _backward_sweep(prop: FKPropagator, terminal: np.ndarray) -> np.ndarray:
-    N = prop.grid.N
-    g = np.empty((N + 1, terminal.shape[0]))
-    g[N] = terminal
-    for k in range(N - 1, -1, -1):
-        g[k] = prop.step[k] @ g[k + 1]
+            grid: TimeGrid) -> np.ndarray:
+    """Backward equation dg/dt = (V - Q) g, swept from g(1) = gamma1."""
+    _require_shape(model, V, grid)
+    g = _rk4_sweep(model.Q, V.values[::-1], gamma1.gamma1, grid.dt)[::-1]
     # The weighted semigroup preserves nonnegativity; tiny negative values can
     # only be integrator artifacts near zero and are clamped.
     return np.maximum(g, 0.0)
 
 
 def solve_f(model: ReversibleModel, V: PotentialField, f0: InitialWeight,
-            grid: TimeGrid, propagator: FKPropagator | None = None) -> np.ndarray:
+            grid: TimeGrid) -> np.ndarray:
     """Forward function f(t,y) = sum_x m(x) f0(x) Phi(0,t)(x,y) / m(y).
 
-    Computed from the propagator itself (a single left-vector recursion), not
-    from a separate forward ODE, so no appeal to reversibility is needed.
+    m f is swept forward as the left vector of the propagator, so no appeal
+    to reversibility is needed.
     """
-    if propagator is None:
-        propagator = fk_propagator(model, V, grid)
-    N = grid.N
-    f = np.empty((N + 1, model.n))
-    w = model.m * f0.f0
+    _require_shape(model, V, grid)
+    f = _rk4_sweep(model.Q.T, V.values, model.m * f0.f0, grid.dt) / model.m
     f[0] = f0.f0
-    for k in range(N):
-        w = w @ propagator.step[k]
-        f[k + 1] = w / model.m
     return np.maximum(f, 0.0)
 
 
 def solve_fk(model: ReversibleModel, V: PotentialField, f0: InitialWeight,
-             gamma1: TerminalWeight, grid: TimeGrid,
-             propagator: FKPropagator | None = None) -> FKSolution:
-    """One-pass computation of (g, f) sharing a single propagator."""
-    if propagator is None:
-        propagator = fk_propagator(model, V, grid)
-    g = _backward_sweep(propagator, gamma1.gamma1)
-    f = solve_f(model, V, f0, grid, propagator=propagator)
-    return FKSolution(grid=grid, g=_freeze(g), f=_freeze(f),
-                      propagator=propagator)
+             gamma1: TerminalWeight, grid: TimeGrid) -> FKSolution:
+    """Both Feynman-Kac functions, g and f, on the grid."""
+    return FKSolution(grid=grid, g=_freeze(solve_g(model, V, gamma1, grid)),
+                      f=_freeze(solve_f(model, V, f0, grid)))
 
 
 def check_semigroup(prop: FKPropagator, s: float, t: float, u: float) -> float:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from htlab.errors import ModelValidationError
 from htlab.feynman_kac import PotentialField, derivative
@@ -32,7 +31,8 @@ def theta_star(b):
     if np.any(b < -1.0):
         raise ModelValidationError("conjugate argument must be >= -1",
                                    reason="theta_star_domain")
-    out = xlogy(b + 1.0, b + 1.0) - b
+    x = b + 1.0
+    out = x * np.log(np.where(x > 0.0, x, 1.0)) - b
     return out if out.ndim else float(out)
 
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from htlab.errors import DegenerateInputError, ModelValidationError
+from htlab.hjb_check import theta, theta_star
 
 KINDS = ("power", "theta_exp", "theta_star_llogl", "sup_norm")
 
@@ -45,10 +45,9 @@ class YoungFunction:
         if self.kind == "power":
             out = a ** self.p / self.p
         elif self.kind == "theta_exp":
-            with np.errstate(over="ignore"):
-                out = np.expm1(a) - a
+            return theta(a)
         elif self.kind == "theta_star_llogl":
-            out = xlogy(1.0 + a, 1.0 + a) - a
+            return theta_star(a)
         else:  # sup_norm
             out = np.where(a <= 1.0, 0.0, np.inf)
         return out if out.ndim else float(out)

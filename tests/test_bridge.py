@@ -128,6 +128,22 @@ def test_static_entropy_gauge_invariance():
         joint_distribution(problem, res.f0, res.gamma1), rtol=1e-12)
 
 
+def test_static_entropy_matches_xlogy_reference():
+    """Zero multipliers give 0 log 0 = 0 terms, as with scipy's xlogy."""
+    model = five_state_model()
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        problem = build_bridge_problem(model, rng.dirichlet(np.ones(5)),
+                                       rng.dirichlet(np.ones(5)))
+        f0, gamma1 = rng.uniform(0.0, 2.0, (2, 5))
+        f0[rng.integers(5)] = 0.0
+        gamma1[rng.integers(5)] = 0.0
+        joint = joint_distribution(problem, f0, gamma1)
+        reference = float(xlogy(joint, np.outer(f0, gamma1)).sum())
+        assert static_entropy(problem, f0, gamma1) == pytest.approx(
+            reference, rel=1e-15, abs=0.0)
+
+
 def test_ipf_iteration_budget():
     problem = three_state_problem()
     with pytest.raises(ConvergenceError) as info:

@@ -8,6 +8,7 @@ shape of every report file each subcommand promises.
 import numpy as np
 import pytest
 
+from htlab import diffusion1d
 from htlab.cli import main
 
 JUMP_YAML = """
@@ -330,3 +331,28 @@ def test_failed_run_writes_no_outputs(tmp_path, capsys, command, edits,
     assert run(command, str(cfg), out) == 2
     assert f"reason={reason}" in capsys.readouterr().err
     assert list(out.glob("*")) == []
+
+
+@pytest.mark.parametrize("edits,reason", [
+    ([("n_paths: 2000", "n_paths: 0")], "empty_request"),
+    ([("t: 0.5", "t: 0.3333"), ("N: 200", "N: 100")], "off_grid_time"),
+], ids=["n_paths", "off_grid_t"])
+def test_bad_diffusion_sampling_is_rejected_before_the_solve(
+        tmp_path, capsys, monkeypatch, edits, reason):
+    text = DIFFUSION_YAML
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(text, encoding="utf-8")
+    builds = []
+    original = diffusion1d.build_diffusion_transform
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(diffusion1d, "build_diffusion_transform", counting)
+    assert run("diffusion", str(cfg), tmp_path / "out") == 2
+    assert f"reason={reason}" in capsys.readouterr().err
+    assert builds == []

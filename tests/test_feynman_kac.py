@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import ring_kernel, two_state_model
+from conftest import (five_state_model, ring_kernel, two_state_model,
+                      wavy_potential)
 from htlab.errors import DegenerateInputError, ModelValidationError
 from htlab.feynman_kac import (FKPropagator, InitialWeight, PotentialField,
                                TerminalWeight, check_fk_generator,
@@ -176,15 +177,30 @@ def test_fg_duality():
 
 
 def test_g_against_propagator_composition():
+    """The vector sweep agrees with products of the dense RK4 factors."""
     model = two_state_model()
     grid = TimeGrid(100)
     V = _wavy(model, grid)
     sol = solve_fk(model, V, InitialWeight(np.ones(2)),
                    TerminalWeight(np.array([0.2, 1.0])), grid)
+    prop = fk_propagator(model, V, grid)
     for k, l in ((0, 100), (30, 80)):
-        np.testing.assert_allclose(sol.g[k],
-                                   sol.propagator.matrix(k, l) @ sol.g[l],
+        np.testing.assert_allclose(sol.g[k], prop.matrix(k, l) @ sol.g[l],
                                    rtol=1e-12)
+
+
+def test_f_against_propagator_composition():
+    """f(t_l) = m f0 Phi(0, t_l) / m with the dense factors as reference."""
+    model = five_state_model()
+    grid = TimeGrid(100)
+    V = wavy_potential(model, grid)
+    f0 = np.array([1.0, 2.0, 0.5, 1.5, 1.0])
+    f = solve_f(model, V, InitialWeight(f0), grid)
+    prop = fk_propagator(model, V, grid)
+    np.testing.assert_array_equal(f[0], f0)
+    for l in (1, 37, 100):
+        np.testing.assert_allclose(
+            f[l], (model.m * f0) @ prop.matrix(0, l) / model.m, rtol=1e-12)
 
 
 def test_g_upper_bounds():

@@ -17,7 +17,7 @@ from htlab.errors import (DegenerateInputError, ModelValidationError,
                           PositivityError)
 from htlab import feynman_kac, h_transform
 from htlab.feynman_kac import (InitialWeight, PotentialField, TerminalWeight,
-                               rk4_matrix_step, solve_fk, solve_g)
+                               rk4_matrix_step, solve_f, solve_fk, solve_g)
 from htlab.h_transform import (build_h_process, forward_marginal_evolve, g_at,
                                integrate_potential_along_path, jump_kernel,
                                marginal, path_density_ratio, relative_entropy,
@@ -50,33 +50,29 @@ def test_constant_potential_is_a_gauge():
     assert abs(relative_entropy(hp)) <= 1e-9
 
 
-def test_one_propagator_per_h_process(monkeypatch):
-    """build_h_process integrates Phi once and matches the two-solve route."""
+def test_h_process_builds_no_propagator(monkeypatch):
+    """g and f are swept as vectors; no dense factor is built on the way."""
     model = five_state_model()
     grid = TimeGrid(100)
     V = wavy_potential(model, grid)
     f0 = InitialWeight(np.array([1.0, 2.0, 0.5, 1.5, 1.0]))
     gamma1 = TerminalWeight(np.array([0.2, 0.5, 1.0, 0.3, 0.8]))
 
-    builds = []
-    original = feynman_kac.fk_propagator
+    def forbidden(*args, **kwargs):
+        raise AssertionError("fk_propagator called")
 
-    def counting(*args, **kwargs):
-        builds.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(h_transform, "fk_propagator", counting)
-    monkeypatch.setattr(feynman_kac, "fk_propagator", counting)
+    monkeypatch.setattr(feynman_kac, "fk_propagator", forbidden)
+    monkeypatch.setattr(h_transform, "fk_propagator", forbidden, raising=False)
     hp = build_h_process(model, f0, gamma1, V, grid)
-    assert len(builds) == 1
-    monkeypatch.undo()
+    fk = solve_fk(model, V, hp.f0, gamma1, grid)
 
-    g0 = solve_g(model, V, gamma1, grid)[0]
-    c = float(np.sum(model.m * f0.f0 * g0))
-    fk = solve_fk(model, V, InitialWeight(f0.f0 / c), gamma1, grid)
+    g = solve_g(model, V, gamma1, grid)
+    c = float(np.sum(model.m * f0.f0 * g[0]))
+    f = solve_f(model, V, InitialWeight(f0.f0 / c), grid)
     assert hp.c == c
-    for name in ("g", "f"):
-        assert np.array_equal(getattr(hp.fk, name), getattr(fk, name)), name
+    for sol in (hp.fk, fk):
+        assert np.array_equal(sol.g, g)
+        assert np.array_equal(sol.f, f)
 
 
 def test_g_at_returns_the_grid_values_at_nodes():

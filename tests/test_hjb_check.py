@@ -8,6 +8,7 @@ Feynman-Kac residual in the exponential time mode.
 
 import numpy as np
 import pytest
+from scipy.special import xlogy
 
 from conftest import five_state_model, generic_hprocess, two_state_model
 from htlab.errors import ModelValidationError
@@ -39,6 +40,19 @@ def test_theta_star_values():
     assert np.all(np.diff(vals, 2) >= -1e-12)
     with pytest.raises(ModelValidationError):
         theta_star(-1.0001)
+
+
+def test_theta_star_matches_xlogy_reference():
+    """x log x in numpy, with 0 log 0 = 0, against scipy's xlogy."""
+    rng = np.random.default_rng(5)
+    b = np.concatenate([[-1.0, 0.0], rng.uniform(-1.0, 20.0, 10_000)])
+    x_log_x = xlogy(b + 1.0, b + 1.0)
+    assert theta_star(-1.0) == 1.0
+    assert theta_star(0.0) == 0.0
+    # numpy's log and libm's may differ in the last bit, and theta_star
+    # cancels near b = 0, so the gap is measured against the x log x term.
+    gap = np.abs(theta_star(b) - (x_log_x - b))
+    assert np.all(gap <= 1e-15 * np.abs(x_log_x))
 
 
 def test_fenchel_young_inequality_and_equality():
