@@ -135,8 +135,7 @@ def cmd_transform(cfg: RunConfig, args) -> int:
     entropy = h_transform.relative_entropy(hp)
     rep = orlicz_diag.hypothesis_report(
         hp.f0.f0, hp.gamma1.gamma1, hp.V.values,
-        orlicz_diag.WeightedMeasure(weights=model.m),
-        orlicz_diag.YoungFunction("theta_star_llogl"))
+        orlicz_diag.WeightedMeasure(weights=model.m))
     write_csv(os.path.join(args.out, "marginals.csv"),
               {**_time_state(grid.nodes, model.n), "p": marg.ravel()},
               meta={"grid_N": grid.N})
@@ -234,8 +233,7 @@ def _run_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
     results.append(("holder_inequality", holder_ok, detail or "all pairs ok"))
 
     rep = orlicz_diag.hypothesis_report(
-        hp.f0.f0, hp.gamma1.gamma1, hp.V.values, mw,
-        orlicz_diag.YoungFunction("theta_star_llogl"))
+        hp.f0.f0, hp.gamma1.gamma1, hp.V.values, mw)
     results.append(("integrability_hypotheses",
                     rep.verdict.startswith("satisfied"),
                     f"sup_conjugate_integral={rep.sup_v_conjugate_integral:.3e}"))

@@ -25,6 +25,9 @@ from htlab.errors import (DegenerateInputError, ModelValidationError,
 from htlab.feynman_kac import derivative
 from htlab.markov_core import TimeGrid, _freeze
 
+# Equal-width histogram bins of empirical_vs_fk_marginal, capped at M.
+_TV_BINS = 64
+
 
 @dataclass(frozen=True)
 class Diffusion1DModel:
@@ -82,7 +85,10 @@ class Diffusion1DModel:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Values on the time-space grid: rows are time nodes."""
+    """Values on the time-space grid: rows are time nodes.
+
+    Takes ownership of values: a float array is kept, not copied, and marked
+    read-only."""
 
     grid: TimeGrid
     xs: np.ndarray
@@ -93,8 +99,9 @@ class GridFunction:
         if v.shape != (self.grid.N + 1, self.xs.shape[0]):
             raise ModelValidationError("grid-function shape mismatch",
                                        reason="dimension_mismatch")
+        v.setflags(write=False)
         object.__setattr__(self, "xs", _freeze(self.xs))
-        object.__setattr__(self, "values", _freeze(v))
+        object.__setattr__(self, "values", v)
 
 
 def potential_on_grid(V, grid: TimeGrid, M: int) -> np.ndarray:
@@ -450,9 +457,8 @@ def _em_positions(model: Diffusion1DModel, n_paths: int, seed, steps: int,
 def sample_em_paths(model: Diffusion1DModel, n_paths: int, seed,
                     steps: int, drift: GridFunction | None = None,
                     x0: float | np.ndarray | None = None,
-                    initial_masses: np.ndarray | None = None,
-                    t_end: float = 1.0) -> np.ndarray:
-    """Euler-Maruyama batch with reflection at the walls.
+                    initial_masses: np.ndarray | None = None) -> np.ndarray:
+    """Euler-Maruyama batch with reflection at the walls, from t = 0 to 1.
 
     Initial positions come from x0 (scalar or per-path array) or are drawn
     from node masses. Returns an (n_paths, steps+1) array of positions.
@@ -465,24 +471,24 @@ def sample_em_paths(model: Diffusion1DModel, n_paths: int, seed,
                                    reason="too_few_steps")
     out = np.empty((n_paths, steps + 1))
     for k, x in enumerate(_em_positions(model, n_paths, seed, steps, drift,
-                                        x0, initial_masses, t_end)):
+                                        x0, initial_masses, 1.0)):
         out[:, k] = x
     return out
 
 
 def empirical_vs_fk_marginal(transform: DiffusionTransform, t: float,
-                             n_paths: int, seed, bins: int = 64) -> float:
+                             n_paths: int, seed) -> float:
     """Total variation between sampled and solved marginals at time t.
 
     Paths start from the transformed initial law and move with the
     transformed drift; node masses of f g m are aggregated onto the same
-    equal-width bins as the path histogram. There are at most M bins, so
-    every bin holds at least one node.
+    equal-width bins as the path histogram. There are min(_TV_BINS, M) bins,
+    so every bin holds at least one node.
     """
     _require_paths(n_paths)
     model, grid = transform.model, transform.grid
     k = grid.node_index(t)
-    bins = min(bins, model.M)
+    bins = min(_TV_BINS, model.M)
     edges = np.linspace(model.x_min, model.x_max, bins + 1)
     for positions in _em_positions(model, n_paths, seed, k, transform.drift,
                                    None, transform.marginal_masses(0.0), t):

@@ -157,7 +157,7 @@ def _require_shape(model: ReversibleModel, V: PotentialField, grid: TimeGrid):
 
 def fk_propagator(model: ReversibleModel, V: PotentialField,
                   grid: TimeGrid) -> FKPropagator:
-    """Integrate the propagator over every grid cell."""
+    """Integrate the propagator over every grid cell; frozen in place."""
     _require_shape(model, V, grid)
     n, h, Q, vals = model.n, grid.dt, model.Q, V.values
     steps = np.empty((grid.N, n, n))
@@ -166,7 +166,8 @@ def fk_propagator(model: ReversibleModel, V: PotentialField,
         steps[k] = rk4_matrix_step(Q - np.diag(v0),
                                    Q - np.diag(0.5 * (v0 + v2)),
                                    Q - np.diag(v2), h)
-    return FKPropagator(grid=grid, step=_freeze(steps),
+    steps.setflags(write=False)
+    return FKPropagator(grid=grid, step=steps,
                         half_step=_freeze(np.empty((0, n, n))))
 
 
@@ -275,8 +276,9 @@ def check_fk_generator(model: ReversibleModel, V: PotentialField,
                              grid_N=grid.N)
 
 
-def positivity_report(g: np.ndarray, grid: TimeGrid,
-                      threshold: float = POSITIVITY_THRESHOLD) -> list[tuple[float, int]]:
-    """Grid points (t, state) where dividing by g would be unsafe."""
-    bad = np.argwhere(g <= threshold)
+def positivity_report(g: np.ndarray,
+                      grid: TimeGrid) -> list[tuple[float, int]]:
+    """Grid points (t, state) where g <= POSITIVITY_THRESHOLD is unsafe to
+    divide by."""
+    bad = np.argwhere(g <= POSITIVITY_THRESHOLD)
     return [(float(k / grid.N), int(x)) for k, x in bad]

@@ -19,7 +19,8 @@ from htlab.h_transform import MASS_THRESHOLD, HProcess, g_at, marginal
 from htlab.markov_core import ReversibleModel, TimeGrid, transition_matrix
 
 DEFAULT_H_SEQUENCE = (1e-2, 5e-3, 2.5e-3)
-_MIN_STEP = 1e-8
+# Steps of the backward-equation check, in grid cells, so g(t+h) is on the grid
+_H_CELLS = (8, 4, 2)
 
 
 @dataclass(frozen=True)
@@ -38,26 +39,10 @@ class DerivativeEstimate:
     observed_order: float
 
 
-def _validate_h_sequence(h_sequence) -> tuple[float, ...]:
-    hs = tuple(float(h) for h in h_sequence)
-    if len(hs) != 3:
-        raise ModelValidationError("need exactly three steps for two-level "
-                                   "extrapolation", reason="bad_h_sequence")
-    if any(h <= _MIN_STEP for h in hs):
-        raise ModelValidationError(f"steps below {_MIN_STEP} are dominated by "
-                                   "conditioning error", reason="step_too_small")
-    if not (hs[0] > hs[1] > hs[2]):
-        raise ModelValidationError("steps must decrease strictly",
-                                   reason="bad_h_sequence")
-    r1, r2 = hs[0] / hs[1], hs[1] / hs[2]
-    if abs(r1 - r2) > 1e-9 * r1:
-        raise ModelValidationError("steps must form a geometric sequence",
-                                   reason="bad_h_sequence")
-    return hs
-
-
-def _richardson(estimates: np.ndarray, hs: tuple[float, ...]):
-    """Two-level Richardson for a first-order-in-h difference quotient."""
+def _richardson(hs: tuple[float, ...], quotient) -> DerivativeEstimate:
+    """Two-level Richardson limit of quotient(h), a first-order difference
+    quotient per state, over three decreasing geometric steps hs."""
+    estimates = np.array([quotient(h) for h in hs])
     r = hs[0] / hs[1]
     first = [(r * estimates[i + 1] - estimates[i]) / (r - 1.0)
              for i in range(len(hs) - 1)]
@@ -71,7 +56,9 @@ def _richardson(estimates: np.ndarray, hs: tuple[float, ...]):
         observed = float(np.median(orders))
     else:
         observed = np.nan
-    return extrapolated, observed
+    return DerivativeEstimate(h_sequence=hs, estimates=estimates,
+                              extrapolated=extrapolated,
+                              observed_order=observed)
 
 
 def transformed_rate_matrix(g_slice: np.ndarray, J: np.ndarray) -> np.ndarray:
@@ -115,29 +102,26 @@ def transition_matrix_P(hp: HProcess, s: float, t: float) -> np.ndarray:
 
 
 def stochastic_derivative(process: ReversibleModel | HProcess, u: np.ndarray,
-                          t: float,
-                          h_sequence=DEFAULT_H_SEQUENCE) -> DerivativeEstimate:
+                          t: float) -> DerivativeEstimate:
     """Difference quotients (E[u(X_{t+h})|X_t=x] - u(x))/h with extrapolation.
 
-    For the reference chain the conditional expectation is the uniformized
-    matrix exponential; for a transformed process it is the time-ordered
-    product, so the estimate sees the full time inhomogeneity.
+    The steps are DEFAULT_H_SEQUENCE. For the reference chain the conditional
+    expectation is the uniformized matrix exponential; for a transformed
+    process it is the time-ordered product, so the estimate sees the full
+    time inhomogeneity.
     """
-    hs = _validate_h_sequence(h_sequence)
     u = np.asarray(u, dtype=float)
-    if t + hs[0] > 1.0 + 1e-12:
+    if t + DEFAULT_H_SEQUENCE[0] > 1.0 + 1e-12:
         raise ModelValidationError("largest step leaves the time interval",
                                    reason="step_beyond_horizon")
-    estimates = np.empty((len(hs), u.shape[0]))
-    for i, h in enumerate(hs):
+
+    def quotient(h: float) -> np.ndarray:
         if isinstance(process, HProcess):
             T = transition_matrix_P(process, t, t + h)
         else:
             T = transition_matrix(process, h)
-        estimates[i] = (T @ u - u) / h
-    extrapolated, order = _richardson(estimates, hs)
-    return DerivativeEstimate(h_sequence=hs, estimates=estimates,
-                              extrapolated=extrapolated, observed_order=order)
+        return (T @ u - u) / h
+    return _richardson(DEFAULT_H_SEQUENCE, quotient)
 
 
 def carre_du_champ(model: ReversibleModel, phi: np.ndarray,
@@ -178,56 +162,48 @@ class IdentityResidual:
     derivative: DerivativeEstimate
 
 
-def check_transformed_generator(hp: HProcess, u: np.ndarray, t: float,
-                       h_sequence=DEFAULT_H_SEQUENCE,
-                       mass_threshold: float = MASS_THRESHOLD) -> IdentityResidual:
+def check_transformed_generator(hp: HProcess, u: np.ndarray,
+                                t: float) -> IdentityResidual:
     """Transformed generator versus reference generator plus carre du champ.
 
     Compares the extrapolated stochastic derivative of the transformed chain
-    with Qu + Gamma(g_t, u)/g_t, per state, reporting the max only over
-    states whose transformed mass exceeds the threshold.
+    (steps DEFAULT_H_SEQUENCE) with Qu + Gamma(g_t, u)/g_t, per state,
+    reporting the max only over states whose transformed mass exceeds
+    h_transform.MASS_THRESHOLD.
     """
     k = hp.grid.node_index(t)
     g_t = hp.fk.g[k]
     if np.any(g_t <= 0):
         raise PositivityError("g must be positive at the evaluation time",
                               reason="zero_g_slice")
-    est = stochastic_derivative(hp, u, t, h_sequence)
+    est = stochastic_derivative(hp, u, t)
     u = np.asarray(u, dtype=float)
     rhs = hp.model.Q @ u + carre_du_champ(hp.model, g_t, u) / g_t
     residuals = np.abs(est.extrapolated - rhs)
-    mask = marginal(hp, t) > mass_threshold
+    mask = marginal(hp, t) > MASS_THRESHOLD
     return IdentityResidual(residuals=residuals, mask=mask,
                            max_residual=float(residuals[mask].max()),
                            derivative=est)
 
 
 def check_fk_stochastic_derivative(model: ReversibleModel, V: PotentialField,
-                                   g: np.ndarray, grid: TimeGrid, t: float,
-                                   h_cells: tuple[int, ...] = (8, 4, 2)) -> IdentityResidual:
+                                   g: np.ndarray, grid: TimeGrid,
+                                   t: float) -> IdentityResidual:
     """Backward-equation check in stochastic-derivative form.
 
-    Estimates (1/h)(e^{Qh} g(t+h,.) - g(t,.)) for h spanning the given
-    numbers of grid cells (so g(t+h) is available exactly on the grid) and
-    compares the Richardson limit against V(t,.) g(t,.).
+    Estimates (1/h)(e^{Qh} g(t+h,.) - g(t,.)) for h spanning 8, 4 and 2 grid
+    cells (so g(t+h) is available exactly on the grid) and compares the
+    Richardson limit against V(t,.) g(t,.).
     """
     k = grid.node_index(t)
-    if any(c <= 0 for c in h_cells) or len(h_cells) != 3:
-        raise ModelValidationError("need three positive cell counts",
-                                   reason="bad_h_sequence")
-    if k + max(h_cells) > grid.N:
+    if k + _H_CELLS[0] > grid.N:
         raise ModelValidationError("largest step leaves the time interval",
                                    reason="step_beyond_horizon")
-    hs = tuple(c * grid.dt for c in h_cells)
-    _validate_h_sequence(hs)
-    estimates = np.empty((3, model.n))
-    for i, c in enumerate(h_cells):
-        h = hs[i]
-        estimates[i] = (transition_matrix(model, h) @ g[k + c] - g[k]) / h
-    extrapolated, order = _richardson(estimates, hs)
-    est = DerivativeEstimate(h_sequence=hs, estimates=estimates,
-                             extrapolated=extrapolated, observed_order=order)
-    residuals = np.abs(extrapolated - V.values[k] * g[k])
+    est = _richardson(
+        tuple(c * grid.dt for c in _H_CELLS),
+        lambda h: (transition_matrix(model, h) @ g[grid.node_index(t + h)]
+                   - g[k]) / h)
+    residuals = np.abs(est.extrapolated - V.values[k] * g[k])
     mask = np.ones(model.n, dtype=bool)
     return IdentityResidual(residuals=residuals, mask=mask,
                            max_residual=float(residuals.max()),

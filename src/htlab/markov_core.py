@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from htlab.errors import DegenerateInputError, ModelValidationError
 
@@ -208,11 +206,17 @@ def detailed_balance_violation(rates: np.ndarray, m: np.ndarray) -> float:
 
 
 def check_irreducibility(J: JumpKernel | np.ndarray) -> bool:
-    """True iff the directed graph of positive rates is strongly connected."""
+    """True iff the directed graph of positive rates is strongly connected,
+    that is, iff state 0 reaches every state along the edges and back."""
     rates = J.rates if isinstance(J, JumpKernel) else np.asarray(J, dtype=float)
-    graph = csr_matrix((rates > 0).astype(np.int8))
-    n_comp, _ = connected_components(graph, directed=True, connection="strong")
-    return n_comp == 1
+    for edges in (rates > 0, (rates > 0).T):
+        seen = frontier = np.arange(len(edges)) == 0
+        while frontier.any():
+            frontier = edges[frontier].any(axis=0) & ~seen
+            seen |= frontier
+        if not seen.all():
+            return False
+    return True
 
 
 def build_reversible_model(space: StateSpace, J: JumpKernel,

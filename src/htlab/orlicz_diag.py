@@ -16,6 +16,8 @@ from htlab.errors import DegenerateInputError, ModelValidationError
 from htlab.hjb_check import theta, theta_star
 
 KINDS = ("power", "theta_exp", "theta_star_llogl", "sup_norm")
+_LUXEMBURG_RTOL = 1e-10  # relative width at which the bisection stops
+_SQLOG_POWER = 2.0  # exponent p of the report's square-log-power integrals
 
 
 @dataclass(frozen=True)
@@ -88,7 +90,7 @@ class WeightedMeasure:
 
 
 def luxemburg_norm(u: np.ndarray, m: WeightedMeasure,
-                   gammaY: YoungFunction, rtol: float = 1e-10) -> float:
+                   gammaY: YoungFunction) -> float:
     """inf{alpha > 0 : integral gamma(|u|/alpha) dm <= 1} by bisection."""
     u = np.abs(np.asarray(u, dtype=float))
     if u.shape != m.weights.shape:
@@ -117,7 +119,7 @@ def luxemburg_norm(u: np.ndarray, m: WeightedMeasure,
             # gamma(x)->infinity as x->infinity for the continuous kinds, so
             # the bracket always closes; this is a defensive stop.
             return hi
-    while hi - lo > rtol * hi:
+    while hi - lo > _LUXEMBURG_RTOL * hi:
         mid = 0.5 * (lo + hi)
         if mean_value(mid) <= 1.0:
             hi = mid
@@ -179,23 +181,22 @@ class HypothesisReport:
         return "\n".join(lines) + "\n"
 
 
-def _sqlog_integral(w: np.ndarray, m: np.ndarray, p: float) -> float:
+def _sqlog_integral(w: np.ndarray, m: np.ndarray) -> float:
     logplus = np.where(w > 1.0, np.log(np.maximum(w, 1.0)), 0.0)
-    return float(np.sum(w * w * logplus ** p * m))
+    return float(np.sum(w * w * logplus ** _SQLOG_POWER * m))
 
 
 def hypothesis_report(f0: np.ndarray, gamma1: np.ndarray, V: np.ndarray,
-                      m: WeightedMeasure, gammaY: YoungFunction,
-                      p: float = 2.0) -> HypothesisReport:
+                      m: WeightedMeasure) -> HypothesisReport:
     """Evaluate the standing integrability hypotheses on concrete inputs.
 
-    V may be a single time slice or a full (N+1) x n field; the conjugate
-    integral is reported as the sup over time slices. Finiteness of the two
-    square-log-power integrals for some p > 1 is a sufficient condition for
-    the transformed law to have finite relative entropy.
+    The primal Young function is theta_star_llogl. V may be a single time
+    slice or a full (N+1) x n field; the conjugate integral is reported as
+    the sup over time slices. Finiteness of the two square-log-power
+    integrals for some p > 1 (here p = 2) is a sufficient condition for the
+    transformed law to have finite relative entropy.
     """
-    if p <= 1.0:
-        raise ModelValidationError("exponent must exceed 1", reason="bad_exponent")
+    gammaY = YoungFunction("theta_star_llogl")
     f0 = np.asarray(f0, dtype=float)
     gamma1 = np.asarray(gamma1, dtype=float)
     V = np.atleast_2d(np.asarray(V, dtype=float))
@@ -209,8 +210,8 @@ def hypothesis_report(f0: np.ndarray, gamma1: np.ndarray, V: np.ndarray,
         lo=max(0.0, -v_min),
         bounded_below=bool(np.isfinite(v_min)),
         gamma1_integral=float(np.sum(w * gammaY(gamma1))),
-        f0_sqlog_integral=_sqlog_integral(f0, w, p),
-        gamma1_sqlog_integral=_sqlog_integral(gamma1, w, p),
+        f0_sqlog_integral=_sqlog_integral(f0, w),
+        gamma1_sqlog_integral=_sqlog_integral(gamma1, w),
         sup_v_conjugate_integral=float(conj_rows.max()),
-        p=p,
+        p=_SQLOG_POWER,
         verdict="satisfied (finite space)")

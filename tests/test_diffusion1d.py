@@ -472,3 +472,12 @@ def test_empirical_marginal_bridge_transform():
     tr = build_diffusion_transform(model, 0.0, np.ones(257),
                                    gaussian_weight(model, 0.1), grid)
     assert empirical_vs_fk_marginal(tr, 0.9, 20_000, seed=5) <= 0.05
+
+
+def test_grid_function_takes_ownership_of_values():
+    """The values array is kept without a copy and frozen for its caller."""
+    model = quadratic_model()
+    values = np.ones((11, model.M + 1))
+    gf = GridFunction(grid=TimeGrid(10), xs=model.xs, values=values)
+    assert np.shares_memory(gf.values, values)
+    assert not values.flags.writeable

@@ -7,6 +7,8 @@ are divided differences of the exponential (computed via a bidiagonal
 matrix exponential, not via the solver under test).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -300,6 +302,23 @@ def test_derivative_axis_is_a_transpose():
     for step in (0.1, 0.37):
         np.testing.assert_array_equal(derivative(values.T, step, axis=-1),
                                       derivative(values, step).T)
+
+
+def test_propagator_factors_are_not_copied():
+    """One call holds its (N, n, n) factor array once, not a frozen copy too."""
+    n = 30
+    model = build_metropolis(StateSpace(tuple(f"s{i}" for i in range(n))),
+                             ring_kernel(n), np.full(n, 1.0 / n), np.zeros(n))
+    grid = TimeGrid(200)
+    V = PotentialField.constant(0.2, grid, n)
+    tracemalloc.start()
+    try:
+        prop = fk_propagator(model, V, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not prop.step.flags.writeable
+    assert peak < 1.5 * prop.step.nbytes
 
 
 def test_propagator_dimension_check():

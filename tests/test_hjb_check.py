@@ -6,6 +6,9 @@ constant potentials, and the algebraic identity residual * g = backward
 Feynman-Kac residual in the exponential time mode.
 """
 
+import decimal
+from decimal import Decimal
+
 import numpy as np
 import pytest
 from scipy.special import xlogy
@@ -53,6 +56,19 @@ def test_theta_star_matches_xlogy_reference():
     # cancels near b = 0, so the gap is measured against the x log x term.
     gap = np.abs(theta_star(b) - (x_log_x - b))
     assert np.all(gap <= 1e-15 * np.abs(x_log_x))
+
+
+def test_theta_star_small_arguments_match_decimal_reference():
+    """Near b = 0 theta_star keeps its relative accuracy and stays >= 0."""
+    bs = (1e-3, -1e-3, 1e-5, -1e-5, 1e-8, 1e-12)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        exact = [float((Decimal(b) + 1) * (Decimal(b) + 1).ln() - Decimal(b))
+                 for b in bs]
+    for b, ref in zip(bs, exact):
+        assert theta_star(b) >= 0.0
+        assert theta_star(b) == pytest.approx(ref, rel=1e-14)
+    np.testing.assert_allclose(theta_star(np.array(bs)), exact, rtol=1e-14)
 
 
 def test_fenchel_young_inequality_and_equality():

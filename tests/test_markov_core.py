@@ -1,8 +1,15 @@
 """Reversible jump-chain construction, exact transition matrices, sampling."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
+import htlab
 from conftest import ring_kernel, two_state_model
 from htlab.errors import (DegenerateInputError, HTLabError,
                           ModelValidationError)
@@ -94,6 +101,56 @@ def test_irreducibility():
     for i in range(4):
         directed_ring[i, (i + 1) % 4] = 1.0
     assert check_irreducibility(directed_ring)
+
+
+def _digraphs(rng):
+    """Random digraphs near the connectivity threshold, directed cycles, a
+    cycle cut into a one-way chain, and two disjoint cycles joined by no
+    edge, one one-way edge, or edges both ways."""
+    for n in range(2, 61):
+        for c in (0.5, 1.0, 2.0):
+            yield rng.random((n, n)) < min(1.0, c * np.log(n) / n)
+        order = rng.permutation(n)
+        cycle = np.zeros((n, n), dtype=bool)
+        cycle[order, np.roll(order, -1)] = True
+        yield cycle
+        chain = cycle.copy()
+        chain[order[-1], order[0]] = False
+        yield chain
+        if n >= 4:
+            k = int(rng.integers(2, n - 1))
+            a, b = order[:k], order[k:]
+            pair = np.zeros((n, n), dtype=bool)
+            pair[a, np.roll(a, -1)] = True
+            pair[b, np.roll(b, -1)] = True
+            yield pair.copy()
+            pair[a[0], b[0]] = True
+            yield pair.copy()
+            pair[b[-1], a[-1]] = True
+            yield pair
+
+
+def test_irreducibility_matches_strong_components():
+    """Two-way reachability from state 0 agrees with scipy's csgraph."""
+    rng = np.random.default_rng(17)
+    verdicts = []
+    for edges in _digraphs(rng):
+        rates = np.where(edges, rng.uniform(0.1, 2.0, edges.shape), 0.0)
+        np.fill_diagonal(rates, 0.0)
+        n_comp, _ = connected_components(csr_matrix(rates > 0), directed=True,
+                                         connection="strong")
+        verdicts.append(check_irreducibility(rates))
+        assert verdicts[-1] == (n_comp == 1)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(htlab.__file__)))
+    code = "import sys, htlab.cli; print('scipy.sparse' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_generator_apply():

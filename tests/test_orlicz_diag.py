@@ -157,8 +157,7 @@ def test_weighted_measure_validation():
 def test_hypothesis_report_values():
     m = WeightedMeasure(np.array([0.5, 0.5]))
     V = np.array([[0.0, -3.0], [1.0, 0.5]])
-    rep = hypothesis_report(np.array([np.e, 1.0]), np.ones(2), V, m,
-                            YoungFunction("theta_star_llogl"), p=2.0)
+    rep = hypothesis_report(np.array([np.e, 1.0]), np.ones(2), V, m)
     assert rep.v_min == -3.0
     assert rep.lo == 3.0
     assert rep.bounded_below
@@ -174,24 +173,19 @@ def test_hypothesis_report_conjugate_integral():
     """With the llogl primal, the conjugate column is theta of the potential."""
     m = uniform_measure(3)
     V = np.full((4, 3), 0.7)
-    rep = hypothesis_report(np.ones(3), np.ones(3), V, m,
-                            YoungFunction("theta_star_llogl"))
+    rep = hypothesis_report(np.ones(3), np.ones(3), V, m)
     assert rep.sup_v_conjugate_integral == pytest.approx(
         np.expm1(0.7) - 0.7, rel=1e-12)
 
 
 def test_hypothesis_report_square_log_integrals():
     m = uniform_measure(2)
-    llogl = YoungFunction("theta_star_llogl")
     V = np.zeros(2)
-    flat = hypothesis_report(np.ones(2), np.ones(2), V, m, llogl)
+    flat = hypothesis_report(np.ones(2), np.ones(2), V, m)
     assert flat.f0_sqlog_integral == 0.0
     assert flat.gamma1_sqlog_integral == 0.0
     rep = hypothesis_report(np.array([np.e, 1.0]), np.array([np.e, 1.0]), V,
-                            m, llogl, p=2.0)
+                            m)
     assert rep.f0_sqlog_integral == pytest.approx(0.5 * np.e ** 2, rel=1e-12)
     assert rep.verdict == "satisfied (finite space)"
     assert "f0_sqlog_integral" in rep.report()
-    with pytest.raises(ModelValidationError) as err:
-        hypothesis_report(np.ones(2), np.ones(2), V, m, llogl, p=1.0)
-    assert err.value.reason == "bad_exponent"
