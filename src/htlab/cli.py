@@ -263,11 +263,8 @@ def cmd_check(cfg: RunConfig, args) -> int:
 
 def cmd_hjb(cfg: RunConfig, args) -> int:
     model, grid, hp = _hprocess(cfg)
-    psi = hjb_check.psi_field_from_g(hp.fk.g, grid)
-    res_exp = hjb_check.discrete_hjb_residual(psi, model, hp.V,
-                                              time_term="exponential")
-    res_log = hjb_check.discrete_hjb_residual(psi, model, hp.V,
-                                              time_term="log")
+    res_exp, res_log = hjb_check.discrete_hjb_residual(hp.fk.g, model, hp.V,
+                                                       grid)
     columns = {**_time_state(grid.nodes, model.n),
                "residual_exponential": res_exp.residual.ravel(),
                "residual_log": res_log.residual.ravel()}

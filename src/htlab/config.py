@@ -28,6 +28,15 @@ DEFAULT_GRID_N = 200
 # the pure-Python loader builds the same objects when libyaml is absent.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
+# The keys each section defines; the model section's depend on its kind.
+_SECTION_KEYS = {"transform": {"f0", "gamma1", "V"}, "grid": {"N"},
+                 "checks": {"times", "tolerance_semigroup", "tolerance_pde",
+                            "tolerance_generator"},
+                 "sampling": {"seed", "n_paths", "process", "t"},
+                 "bridge": {"mu0", "mu1", "tol", "max_iter"}}
+_MODEL_KEYS = {"jump": {"kind", "states", "J0", "m0", "U"},
+               "diffusion": {"kind", "x_min", "x_max", "M", "U"}}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -60,6 +69,13 @@ class RunConfig:
         return _read(int, self.seed, "sampling.seed")
 
 
+def _reject_unknown_keys(mapping: dict, known, what: str):
+    unknown = sorted(str(key) for key in set(mapping) - set(known))
+    if unknown:
+        raise ModelValidationError(f"unknown {what}: {unknown}",
+                                   reason="bad_config")
+
+
 def _read(convert, value, what: str):
     """convert(value), with a malformed value reported as a config error."""
     try:
@@ -82,18 +98,18 @@ def load_config(path: str) -> RunConfig:
     if not isinstance(raw, dict):
         raise ModelValidationError("config must be a mapping of sections",
                                    reason="bad_config")
-    known = {"model", "transform", "grid", "checks", "sampling", "bridge"}
-    unknown = set(raw) - known
-    if unknown:
-        raise ModelValidationError(
-            f"unknown config sections: {sorted(unknown)}",
-            reason="bad_config")
+    known = ("model", *_SECTION_KEYS)
+    _reject_unknown_keys(raw, known, "config sections")
     sections = {}
     for name in known:
         value = raw.get(name, {})
         if not isinstance(value, dict):
             raise ModelValidationError(f"section '{name}' must be a mapping",
                                        reason="bad_config")
+        # The model's keys depend on its kind, so they are checked when the
+        # model is built.
+        _reject_unknown_keys(value, _SECTION_KEYS.get(name, value),
+                             f"{name} keys")
         sections[name] = value
     return RunConfig(**sections)
 
@@ -116,6 +132,7 @@ def _vector(entry, n: int, what: str, xs: np.ndarray | None = None) -> np.ndarra
         if not isinstance(spec, dict) or not {"center", "width"} <= set(spec):
             raise ModelValidationError(f"{what}: gaussian needs center and "
                                        "width", reason="bad_config")
+        _reject_unknown_keys(spec, {"center", "width", "height"}, f"{what} keys")
         center = _read(float, spec["center"], f"{what}.center")
         width = _read(float, spec["width"], f"{what}.width")
         height = _read(float, spec.get("height", 1.0), f"{what}.height")
@@ -136,13 +153,12 @@ def _vector(entry, n: int, what: str, xs: np.ndarray | None = None) -> np.ndarra
 def build_model_from_config(cfg: RunConfig):
     """Assemble the jump or diffusion model named by the config."""
     sec = cfg.model
-    kind = sec.get("kind", "jump")
-    if kind == "jump":
-        return _jump_model(sec)
-    if kind == "diffusion":
-        return _diffusion_model(sec)
-    raise ModelValidationError(f"unknown model kind '{kind}'",
-                               reason="bad_config")
+    kind = str(sec.get("kind", "jump"))
+    if kind not in _MODEL_KEYS:
+        raise ModelValidationError(f"unknown model kind '{kind}'",
+                                   reason="bad_config")
+    _reject_unknown_keys(sec, _MODEL_KEYS[kind], "model keys")
+    return _jump_model(sec) if kind == "jump" else _diffusion_model(sec)
 
 
 def _jump_model(sec: dict) -> ReversibleModel:
@@ -183,7 +199,6 @@ def transform_pieces(cfg: RunConfig, model, grid: TimeGrid):
     vectors and a broadcastable V entry are returned.
     """
     sec = cfg.transform
-    lo = _read(float, sec.get("lo", 0.0), "lo")
     if isinstance(model, ReversibleModel):
         n, xs = model.n, None
     else:
@@ -197,7 +212,7 @@ def transform_pieces(cfg: RunConfig, model, grid: TimeGrid):
             field_vals = V_arr
         else:
             field_vals = np.tile(_vector(V_entry, n, "V"), (grid.N + 1, 1))
-        V = PotentialField(values=field_vals, lo=max(lo, -float(field_vals.min()), 0.0))
+        V = PotentialField(field_vals, lo=max(0.0, -float(field_vals.min())))
         return InitialWeight(f0=f0), TerminalWeight(gamma1=gamma1), V
     if isinstance(V_entry, dict):
         return f0, gamma1, _vector(V_entry, n, "V", xs=xs)

@@ -251,7 +251,8 @@ def psi_and_drift(model: Diffusion1DModel,
     with np.errstate(divide="ignore", invalid="ignore"):
         psi = np.where(g.values > 0, np.log(np.maximum(g.values, 1e-300)),
                        np.nan)
-    drift = -model.U_prime[None, :] + derivative(psi, model.dx, axis=-1)
+    drift = derivative(psi, model.dx, axis=-1)
+    drift -= model.U_prime[None, :]
     return (GridFunction(grid=g.grid, xs=g.xs, values=psi),
             GridFunction(grid=g.grid, xs=g.xs, values=drift))
 

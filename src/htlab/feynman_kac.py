@@ -235,17 +235,10 @@ def check_semigroup(prop: FKPropagator, s: float, t: float, u: float) -> float:
 
 @dataclass(frozen=True)
 class GeneratorResidual:
-    """Pointwise residual of the backward equation, with summary stats."""
+    """Pointwise residual of the backward equation and its maximum."""
 
     residual: np.ndarray
     max_residual: float
-    mean_residual: float
-    grid_N: int
-
-    def report(self) -> str:
-        return (f"max_residual={self.max_residual:.6e}\n"
-                f"mean_residual={self.mean_residual:.6e}\n"
-                f"grid_N={self.grid_N}\n")
 
 
 def derivative(values: np.ndarray, step: float, axis: int = 0) -> np.ndarray:
@@ -259,7 +252,8 @@ def derivative(values: np.ndarray, step: float, axis: int = 0) -> np.ndarray:
         raise ModelValidationError("need at least 3 grid nodes",
                                    reason="grid_too_coarse")
     d = np.empty_like(v)
-    d[1:-1] = (v[2:] - v[:-2]) / (2.0 * step)
+    np.subtract(v[2:], v[:-2], out=d[1:-1])
+    d[1:-1] /= 2.0 * step
     d[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * step)
     d[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * step)
     return np.moveaxis(d, 0, axis)
@@ -271,9 +265,7 @@ def check_fk_generator(model: ReversibleModel, V: PotentialField,
     dg = derivative(g, grid.dt)
     res = np.abs(dg + g @ model.Q.T - V.values * g)
     return GeneratorResidual(residual=_freeze(res),
-                             max_residual=float(res.max()),
-                             mean_residual=float(res.mean()),
-                             grid_N=grid.N)
+                             max_residual=float(res.max()))
 
 
 def positivity_report(g: np.ndarray,

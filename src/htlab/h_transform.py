@@ -52,14 +52,6 @@ class HProcess:
         return self.model.n
 
 
-@dataclass(frozen=True)
-class TimeDependentKernel:
-    """Transformed jump rates on grid nodes; NaN rows where undefined."""
-
-    grid: TimeGrid
-    rates: np.ndarray
-
-
 def build_h_process(model: ReversibleModel, f0: InitialWeight,
                     gamma1: TerminalWeight, V: PotentialField,
                     grid: TimeGrid) -> HProcess:
@@ -130,15 +122,6 @@ def jump_kernel(hp: HProcess, t: float) -> np.ndarray:
     rates[rows] = hp.model.J.rates[rows] * (g[None, :] / g[rows, None])
     rates[rows, rows] = 0.0
     return rates
-
-
-def time_dependent_kernel(hp: HProcess) -> TimeDependentKernel:
-    """Transformed rates at every grid node."""
-    N = hp.grid.N
-    out = np.empty((N + 1, hp.n, hp.n))
-    for k in range(N + 1):
-        out[k] = jump_kernel(hp, k / N)
-    return TimeDependentKernel(grid=hp.grid, rates=_freeze(out))
 
 
 def _master_rhs(p: np.ndarray, g: np.ndarray, J: np.ndarray) -> np.ndarray:

@@ -16,6 +16,9 @@ from htlab.errors import ModelValidationError
 from htlab.feynman_kac import PotentialField, derivative
 from htlab.markov_core import ReversibleModel, TimeGrid, _freeze
 
+# theta_star(b) = b^2 sum_k (-b)^k / ((k+1)(k+2)), highest power first.
+_SERIES = np.array([(-1) ** k / ((k + 1) * (k + 2)) for k in range(14, -1, -1)])
+
 
 def theta(a):
     """e^a - a - 1, elementwise; the exponential-moment Young function."""
@@ -28,138 +31,97 @@ def theta(a):
 def theta_star(b):
     """(b+1) log(b+1) - b on [-1, inf), with 0 log 0 = 0 at the endpoint.
 
-    The closed form cancels near 0, so |b| <= 1e-3 uses the Taylor series to
-    b^6, whose truncation error is below 1e-16 relative.
+    The closed form cancels to b^2/2 near 0 while log1p(b) alone carries an
+    error of about eps*b, so |b| <= 0.1 uses the Taylor series to b^16,
+    whose truncation error is below 1e-16 relative.
     """
     b = np.asarray(b, dtype=float)
     if np.any(b < -1.0):
         raise ModelValidationError("conjugate argument must be >= -1",
                                    reason="theta_star_domain")
-    x = b + 1.0
-    closed = x * np.log(np.where(x > 0.0, x, 1.0)) - b
-    series = b * b * (1 / 2 - b * (1 / 6 - b * (1 / 12
-                                                 - b * (1 / 20 - b / 30))))
-    out = np.where(np.abs(b) <= 1e-3, series, closed)
+    closed = (b + 1.0) * np.log1p(np.where(b > -1.0, b, 0.0)) - b
+    series = b * b * np.polyval(_SERIES, b)
+    out = np.where(np.abs(b) <= 0.1, series, closed)
     return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
-class PsiField:
-    """log g on the grid, with -inf exactly where g vanishes.
-
-    The source g values are kept alongside so that derived quantities can
-    avoid the exp(log(.)) roundtrip where exactness matters.
-    """
-
-    grid: TimeGrid
-    psi: np.ndarray
-    g: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "psi", _freeze(self.psi))
-        object.__setattr__(self, "g", _freeze(self.g))
-
-    @property
-    def finite_mask(self) -> np.ndarray:
-        return np.isfinite(self.psi)
-
-
-def psi_field_from_g(g: np.ndarray, grid: TimeGrid) -> PsiField:
-    g = np.asarray(g, dtype=float)
-    if g.shape[0] != grid.N + 1:
-        raise ModelValidationError("g rows must match the grid",
-                                   reason="dimension_mismatch")
-    with np.errstate(divide="ignore"):
-        psi = np.where(g > 0, np.log(np.maximum(g, 1e-300)), -np.inf)
-    return PsiField(grid=grid, psi=psi, g=g)
-
-
-@dataclass(frozen=True)
 class HJBResidual:
-    """Pointwise HJB residual with NaN at undefined (masked) points."""
+    """Pointwise HJB residual with NaN where it is not defined (masked)."""
 
     residual: np.ndarray
     defined: np.ndarray
     max_residual: float
     mean_residual: float
     self_check_max: float
-    flagged: list[tuple[float, int]]
 
     def report(self) -> str:
         return (f"max_residual={self.max_residual:.6e}\n"
                 f"mean_residual={self.mean_residual:.6e}\n"
                 f"self_check_max={self.self_check_max:.6e}\n"
-                f"undefined_points={len(self.flagged)}\n")
+                f"undefined_points={np.count_nonzero(~self.defined)}\n")
 
 
-def discrete_hjb_residual(psi: PsiField, model: ReversibleModel,
-                          V: PotentialField,
-                          time_term: str = "exponential") -> HJBResidual:
-    """Residual of the discrete HJB equation for psi = log g.
+def _summarise(residual: np.ndarray, gap: np.ndarray,
+               defined: np.ndarray) -> HJBResidual:
+    residual = np.where(defined, residual, np.nan)
+    vals = np.abs(residual[defined])
+    return HJBResidual(
+        residual=_freeze(residual), defined=defined,
+        max_residual=float(np.max(vals)), mean_residual=float(np.mean(vals)),
+        self_check_max=float(np.max(gap[defined], initial=0.0)))
+
+
+def discrete_hjb_residual(g: np.ndarray, model: ReversibleModel,
+                          V: PotentialField, grid: TimeGrid
+                          ) -> tuple[HJBResidual, HJBResidual]:
+    """Residuals of the discrete HJB equation for psi = log g, in two forms.
 
     residual = d_t psi + sum_y J (D psi) + sum_y theta(D psi) J - V, with
-    Du(x;y) = u(y) - u(x). The two jump sums are also recomputed in the
-    collapsed form sum_y (e^{D psi} - 1) J as a self-check; the collapse is
-    an exact identity, so any gap beyond rounding is a bug.
+    Du(x;y) = u(y) - u(x) and psi = -inf where g = 0. The two jump sums are
+    also recomputed in the collapsed form sum_y (e^{D psi} - 1) J as a
+    self-check; the collapse is an exact identity, so any gap beyond rounding
+    is a bug.
 
-    time_term selects the discrete time derivative of psi:
-      - "exponential": (d_t g)/g with the grid's second-order stencils.
+    Returns the pair (exponential, log), which differ only in d_t psi:
+      - exponential: (d_t g)/g with the grid's second-order stencils.
         Makes residual * g reproduce the backward-equation residual to
         floating-point accuracy (the algebraic equivalence of the two
         equations, at the discrete level).
-      - "log": the same stencils applied to psi itself. Exact for psi linear
-        in t; differs from "exponential" at second order in the step.
-    Points where psi is -inf (or where a jump lands on one) are masked.
+      - log: the same stencils applied to psi itself. Exact for psi linear
+        in t; differs from the exponential form at second order in the step.
+    Points where psi is -inf, or where a jump lands on one, are masked in
+    both forms; the log form also masks points whose stencil reads one.
     """
-    grid = psi.grid
-    if V.values.shape != psi.psi.shape:
-        raise ModelValidationError("potential and psi shapes differ",
-                                   reason="dimension_mismatch")
+    g = np.asarray(g, dtype=float)
+    if g.shape[0] != grid.N + 1 or V.values.shape != g.shape:
+        raise ModelValidationError("g and the potential must both be "
+                                   "(N+1) x n", reason="dimension_mismatch")
+    with np.errstate(divide="ignore"):
+        psi = np.where(g > 0, np.log(np.maximum(g, 1e-300)), -np.inf)
     J = model.J.rates
-    N, n = grid.N, model.n
-    finite = psi.finite_mask
-    # A point is evaluable when psi is finite there, at every jump target
-    # with positive rate, and (for the time stencil) at the stencil nodes.
+    finite = np.isfinite(psi)
+    # A point is evaluable when psi is finite there and at every jump target
+    # with positive rate.
     bad_targets = (~finite).astype(float) @ (J.T > 0).astype(float)
     defined = finite & (bad_targets == 0)
-    stencil_ok = np.empty_like(defined)
-    stencil_ok[1:-1] = finite[2:] & finite[:-2]
-    stencil_ok[0] = finite[1] & finite[2]
-    stencil_ok[-1] = finite[-2] & finite[-3]
-    if time_term == "log":
-        defined = defined & stencil_ok
 
-    if time_term == "exponential":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dt_psi = derivative(psi.g, grid.dt) / psi.g
-    elif time_term == "log":
-        safe_psi = np.where(finite, psi.psi, 0.0)
-        dt_psi = derivative(safe_psi, grid.dt)
-    else:
-        raise ModelValidationError("time_term must be 'exponential' or 'log'",
-                                   reason="bad_time_term")
-
-    residual = np.full((N + 1, n), np.nan)
-    self_check = 0.0
-    for k in range(N + 1):
-        row_ok = defined[k]
-        if not np.any(row_ok):
-            continue
-        p = np.where(finite[k], psi.psi[k], 0.0)
+    linear, theta_sum, gap = np.full((3, *g.shape), np.nan)
+    for k in np.flatnonzero(defined.any(axis=1)):
+        p = np.where(finite[k], psi[k], 0.0)
         # Differences are only ever weighted by J; zero-rate pairs are blanked
         # so that placeholder psi values cannot overflow theta.
         dpsi = np.where(J > 0, p[None, :] - p[:, None], 0.0)
-        linear = (J * dpsi).sum(axis=1)
-        theta_sum = (J * theta(dpsi)).sum(axis=1)
+        linear[k] = (J * dpsi).sum(axis=1)
+        theta_sum[k] = (J * theta(dpsi)).sum(axis=1)
         collapsed = (J * np.expm1(dpsi)).sum(axis=1)
-        gap = np.abs((linear + theta_sum) - collapsed)[row_ok]
-        self_check = max(self_check, float(gap.max()))
-        res_k = dt_psi[k] + linear + theta_sum - V.values[k]
-        residual[k, row_ok] = res_k[row_ok]
+        gap[k] = np.abs((linear[k] + theta_sum[k]) - collapsed)
 
-    vals = residual[defined]
-    flagged = [(float(k / N), int(x)) for k, x in np.argwhere(~defined)]
-    return HJBResidual(residual=_freeze(residual), defined=defined,
-                       max_residual=float(np.max(np.abs(vals))),
-                       mean_residual=float(np.mean(np.abs(vals))),
-                       self_check_max=self_check, flagged=flagged)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dt_exp = derivative(g, grid.dt) / g
+        # Not finite exactly where the stencil reads a node with g = 0.
+        dt_log = derivative(psi, grid.dt)
+    log_defined = defined & np.isfinite(dt_log)
+    return tuple(
+        _summarise(dt_psi + linear + theta_sum - V.values, gap, mask)
+        for dt_psi, mask in ((dt_exp, defined), (dt_log, log_defined)))

@@ -24,7 +24,7 @@ from htlab.generator_lab import (carre_du_champ, check_fk_stochastic_derivative,
 from htlab.h_transform import (build_h_process, forward_marginal_evolve,
                                marginal, path_density_ratio, relative_entropy,
                                sample_paths_P)
-from htlab.hjb_check import discrete_hjb_residual, psi_field_from_g
+from htlab.hjb_check import discrete_hjb_residual
 from htlab.markov_core import (StateSpace, TimeGrid, build_metropolis,
                                empirical_marginal, sample_paths_R)
 from htlab.orlicz_diag import (WeightedMeasure, YoungFunction, holder_check,
@@ -142,7 +142,7 @@ def test_07_discrete_hjb():
     V = wavy_potential(model, grid)
     g = solve_g(model, V, TerminalWeight(np.array([0.2, 0.5, 1.0, 0.3, 0.8])),
                 grid)
-    res = discrete_hjb_residual(psi_field_from_g(g, grid), model, V)
+    res, _ = discrete_hjb_residual(g, model, V, grid)
     fk_res = check_fk_generator(model, V, g, grid).residual
     identity_gap = float(np.abs(np.abs(res.residual) * g - fk_res).max())
     masked = np.abs(res.residual)[g > 1e-6]

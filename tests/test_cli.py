@@ -289,6 +289,31 @@ def test_malformed_value_is_a_config_error(tmp_path, capsys, command, old,
     assert "reason=bad_config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,old,new,key", [
+    (JUMP_YAML, "  U: [0.0, 0.3, -0.2]", "  Uu: [0.0, 0.3, -0.2]", "Uu"),
+    (JUMP_YAML, "  V: 0.2", "  V: 0.2\n  bogus: 1", "bogus"),
+    (JUMP_YAML, "  V: 0.2", "  V: 0.2\n  lo: -3", "lo"),
+    (JUMP_YAML, "  N: 200", "  M: 200", "M"),
+    (JUMP_YAML, "  tolerance_pde:", "  tolerance_pd:", "tolerance_pd"),
+    (JUMP_YAML, "  seed: 7", "  sead: 7", "sead"),
+    (JUMP_YAML, "  mu1: [0.2, 0.2, 0.6]", "  mu1: [0.2, 0.2, 0.6]\n  maxiter: 5",
+     "maxiter"),
+    (DIFFUSION_YAML, "  M: 64", "  M: 64\n  J0: 1.0", "J0"),
+    (DIFFUSION_YAML, "  U: 0.0",
+     "  U: {gaussian: {center: 0.0, width: 1.0, hieght: 2.0}}", "hieght"),
+], ids=["model", "transform", "transform_lo", "grid", "checks", "sampling",
+        "bridge", "diffusion_model", "gaussian"])
+def test_unknown_key_is_a_config_error(tmp_path, capsys, text, old, new, key):
+    assert old in text
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(text.replace(old, new), encoding="utf-8")
+    assert main(["model", "--config", str(cfg), "--out",
+                 str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "reason=bad_config" in err
+    assert f"'{key}'" in err
+
+
 @pytest.mark.parametrize("old,new,reason", [
     ("V: 0.1", "V: abc", "bad_config"),
     ("t: 0.5", "t: soon", "bad_config"),

@@ -21,7 +21,7 @@ from htlab.feynman_kac import (InitialWeight, PotentialField, TerminalWeight,
 from htlab.h_transform import (build_h_process, forward_marginal_evolve, g_at,
                                integrate_potential_along_path, jump_kernel,
                                marginal, path_density_ratio, relative_entropy,
-                               sample_paths_P, time_dependent_kernel)
+                               sample_paths_P)
 from htlab.markov_core import (PathSample, TimeGrid, empirical_marginal,
                                sample_paths_R)
 
@@ -123,10 +123,6 @@ def test_terminal_kernel_reweights_by_terminal_weight():
                          PotentialField.constant(0.0, grid, 2), grid)
     np.testing.assert_allclose(jump_kernel(hp, 1.0),
                                np.array([[0.0, 1.0], [1.0, 0.0]]), atol=1e-12)
-    tdk = time_dependent_kernel(hp)
-    assert tdk.rates.shape == (51, 2, 2)
-    np.testing.assert_array_equal(tdk.rates[50], jump_kernel(hp, 1.0))
-    np.testing.assert_array_equal(tdk.rates[10], jump_kernel(hp, 0.2))
 
 
 def test_pinning_turns_off_jumps_into_dead_states():

@@ -3,7 +3,7 @@
 Closed forms anchor everything: theta(1) = e - 2, theta_star(-1) = 1, the
 Fenchel-Young equality locus b = e^a - 1, an exactly linear-in-time psi for
 constant potentials, and the algebraic identity residual * g = backward
-Feynman-Kac residual in the exponential time mode.
+Feynman-Kac residual in the exponential time form.
 """
 
 import decimal
@@ -18,8 +18,7 @@ from htlab.errors import ModelValidationError
 from htlab.feynman_kac import (InitialWeight, PotentialField, TerminalWeight,
                                check_fk_generator, solve_g)
 from htlab.h_transform import build_h_process
-from htlab.hjb_check import (discrete_hjb_residual, psi_field_from_g, theta,
-                             theta_star)
+from htlab.hjb_check import discrete_hjb_residual, theta, theta_star
 from htlab.markov_core import TimeGrid
 
 
@@ -59,8 +58,10 @@ def test_theta_star_matches_xlogy_reference():
 
 
 def test_theta_star_small_arguments_match_decimal_reference():
-    """Near b = 0 theta_star keeps its relative accuracy and stays >= 0."""
-    bs = (1e-3, -1e-3, 1e-5, -1e-5, 1e-8, 1e-12)
+    """Near b = 0, and on both sides of the series cut-off at |b| = 0.1,
+    theta_star keeps its relative accuracy and stays >= 0."""
+    bs = (1e-3, -1e-3, 1e-5, -1e-5, 1e-8, 1e-12, 1.0001e-3, 1.5e-3, -1.5e-3,
+          5e-3, 0.0999, 0.1001, -0.0999, -0.1001)
     with decimal.localcontext() as ctx:
         ctx.prec = 50
         exact = [float((Decimal(b) + 1) * (Decimal(b) + 1).ln() - Decimal(b))
@@ -82,29 +83,15 @@ def test_fenchel_young_inequality_and_equality():
             ai * bi, abs=1e-12)
 
 
-def test_psi_field_marks_vanishing_g():
-    grid = TimeGrid(4)
-    g = np.ones((5, 2))
-    g[5 - 1:, 1] = 0.0
-    psi = psi_field_from_g(g, grid)
-    assert psi.psi[4, 1] == -np.inf
-    assert psi.psi[0, 0] == 0.0
-    np.testing.assert_array_equal(psi.finite_mask[:, 0], True)
-    with pytest.raises(ModelValidationError):
-        psi_field_from_g(np.ones((6, 2)), grid)
-
-
 def test_residual_zero_for_trivial_transform():
     """V = 0 and unit terminal weight give g = 1 and an exactly zero residual."""
     model = two_state_model()
     grid = TimeGrid(50)
     V = PotentialField.constant(0.0, grid, 2)
     g = solve_g(model, V, TerminalWeight(np.ones(2)), grid)
-    for mode in ("exponential", "log"):
-        res = discrete_hjb_residual(psi_field_from_g(g, grid), model, V,
-                                    time_term=mode)
+    for res in discrete_hjb_residual(g, model, V, grid):
         assert res.max_residual == 0.0
-        assert res.flagged == []
+        assert res.defined.all()
 
 
 def test_residual_log_mode_exact_for_linear_psi():
@@ -114,21 +101,18 @@ def test_residual_log_mode_exact_for_linear_psi():
     c = 0.8
     V = PotentialField.constant(c, grid, 2)
     g_exact = np.exp(-c * (1.0 - grid.nodes))[:, None] * np.ones((1, 2))
-    res = discrete_hjb_residual(psi_field_from_g(g_exact, grid), model, V,
-                                time_term="log")
+    _, res = discrete_hjb_residual(g_exact, model, V, grid)
     assert res.max_residual <= 1e-12
     # the solver's g carries an O(dt^4) bias, still far below stencil error
     g_solved = solve_g(model, V, TerminalWeight(np.ones(2)), grid)
-    res_solved = discrete_hjb_residual(psi_field_from_g(g_solved, grid),
-                                       model, V, time_term="log")
+    _, res_solved = discrete_hjb_residual(g_solved, model, V, grid)
     assert res_solved.max_residual <= 1e-9
 
 
 def test_residual_exponential_mode_matches_backward_equation():
     """residual * g equals the backward-equation residual, pointwise."""
     hp = generic_hprocess()
-    psi = psi_field_from_g(hp.fk.g, hp.grid)
-    res = discrete_hjb_residual(psi, hp.model, hp.V, time_term="exponential")
+    res, _ = discrete_hjb_residual(hp.fk.g, hp.model, hp.V, hp.grid)
     fk_res = check_fk_generator(hp.model, hp.V, hp.fk.g, hp.grid)
     np.testing.assert_allclose(np.abs(res.residual) * hp.fk.g,
                                fk_res.residual, atol=1e-12)
@@ -138,9 +122,7 @@ def test_residual_exponential_mode_matches_backward_equation():
 def test_residual_modes_differ_at_second_order():
     def mode_gap(N):
         hp = generic_hprocess(N=N)
-        psi = psi_field_from_g(hp.fk.g, hp.grid)
-        r_exp = discrete_hjb_residual(psi, hp.model, hp.V, "exponential")
-        r_log = discrete_hjb_residual(psi, hp.model, hp.V, "log")
+        r_exp, r_log = discrete_hjb_residual(hp.fk.g, hp.model, hp.V, hp.grid)
         return np.max(np.abs(r_exp.residual - r_log.residual))
 
     ratio = mode_gap(100) / mode_gap(200)
@@ -152,23 +134,20 @@ def test_residual_masks_pinned_states():
     grid = TimeGrid(100)
     V = PotentialField.constant(0.0, grid, 2)
     g = solve_g(model, V, TerminalWeight(np.array([1.0, 0.0])), grid)
-    psi = psi_field_from_g(g, grid)
-    res_exp = discrete_hjb_residual(psi, model, V, "exponential")
-    assert set(res_exp.flagged) == {(1.0, 0), (1.0, 1)}
+    res_exp, res_log = discrete_hjb_residual(g, model, V, grid)
+    np.testing.assert_array_equal(np.argwhere(~res_exp.defined),
+                                  [[100, 0], [100, 1]])
     assert np.isnan(res_exp.residual[100]).all()
     assert np.isfinite(res_exp.residual[:100]).all()
-    res_log = discrete_hjb_residual(psi, model, V, "log")
-    assert (0.99, 1) in res_log.flagged
-    assert len(res_log.flagged) == 3
+    assert not res_log.defined[99, 1]
+    assert np.count_nonzero(~res_log.defined) == 3
     assert "undefined_points=3" in res_log.report()
 
 
 def test_residual_small_for_generic_transform():
-    """Both modes shrink toward zero as the grid refines."""
+    """Both forms shrink toward zero as the grid refines."""
     hp = generic_hprocess(N=400)
-    psi = psi_field_from_g(hp.fk.g, hp.grid)
-    for mode in ("exponential", "log"):
-        res = discrete_hjb_residual(psi, hp.model, hp.V, mode)
+    for res in discrete_hjb_residual(hp.fk.g, hp.model, hp.V, hp.grid):
         assert res.max_residual <= 1e-4
         assert res.mean_residual <= res.max_residual
 
@@ -178,12 +157,11 @@ def test_residual_input_checks():
     grid = TimeGrid(20)
     V = PotentialField.constant(0.0, grid, 5)
     g = solve_g(model, V, TerminalWeight(np.ones(5)), grid)
-    psi = psi_field_from_g(g, grid)
     with pytest.raises(ModelValidationError):
-        discrete_hjb_residual(psi, model, V, time_term="midpoint")
+        discrete_hjb_residual(g[:-1], model, V, grid)
     with pytest.raises(ModelValidationError):
-        discrete_hjb_residual(psi, model,
-                              PotentialField.constant(0.0, grid, 4))
+        discrete_hjb_residual(g, model, PotentialField.constant(0.0, grid, 4),
+                              grid)
 
 
 def test_residual_detects_wrong_potential():
@@ -193,5 +171,5 @@ def test_residual_detects_wrong_potential():
     V = PotentialField.constant(0.0, grid, 2)
     g = solve_g(model, V, TerminalWeight(np.ones(2)), grid)
     wrong = PotentialField.constant(0.3, grid, 2)
-    res = discrete_hjb_residual(psi_field_from_g(g, grid), model, wrong)
+    res, _ = discrete_hjb_residual(g, model, wrong, grid)
     assert res.max_residual == pytest.approx(0.3, abs=1e-12)
