@@ -173,13 +173,19 @@ def cmd_sample(cfg: RunConfig, args) -> int:
         raise ModelValidationError(
             f"sampling.process must be 'R' or 'P', got {process!r}",
             reason="bad_config")
+    # One row for each path's start, then one per jump: path i starts on
+    # row offsets[i] + i.
+    jump = np.ones(len(paths) + paths.times.size, dtype=bool)
+    jump[paths.offsets[:-1] + np.arange(len(paths))] = False
+    time = np.zeros(jump.size)
+    time[jump] = paths.times
+    state = np.empty(jump.size, dtype=paths.states.dtype)
+    state[~jump] = paths.x0
+    state[jump] = paths.states
     write_csv(os.path.join(args.out, "paths.csv"),
               {"path_id": np.repeat(np.arange(len(paths)),
-                                    [1 + len(p.times) for p in paths]),
-               "time": np.concatenate(
-                   [a for p in paths for a in ([0.0], p.times)]),
-               "state": np.concatenate(
-                   [a for p in paths for a in ([p.x0], p.states)])},
+                                    np.diff(paths.offsets) + 1),
+               "time": time, "state": state},
               meta={"process": process, "seed": seed, "n_paths": n_paths})
     _say(args, f"sampled {n_paths} {process}-paths")
     return EXIT_OK

@@ -27,13 +27,12 @@ _H_CELLS = (8, 4, 2)
 class DerivativeEstimate:
     """Finite-difference generator estimates over a step sequence.
 
-    estimates[i] is the plain difference quotient at h_sequence[i], one entry
+    estimates[i] is the plain difference quotient at the i-th step, one entry
     per state; extrapolated is the two-level Richardson limit; observed_order
     is the median convergence order of the plain estimates (about 1 for a
     first-order quotient).
     """
 
-    h_sequence: tuple[float, ...]
     estimates: np.ndarray
     extrapolated: np.ndarray
     observed_order: float
@@ -56,8 +55,7 @@ def _richardson(hs: tuple[float, ...], quotient) -> DerivativeEstimate:
         observed = float(np.median(orders))
     else:
         observed = np.nan
-    return DerivativeEstimate(h_sequence=hs, estimates=estimates,
-                              extrapolated=extrapolated,
+    return DerivativeEstimate(estimates=estimates, extrapolated=extrapolated,
                               observed_order=observed)
 
 
@@ -156,7 +154,6 @@ def carre_du_champ(model: ReversibleModel, phi: np.ndarray,
 class IdentityResidual:
     """Residuals of a generator identity, masked to states carrying mass."""
 
-    residuals: np.ndarray
     mask: np.ndarray
     max_residual: float
     derivative: DerivativeEstimate
@@ -181,9 +178,9 @@ def check_transformed_generator(hp: HProcess, u: np.ndarray,
     rhs = hp.model.Q @ u + carre_du_champ(hp.model, g_t, u) / g_t
     residuals = np.abs(est.extrapolated - rhs)
     mask = marginal(hp, t) > MASS_THRESHOLD
-    return IdentityResidual(residuals=residuals, mask=mask,
-                           max_residual=float(residuals[mask].max()),
-                           derivative=est)
+    return IdentityResidual(mask=mask,
+                            max_residual=float(residuals[mask].max()),
+                            derivative=est)
 
 
 def check_fk_stochastic_derivative(model: ReversibleModel, V: PotentialField,
@@ -205,6 +202,5 @@ def check_fk_stochastic_derivative(model: ReversibleModel, V: PotentialField,
                    - g[k]) / h)
     residuals = np.abs(est.extrapolated - V.values[k] * g[k])
     mask = np.ones(model.n, dtype=bool)
-    return IdentityResidual(residuals=residuals, mask=mask,
-                           max_residual=float(residuals.max()),
-                           derivative=est)
+    return IdentityResidual(mask=mask, max_residual=float(residuals.max()),
+                            derivative=est)

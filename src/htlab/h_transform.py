@@ -20,7 +20,9 @@ from htlab.errors import (ConvergenceError, DegenerateInputError,
 from htlab.feynman_kac import (FKSolution, InitialWeight, PotentialField,
                                POSITIVITY_THRESHOLD, TerminalWeight,
                                positivity_report, solve_f, solve_g)
-from htlab.markov_core import PathSample, ReversibleModel, TimeGrid, _freeze
+from htlab.markov_core import (PathBatch, PathView, ReversibleModel, TimeGrid,
+                               _batch_from_rounds, _freeze, _path_blocks,
+                               _search_rows)
 
 # Mass below which a state is treated as unvisited when reporting residuals
 # or checking positivity consistency.
@@ -191,7 +193,7 @@ def relative_entropy(hp: HProcess) -> float:
     return initial_term - potential_term + terminal_term
 
 
-def integrate_potential_along_path(hp: HProcess, path: PathSample,
+def integrate_potential_along_path(hp: HProcess, path: PathView,
                                    s: float, t: float) -> float:
     """Exact integral of V(r, X_r) dr over [s, t] for a step path.
 
@@ -215,7 +217,7 @@ def integrate_potential_along_path(hp: HProcess, path: PathSample,
     return total
 
 
-def path_density_ratio(hp: HProcess, path: PathSample,
+def path_density_ratio(hp: HProcess, path: PathView,
                        s: float, t: float) -> float:
     """Density of the transformed law against the reference on a time window.
 
@@ -234,12 +236,6 @@ def path_density_ratio(hp: HProcess, path: PathSample,
     density_s = hp.fk.f[ks, xs] * gs
     integral = integrate_potential_along_path(hp, path, s, t)
     return float(density_s / gs * np.exp(-integral) * hp.fk.g[kt, xt])
-
-
-def _draw_categorical(rng: np.random.Generator, weights: np.ndarray) -> int:
-    c = np.cumsum(weights)
-    return int(min(np.searchsorted(c, rng.random() * c[-1], side="right"),
-                   len(weights) - 1))
 
 
 class _ThinningContext:
@@ -269,42 +265,36 @@ class _ThinningContext:
         safe = np.where(finite, self.bounds, 0.0)
         self.cum = np.vstack([np.zeros(self.g.shape[1]),
                               np.cumsum(safe / self.N, axis=0)])
+        self.cum_rows = np.ascontiguousarray(self.cum.T)  # one row per state
         self.cdf0 = np.cumsum(marginal(hp, 0.0))
 
-    def rate(self, tau: float, x: int) -> float:
-        s = tau * self.N
-        k = min(int(s), self.N - 1)
-        a = s - k
+    def _cell(self, tau):
+        s = np.asarray(tau) * self.N
+        k = np.minimum(s.astype(np.intp), self.N - 1)
+        return k, s - k
+
+    def rate(self, tau, x):
+        """Transformed exit rate out of x at tau; elementwise over arrays."""
+        k, a = self._cell(tau)
         num = (1.0 - a) * self.numer[k, x] + a * self.numer[k + 1, x]
         den = (1.0 - a) * self.g[k, x] + a * self.g[k + 1, x]
-        with np.errstate(divide="ignore"):
-            return float(num / den) if den > 0 else np.inf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(den > 0, num / den, np.inf)
 
-    def draw_destination(self, rng, tau: float, x: int) -> int:
-        s = tau * self.N
-        k = min(int(s), self.N - 1)
-        a = s - k
-        g_now = (1.0 - a) * self.g[k] + a * self.g[k + 1]
-        return _draw_categorical(rng, self.J[x] * g_now)
+    def hazard(self, tau: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Integral of the bound of x from 0 to tau (before x's horizon)."""
+        k, _ = self._cell(tau)
+        return self.cum[k, x] + (tau - k / self.N) * self.bounds[k, x]
 
-
-def _first_accepted(ctx: _ThinningContext, rng, tau: float, x: int,
-                    horizon_k: int) -> float | None:
-    """First accepted proposal in [tau, t_horizon), or None if none fires."""
-    C = ctx.cum[:, x]
-    bounds = ctx.bounds[:, x]
-    N = ctx.N
-    k = min(int(tau * N), N - 1)
-    lam = C[k] + (tau - k / N) * bounds[k]
-    lam_end = C[horizon_k]
-    while True:
-        lam += rng.exponential()
-        if lam >= lam_end:
-            return None
-        k = int(np.searchsorted(C, lam, side="right")) - 1
-        s = k / N + (lam - C[k]) / bounds[k]
-        if rng.random() * bounds[k] < ctx.rate(s, x):
-            return s
+    def draw_destination(self, rng, tau, x) -> np.ndarray:
+        """Jump destinations out of x at tau, one per entry, drawn from
+        J(x, .) g(tau, .) with g interpolated linearly in the cell."""
+        k, a = self._cell(np.atleast_1d(tau))
+        a = a[:, None]
+        c = np.cumsum(self.J[x] * ((1.0 - a) * self.g[k] + a * self.g[k + 1]),
+                      axis=1)
+        u = rng.random(len(c))[:, None] * c[:, -1:]
+        return np.minimum((c <= u).sum(axis=1), self.J.shape[0] - 1)
 
 
 def _jump_in_slow_cells(ctx: _ThinningContext, rng, tau: float, x: int):
@@ -339,57 +329,85 @@ def _jump_in_slow_cells(ctx: _ThinningContext, rng, tau: float, x: int):
                 if s >= b:
                     break
                 if rng.random() * bound < ctx.rate(s, x):
-                    return s, ctx.draw_destination(rng, s, x)
+                    return s, int(ctx.draw_destination(rng, s, x)[0])
     return None
 
 
-def _sample_path_thinning(ctx: _ThinningContext, rng) -> tuple:
-    x = int(min(np.searchsorted(ctx.cdf0, rng.random() * ctx.cdf0[-1],
-                                side="right"), len(ctx.cdf0) - 1))
-    x0 = x
-    times: list[float] = []
-    states: list[int] = []
-    tau = 0.0
-    while tau < 1.0:
-        hk = int(ctx.horizon[x])
-        if tau < hk / ctx.N:
-            s = _first_accepted(ctx, rng, tau, x, hk)
-            if s is None:
-                tau = hk / ctx.N
-                continue
-            y = ctx.draw_destination(rng, s, x)
-        else:
-            jump = _jump_in_slow_cells(ctx, rng, tau, x)
-            if jump is None:
-                break
-            s, y = jump
-        times.append(s)
-        states.append(y)
-        tau, x = s, y
-    return x0, times, states
+def _thin_block(ctx: _ThinningContext, rng, size: int) -> tuple:
+    """Start states and jumps of `size` transformed paths, all drawn from rng.
+
+    Each round moves every unfinished path by one step. Paths before their
+    state's horizon advance together along the running bound integral of
+    that state: a unit exponential increment, the cell found by a binary
+    search of cum, and acceptance with probability rate/bound. A path that
+    reaches its horizon without a jump ends there (horizon N) or continues
+    in _jump_in_slow_cells, one path at a time in a fixed order. Returns
+    x0 and the jumps as per-round (path, time, state) arrays; a path records
+    at most one jump per round.
+    """
+    N = ctx.N
+    x0 = np.minimum(np.searchsorted(ctx.cdf0, rng.random(size) * ctx.cdf0[-1],
+                                    side="right"), len(ctx.cdf0) - 1)
+    rounds = []
+
+    def route(path, tau, x):
+        """Split paths at (tau, x) into those before x's horizon and the rest."""
+        before = tau < ctx.horizon[x] / N
+        moved = (path[before], x[before], ctx.hazard(tau[before], x[before]))
+        past = list(zip(path[~before].tolist(), tau[~before].tolist(),
+                        x[~before].tolist()))
+        return moved, past
+
+    (live, x, lam), slow = route(np.arange(size), np.zeros(size), x0)
+    while live.size or slow:
+        lam = lam + rng.standard_exponential(live.size)
+        hk = ctx.horizon[x]
+        out = lam >= ctx.cum[hk, x]
+        stopped = out & (hk < N)
+        reached = list(zip(live[stopped].tolist(), (hk[stopped] / N).tolist(),
+                           x[stopped].tolist()))
+        live, x, lam = live[~out], x[~out], lam[~out]
+        k = _search_rows(ctx.cum_rows, x, lam) - 1
+        bound = ctx.bounds[k, x]
+        s = k / N + (lam - ctx.cum[k, x]) / bound
+        hit = rng.random(live.size) * bound < ctx.rate(s, x)
+        jumps = [(live[hit], s[hit], ctx.draw_destination(rng, s[hit], x[hit]))]
+        live, x, lam = live[~hit], x[~hit], lam[~hit]
+        for path, tau, state in slow:
+            jump = _jump_in_slow_cells(ctx, rng, tau, state)
+            if jump is not None:
+                jumps.append(([path], [jump[0]], [jump[1]]))
+        path, tau, y = (np.concatenate(a) for a in zip(*jumps))
+        rounds.append((path, tau, y))
+        (moved, m_x, m_lam), slow = route(path, tau, y)
+        slow = reached + slow
+        live = np.concatenate([live, moved])
+        x = np.concatenate([x, m_x])
+        lam = np.concatenate([lam, m_lam])
+    return x0, rounds
 
 
-def sample_paths_P(hp: HProcess, n_paths: int, seed) -> list[PathSample]:
-    """Independent transformed paths from spawned seed streams.
+def sample_paths_P(hp: HProcess, n_paths: int, seed) -> PathBatch:
+    """Independent transformed paths, one generator per block of PATH_BLOCK.
 
-    Thinning sampler for the transformed time-inhomogeneous chain. Between
+    Thinning sampler (Lewis and Shedler 1979) for the transformed
+    time-inhomogeneous chain, run on all paths of a block at once. Between
     grid nodes g is interpolated linearly, so the total transformed exit
     rate is a ratio of linear functions: monotone on each cell, bounded by
     its endpoint values. Proposals are drawn against 1.1 times that endpoint
     bound and accepted with the true-to-bound rate ratio; cells with infinite
     endpoint bounds (terminal weight vanishing somewhere) fall back to
-    recursive subdivision, up to depth 20. Deterministic given the seed.
+    recursive subdivision, up to depth 20. Block b draws from child b of
+    SeedSequence(seed), so the paths are deterministic given the seed.
     """
-    if n_paths < 1:
-        raise DegenerateInputError("need at least one path", reason="empty_request")
+    blocks = _path_blocks(seed, n_paths)
     ctx = _ThinningContext(hp)
-    children = np.random.SeedSequence(seed).spawn(n_paths)
-    paths = []
-    for i, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        x0, times, states = _sample_path_thinning(ctx, rng)
-        paths.append(PathSample(x0=x0, times=np.array(times),
-                                states=np.array(states, dtype=int),
-                                n_states=hp.n, seed=(seed, i)))
-    return paths
-
+    x0, rounds, first = [], [], 0
+    for size, rng in blocks:
+        block_x0, block_rounds = _thin_block(ctx, rng, size)
+        x0.append(block_x0)
+        rounds += [(path + first, t, y) for path, t, y in block_rounds]
+        first += size
+    path, times, states = zip(*rounds)
+    return _batch_from_rounds(np.concatenate(x0), path, times, states, hp.n,
+                              seed)

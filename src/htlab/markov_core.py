@@ -8,6 +8,7 @@ on dense integer indices.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,11 @@ DETAILED_BALANCE_RTOL = 1e-10
 
 # Uniformization: Poisson series truncated once the tail mass drops below this.
 _POISSON_TAIL = 1e-14
+
+# Paths per random stream in the samplers: path i of a request is drawn from
+# child i // PATH_BLOCK of the request's SeedSequence, so a given seed and
+# path count always give the same paths.
+PATH_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -157,47 +163,110 @@ class ReversibleModel:
         return self.space.n
 
 
-@dataclass(frozen=True)
-class PathSample:
-    """Cadlag step path on [0,1]: initial state plus (jump time, destination).
+@dataclass(frozen=True, slots=True, eq=False)
+class PathView:
+    """Path i of a PathBatch: a cadlag step path on [0,1], read-only.
 
     Right-continuous: evaluation at a jump time returns the post-jump state.
+    times and states are read-only slices of the batch arrays, and seed is
+    (batch seed, i). Views are not validated again.
     """
 
     x0: int
     times: np.ndarray
     states: np.ndarray
-    n_states: int
     seed: tuple
 
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        s = np.asarray(self.states, dtype=int)
-        if t.shape != s.shape:
-            raise ModelValidationError("times and states must align",
-                                       reason="bad_path")
-        if t.size and (np.any(np.diff(t) <= 0) or t[0] <= 0 or t[-1] >= 1):
-            raise ModelValidationError("jump times must increase strictly in (0,1)",
-                                       reason="bad_jump_times")
-        full = np.concatenate([[self.x0], s])
-        if np.any(full[1:] == full[:-1]):
-            raise ModelValidationError("consecutive states must differ",
-                                       reason="fake_jump")
-        object.__setattr__(self, "times", _freeze(t))
-        states = np.array(s, dtype=int)
-        states.setflags(write=False)
-        object.__setattr__(self, "states", states)
-
     def state_at(self, t: float) -> int:
-        k = int(np.searchsorted(self.times, t, side="right"))
-        return int(self.x0) if k == 0 else int(self.states[k - 1])
+        k = bisect.bisect_right(self.times, t)
+        return self.x0 if k == 0 else int(self.states[k - 1])
 
     def segments(self) -> list[tuple[float, float, int]]:
         """Constant-state pieces (start, end, state) covering [0,1]."""
-        knots = np.concatenate([[0.0], self.times, [1.0]])
-        occupied = np.concatenate([[self.x0], self.states])
-        return [(float(knots[i]), float(knots[i + 1]), int(occupied[i]))
-                for i in range(len(occupied))]
+        knots = [0.0, *self.times.tolist(), 1.0]
+        occupied = [self.x0, *self.states.tolist()]
+        return [(knots[i], knots[i + 1], x) for i, x in enumerate(occupied)]
+
+
+@dataclass(frozen=True, eq=False)
+class PathBatch:
+    """P cadlag step paths on [0,1] in compressed sparse row form.
+
+    Path i starts in x0[i] and jumps at times[offsets[i]:offsets[i+1]] to the
+    matching entries of states. The invariants (aligned arrays, jump times
+    strictly increasing in (0,1) within each path, every jump changing the
+    state) are validated once, here, for the whole batch. Iteration and
+    batch[i] give PathView objects.
+    """
+
+    x0: np.ndarray
+    offsets: np.ndarray
+    times: np.ndarray
+    states: np.ndarray
+    n_states: int
+    seed: object = None
+
+    def __post_init__(self):
+        x0 = np.asarray(self.x0)
+        offsets = np.asarray(self.offsets)
+        t = np.asarray(self.times, dtype=float)
+        s = np.asarray(self.states)
+        n_jumps = t.size
+        if (x0.ndim != 1 or offsets.shape != (x0.size + 1,) or t.ndim != 1
+                or s.shape != t.shape
+                or not all(a.dtype.kind in "iu" for a in (x0, offsets, s))
+                or offsets[0] != 0 or offsets[-1] != n_jumps
+                or np.any(np.diff(offsets) < 0)
+                or np.any((x0 < 0) | (x0 >= self.n_states))
+                or np.any((s < 0) | (s >= self.n_states))):
+            raise ModelValidationError(
+                "paths need aligned times and states, offsets running from 0 "
+                "to the jump count, and states in range", reason="bad_path")
+        # Jumps that open a path are compared with that path's x0, and their
+        # times with 0, never with the last jump of the path before.
+        opens = np.diff(offsets) > 0
+        starts = offsets[:-1][opens]
+        within = np.ones(n_jumps, dtype=bool)
+        within[starts] = False
+        if not (np.all((t > 0) & (t < 1)) and np.all(np.diff(t)[within[1:]] > 0)):
+            raise ModelValidationError(
+                "jump times must increase strictly in (0,1)",
+                reason="bad_jump_times")
+        before = np.empty_like(s)
+        before[1:] = s[:-1]
+        before[starts] = x0[opens]
+        if np.any(before == s):
+            raise ModelValidationError("consecutive states must differ",
+                                       reason="fake_jump")
+        object.__setattr__(self, "times", _freeze(t))
+        for name, a in (("x0", x0), ("offsets", offsets), ("states", s)):
+            a = a.astype(np.int64)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+    def __len__(self) -> int:
+        return self.x0.size
+
+    def __getitem__(self, i: int) -> PathView:
+        i = range(len(self))[i]
+        a, b = int(self.offsets[i]), int(self.offsets[i + 1])
+        return PathView(int(self.x0[i]), self.times[a:b], self.states[a:b],
+                        (self.seed, i))
+
+    def __iter__(self):
+        offsets, times, states = self.offsets.tolist(), self.times, self.states
+        for i, x in enumerate(self.x0.tolist()):
+            a, b = offsets[i], offsets[i + 1]
+            yield PathView(x, times[a:b], states[a:b], (self.seed, i))
+
+    def state_at(self, t: float) -> np.ndarray:
+        """State of every path at time t (right-continuous)."""
+        if not self.states.size:
+            return self.x0.copy()
+        passed = np.concatenate([[0], np.cumsum(self.times <= t)])
+        k = passed[self.offsets[1:]] - passed[self.offsets[:-1]]
+        last = np.maximum(self.offsets[:-1] + k - 1, 0)
+        return np.where(k > 0, self.states[last], self.x0)
 
 
 def detailed_balance_violation(rates: np.ndarray, m: np.ndarray) -> float:
@@ -297,71 +366,114 @@ def transition_matrix(model: ReversibleModel, t: float) -> np.ndarray:
     return _uniformized_exponential(model.Q, lam, float(t))
 
 
-def sample_path_R(model: ReversibleModel, x0: int, seed,
-                  seed_record: tuple | None = None) -> PathSample:
-    """Gillespie sample of the reference chain on [0,1].
+def _search_rows(A: np.ndarray, rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """np.searchsorted(A[r], v, side="right") for each pair (rows[i], v[i]).
+
+    Rows of A must be nondecreasing. A vectorized binary search over the
+    columns: exact, and O(len(v) log A.shape[1]) work.
+    """
+    m = A.shape[1]
+    lo = np.zeros(len(v), dtype=np.intp)
+    hi = np.full(len(v), m, dtype=np.intp)
+    for _ in range(m.bit_length()):
+        mid = (lo + hi) >> 1
+        below = (mid < m) & (A[rows, np.minimum(mid, m - 1)] <= v)
+        lo = np.where(below, mid + 1, lo)
+        hi = np.where(below, hi, mid)
+    return lo
+
+
+def sample_path_R(model: ReversibleModel, x0, seed) -> PathBatch:
+    """Gillespie sample of the reference chain on [0,1], one path per entry
+    of x0 (a scalar x0 gives a batch of one), all from one generator.
 
     Holding time in x is exponential with the exit rate of x; the jump
-    destination is drawn proportionally to the rates out of x.
+    destination is drawn proportionally to the rates out of x. Each round
+    steps every path still short of t = 1 at once.
     """
-    if not 0 <= x0 < model.n:
-        raise ModelValidationError(f"invalid initial state {x0}",
-                                   reason="unknown_state")
+    x0 = np.atleast_1d(np.asarray(x0))
+    if (x0.ndim != 1 or x0.dtype.kind not in "iu"
+            or np.any((x0 < 0) | (x0 >= model.n))):
+        raise ModelValidationError(
+            f"initial states must be state indices below {model.n}",
+            reason="unknown_state")
+    if not x0.size:
+        raise DegenerateInputError("need at least one path",
+                                   reason="empty_request")
     rng = np.random.default_rng(seed)
-    rates, exit_rates = model.J.rates, model.J.exit_rates
-    x = int(x0)
-    t = 0.0
-    times: list[float] = []
-    states: list[int] = []
-    while True:
-        t += rng.exponential(1.0 / exit_rates[x])
-        if t >= 1.0:
-            break
-        u = rng.random() * exit_rates[x]
-        x = int(min(np.searchsorted(np.cumsum(rates[x]), u, side="right"),
-                    model.n - 1))
+    cum_rates = np.cumsum(model.J.rates, axis=1)
+    live = np.arange(x0.size)
+    x, t = x0.astype(np.intp), np.zeros(x0.size)
+    path, times, states = [], [], []
+    while live.size:
+        t = t + rng.standard_exponential(live.size) / model.J.exit_rates[x]
+        go = t < 1.0
+        live, x, t = live[go], x[go], t[go]
+        u = rng.random(live.size) * cum_rates[x, -1]
+        x = np.minimum(_search_rows(cum_rates, x, u), model.n - 1)
+        path.append(live)
         times.append(t)
         states.append(x)
-    if seed_record is None:
-        seed_record = seed if isinstance(seed, tuple) else (seed,)
-    return PathSample(x0=int(x0), times=np.array(times),
-                      states=np.array(states, dtype=int),
-                      n_states=model.n, seed=seed_record)
+    return _batch_from_rounds(x0, path, times, states, model.n, seed)
+
+
+def _batch_from_rounds(x0, path, times, states, n_states, seed) -> PathBatch:
+    """PathBatch from jumps recorded in rounds of (path, time, state) arrays.
+
+    A round holds at most one jump per path and a path's later jumps come in
+    later rounds, so a stable sort by path keeps each path's jumps in time
+    order.
+    """
+    path = np.concatenate(path)
+    order = np.argsort(path, kind="stable")
+    counts = np.bincount(path, minlength=len(x0))
+    return PathBatch(x0=x0, offsets=np.concatenate([[0], np.cumsum(counts)]),
+                     times=np.concatenate(times)[order],
+                     states=np.concatenate(states)[order],
+                     n_states=n_states, seed=seed)
+
+
+def _path_blocks(seed, n_paths: int) -> list:
+    """(size, generator) per block of PATH_BLOCK paths, the last one short;
+    block b draws from child b of SeedSequence(seed)."""
+    if n_paths < 1:
+        raise DegenerateInputError("need at least one path", reason="empty_request")
+    children = np.random.SeedSequence(seed).spawn(-(-n_paths // PATH_BLOCK))
+    return [(min(PATH_BLOCK, n_paths - b * PATH_BLOCK), np.random.default_rng(c))
+            for b, c in enumerate(children)]
 
 
 def sample_paths_R(model: ReversibleModel, n_paths: int, seed,
-                   x0: int | None = None) -> list[PathSample]:
-    """Independent paths from spawned seed streams.
+                   x0: int | None = None) -> PathBatch:
+    """Independent reference paths, one generator per block of PATH_BLOCK.
 
     With x0=None each path starts from a state drawn from m (stationary
-    start); a fixed x0 pins the initial state.
+    start); a fixed x0 pins the initial state. Block b draws from child b of
+    SeedSequence(seed); its starts come first, then its Gillespie rounds.
     """
-    if n_paths < 1:
-        raise DegenerateInputError("need at least one path", reason="empty_request")
-    root = np.random.SeedSequence(seed)
-    children = root.spawn(n_paths)
-    paths = []
     cum_m = np.cumsum(model.m)
-    for i, child in enumerate(children):
-        rng = np.random.default_rng(child)
+    blocks = []
+    for size, rng in _path_blocks(seed, n_paths):
         if x0 is None:
-            start = int(min(np.searchsorted(cum_m, rng.random(), side="right"),
-                            model.n - 1))
+            starts = np.minimum(np.searchsorted(cum_m, rng.random(size),
+                                                side="right"), model.n - 1)
         else:
-            start = x0
-        sub = child.spawn(1)[0]
-        paths.append(sample_path_R(model, start, sub, seed_record=(seed, i)))
-    return paths
+            starts = np.full(size, x0)
+        blocks.append(sample_path_R(model, starts, rng))
+    return PathBatch(
+        x0=np.concatenate([b.x0 for b in blocks]),
+        offsets=np.cumsum(np.concatenate([[0], *(np.diff(b.offsets)
+                                                 for b in blocks)])),
+        times=np.concatenate([b.times for b in blocks]),
+        states=np.concatenate([b.states for b in blocks]),
+        n_states=model.n, seed=seed)
 
 
-def empirical_marginal(paths: list[PathSample], t: float) -> np.ndarray:
+def empirical_marginal(paths: PathBatch, t: float) -> np.ndarray:
     """Frequency of state occupancy at time t (right-continuous evaluation)."""
-    if not paths:
-        raise DegenerateInputError("empty path list", reason="empty_paths")
+    if not len(paths):
+        raise DegenerateInputError("empty path batch", reason="empty_paths")
     if not 0.0 <= t <= 1.0:
         raise ModelValidationError("time must lie in [0,1]", reason="bad_time")
-    n = paths[0].n_states
-    counts = np.zeros(n)
-    for p in paths:
-        counts[p.state_at(t)] += 1
+    counts = np.bincount(paths.state_at(t), minlength=paths.n_states)
     return counts / len(paths)

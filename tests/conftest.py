@@ -4,7 +4,7 @@ import numpy as np
 
 from htlab.feynman_kac import InitialWeight, PotentialField, TerminalWeight
 from htlab.h_transform import build_h_process
-from htlab.markov_core import (JumpKernel, StateSpace, TimeGrid,
+from htlab.markov_core import (JumpKernel, PathBatch, StateSpace, TimeGrid,
                                build_metropolis, build_reversible_model)
 
 
@@ -62,3 +62,19 @@ def reversible_two_state():
     space = StateSpace(("a", "b"))
     J = JumpKernel(np.array([[0.0, 1.0], [2.0, 0.0]]))
     return build_reversible_model(space, J, np.array([2.0, 1.0]))
+
+
+def path_batch(paths, n_states: int = 2) -> PathBatch:
+    """PathBatch from (x0, jump times, jump states) triples."""
+    return PathBatch(
+        x0=np.array([x0 for x0, _, _ in paths], dtype=int),
+        offsets=np.cumsum([0] + [len(t) for _, t, _ in paths]),
+        times=np.array([t for _, ts, _ in paths for t in ts], dtype=float),
+        states=np.array([y for _, _, ys in paths for y in ys], dtype=int),
+        n_states=n_states)
+
+
+def path_bytes(paths: PathBatch) -> bytes:
+    """Every array of a batch as bytes, for byte-identity checks on reruns."""
+    return b"".join(a.tobytes() for a in (paths.x0, paths.offsets,
+                                          paths.times, paths.states))

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.special import xlogy
 
 from conftest import (five_state_model, identity_hprocess, generic_hprocess,
-                      ring_kernel, wavy_potential)
+                      path_bytes, ring_kernel, wavy_potential)
 from htlab.bridge import build_bridge_problem, ipf_solve, static_entropy
 from htlab.diffusion1d import (Diffusion1DModel, build_diffusion_transform,
                                sample_em_paths)
@@ -101,15 +101,6 @@ def test_04_forward_master_equation():
     _verdict(4, {"marginal_consistency": gap <= 1e-6})
 
 
-def _path_bytes(paths) -> bytes:
-    chunks = []
-    for p in paths:
-        chunks.append(np.int64(p.x0).tobytes())
-        chunks.append(p.times.tobytes())
-        chunks.append(p.states.tobytes())
-    return b"".join(chunks)
-
-
 def test_05_monte_carlo_law():
     start = time.perf_counter()
     hp = generic_hprocess(N=400)
@@ -117,7 +108,7 @@ def test_05_monte_carlo_law():
     tv = 0.5 * float(np.abs(empirical_marginal(paths, 0.5)
                             - marginal(hp, 0.5)).sum())
     rerun = sample_paths_P(hp, 100_000, seed=20260826)
-    identical = _path_bytes(paths) == _path_bytes(rerun)
+    identical = path_bytes(paths) == path_bytes(rerun)
     elapsed = time.perf_counter() - start
     _verdict(5, {"total_variation": tv <= 0.01,
                  "seed_reproducibility": identical,

@@ -12,7 +12,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from conftest import (five_state_model, generic_hprocess, identity_hprocess,
-                      two_state_model, wavy_potential)
+                      path_batch, path_bytes, two_state_model, wavy_potential)
 from htlab.errors import (DegenerateInputError, ModelValidationError,
                           PositivityError)
 from htlab import feynman_kac, h_transform
@@ -22,7 +22,7 @@ from htlab.h_transform import (build_h_process, forward_marginal_evolve, g_at,
                                integrate_potential_along_path, jump_kernel,
                                marginal, path_density_ratio, relative_entropy,
                                sample_paths_P)
-from htlab.markov_core import (PathSample, TimeGrid, empirical_marginal,
+from htlab.markov_core import (PATH_BLOCK, TimeGrid, empirical_marginal,
                                sample_paths_R)
 
 
@@ -192,8 +192,7 @@ def test_potential_integral_closed_form():
     V = PotentialField.from_function(lambda t, x: t * (x + 1), grid, 2)
     hp = build_h_process(model, InitialWeight(np.ones(2)),
                          TerminalWeight(np.array([0.7, 1.0])), V, grid)
-    path = PathSample(x0=0, times=np.array([0.3, 0.7]),
-                      states=np.array([1, 0]), n_states=2, seed=(0,))
+    [path] = path_batch([(0, [0.3, 0.7], [1, 0])])
     # int_0^.3 t + int_.3^.7 2t + int_.7^1 t = 0.045 + 0.4 + 0.255
     assert integrate_potential_along_path(hp, path, 0.0, 1.0) == \
         pytest.approx(0.7, abs=1e-12)
@@ -288,6 +287,35 @@ def test_sampler_determinism_and_seed_records():
         assert p.seed == (11, i)
     with pytest.raises(DegenerateInputError):
         sample_paths_P(hp, 0, seed=1)
+
+
+@pytest.mark.parametrize("n_paths", [1, PATH_BLOCK, PATH_BLOCK + 1])
+def test_sampler_block_boundaries(n_paths):
+    """Path counts at and across a block boundary, for both samplers:
+    byte-identical reruns and (seed, i) records."""
+    hp = generic_hprocess()
+    for sample in (lambda: sample_paths_R(hp.model, n_paths, 3),
+                   lambda: sample_paths_P(hp, n_paths, 3)):
+        paths = sample()
+        assert len(paths) == n_paths == sum(1 for _ in paths)
+        assert path_bytes(paths) == path_bytes(sample())
+        assert [p.seed for p in (paths[0], paths[-1])] == \
+            [(3, 0), (3, n_paths - 1)]
+
+
+def test_sampler_blocks_are_separate_streams():
+    """Each block draws from its own stream: the first PATH_BLOCK paths of a
+    longer request are the paths of a request for exactly PATH_BLOCK."""
+    hp = generic_hprocess()
+    for sample in (lambda n: sample_paths_R(hp.model, n, 8),
+                   lambda n: sample_paths_P(hp, n, 8)):
+        block, longer = sample(PATH_BLOCK), sample(PATH_BLOCK + 5)
+        jumps = block.offsets[-1]
+        np.testing.assert_array_equal(longer.x0[:PATH_BLOCK], block.x0)
+        np.testing.assert_array_equal(longer.offsets[:PATH_BLOCK + 1],
+                                      block.offsets)
+        np.testing.assert_array_equal(longer.times[:jumps], block.times)
+        np.testing.assert_array_equal(longer.states[:jumps], block.states)
 
 
 def test_entropy_invariant_under_weight_rescaling():

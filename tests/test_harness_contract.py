@@ -18,6 +18,7 @@ import htlab.cli  # noqa: F401  (loads every htlab module, as perfbench does)
 from conftest import generic_hprocess
 from htlab.feynman_kac import fk_propagator
 from htlab.h_transform import sample_paths_P
+from htlab import markov_core
 from htlab.markov_core import sample_paths_R
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -62,12 +63,29 @@ def test_propagator_bytes_hook_counts_the_step_factors(tracer):
 
 
 def test_sampler_hooks_count_paths_and_jumps(tracer):
+    """The path hooks read len(batch) and p.times.size over iteration."""
     hp = generic_hprocess(20)
     for name, paths in [("h_transform.sample_paths_P",
                          sample_paths_P(hp, 4, 0)),
                         ("markov_core.sample_paths_R",
                          sample_paths_R(hp.model, 4, 0))]:
+        assert len(paths) == 4
         jumps = sum(p.times.size for p in paths)
+        assert jumps == paths.times.size
         assert tracer.COUNT_HOOKS[name]((), {}, paths) == {"paths": 4,
                                                            "jumps": jumps}
         assert all(isinstance(p.times, np.ndarray) for p in paths)
+
+
+def test_reference_sampler_calls_the_traced_gillespie_kernel(tracer):
+    """The tracer's self-test needs a markov_core.sample_path_R call on the
+    jump workload, whose sampling goes through sample_paths_R."""
+    hp = generic_hprocess(20)
+    trace = tracer.Tracer()
+    trace.install()
+    try:
+        markov_core.sample_paths_R(hp.model, 4, 0)
+    finally:
+        trace.uninstall()
+    assert trace.counts["markov_core.sample_path_R.calls"] >= 1
+    assert trace.counts["markov_core.sample_paths_R.paths"] == 4

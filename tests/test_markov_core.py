@@ -10,14 +10,14 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 import htlab
-from conftest import ring_kernel, two_state_model
+from conftest import path_batch, ring_kernel, two_state_model
 from htlab.errors import (DegenerateInputError, HTLabError,
                           ModelValidationError)
-from htlab.markov_core import (JumpKernel, PathSample, StateSpace, TimeGrid,
+from htlab.markov_core import (JumpKernel, PathBatch, StateSpace, TimeGrid,
                                build_metropolis, build_reversible_model,
                                check_irreducibility,
                                detailed_balance_violation, empirical_marginal,
-                               sample_path_R, sample_paths_R,
+                               _search_rows, sample_path_R, sample_paths_R,
                                transition_matrix)
 
 
@@ -247,17 +247,28 @@ def test_sampler_determinism():
 def test_empirical_marginal_edge_cases():
     model = two_state_model()
     lone = sample_path_R(model, 1, seed=7)
-    at0 = empirical_marginal([lone], 0.0)
+    at0 = empirical_marginal(lone, 0.0)
     np.testing.assert_array_equal(at0, [0.0, 1.0])
     with pytest.raises(DegenerateInputError):
-        empirical_marginal([], 0.5)
+        empirical_marginal(path_batch([]), 0.5)
     with pytest.raises(ModelValidationError):
-        empirical_marginal([lone], 1.5)
+        empirical_marginal(lone, 1.5)
+
+
+def test_empirical_marginal_matches_per_path_states():
+    """The vectorized marginal reads each path as its view does, including
+    paths with no jump, at a jump time and past the last jump."""
+    paths = path_batch([(0, [0.2, 0.5], [1, 2]), (1, [], []), (2, [0.5], [0]),
+                        (1, [0.1, 0.3, 0.9], [0, 1, 2])], n_states=3)
+    for t in (0.0, 0.1, 0.2, 0.4, 0.5, 0.95, 1.0):
+        states = [p.state_at(t) for p in paths]
+        np.testing.assert_array_equal(paths.state_at(t), states)
+        np.testing.assert_array_equal(empirical_marginal(paths, t),
+                                      np.bincount(states, minlength=3) / 4)
 
 
 def test_path_sample_right_continuity():
-    path = PathSample(x0=0, times=np.array([0.5]), states=np.array([1]),
-                      n_states=2, seed=(0,))
+    [path] = path_batch([(0, [0.5], [1])])
     assert path.state_at(0.49) == 0
     assert path.state_at(0.5) == 1
     segs = path.segments()
@@ -266,11 +277,74 @@ def test_path_sample_right_continuity():
 
 def test_path_sample_validation():
     with pytest.raises(ModelValidationError):
-        PathSample(x0=0, times=np.array([0.6, 0.4]), states=np.array([1, 0]),
-                   n_states=2, seed=(0,))
+        path_batch([(0, [0.6, 0.4], [1, 0])])
     with pytest.raises(ModelValidationError):
-        PathSample(x0=0, times=np.array([0.4]), states=np.array([0]),
-                   n_states=2, seed=(0,))
+        path_batch([(0, [0.4], [0])])
+
+
+@pytest.mark.parametrize("bad, reason", [
+    ((1, [0.3, 0.3], [0, 1]), "bad_jump_times"),
+    ((1, [0.5, 0.4], [0, 1]), "bad_jump_times"),
+    ((1, [0.0], [0]), "bad_jump_times"),
+    ((1, [1.0], [0]), "bad_jump_times"),
+    ((1, [np.nan], [0]), "bad_jump_times"),
+    ((1, [0.3], [1]), "fake_jump"),
+    ((1, [0.3], [3]), "bad_path"),
+], ids=["repeated_time", "decreasing_time", "time_0", "time_1", "nan_time",
+        "repeated_state", "state_out_of_range"])
+def test_path_batch_rejects_bad_path_after_boundary(bad, reason):
+    """A bad path that follows valid ones is caught at its first jump.
+
+    The valid paths end at a late time in a state other than the bad path's
+    x0 and first state, so a check that ran across path boundaries without
+    reading offsets would flag the valid batch and miss the bad one.
+    """
+    good = [(0, [0.2, 0.9], [1, 2]), (2, [], []), (1, [0.95], [0])]
+    batch = path_batch(good + [(0, [0.1], [2])], n_states=3)
+    assert len(batch) == 4
+    with pytest.raises(ModelValidationError) as info:
+        path_batch(good + [bad], n_states=3)
+    assert info.value.reason == reason
+
+
+def test_path_batch_rejects_malformed_offsets():
+    ok = dict(x0=np.array([0, 1]), times=np.array([0.5]),
+              states=np.array([1]), n_states=2)
+    for offsets in ([0, 1], [0, 1, 2], [1, 1, 1], [0, 2, 1]):
+        with pytest.raises(ModelValidationError) as info:
+            PathBatch(offsets=np.array(offsets), **ok)
+        assert info.value.reason == "bad_path"
+    with pytest.raises(ModelValidationError) as info:
+        PathBatch(**{**ok, "states": np.array([1.0])},
+                  offsets=np.array([0, 1, 1]))
+    assert info.value.reason == "bad_path"
+
+
+def test_path_views_are_read_only():
+    batch = path_batch([(0, [0.5], [1]), (1, [], [])])
+    view = batch[-1]
+    assert (view.x0, view.times.size, view.seed) == (1, 0, (None, 1))
+    with pytest.raises(ValueError):
+        batch[0].times[0] = 0.1
+    with pytest.raises(AttributeError):
+        view.x0 = 0
+    with pytest.raises(IndexError):
+        batch[2]
+
+
+def test_row_search_matches_searchsorted():
+    """The vectorized binary search the samplers use for cell and destination
+    lookup agrees with np.searchsorted(side="right") row by row, on flat
+    stretches, exact hits and values outside the row."""
+    rng = np.random.default_rng(0)
+    for m in (1, 2, 5, 8, 201):
+        A = np.cumsum(rng.integers(0, 3, size=(6, m)), axis=1).astype(float)
+        rows = rng.integers(0, 6, size=400)
+        v = np.concatenate([A[rows[:200], rng.integers(0, m, size=200)],
+                            rng.uniform(-1.0, A.max() + 1.0, size=200)])
+        expected = [np.searchsorted(A[r], x, side="right")
+                    for r, x in zip(rows, v)]
+        np.testing.assert_array_equal(_search_rows(A, rows, v), expected)
 
 
 def test_state_space_validation():
