@@ -200,14 +200,14 @@ def integrate_potential_along_path(hp: HProcess, path: PathView,
     V is piecewise linear in time, so the integral over each constant-state
     piece is the difference of a per-state quadratic antiderivative.
     """
-    N = hp.grid.N
+    N, V, V_cum = hp.grid.N, hp.V.values, hp.V_cum
 
     def antiderivative(tau: float, x: int) -> float:
-        k = min(int(np.floor(tau * N)), N - 1)
+        k = min(int(tau * N), N - 1)
         a = tau - k / N
-        v0 = hp.V.values[k, x]
-        slope = (hp.V.values[k + 1, x] - v0) * N
-        return float(hp.V_cum[k, x] + v0 * a + 0.5 * slope * a * a)
+        v0 = V[k, x]
+        slope = (V[k + 1, x] - v0) * N
+        return float(V_cum[k, x] + v0 * a + 0.5 * slope * a * a)
 
     total = 0.0
     for a, b, x in path.segments():

@@ -1,9 +1,9 @@
 """Finite-state reversible Markov jump processes.
 
 Construction of Metropolis-type reversible models and their generators, exact
-transition matrices through uniformization, Gillespie path sampling, and
-empirical marginals. States carry opaque labels; every numeric routine works
-on dense integer indices.
+transition matrices through uniformization, Gillespie path sampling into CSR
+path batches, and empirical marginals. States carry opaque labels; every
+numeric routine works on dense integer indices.
 """
 
 from __future__ import annotations
