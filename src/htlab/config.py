@@ -10,10 +10,15 @@ controls.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field
 
 import numpy as np
 import yaml
+from yaml.events import (AliasEvent, DocumentStartEvent, MappingEndEvent,
+                         MappingStartEvent, ScalarEvent, SequenceEndEvent,
+                         SequenceStartEvent, StreamEndEvent)
+from yaml.nodes import ScalarNode
 
 from htlab.diffusion1d import Diffusion1DModel
 from htlab.errors import ModelValidationError
@@ -27,6 +32,8 @@ DEFAULT_GRID_N = 200
 # libyaml's C scanner and parser with PyYAML's safe constructor and resolver;
 # the pure-Python loader builds the same objects when libyaml is absent.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_FLOAT_TAG = "tag:yaml.org,2002:float"
+_STR_TAG = "tag:yaml.org,2002:str"
 
 # The keys each section defines; the model section's depend on its kind.
 _SECTION_KEYS = {"transform": {"f0", "gamma1", "V"}, "grid": {"N"},
@@ -85,14 +92,110 @@ def _read(convert, value, what: str):
                                    reason="bad_config") from None
 
 
-def load_config(path: str) -> RunConfig:
-    """Read and structurally validate a YAML config file."""
-    with open(path, "r", encoding="utf-8") as fh:
+class _OutsideFastPath(Exception):
+    """The text uses a YAML feature that only the full loader builds."""
+
+
+def _scalar(loader, value: str, implicit):
+    """The object yaml.load builds for an untagged scalar."""
+    tag = loader.resolve(ScalarNode, value, implicit)
+    if tag == _STR_TAG:
+        return value
+    if tag == _FLOAT_TAG:
         try:
-            raw = yaml.load(fh, Loader=_YAML_LOADER)
-        except yaml.YAMLError as exc:
-            raise ModelValidationError(f"config is not valid YAML: {exc}",
-                                       reason="bad_config") from exc
+            return float(value)
+        except ValueError:  # underscores, .inf, .nan, sexagesimal
+            pass
+    constructor = loader.yaml_constructors.get(tag)
+    if constructor is None:  # `<<` merges and `=` values
+        raise _OutsideFastPath
+    return constructor(loader, ScalarNode(tag, value))
+
+
+def _load_events(text: str):
+    """Build the document straight from the loader's event stream.
+
+    Covers the YAML a config is written in: one document of mappings,
+    sequences and untagged scalars. Scalars take their tags from the
+    loader's own resolver (exact while it has no path resolvers), so the
+    objects equal yaml.load's. Raises _OutsideFastPath on an anchor, an
+    alias, an explicit tag, a merge key, an unhashable key or a second
+    document, which the full loader handles.
+    """
+    loader = _YAML_LOADER(text)
+    try:
+        if loader.yaml_path_resolvers:
+            raise _OutsideFastPath
+        get_event = loader.get_event
+        scalars = {}  # (value, implicit) -> object, within this text
+        frames = [[]]  # items of each open collection, the document first
+        documents = 0
+        while True:
+            event = get_event()
+            kind = type(event)
+            if kind is ScalarEvent:
+                if event.anchor is not None or event.tag is not None:
+                    raise _OutsideFastPath
+                key = (event.value, event.implicit)
+                try:
+                    value = scalars[key]
+                except KeyError:
+                    value = scalars[key] = _scalar(loader, *key)
+                frames[-1].append(value)
+            elif kind is SequenceStartEvent or kind is MappingStartEvent:
+                if event.anchor is not None or event.tag is not None:
+                    raise _OutsideFastPath
+                frames.append([])
+            elif kind is SequenceEndEvent:
+                items = frames.pop()
+                frames[-1].append(items)
+            elif kind is MappingEndEvent:
+                items = frames.pop()
+                try:  # later duplicate keys win, as in yaml.load
+                    mapping = dict(zip(items[0::2], items[1::2]))
+                except TypeError:  # an unhashable key
+                    raise _OutsideFastPath from None
+                frames[-1].append(mapping)
+            elif kind is DocumentStartEvent:
+                documents += 1
+                if documents > 1:
+                    raise _OutsideFastPath
+            elif kind is AliasEvent:
+                raise _OutsideFastPath
+            elif kind is StreamEndEvent:
+                break
+    finally:
+        loader.dispose()
+    return frames[0][0] if frames[0] else None
+
+
+def _load_full(text: str, path: str):
+    """yaml.load on the text, naming the file in its error messages."""
+    stream = io.StringIO(text)
+    stream.name = path
+    try:
+        return yaml.load(stream, Loader=_YAML_LOADER)
+    except yaml.YAMLError as exc:
+        raise ModelValidationError(f"config is not valid YAML: {exc}",
+                                   reason="bad_config") from exc
+    except (TypeError, ValueError) as exc:  # e.g. `!!int abc`, `2001-13-45`
+        raise ModelValidationError(f"config value cannot be read: {exc}",
+                                   reason="bad_config") from exc
+
+
+def load_config(path: str) -> RunConfig:
+    """Read and structurally validate a YAML config file.
+
+    The event-stream builder reads the usual config; any input outside its
+    subset, and any input it cannot read, goes to yaml.load, so those get
+    exactly yaml.load's objects and errors.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        raw = _load_events(text)
+    except (_OutsideFastPath, yaml.YAMLError, TypeError, ValueError):
+        raw = _load_full(text, path)
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):

@@ -261,6 +261,19 @@ def test_malformed_yaml_is_a_config_error(tmp_path, capsys):
     assert "reason=bad_config" in capsys.readouterr().err
 
 
+# YAML constructors that raise ValueError: explicit tags take yaml.load, the
+# bad date is an implicit timestamp the event-stream builder meets first.
+@pytest.mark.parametrize("value", ["!!int abc", "!!float x", "2001-13-45"],
+                         ids=["int_tag", "float_tag", "timestamp"])
+def test_unconstructible_value_is_a_config_error(tmp_path, capsys, value):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(JUMP_YAML.replace("N: 200", f"N: {value}"),
+                   encoding="utf-8")
+    assert main(["model", "--config", str(cfg), "--out",
+                 str(tmp_path / "out")]) == 2
+    assert "reason=bad_config" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command,old,new", [
     ("fk", "gamma1: [0.5, 1.0, 0.8]", "gamma1: abc"),
     ("fk", "N: 200", "N: many"),

@@ -1,9 +1,12 @@
 """YAML config parsing, defaults, and model/transform assembly."""
 
+import struct
+
 import numpy as np
 import pytest
 import yaml
 
+from htlab import config
 from htlab.config import (DEFAULT_GRID_N, RunConfig, build_model_from_config,
                           load_config, transform_pieces)
 from htlab.diffusion1d import Diffusion1DModel
@@ -182,6 +185,122 @@ def test_loader_matches_pure_python_safe_loader(tmp_path, text):
     for name in ("model", "transform", "grid", "checks", "sampling",
                  "bridge"):
         assert getattr(cfg, name) == expected.get(name, {}), name
+
+
+# Model keys are checked only when the model is built, so any mapping can
+# stand under `model:` in a loaded config. Fast-path inputs are built from
+# the event stream; fallback inputs take yaml.load.
+FAST_PATH_CORPUS = {
+    "quoted_numbers": "a: '1.5'\nb: \"2\"\nc: '1.0e+3'\nd: '~'\n",
+    "underscores": "a: 1_000.5\nb: 1__0.5\nc: 10_.5\nd: 1_000\ne: -_1.5\n",
+    "special_floats": "a: .inf\nb: -.Inf\nc: .nan\nd: +.INF\ne: [.NaN, 1.]\n",
+    "signed_zeros": "a: -0.0\nb: 0.0\nc: [-0.0, 0.0, -0., +0.0]\n",
+    "exponents": "a: 1.0e-8\nb: 2.5E+6\nc: 1e5\nd: 6.02e23\ne: 1.0e400\n",
+    "sexagesimal": "a: 1:30.5\nb: -1:30\nc: 190:20:30\nd: 1:30.5\n",
+    "integers": "a: 010\nb: 0x1F\nc: 0b101\nd: -0o17\ne: 1_000\nf: +7\n",
+    "nulls": "a: ~\nb:\nc: null\nd: [~, NULL]\n",
+    "bools": "a: yes\nb: on\nc: No\nd: OFF\ne: [true, False, y]\n",
+    "timestamps": ("a: 2001-12-14\nb: 2001-12-14t21:59:43.10-05:00\n"
+                   "c: 2001-12-14 21:59:43.10\nd: 2002-12-14\n"),
+    "duplicate_keys": "a: 1\nb: 2\na: 3.5\n1: x\n1.0: y\n",
+    "nested_flow": "a: {b: {c: [1, {d: 2.5}]}, e: []}\nf: {}\ng: [[], [[0.5]]]\n",
+    "scalar_keys": "1: a\n1.5: b\n~: c\ntrue: d\n2001-12-14: e\n",
+    "block_scalars": "a: |\n  1.5\n  two\nb: >\n  folded\n  text\n",
+    "repeated_values": "a: [0.0, 0.0, 1.5, 0.0, '0.0', 0.0]\nb: 0.0\n",
+}
+FALLBACK_CORPUS = {
+    "anchor_alias": "a: &x [1, 2.5]\nb: *x\n",
+    "anchor_only": "a: &x 1.5\n",
+    "merge": "base: &b {x: 1}\nderived:\n  <<: *b\n  y: 2\n",
+    "merge_inline": "a:\n  <<: {x: 1, y: 0.5}\n  y: 2\n",
+    "explicit_str": "a: !!str 1.0\n",
+    "explicit_float": "a: !!float 1\n",
+    "explicit_collection": "a: !!seq [1]\nb: !!map {c: 2}\n",
+    "value_key": "=: 1\n",
+}
+ERROR_CORPUS = {
+    "two_documents": "model: {}\n---\nmodel: {}\n",
+    "list_as_key": "model:\n  ? [1, 2]\n  : x\n",
+}
+
+
+def _exact(obj):
+    """obj with every scalar typed and every float as its 8 bytes, so that
+    == on the result is exact (NaN payloads, -0.0, key order)."""
+    if isinstance(obj, dict):
+        return ["dict", [(_exact(k), _exact(v)) for k, v in obj.items()]]
+    if isinstance(obj, list):
+        return ["list", [_exact(v) for v in obj]]
+    if isinstance(obj, float):
+        return ["float", struct.pack("<d", obj)]
+    return [type(obj).__name__, obj]
+
+
+def _as_model(text: str) -> str:
+    return "model:\n" + "".join(f"  {line}\n" for line in text.splitlines())
+
+
+@pytest.fixture(params=["default", "pure_python"])
+def loader(request, monkeypatch):
+    """Run a test with the default loader, then with PyYAML's pure-Python
+    SafeLoader in its place."""
+    if request.param == "pure_python":
+        monkeypatch.setattr(config, "_YAML_LOADER", yaml.SafeLoader)
+    return request.param
+
+
+def _yaml_load_spy(monkeypatch, allowed: bool):
+    """Count calls to yaml.load; make it raise unless allowed."""
+    calls = []
+    real = yaml.load
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        if not allowed:
+            raise AssertionError("yaml.load reached")
+        return real(*args, **kwargs)
+    monkeypatch.setattr(yaml, "load", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(FAST_PATH_CORPUS))
+def test_event_loader_matches_safe_loader(tmp_path, monkeypatch, loader,
+                                          name):
+    text = _as_model(FAST_PATH_CORPUS[name])
+    expected = yaml.load(text, Loader=yaml.SafeLoader)["model"]
+    _yaml_load_spy(monkeypatch, allowed=False)
+    got = load_config(write(tmp_path, text)).model
+    assert _exact(got) == _exact(expected)
+    if name != "special_floats":  # NaN != NaN
+        assert got == expected
+
+
+@pytest.mark.parametrize("name", sorted(FALLBACK_CORPUS))
+def test_fallback_inputs_take_yaml_load(tmp_path, monkeypatch, loader, name):
+    text = _as_model(FALLBACK_CORPUS[name])
+    expected = yaml.load(text, Loader=yaml.SafeLoader)["model"]
+    calls = _yaml_load_spy(monkeypatch, allowed=True)
+    got = load_config(write(tmp_path, text)).model
+    assert calls, "the input should have left the event-stream builder"
+    assert got == expected and _exact(got) == _exact(expected)
+
+
+@pytest.mark.parametrize("name", sorted(ERROR_CORPUS))
+def test_unloadable_inputs_stay_config_errors(tmp_path, loader, name):
+    with pytest.raises(ModelValidationError) as info:
+        load_config(write(tmp_path, ERROR_CORPUS[name]))
+    assert info.value.reason == "bad_config"
+
+
+def test_generated_config_never_reaches_yaml_load(tmp_path, monkeypatch):
+    text = generated_jump_yaml()
+    expected = yaml.load(text, Loader=yaml.SafeLoader)
+    _yaml_load_spy(monkeypatch, allowed=False)
+    cfg = load_config(write(tmp_path, text))
+    assert _exact(cfg.transform) == _exact(expected["transform"])
+    anchored = text.replace("  m0: 1.0", "  m0: &m 1.0")
+    with pytest.raises(AssertionError, match="yaml.load reached"):
+        load_config(write(tmp_path, anchored))
 
 
 def test_generated_config_parses_floats(tmp_path):

@@ -9,7 +9,7 @@ import csv
 import numpy as np
 import pytest
 
-from htlab.reports import write_csv
+from htlab.reports import _BLOCK_ROWS, write_csv
 
 
 def _fmt(value) -> str:
@@ -41,6 +41,22 @@ TABLES = {
               "noise": np.random.default_rng(0).standard_normal(21)},
     "one_row": {"a": np.array([2**62]), "b": np.array([-0.0])},
     "zero_rows": {"t": np.zeros(0), "state": np.zeros(0, dtype=np.int64)},
+    # Repeated columns take the format-each-distinct-value-once path.
+    "signed_zeros": {"v": np.tile([-0.0, 0.0, 0.0], 8)},
+    "nan_payloads": {"v": np.tile(np.array(
+        [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+         0xFFF00000000ABCDE], dtype=np.uint64).view(np.float64), 5)},
+    "infinities": {"v": np.tile([np.inf, -np.inf, 1.0], 7)},
+    "repeated_int64": {"v": np.repeat(
+        np.arange(-3, 3, dtype=np.int64) * 10 ** 17, 7)},
+    # 10 distinct of 20 is exactly half; 10 of 21 is below it.
+    "half_distinct": {"v": np.tile(np.arange(10) / 7.0, 2)},
+    "below_half_distinct": {"v": np.append(np.tile(np.arange(10) / 7.0, 2),
+                                           0.0)},
+    "block_plus_one": {"t": (np.arange(_BLOCK_ROWS + 1) // 50) / 8.0,
+                       "state": np.arange(_BLOCK_ROWS + 1) % 7,
+                       "noise": np.random.default_rng(1).standard_normal(
+                           _BLOCK_ROWS + 1)},
 }
 
 
