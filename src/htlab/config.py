@@ -119,8 +119,8 @@ def _load_events(text: str):
     sequences and untagged scalars. Scalars take their tags from the
     loader's own resolver (exact while it has no path resolvers), so the
     objects equal yaml.load's. Raises _OutsideFastPath on an anchor, an
-    alias, an explicit tag, a merge key, an unhashable key or a second
-    document, which the full loader handles.
+    alias, an explicit tag, a merge key or `=` scalar, an unhashable key or
+    a second document, which the full loader handles.
     """
     loader = _YAML_LOADER(text)
     try:
