@@ -19,7 +19,7 @@ def _fmt(value) -> str:
 
 
 # Rows per formatted block: memory stays bounded whatever the table length.
-_BLOCK_ROWS = 1 << 16
+_BLOCK_ROWS = 1 << 10
 
 
 def _cells(values: np.ndarray) -> list[str]:
