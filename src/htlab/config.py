@@ -120,7 +120,10 @@ def _load_events(text: str):
     loader's own resolver (exact while it has no path resolvers), so the
     objects equal yaml.load's. Raises _OutsideFastPath on an anchor, an
     alias, an explicit tag, a merge key or `=` scalar, an unhashable key or
-    a second document, which the full loader handles.
+    a second document, which the full loader handles. A scalar that its
+    constructor cannot build is reported, with its line, only once the
+    stream has ended, so that a later syntax error keeps yaml.load's own
+    message.
     """
     loader = _YAML_LOADER(text)
     try:
@@ -130,6 +133,7 @@ def _load_events(text: str):
         scalars = {}  # (value, implicit) -> object, within this text
         frames = [[]]  # items of each open collection, the document first
         documents = 0
+        unreadable = None  # (line, value, error) of the first such scalar
         while True:
             event = get_event()
             kind = type(event)
@@ -140,7 +144,14 @@ def _load_events(text: str):
                 try:
                     value = scalars[key]
                 except KeyError:
-                    value = scalars[key] = _scalar(loader, *key)
+                    try:
+                        value = _scalar(loader, *key)
+                    except (TypeError, ValueError) as exc:  # `2001-13-45`
+                        if unreadable is None:
+                            unreadable = (event.start_mark.line + 1,
+                                          event.value, exc)
+                        value = None
+                    scalars[key] = value
                 frames[-1].append(value)
             elif kind is SequenceStartEvent or kind is MappingStartEvent:
                 if event.anchor is not None or event.tag is not None:
@@ -166,6 +177,10 @@ def _load_events(text: str):
                 break
     finally:
         loader.dispose()
+    if unreadable is not None:
+        line, value, exc = unreadable
+        raise ModelValidationError(f"config value cannot be read: line {line}:"
+                                   f" {value!r}: {exc}", reason="bad_config")
     return frames[0][0] if frames[0] else None
 
 

@@ -15,10 +15,10 @@ the tests measure (rather than hide) the residual boundary contamination.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from htlab.errors import (DegenerateInputError, ModelValidationError,
                           PositivityError)
@@ -52,6 +52,7 @@ class Diffusion1DModel:
             raise ModelValidationError("potential must be finite with one "
                                        "value per node", reason="bad_potential")
         object.__setattr__(self, "U", _freeze(U))
+        _gtsv()  # load LAPACK with the model, before any Crank-Nicolson solve
 
     @property
     def dx(self) -> float:
@@ -145,9 +146,20 @@ def _tridiag_mul(diag, upper, lower, v):
     return out
 
 
+@functools.cache
+def _gtsv():
+    """LAPACK dgtsv, the package's only use of scipy, imported on first call.
+
+    Only the Crank-Nicolson solves need it, so a process that builds no
+    diffusion model (every jump subcommand) never imports scipy.
+    """
+    from scipy.linalg.lapack import dgtsv
+    return dgtsv
+
+
 def _tridiag_solve(diag, upper, lower, rhs):
     """Solve the tridiagonal system by LAPACK gtsv (partial pivoting)."""
-    x, info = dgtsv(lower, diag, upper, rhs)[3:]
+    x, info = _gtsv()(lower, diag, upper, rhs)[3:]
     if info != 0:
         raise DegenerateInputError("Crank-Nicolson system is singular",
                                    reason="cn_conditioning")
@@ -194,17 +206,22 @@ def solve_g_pde(model: Diffusion1DModel, V, gamma1: np.ndarray,
     N, half = grid.N, 0.5 * grid.dt
     center, upper, lower = _operator_bands(model)
     hu, hl = half * upper, half * lower
+    neg_hu, neg_hl = -hu, -hl
     vals = np.empty((N + 1, model.M + 1))
     vals[N] = gamma1
     clipped = 0
+    # half * (center - V[k]) is the right-hand side of step k - 1 after
+    # being the left-hand side of step k, so each node's is formed once
+    h_next = half * (center - Vg[N])
     for k in range(N - 1, -1, -1):
-        rhs = _tridiag_mul(1.0 + half * (center - Vg[k + 1]), hu, hl,
-                           vals[k + 1])
-        g = _tridiag_solve(1.0 - half * (center - Vg[k]), -hu, -hl, rhs)
+        h_k = half * (center - Vg[k])
+        rhs = _tridiag_mul(1.0 + h_next, hu, hl, vals[k + 1])
+        g = _tridiag_solve(1.0 - h_k, neg_hu, neg_hl, rhs)
         _check_finite(g, "backward")
         neg = g < 0.0
         clipped += int(neg.sum())
         vals[k] = np.where(neg, 0.0, g)
+        h_next = h_k
     return PDESolution(gf=GridFunction(grid=grid, xs=model.xs, values=vals),
                        clipped_nodes=clipped)
 
@@ -223,20 +240,22 @@ def solve_f_pde(model: Diffusion1DModel, V, f0: np.ndarray,
     N, half = grid.N, 0.5 * grid.dt
     center, upper, lower = _operator_bands(model)
     hu, hl = half * upper, half * lower
+    neg_hu, neg_hl = -hu, -hl
     mw = model.m_weights
     vals = np.empty((N + 1, model.M + 1))
     vals[0] = f0
     clipped = 0
+    h_k = half * (center - Vg[0])
     for k in range(N):
+        h_next = half * (center - Vg[k + 1])
         # transposes of the backward step: swap the off-diagonal bands
-        z = _tridiag_solve(1.0 - half * (center - Vg[k]), -hl, -hu,
-                           mw * vals[k])
-        f_next = _tridiag_mul(1.0 + half * (center - Vg[k + 1]), hl, hu,
-                              z) / mw
+        z = _tridiag_solve(1.0 - h_k, neg_hl, neg_hu, mw * vals[k])
+        f_next = _tridiag_mul(1.0 + h_next, hl, hu, z) / mw
         _check_finite(f_next, "forward")
         neg = f_next < 0.0
         clipped += int(neg.sum())
         vals[k + 1] = np.where(neg, 0.0, f_next)
+        h_k = h_next
     return PDESolution(gf=GridFunction(grid=grid, xs=model.xs, values=vals),
                        clipped_nodes=clipped)
 

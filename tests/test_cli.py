@@ -5,9 +5,15 @@ CSV contract (identical reruns are byte-identical), and the presence and
 shape of every report file each subcommand promises.
 """
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import htlab
 from htlab import diffusion1d
 from htlab.cli import main
 
@@ -252,6 +258,37 @@ def test_missing_config_file(tmp_path, capsys):
     assert "reason=missing_file" in capsys.readouterr().err
 
 
+# Run in a fresh interpreter, because this one already holds scipy.
+SCIPY_PROBE = """
+import json, sys
+from htlab.cli import main
+from htlab.config import build_model_from_config, load_config
+jump, diffusion, out = sys.argv[1:]
+codes = [main([command, "--config", jump, "--out", out])
+         for command in ("model", "fk", "transform", "check", "hjb",
+                         "bridge", "sample")]
+after_jump = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+build_model_from_config(load_config(diffusion))
+print(json.dumps({"codes": codes, "after_jump": after_jump,
+                  "lapack": "scipy.linalg.lapack" in sys.modules}))
+"""
+
+
+def test_jump_subcommands_never_load_scipy(jump_config, diffusion_config,
+                                           tmp_path):
+    """scipy (LAPACK gtsv) loads when a diffusion model is built, and only
+    then."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(htlab.__file__)))
+    probe = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, jump_config, diffusion_config,
+         str(tmp_path / "out")], capture_output=True, text=True, check=True,
+        timeout=300, env={**os.environ, "PYTHONPATH": src})
+    result = json.loads(probe.stdout.splitlines()[-1])
+    assert result["codes"] == [0] * 7
+    assert result["after_jump"] == []
+    assert result["lapack"]
+
+
 def test_malformed_yaml_is_a_config_error(tmp_path, capsys):
     cfg = tmp_path / "broken.yaml"
     cfg.write_text("model:\n  kind: jump\n  J0: [[0, 1], [1, 0\n",
@@ -262,16 +299,25 @@ def test_malformed_yaml_is_a_config_error(tmp_path, capsys):
 
 
 # YAML constructors that raise ValueError: explicit tags take yaml.load, the
-# bad date is an implicit timestamp the event-stream builder meets first.
-@pytest.mark.parametrize("value", ["!!int abc", "!!float x", "2001-13-45"],
-                         ids=["int_tag", "float_tag", "timestamp"])
-def test_unconstructible_value_is_a_config_error(tmp_path, capsys, value):
+# bad date is an implicit timestamp the event-stream builder meets first and
+# names with its line, unless the YAML after it does not parse.
+@pytest.mark.parametrize("value,tail,message", [
+    ("!!int abc", "", "config value cannot be read: "),
+    ("!!float x", "", "config value cannot be read: "),
+    ("2001-13-45", "", "config value cannot be read: line 12: '2001-13-45': "
+     "month must be in 1..12"),
+    ("2001-13-45", "extra: [1, 2\n", "config is not valid YAML: "),
+], ids=["int_tag", "float_tag", "timestamp", "timestamp_then_bad_yaml"])
+def test_unconstructible_value_is_a_config_error(tmp_path, capsys, value,
+                                                 tail, message):
     cfg = tmp_path / "bad.yaml"
-    cfg.write_text(JUMP_YAML.replace("N: 200", f"N: {value}"),
+    cfg.write_text(JUMP_YAML.replace("N: 200", f"N: {value}") + tail,
                    encoding="utf-8")
     assert main(["model", "--config", str(cfg), "--out",
                  str(tmp_path / "out")]) == 2
-    assert "reason=bad_config" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "reason=bad_config" in err
+    assert message in err
 
 
 @pytest.mark.parametrize("command,old,new", [

@@ -1,15 +1,10 @@
 """Reversible jump-chain construction, exact transition matrices, sampling."""
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-import htlab
 from conftest import path_batch, ring_kernel, two_state_model
 from htlab.errors import (DegenerateInputError, HTLabError,
                           ModelValidationError)
@@ -142,15 +137,6 @@ def test_irreducibility_matches_strong_components():
         verdicts.append(check_irreducibility(rates))
         assert verdicts[-1] == (n_comp == 1)
     assert any(verdicts) and not all(verdicts)
-
-
-def test_cli_import_leaves_scipy_sparse_unloaded():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(htlab.__file__)))
-    code = "import sys, htlab.cli; print('scipy.sparse' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, timeout=120,
-                         env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
 
 
 def test_generator_apply():
