@@ -52,7 +52,7 @@ class Diffusion1DModel:
             raise ModelValidationError("potential must be finite with one "
                                        "value per node", reason="bad_potential")
         object.__setattr__(self, "U", _freeze(U))
-        _gtsv()  # load LAPACK with the model, before any Crank-Nicolson solve
+        _lapack()  # load LAPACK with the model, before any Crank-Nicolson solve
 
     @property
     def dx(self) -> float:
@@ -147,23 +147,67 @@ def _tridiag_mul(diag, upper, lower, v):
 
 
 @functools.cache
-def _gtsv():
-    """LAPACK dgtsv, the package's only use of scipy, imported on first call.
+def _lapack():
+    """scipy's LAPACK module, the package's only use of scipy, imported on
+    first call.
 
-    Only the Crank-Nicolson solves need it, so a process that builds no
-    diffusion model (every jump subcommand) never imports scipy.
+    Only the Crank-Nicolson solves need it (gtsv, gttrf and gttrs), so a
+    process that builds no diffusion model (every jump subcommand) never
+    imports scipy.
     """
-    from scipy.linalg.lapack import dgtsv
-    return dgtsv
+    from scipy.linalg import lapack
+    return lapack
+
+
+def _require_nonsingular(info: int):
+    if info != 0:
+        raise DegenerateInputError("Crank-Nicolson system is singular",
+                                   reason="cn_conditioning")
 
 
 def _tridiag_solve(diag, upper, lower, rhs):
     """Solve the tridiagonal system by LAPACK gtsv (partial pivoting)."""
-    x, info = _gtsv()(lower, diag, upper, rhs)[3:]
-    if info != 0:
-        raise DegenerateInputError("Crank-Nicolson system is singular",
-                                   reason="cn_conditioning")
+    x, info = _lapack().dgtsv(lower, diag, upper, rhs)[3:]
+    _require_nonsingular(info)
     return x
+
+
+def _factored_solver(diag, upper, lower):
+    """Factor the tridiagonal matrix once by LAPACK gttrf; solve by gttrs.
+
+    gttrf is the partial-pivoting elimination that gtsv does, and gttrs
+    replays it on a right-hand side, so each solve equals gtsv bit for bit.
+    """
+    lapack = _lapack()
+    dl, d, du, du2, ipiv, info = lapack.dgttrf(lower, diag, upper)
+    _require_nonsingular(info)
+    gttrs = lapack.dgttrs
+
+    def solve(rhs):
+        return gttrs(dl, d, du, du2, ipiv, rhs)[0]
+    return solve
+
+
+def _cn_nodes(Vg: np.ndarray, center: float, half: float, upper, lower):
+    """node(k) -> (solve, plus): the Crank-Nicolson diagonals of time node k.
+
+    With h_k = half (center - V[k]), solve(rhs) solves the left-hand side of
+    node k, whose diagonal is 1 - h_k and whose bands are upper and lower,
+    and plus = 1 + h_k is its right-hand diagonal. When V is constant in
+    time every node is the same: its left-hand side is factored once and
+    every node returns the same pair. Otherwise each call forms node k's
+    diagonals and its solve is a gtsv.
+    """
+    if Vg.strides[0] == 0 or (Vg == Vg[0]).all():
+        h = half * (center - Vg[0])
+        same = (_factored_solver(1.0 - h, upper, lower), 1.0 + h)
+        return lambda k: same
+
+    def node(k):
+        h = half * (center - Vg[k])
+        return (functools.partial(_tridiag_solve, 1.0 - h, upper, lower),
+                1.0 + h)
+    return node
 
 
 @dataclass(frozen=True)
@@ -174,11 +218,19 @@ class PDESolution:
     clipped_nodes: int
 
 
-def _check_finite(v: np.ndarray, what: str):
-    if not np.all(np.isfinite(v)):
+def _clip_negatives(x: np.ndarray, what: str) -> int:
+    """Zero the negative entries of a finite solve result in place and
+    return how many there were."""
+    lo = x.min()
+    if not (lo > -np.inf and x.max() < np.inf):  # a NaN fails both
         raise DegenerateInputError(f"{what} solve produced non-finite values; "
                                    "time step too large for the potential",
                                    reason="cn_conditioning")
+    if lo >= 0.0:
+        return 0
+    neg = x < 0.0
+    x[neg] = 0.0
+    return np.count_nonzero(neg)
 
 
 def _spatial_weight(w, M: int, what: str, reason: str) -> np.ndarray:
@@ -206,22 +258,19 @@ def solve_g_pde(model: Diffusion1DModel, V, gamma1: np.ndarray,
     N, half = grid.N, 0.5 * grid.dt
     center, upper, lower = _operator_bands(model)
     hu, hl = half * upper, half * lower
-    neg_hu, neg_hl = -hu, -hl
+    node = _cn_nodes(Vg, center, half, -hu, -hl)
     vals = np.empty((N + 1, model.M + 1))
     vals[N] = gamma1
     clipped = 0
-    # half * (center - V[k]) is the right-hand side of step k - 1 after
-    # being the left-hand side of step k, so each node's is formed once
-    h_next = half * (center - Vg[N])
+    # each node is formed once: node k + 1's right-hand diagonal serves
+    # step k, and its solve served step k + 1
+    plus_next = node(N)[1]
     for k in range(N - 1, -1, -1):
-        h_k = half * (center - Vg[k])
-        rhs = _tridiag_mul(1.0 + h_next, hu, hl, vals[k + 1])
-        g = _tridiag_solve(1.0 - h_k, neg_hu, neg_hl, rhs)
-        _check_finite(g, "backward")
-        neg = g < 0.0
-        clipped += int(neg.sum())
-        vals[k] = np.where(neg, 0.0, g)
-        h_next = h_k
+        solve, plus = node(k)
+        g = solve(_tridiag_mul(plus_next, hu, hl, vals[k + 1]))
+        clipped += _clip_negatives(g, "backward")
+        vals[k] = g
+        plus_next = plus
     return PDESolution(gf=GridFunction(grid=grid, xs=model.xs, values=vals),
                        clipped_nodes=clipped)
 
@@ -240,22 +289,20 @@ def solve_f_pde(model: Diffusion1DModel, V, f0: np.ndarray,
     N, half = grid.N, 0.5 * grid.dt
     center, upper, lower = _operator_bands(model)
     hu, hl = half * upper, half * lower
-    neg_hu, neg_hl = -hu, -hl
+    # transposes of the backward step: swap the off-diagonal bands
+    node = _cn_nodes(Vg, center, half, -hl, -hu)
     mw = model.m_weights
     vals = np.empty((N + 1, model.M + 1))
     vals[0] = f0
     clipped = 0
-    h_k = half * (center - Vg[0])
+    solve = node(0)[0]
     for k in range(N):
-        h_next = half * (center - Vg[k + 1])
-        # transposes of the backward step: swap the off-diagonal bands
-        z = _tridiag_solve(1.0 - h_k, neg_hl, neg_hu, mw * vals[k])
-        f_next = _tridiag_mul(1.0 + h_next, hl, hu, z) / mw
-        _check_finite(f_next, "forward")
-        neg = f_next < 0.0
-        clipped += int(neg.sum())
-        vals[k + 1] = np.where(neg, 0.0, f_next)
-        h_k = h_next
+        solve_next, plus_next = node(k + 1)
+        f_next = _tridiag_mul(plus_next, hl, hu, solve(mw * vals[k]))
+        f_next /= mw
+        clipped += _clip_negatives(f_next, "forward")
+        vals[k + 1] = f_next
+        solve = solve_next
     return PDESolution(gf=GridFunction(grid=grid, xs=model.xs, values=vals),
                        clipped_nodes=clipped)
 
@@ -428,7 +475,7 @@ class _DriftField:
         else:
             row = (1.0 - a) * self.drift.values[k] + a * self.drift.values[k + 1]
         out = self._interp(x, row, self._slopes(row))
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise PositivityError("a path reached a region where the drift "
                                   "field is masked", reason="masked_drift")
         return out
@@ -466,7 +513,8 @@ def _em_positions(model: Diffusion1DModel, n_paths: int, seed, steps: int,
     for k in range(steps):
         t = k * dt
         x = x + field(t, x) * dt + sqrt_dt * rng.standard_normal(n_paths)
-        if np.any(x < lo - width) or np.any(x > hi + width):
+        # fmin/fmax skip NaN, as the comparisons do
+        if np.fmin.reduce(x) < lo - width or np.fmax.reduce(x) > hi + width:
             raise ModelValidationError(
                 "a path escaped the padded domain; drift and step size are "
                 "inconsistent with the model window", reason="path_escaped")

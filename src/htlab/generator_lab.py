@@ -38,6 +38,19 @@ class DerivativeEstimate:
     observed_order: float
 
 
+def _median(values: np.ndarray) -> float:
+    """np.median of a few values, by sorting: NaN if any value is NaN.
+
+    np.median itself imports numpy.ma on first use, about 10 ms of start-up
+    in every process that runs the generator checks.
+    """
+    v = np.sort(values)
+    if np.isnan(v[-1]):  # sorting puts NaN last
+        return float(v[-1])
+    n = v.size
+    return float(v[(n - 1) // 2:n // 2 + 1].mean())
+
+
 def _richardson(hs: tuple[float, ...], quotient) -> DerivativeEstimate:
     """Two-level Richardson limit of quotient(h), a first-order difference
     quotient per state, over three decreasing geometric steps hs."""
@@ -52,7 +65,7 @@ def _richardson(hs: tuple[float, ...], quotient) -> DerivativeEstimate:
     safe = d12 > 0
     if np.any(safe):
         orders = np.log(d01[safe] / d12[safe]) / np.log(r)
-        observed = float(np.median(orders))
+        observed = _median(orders)
     else:
         observed = np.nan
     return DerivativeEstimate(estimates=estimates, extrapolated=extrapolated,

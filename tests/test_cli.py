@@ -289,6 +289,28 @@ def test_jump_subcommands_never_load_scipy(jump_config, diffusion_config,
     assert result["lapack"]
 
 
+# Run in a fresh interpreter, because this one may already hold numpy.ma.
+NUMPY_MA_PROBE = """
+import json, sys
+from htlab.cli import main
+config, out = sys.argv[1:]
+code = main(["check", "--config", config, "--out", out])
+print(json.dumps({"code": code, "numpy_ma": "numpy.ma" in sys.modules}))
+"""
+
+
+def test_check_never_loads_numpy_ma(jump_config, tmp_path):
+    """The generator checks take their median without np.median, whose
+    first call imports numpy.ma."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(htlab.__file__)))
+    probe = subprocess.run(
+        [sys.executable, "-c", NUMPY_MA_PROBE, jump_config,
+         str(tmp_path / "out")], capture_output=True, text=True, check=True,
+        timeout=300, env={**os.environ, "PYTHONPATH": src})
+    result = json.loads(probe.stdout.splitlines()[-1])
+    assert result == {"code": 0, "numpy_ma": False}
+
+
 def test_malformed_yaml_is_a_config_error(tmp_path, capsys):
     cfg = tmp_path / "broken.yaml"
     cfg.write_text("model:\n  kind: jump\n  J0: [[0, 1], [1, 0\n",

@@ -7,12 +7,16 @@ drift. Sampling checks use binned total variation against the solved
 marginals with thresholds calibrated well above the Monte Carlo floor.
 """
 
+import collections
 import hashlib
+import types
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv, dgttrf
 
+from htlab import diffusion1d
 from htlab.diffusion1d import (Diffusion1DModel, GridFunction, _DriftField,
                                _operator_bands, _reflect, _tridiag_mul,
                                _tridiag_solve,
@@ -169,9 +173,16 @@ def test_forward_backward_duality_is_exact():
     np.testing.assert_allclose(pairing, pairing[0], rtol=1e-12)
 
 
+def _gtsv(diag, upper, lower, rhs):
+    x, info = dgtsv(lower, diag, upper, rhs)[3:]
+    assert info == 0
+    return x
+
+
 def reference_sweeps(model, V, gamma1, f0, grid):
     """Per-step Crank-Nicolson sweeps for g and f, every band formed inside
-    the time loop: the reference for the solvers' hoisted loops."""
+    the time loop and every step solved by LAPACK gtsv: the reference for
+    the solvers' hoisted loops and factored left-hand sides."""
     Vg = potential_on_grid(V, grid, model.M)
     N, half = grid.N, 0.5 * grid.dt
     center, upper, lower = _operator_bands(model)
@@ -182,7 +193,7 @@ def reference_sweeps(model, V, gamma1, f0, grid):
     g_clipped = 0
     for k in range(N - 1, -1, -1):
         rhs = _tridiag_mul(1.0 + half * (center - Vg[k + 1]), hu, hl, g[k + 1])
-        x = _tridiag_solve(1.0 - half * (center - Vg[k]), -hu, -hl, rhs)
+        x = _gtsv(1.0 - half * (center - Vg[k]), -hu, -hl, rhs)
         neg = x < 0.0
         g_clipped += int(neg.sum())
         g[k] = np.where(neg, 0.0, x)
@@ -190,7 +201,7 @@ def reference_sweeps(model, V, gamma1, f0, grid):
     f[0] = f0
     f_clipped = 0
     for k in range(N):
-        z = _tridiag_solve(1.0 - half * (center - Vg[k]), -hl, -hu, mw * f[k])
+        z = _gtsv(1.0 - half * (center - Vg[k]), -hl, -hu, mw * f[k])
         x = _tridiag_mul(1.0 + half * (center - Vg[k + 1]), hl, hu, z) / mw
         neg = x < 0.0
         f_clipped += int(neg.sum())
@@ -198,17 +209,31 @@ def reference_sweeps(model, V, gamma1, f0, grid):
     return g, g_clipped, f, f_clipped
 
 
-@pytest.mark.parametrize("N,width", [(200, 0.5), (20, 0.05)],
-                         ids=["smooth", "clipping"])
-def test_cn_sweeps_match_per_step_reference(N, width):
-    """Both solvers equal the per-step loop bit for bit, clipping included,
-    under an asymmetric U and a full time-varying V."""
-    lo, hi, M = -2.0, 2.0, 64
-    xs = lo + (hi - lo) / M * np.arange(M + 1)
-    model = Diffusion1DModel(lo, hi, M, 5.0 * (xs - 0.3) ** 2 + 0.7 * xs ** 3)
-    grid = TimeGrid(N)
+def cn_potential(kind, xs, grid):
+    """A scalar, a node vector, or a time-varying (N+1) x (M+1) field."""
     ts = grid.nodes[:, None]
-    V = 0.6 * np.sin(3.0 * ts + xs[None, :]) + 0.4 * ts * xs[None, :] ** 2
+    return {"scalar": 0.3, "vector": 0.2 + 0.1 * xs ** 2,
+            "field": 0.6 * np.sin(3.0 * ts + xs[None, :])
+            + 0.4 * ts * xs[None, :] ** 2}[kind]
+
+
+@pytest.mark.parametrize("steep,V_kind,N,width", [
+    (False, "field", 200, 0.5), (False, "field", 20, 0.05),
+    (False, "scalar", 200, 0.5), (False, "vector", 200, 0.5),
+    (False, "scalar", 20, 0.05), (False, "vector", 20, 0.05),
+    (True, "scalar", 200, 0.5), (True, "vector", 20, 0.05),
+], ids=["smooth", "clipping", "scalar", "vector", "scalar_clipping",
+        "vector_clipping", "steep_scalar", "steep_vector_clipping"])
+def test_cn_sweeps_match_per_step_reference(steep, V_kind, N, width):
+    """Both solvers equal the per-step gtsv loop bit for bit, clipping
+    included, under an asymmetric U (or a steep one, whose systems need row
+    interchanges) and a time-varying or time-constant V."""
+    lo, hi, M = -2.0, 2.0, (32 if steep else 64)
+    xs = lo + (hi - lo) / M * np.arange(M + 1)
+    U = 40.0 * xs ** 2 if steep else 5.0 * (xs - 0.3) ** 2 + 0.7 * xs ** 3
+    model = Diffusion1DModel(lo, hi, M, U)
+    grid = TimeGrid(N)
+    V = cn_potential(V_kind, xs, grid)
     gamma1 = np.exp(-0.5 * ((xs - 1.0) / width) ** 2)
     f0 = np.exp(-0.5 * ((xs + 0.8) / width) ** 2)
     g_ref, g_clipped, f_ref, f_clipped = reference_sweeps(model, V, gamma1,
@@ -221,6 +246,45 @@ def test_cn_sweeps_match_per_step_reference(N, width):
                                                           f_clipped)
     if width < 0.1:
         assert g_clipped > 0 and f_clipped > 0
+    if steep:
+        half = 0.5 * grid.dt
+        center, upper, lower = _operator_bands(model)
+        diag = 1.0 - half * (center - potential_on_grid(V, grid, M)[0])
+        ipiv = dgttrf(-half * lower, diag, -half * upper)[4]
+        assert np.any(ipiv != np.arange(1, M + 2))
+
+
+def test_cn_factors_once_per_sweep_when_V_is_constant_in_time(monkeypatch):
+    """One gttrf and a gttrs per step for a V constant in time, however it
+    is given; a gtsv per step for a time-varying V."""
+    lapack = diffusion1d._lapack()
+    calls = collections.Counter()
+
+    def counted(name):
+        routine = getattr(lapack, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return routine(*args, **kwargs)
+        return wrapper
+
+    names = ("dgtsv", "dgttrf", "dgttrs")
+    counting = types.SimpleNamespace(**{n: counted(n) for n in names})
+    monkeypatch.setattr(diffusion1d, "_lapack", lambda: counting)
+    model = quadratic_model()
+    grid = TimeGrid(50)
+    xs, w = model.xs, gaussian_weight(model, 0.5)
+    constant = {"dgttrf": 1, "dgttrs": grid.N}
+    cases = [(cn_potential("scalar", xs, grid), constant),
+             (cn_potential("vector", xs, grid), constant),
+             (np.tile(cn_potential("vector", xs, grid), (grid.N + 1, 1)),
+              constant),
+             (cn_potential("field", xs, grid), {"dgtsv": grid.N})]
+    for V, expected in cases:
+        for solve in (solve_g_pde, solve_f_pde):
+            calls.clear()
+            solve(model, V, w, grid)
+            assert calls == expected
 
 
 def test_weight_validation():

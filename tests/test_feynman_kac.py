@@ -15,11 +15,13 @@ from scipy.linalg import expm
 
 from conftest import (five_state_model, ring_kernel, two_state_model,
                       wavy_potential)
+from htlab import feynman_kac
 from htlab.errors import DegenerateInputError, ModelValidationError
 from htlab.feynman_kac import (FKPropagator, InitialWeight, PotentialField,
                                TerminalWeight, check_fk_generator,
                                check_semigroup, derivative, fk_propagator,
-                               positivity_report, solve_f, solve_fk, solve_g)
+                               positivity_report, rk4_matrix_step, solve_f,
+                               solve_fk, solve_g)
 from htlab.markov_core import (StateSpace, TimeGrid, build_metropolis,
                                sample_paths_R, transition_matrix)
 
@@ -64,6 +66,49 @@ def test_semigroup_residual():
         check_semigroup(prop, 0.0, 0.2503, 1.0)
     with pytest.raises(ModelValidationError):
         check_semigroup(prop, 0.5, 0.2, 1.0)
+
+
+def test_semigroup_residual_carries_the_prefix_product():
+    """Phi(s,u) carried on from Phi(s,t) is the same matmul sequence as
+    Phi(s,u) formed from s, so the gap is the same to the bit."""
+    model = five_state_model()
+    grid = TimeGrid(60)
+    prop = fk_propagator(model, _wavy(model, grid), grid)
+    for s, t, u in ((0.0, 0.5, 1.0), (0.2, 0.2, 0.9), (0.1, 0.6, 0.6)):
+        ks, kt, ku = (grid.node_index(x) for x in (s, t, u))
+        gap = np.max(np.abs(prop.matrix(ks, ku) - prop.matrix(ks, kt)
+                            @ prop.matrix(kt, ku)))
+        assert check_semigroup(prop, s, t, u) == float(gap)
+
+
+def test_propagator_reuses_the_factor_of_a_repeated_cell(monkeypatch):
+    """On a piecewise-constant V every factor equals its own cell's RK4 step
+    bit for bit, and RK4 runs once per run of cells with the same two rows."""
+    model = five_state_model()
+    grid = TimeGrid(12)
+    levels = np.array([[0.1, 0.4, 0.0, 0.2, 0.3],
+                       [0.5, 0.1, 0.2, 0.0, 0.1],
+                       [0.2, 0.2, 0.6, 0.1, 0.0]])
+    # V jumps at nodes 4 and 8: cells 0-2 have rows (a, a), 3 (a, b),
+    # 4-6 (b, b), 7 (b, c) and 8-11 (c, c)
+    rows = levels[np.array([0] * 4 + [1] * 4 + [2] * 5)]
+    V = PotentialField(rows)
+    h, Q = grid.dt, model.Q
+    cells = [(rows[k], rows[k + 1]) for k in range(grid.N)]
+    expected = [rk4_matrix_step(Q - np.diag(v0), Q - np.diag(0.5 * (v0 + v2)),
+                                Q - np.diag(v2), h) for v0, v2 in cells]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return rk4_matrix_step(*args)
+
+    monkeypatch.setattr(feynman_kac, "rk4_matrix_step", counted)
+    prop = fk_propagator(model, V, grid)
+    for k in range(grid.N):
+        assert np.array_equal(prop.step[k], expected[k])
+    distinct = {(v0.tobytes(), v2.tobytes()) for v0, v2 in cells}
+    assert len(calls) == len(distinct) == 5
 
 
 def test_propagator_entry_bounds():

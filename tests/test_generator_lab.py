@@ -14,7 +14,7 @@ from conftest import (five_state_model, generic_hprocess, identity_hprocess,
 from htlab.errors import ModelValidationError, PositivityError
 from htlab.feynman_kac import (InitialWeight, PotentialField, TerminalWeight,
                                solve_g)
-from htlab.generator_lab import (DEFAULT_H_SEQUENCE, carre_du_champ,
+from htlab.generator_lab import (DEFAULT_H_SEQUENCE, _median, carre_du_champ,
                                  check_fk_stochastic_derivative,
                                  check_transformed_generator, stochastic_derivative,
                                  transformed_rate_matrix, transition_matrix_P)
@@ -98,6 +98,20 @@ def test_stochastic_derivative_transformed_sees_time_dependence():
     np.testing.assert_allclose(est.extrapolated, rhs, atol=1e-5)
     assert np.max(np.abs(est.estimates[0] - rhs)) > 10 * np.max(
         np.abs(est.extrapolated - rhs))
+
+
+@pytest.mark.parametrize("values", [
+    [2.0], [3.0, -1.0], [1.0, 0.9, 1.1], [0.5, 2.0, 1.5, 1.0],
+    [1.0, np.nan, 0.5], [np.inf, 1.0], [-np.inf, np.inf, 1.0, 2.0],
+], ids=["one", "two", "odd", "even", "nan", "inf", "infinities"])
+def test_median_matches_numpy(values):
+    """The sorting median of the observed orders is np.median to the bit,
+    NaN included."""
+    v = np.array(values)
+    with np.errstate(invalid="ignore"):
+        expected, got = np.median(v), _median(v)
+    assert np.array_equal(expected, got, equal_nan=True)
+    assert isinstance(got, float)
 
 
 def test_h_sequence_validation():
