@@ -52,7 +52,7 @@ class Diffusion1DModel:
             raise ModelValidationError("potential must be finite with one "
                                        "value per node", reason="bad_potential")
         object.__setattr__(self, "U", _freeze(U))
-        _lapack()  # load LAPACK with the model, before any Crank-Nicolson solve
+        _lapack()  # load LAPACK with the model, before any CN solve
 
     @property
     def dx(self) -> float:

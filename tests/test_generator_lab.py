@@ -14,7 +14,8 @@ from conftest import (five_state_model, generic_hprocess, identity_hprocess,
 from htlab.errors import ModelValidationError, PositivityError
 from htlab.feynman_kac import (InitialWeight, PotentialField, TerminalWeight,
                                solve_g)
-from htlab.generator_lab import (DEFAULT_H_SEQUENCE, _median, carre_du_champ,
+from htlab.generator_lab import (DEFAULT_H_SEQUENCE, _median,
+                                 carre_du_champ,
                                  check_fk_stochastic_derivative,
                                  check_transformed_generator, stochastic_derivative,
                                  transformed_rate_matrix, transition_matrix_P)
