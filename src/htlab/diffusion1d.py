@@ -219,8 +219,8 @@ class PDESolution:
 
 
 def _clip_negatives(x: np.ndarray, what: str) -> int:
-    """Zero the negative entries of a finite solve result in place and
-    return how many there were."""
+    """Reject a non-finite solve result; zero its negative entries in place
+    and return how many there were."""
     lo = x.min()
     if not (lo > -np.inf and x.max() < np.inf):  # a NaN fails both
         raise DegenerateInputError(f"{what} solve produced non-finite values; "
