@@ -1,8 +1,8 @@
 """Print the sha256 of everything each htlab subcommand produces on a config.
 
-    python3 scripts/output_digest.py --config run.yaml [--commands fk check]
+    python3 scripts/output_digest.py --config run.yaml
 
-Runs each subcommand (all nine by default) once, as a fresh interpreter that
+Runs each of the nine subcommands once, as a fresh interpreter that
 imports htlab from the `src/` of the checkout holding this script, with
 `--out out` in its own empty working directory. For each subcommand it prints
 one line for the exit code, one for stdout, one for stderr, and one for every
@@ -60,12 +60,9 @@ def digest(command: str, config: str) -> list[str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--config", required=True, help="YAML run config")
-    parser.add_argument("--commands", nargs="+", default=list(COMMANDS),
-                        choices=COMMANDS, metavar="CMD",
-                        help="subcommands to run (default: all nine)")
     args = parser.parse_args(argv)
     config = os.path.abspath(args.config)
-    for command in args.commands:
+    for command in COMMANDS:
         print("\n".join(digest(command, config)), flush=True)
     return 0
 

@@ -198,7 +198,7 @@ def _cn_nodes(Vg: np.ndarray, center: float, half: float, upper, lower):
     every node returns the same pair. Otherwise each call forms node k's
     diagonals and its solve is a gtsv.
     """
-    if Vg.strides[0] == 0 or (Vg == Vg[0]).all():
+    if (Vg == Vg[0]).all():
         h = half * (center - Vg[0])
         same = (_factored_solver(1.0 - h, upper, lower), 1.0 + h)
         return lambda k: same

@@ -258,7 +258,8 @@ def test_missing_config_file(tmp_path, capsys):
     assert "reason=missing_file" in capsys.readouterr().err
 
 
-# Run in a fresh interpreter, because this one already holds scipy.
+# Run in a fresh interpreter, because this one already holds scipy and
+# may hold numpy.ma.
 SCIPY_PROBE = """
 import json, sys
 from htlab.cli import main
@@ -268,8 +269,10 @@ codes = [main([command, "--config", jump, "--out", out])
          for command in ("model", "fk", "transform", "check", "hjb",
                          "bridge", "sample")]
 after_jump = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+numpy_ma = "numpy.ma" in sys.modules
 build_model_from_config(load_config(diffusion))
 print(json.dumps({"codes": codes, "after_jump": after_jump,
+                  "numpy_ma": numpy_ma,
                   "lapack": "scipy.linalg.lapack" in sys.modules}))
 """
 
@@ -277,7 +280,9 @@ print(json.dumps({"codes": codes, "after_jump": after_jump,
 def test_jump_subcommands_never_load_scipy(jump_config, diffusion_config,
                                            tmp_path):
     """scipy (LAPACK gtsv) loads when a diffusion model is built, and only
-    then."""
+    then. The jump subcommands never load numpy.ma either: the generator
+    checks take their median without np.median, whose first call imports
+    it."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(htlab.__file__)))
     probe = subprocess.run(
         [sys.executable, "-c", SCIPY_PROBE, jump_config, diffusion_config,
@@ -286,29 +291,8 @@ def test_jump_subcommands_never_load_scipy(jump_config, diffusion_config,
     result = json.loads(probe.stdout.splitlines()[-1])
     assert result["codes"] == [0] * 7
     assert result["after_jump"] == []
+    assert not result["numpy_ma"]
     assert result["lapack"]
-
-
-# Run in a fresh interpreter, because this one may already hold numpy.ma.
-NUMPY_MA_PROBE = """
-import json, sys
-from htlab.cli import main
-config, out = sys.argv[1:]
-code = main(["check", "--config", config, "--out", out])
-print(json.dumps({"code": code, "numpy_ma": "numpy.ma" in sys.modules}))
-"""
-
-
-def test_check_never_loads_numpy_ma(jump_config, tmp_path):
-    """The generator checks take their median without np.median, whose
-    first call imports numpy.ma."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(htlab.__file__)))
-    probe = subprocess.run(
-        [sys.executable, "-c", NUMPY_MA_PROBE, jump_config,
-         str(tmp_path / "out")], capture_output=True, text=True, check=True,
-        timeout=300, env={**os.environ, "PYTHONPATH": src})
-    result = json.loads(probe.stdout.splitlines()[-1])
-    assert result == {"code": 0, "numpy_ma": False}
 
 
 def test_malformed_yaml_is_a_config_error(tmp_path, capsys):
