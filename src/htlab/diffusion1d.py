@@ -198,7 +198,9 @@ def _cn_nodes(Vg: np.ndarray, center: float, half: float, upper, lower):
     every node returns the same pair. Otherwise each call forms node k's
     diagonals and its solve is a gtsv.
     """
-    if (Vg == Vg[0]).all():
+    # V is finite, so its rows are all equal exactly when each node's least
+    # and greatest value agree; this builds no (N+1, M+1) temporary
+    if (Vg.min(axis=0) == Vg.max(axis=0)).all():
         h = half * (center - Vg[0])
         same = (_factored_solver(1.0 - h, upper, lower), 1.0 + h)
         return lambda k: same
