@@ -22,7 +22,8 @@ from yaml.nodes import ScalarNode
 
 from htlab.diffusion1d import Diffusion1DModel
 from htlab.errors import ModelValidationError
-from htlab.feynman_kac import InitialWeight, PotentialField, TerminalWeight
+from htlab.feynman_kac import (InitialWeight, TerminalWeight,
+                               potential_on_grid)
 from htlab.markov_core import (JumpKernel, ReversibleModel, StateSpace,
                                TimeGrid, build_metropolis,
                                build_reversible_model)
@@ -312,9 +313,10 @@ def _diffusion_model(sec: dict) -> Diffusion1DModel:
 def transform_pieces(cfg: RunConfig, model, grid: TimeGrid):
     """Extract (f0, gamma1, V) from the transform section.
 
-    For jump models the weights are wrapped in their validated types and V
-    becomes a time-space potential field; for diffusion models plain node
-    vectors and a broadcastable V entry are returned.
+    For jump models the weights are wrapped in their validated types; for
+    diffusion models they are plain node vectors. V, for both kinds, is the
+    array as given (scalar, node vector or (N+1) x n field), checked here by
+    feynman_kac.potential_on_grid so that a bad V fails before any solve.
     """
     sec = cfg.transform
     if isinstance(model, ReversibleModel):
@@ -324,17 +326,11 @@ def transform_pieces(cfg: RunConfig, model, grid: TimeGrid):
     f0 = _vector(sec.get("f0", 1.0), n, "f0", xs=xs)
     gamma1 = _vector(sec.get("gamma1", 1.0), n, "gamma1", xs=xs)
     V_entry = sec.get("V", 0.0)
-    if isinstance(model, ReversibleModel):
-        V_arr = _read(_float_array, V_entry, "V")
-        if V_arr.ndim == 2:
-            field_vals = V_arr
-        else:
-            field_vals = np.tile(_vector(V_entry, n, "V"), (grid.N + 1, 1))
-        V = PotentialField(field_vals, lo=max(0.0, -float(field_vals.min())))
-        return InitialWeight(f0=f0), TerminalWeight(gamma1=gamma1), V
     if isinstance(V_entry, dict):
-        return f0, gamma1, _vector(V_entry, n, "V", xs=xs)
-    V_arr = _read(_float_array, V_entry, "V")
-    if V_arr.ndim == 1:
-        V_arr = _vector(V_arr, n, "V")
-    return f0, gamma1, V_arr
+        V = _vector(V_entry, n, "V", xs=xs)
+    else:
+        V = _read(_float_array, V_entry, "V")
+    potential_on_grid(V, grid, n)
+    if isinstance(model, ReversibleModel):
+        return InitialWeight(f0=f0), TerminalWeight(gamma1=gamma1), V
+    return f0, gamma1, V

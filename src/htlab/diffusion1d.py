@@ -22,7 +22,7 @@ import numpy as np
 
 from htlab.errors import (DegenerateInputError, ModelValidationError,
                           PositivityError)
-from htlab.feynman_kac import derivative
+from htlab.feynman_kac import derivative, potential_on_grid
 from htlab.markov_core import TimeGrid, _freeze
 
 # Equal-width histogram bins of empirical_vs_fk_marginal, capped at M.
@@ -103,19 +103,6 @@ class GridFunction:
         v.setflags(write=False)
         object.__setattr__(self, "xs", _freeze(self.xs))
         object.__setattr__(self, "values", v)
-
-
-def potential_on_grid(V, grid: TimeGrid, M: int) -> np.ndarray:
-    """Read-only (N+1) x (M+1) broadcast of a scalar, node vector or field."""
-    V = np.array(V, dtype=float)
-    if V.shape not in ((), (M + 1,), (grid.N + 1, M + 1)):
-        raise ModelValidationError("potential must be scalar, spatial vector, "
-                                   "or full time-space field",
-                                   reason="dimension_mismatch")
-    if not np.all(np.isfinite(V)):
-        raise ModelValidationError("potential must be finite",
-                                   reason="nonfinite_potential")
-    return np.broadcast_to(V, (grid.N + 1, M + 1))
 
 
 def _operator_bands(model: Diffusion1DModel) -> tuple:
@@ -236,11 +223,11 @@ def _clip_negatives(x: np.ndarray, what: str) -> int:
 
 
 def _spatial_weight(w, M: int, what: str, reason: str) -> np.ndarray:
-    """A nonnegative, non-vanishing weight with one value per node."""
+    """A finite, nonnegative, non-vanishing weight with one value per node."""
     w = np.asarray(w, dtype=float)
-    if w.shape != (M + 1,) or np.any(w < 0):
-        raise ModelValidationError(f"{what} weight must be a nonnegative "
-                                   "spatial vector", reason=reason)
+    if w.shape != (M + 1,) or not np.all(np.isfinite(w)) or np.any(w < 0):
+        raise ModelValidationError(f"{what} weight must be a finite, "
+                                   "nonnegative spatial vector", reason=reason)
     if not np.any(w > 0):
         raise DegenerateInputError(f"{what} weight must not vanish",
                                    reason="zero_weight")
@@ -256,7 +243,7 @@ def solve_g_pde(model: Diffusion1DModel, V, gamma1: np.ndarray,
     and counted.
     """
     gamma1 = _spatial_weight(gamma1, model.M, "terminal", "bad_terminal")
-    Vg = potential_on_grid(V, grid, model.M)
+    Vg = potential_on_grid(V, grid, model.M + 1)
     N, half = grid.N, 0.5 * grid.dt
     center, upper, lower = _operator_bands(model)
     hu, hl = half * upper, half * lower
@@ -287,7 +274,7 @@ def solve_f_pde(model: Diffusion1DModel, V, f0: np.ndarray,
     two functions.
     """
     f0 = _spatial_weight(f0, model.M, "initial", "bad_initial")
-    Vg = potential_on_grid(V, grid, model.M)
+    Vg = potential_on_grid(V, grid, model.M + 1)
     N, half = grid.N, 0.5 * grid.dt
     center, upper, lower = _operator_bands(model)
     hu, hl = half * upper, half * lower
@@ -328,7 +315,7 @@ def psi_and_drift(model: Diffusion1DModel,
 def diffusion_hjb_residual(psi: GridFunction, model: Diffusion1DModel,
                            V) -> GridFunction:
     """Residual of d_t psi - U' psi' + 1/2 psi'' + 1/2 (psi')^2 - V."""
-    Vg = potential_on_grid(V, psi.grid, model.M)
+    Vg = potential_on_grid(V, psi.grid, model.M + 1)
     dx = model.dx
     p = psi.values
     dt_psi = derivative(p, psi.grid.dt)
@@ -366,8 +353,8 @@ class DiffusionTransform:
 def build_diffusion_transform(model: Diffusion1DModel, V, f0, gamma1,
                               grid: TimeGrid) -> DiffusionTransform:
     """Normalize, solve both PDEs, and derive the transformed drift."""
-    f0 = np.asarray(f0, dtype=float)
     sol_g = solve_g_pde(model, V, gamma1, grid)
+    f0 = _spatial_weight(f0, model.M, "initial", "bad_initial")
     mw = model.m_weights
     c = float(np.sum(mw * f0 * sol_g.gf.values[0]))
     if not np.isfinite(c) or c <= 0:

@@ -24,49 +24,23 @@ from htlab.markov_core import ReversibleModel, TimeGrid, _freeze
 POSITIVITY_THRESHOLD = 1e-300
 
 
-@dataclass(frozen=True)
-class PotentialField:
-    """Killing/creation potential sampled on grid nodes, per state.
+def potential_on_grid(V, grid: TimeGrid, n: int) -> np.ndarray:
+    """Read-only (N+1) x n view of V on the grid nodes, row k = V(t_k, .).
 
-    values[k, x] = V(t_k, x); between nodes V is piecewise linear in t (the
-    declared discretization contract; discontinuous potentials should place
-    their jumps on grid nodes). lo is the declared lower-bound parameter:
-    V >= -lo everywhere.
+    V is a scalar, a vector with one value per state (or spatial node) or a
+    full (N+1) x n field, copied and checked to be finite. Between nodes V
+    is piecewise linear in t (the discretization contract; a discontinuous
+    potential should place its jumps on grid nodes).
     """
-
-    values: np.ndarray
-    lo: float = 0.0
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2:
-            raise ModelValidationError("potential must be (N+1) x n",
-                                       reason="bad_shape")
-        if not np.all(np.isfinite(v)):
-            raise ModelValidationError("potential must be finite",
-                                       reason="nonfinite_potential")
-        if self.lo < 0:
-            raise ModelValidationError("lower-bound parameter must be >= 0",
-                                       reason="bad_lower_bound")
-        if np.min(v) < -self.lo - 1e-12:
-            raise ModelValidationError(
-                f"potential dips below -lo = {-self.lo}",
-                reason="potential_below_bound")
-        object.__setattr__(self, "values", _freeze(v))
-
-    @classmethod
-    def constant(cls, c: float, grid: TimeGrid, n: int) -> "PotentialField":
-        vals = np.full((grid.N + 1, n), float(c))
-        return cls(values=vals, lo=max(0.0, -float(c)))
-
-    @classmethod
-    def from_function(cls, fn, grid: TimeGrid, n: int,
-                      lo: float | None = None) -> "PotentialField":
-        """Sample fn(t, x_index) on the grid nodes."""
-        vals = np.array([[fn(t, x) for x in range(n)] for t in grid.nodes])
-        if lo is None:
-            lo = max(0.0, -float(np.min(vals)))
-        return cls(values=vals, lo=lo)
+    V = np.array(V, dtype=float)
+    if V.shape not in ((), (n,), (grid.N + 1, n)):
+        raise ModelValidationError("potential must be scalar, one value per "
+                                   "state, or a full (N+1) x n field",
+                                   reason="dimension_mismatch")
+    if not np.all(np.isfinite(V)):
+        raise ModelValidationError("potential must be finite",
+                                   reason="nonfinite_potential")
+    return np.broadcast_to(V, (grid.N + 1, n))
 
 
 def _nonneg_weight(vec: np.ndarray, what: str) -> np.ndarray:
@@ -152,17 +126,11 @@ def rk4_matrix_step(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray,
     return eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _require_shape(model: ReversibleModel, V: PotentialField, grid: TimeGrid):
-    if V.values.shape != (grid.N + 1, model.n):
-        raise ModelValidationError("potential shape must be (N+1) x n",
-                                   reason="dimension_mismatch")
-
-
-def fk_propagator(model: ReversibleModel, V: PotentialField,
+def fk_propagator(model: ReversibleModel, V,
                   grid: TimeGrid) -> FKPropagator:
     """Integrate the propagator over every grid cell; frozen in place."""
-    _require_shape(model, V, grid)
-    n, h, Q, vals = model.n, grid.dt, model.Q, V.values
+    vals = potential_on_grid(V, grid, model.n)
+    n, h, Q = model.n, grid.dt, model.Q
     # same[j]: V rows j and j + 1 are equal, so a cell k with same[k - 1]
     # and same[k] has the two rows of cell k - 1, and its factor
     same = (vals[1:] == vals[:-1]).all(axis=1).tolist()
@@ -202,30 +170,30 @@ def _rk4_sweep(A: np.ndarray, v_rows: np.ndarray, x0: np.ndarray,
     return x
 
 
-def solve_g(model: ReversibleModel, V: PotentialField, gamma1: TerminalWeight,
+def solve_g(model: ReversibleModel, V, gamma1: TerminalWeight,
             grid: TimeGrid) -> np.ndarray:
     """Backward equation dg/dt = (V - Q) g, swept from g(1) = gamma1."""
-    _require_shape(model, V, grid)
-    g = _rk4_sweep(model.Q, V.values[::-1], gamma1.gamma1, grid.dt)[::-1]
+    V = potential_on_grid(V, grid, model.n)
+    g = _rk4_sweep(model.Q, V[::-1], gamma1.gamma1, grid.dt)[::-1]
     # The weighted semigroup preserves nonnegativity; tiny negative values can
     # only be integrator artifacts near zero and are clamped.
     return np.maximum(g, 0.0)
 
 
-def solve_f(model: ReversibleModel, V: PotentialField, f0: InitialWeight,
+def solve_f(model: ReversibleModel, V, f0: InitialWeight,
             grid: TimeGrid) -> np.ndarray:
     """Forward function f(t,y) = sum_x m(x) f0(x) Phi(0,t)(x,y) / m(y).
 
     m f is swept forward as the left vector of the propagator, so no appeal
     to reversibility is needed.
     """
-    _require_shape(model, V, grid)
-    f = _rk4_sweep(model.Q.T, V.values, model.m * f0.f0, grid.dt) / model.m
+    V = potential_on_grid(V, grid, model.n)
+    f = _rk4_sweep(model.Q.T, V, model.m * f0.f0, grid.dt) / model.m
     f[0] = f0.f0
     return np.maximum(f, 0.0)
 
 
-def solve_fk(model: ReversibleModel, V: PotentialField, f0: InitialWeight,
+def solve_fk(model: ReversibleModel, V, f0: InitialWeight,
              gamma1: TerminalWeight, grid: TimeGrid) -> FKSolution:
     """Both Feynman-Kac functions, g and f, on the grid."""
     return FKSolution(grid=grid, g=_freeze(solve_g(model, V, gamma1, grid)),
@@ -271,11 +239,12 @@ def derivative(values: np.ndarray, step: float, axis: int = 0) -> np.ndarray:
     return np.moveaxis(d, 0, axis)
 
 
-def check_fk_generator(model: ReversibleModel, V: PotentialField,
+def check_fk_generator(model: ReversibleModel, V,
                        g: np.ndarray, grid: TimeGrid) -> GeneratorResidual:
     """Residual of d/dt g + Q g - V g = 0 at every grid node."""
+    V = potential_on_grid(V, grid, model.n)
     dg = derivative(g, grid.dt)
-    res = np.abs(dg + g @ model.Q.T - V.values * g)
+    res = np.abs(dg + g @ model.Q.T - V * g)
     return GeneratorResidual(residual=_freeze(res),
                              max_residual=float(res.max()))
 

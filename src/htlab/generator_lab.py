@@ -14,7 +14,7 @@ import numpy as np
 
 from htlab.errors import (InconsistencyError, ModelValidationError,
                           PositivityError)
-from htlab.feynman_kac import PotentialField, rk4_matrix_step
+from htlab.feynman_kac import potential_on_grid, rk4_matrix_step
 from htlab.h_transform import MASS_THRESHOLD, HProcess, g_at, marginal
 from htlab.markov_core import ReversibleModel, TimeGrid, transition_matrix
 
@@ -27,10 +27,11 @@ _H_CELLS = (8, 4, 2)
 class DerivativeEstimate:
     """Finite-difference generator estimates over a step sequence.
 
-    estimates[i] is the plain difference quotient at the i-th step, one entry
-    per state; extrapolated is the two-level Richardson limit; observed_order
-    is the median convergence order of the plain estimates (about 1 for a
-    first-order quotient).
+    estimates[i] is the plain difference quotient at the i-th step, shaped
+    like the function (or stack of functions) it differentiates;
+    extrapolated is the two-level Richardson limit; observed_order is the
+    median convergence order of the plain estimates over all their entries
+    (about 1 for a first-order quotient).
     """
 
     estimates: np.ndarray
@@ -119,7 +120,9 @@ def stochastic_derivative(process: ReversibleModel | HProcess, u: np.ndarray,
     The steps are DEFAULT_H_SEQUENCE. For the reference chain the conditional
     expectation is the uniformized matrix exponential; for a transformed
     process it is the time-ordered product, so the estimate sees the full
-    time inhomogeneity.
+    time inhomogeneity. u is one function, a length-n vector, or a (k, n)
+    stack of them; each step's transition matrix is built once and applied
+    to every row.
     """
     u = np.asarray(u, dtype=float)
     if t + DEFAULT_H_SEQUENCE[0] > 1.0 + 1e-12:
@@ -131,7 +134,8 @@ def stochastic_derivative(process: ReversibleModel | HProcess, u: np.ndarray,
             T = transition_matrix_P(process, t, t + h)
         else:
             T = transition_matrix(process, h)
-        return (T @ u - u) / h
+        Tu = np.reshape([T @ row for row in np.atleast_2d(u)], u.shape)
+        return (Tu - u) / h
     return _richardson(DEFAULT_H_SEQUENCE, quotient)
 
 
@@ -179,7 +183,8 @@ def check_transformed_generator(hp: HProcess, u: np.ndarray,
     Compares the extrapolated stochastic derivative of the transformed chain
     (steps DEFAULT_H_SEQUENCE) with Qu + Gamma(g_t, u)/g_t, per state,
     reporting the max only over states whose transformed mass exceeds
-    h_transform.MASS_THRESHOLD.
+    h_transform.MASS_THRESHOLD. u is one function or a (k, n) stack of them,
+    which share the transition matrices; the max is then over all of them.
     """
     k = hp.grid.node_index(t)
     g_t = hp.fk.g[k]
@@ -188,15 +193,17 @@ def check_transformed_generator(hp: HProcess, u: np.ndarray,
                               reason="zero_g_slice")
     est = stochastic_derivative(hp, u, t)
     u = np.asarray(u, dtype=float)
-    rhs = hp.model.Q @ u + carre_du_champ(hp.model, g_t, u) / g_t
+    rhs = np.reshape([hp.model.Q @ row
+                      + carre_du_champ(hp.model, g_t, row) / g_t
+                      for row in np.atleast_2d(u)], u.shape)
     residuals = np.abs(est.extrapolated - rhs)
     mask = marginal(hp, t) > MASS_THRESHOLD
     return IdentityResidual(mask=mask,
-                            max_residual=float(residuals[mask].max()),
+                            max_residual=float(residuals[..., mask].max()),
                             derivative=est)
 
 
-def check_fk_stochastic_derivative(model: ReversibleModel, V: PotentialField,
+def check_fk_stochastic_derivative(model: ReversibleModel, V,
                                    g: np.ndarray, grid: TimeGrid,
                                    t: float) -> IdentityResidual:
     """Backward-equation check in stochastic-derivative form.
@@ -205,6 +212,7 @@ def check_fk_stochastic_derivative(model: ReversibleModel, V: PotentialField,
     cells (so g(t+h) is available exactly on the grid) and compares the
     Richardson limit against V(t,.) g(t,.).
     """
+    V = potential_on_grid(V, grid, model.n)
     k = grid.node_index(t)
     if k + _H_CELLS[0] > grid.N:
         raise ModelValidationError("largest step leaves the time interval",
@@ -213,7 +221,7 @@ def check_fk_stochastic_derivative(model: ReversibleModel, V: PotentialField,
         tuple(c * grid.dt for c in _H_CELLS),
         lambda h: (transition_matrix(model, h) @ g[grid.node_index(t + h)]
                    - g[k]) / h)
-    residuals = np.abs(est.extrapolated - V.values[k] * g[k])
+    residuals = np.abs(est.extrapolated - V[k] * g[k])
     mask = np.ones(model.n, dtype=bool)
     return IdentityResidual(mask=mask, max_residual=float(residuals.max()),
                             derivative=est)

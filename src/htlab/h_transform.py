@@ -17,9 +17,10 @@ import numpy as np
 from htlab.errors import (ConvergenceError, DegenerateInputError,
                           InconsistencyError, ModelValidationError,
                           PositivityError)
-from htlab.feynman_kac import (FKSolution, InitialWeight, PotentialField,
+from htlab.feynman_kac import (FKSolution, InitialWeight,
                                POSITIVITY_THRESHOLD, TerminalWeight,
-                               positivity_report, solve_f, solve_g)
+                               potential_on_grid, positivity_report, solve_f,
+                               solve_g)
 from htlab.markov_core import (PathBatch, PathView, ReversibleModel, TimeGrid,
                                _batch_from_rounds, _freeze, _path_blocks,
                                _search_rows)
@@ -38,12 +39,13 @@ class HProcess:
 
     f0 is stored post-normalization: the recorded constant c rescales the
     user's initial weight so that the transformed law has total mass one.
+    V is the read-only (N+1) x n view from feynman_kac.potential_on_grid.
     """
 
     model: ReversibleModel
     f0: InitialWeight
     gamma1: TerminalWeight
-    V: PotentialField
+    V: np.ndarray
     grid: TimeGrid
     fk: FKSolution
     c: float
@@ -55,7 +57,7 @@ class HProcess:
 
 
 def build_h_process(model: ReversibleModel, f0: InitialWeight,
-                    gamma1: TerminalWeight, V: PotentialField,
+                    gamma1: TerminalWeight, V,
                     grid: TimeGrid) -> HProcess:
     """Normalize the initial weight and assemble the transformed process.
 
@@ -63,6 +65,7 @@ def build_h_process(model: ReversibleModel, f0: InitialWeight,
     into f0; the terminal weight is left untouched. g does not depend on f0,
     so one backward sweep gives c and g, then one forward sweep gives f.
     """
+    v = potential_on_grid(V, grid, model.n)
     g = solve_g(model, V, gamma1, grid)
     c = float(np.sum(model.m * f0.f0 * g[0]))
     if not np.isfinite(c) or c <= 0.0:
@@ -72,10 +75,9 @@ def build_h_process(model: ReversibleModel, f0: InitialWeight,
     f0_scaled = InitialWeight(f0.f0 / c)
     fk = FKSolution(grid=grid, g=_freeze(g),
                     f=_freeze(solve_f(model, V, f0_scaled, grid)))
-    v = V.values
     cell_integrals = 0.5 * grid.dt * (v[:-1] + v[1:])
     V_cum = np.vstack([np.zeros(model.n), np.cumsum(cell_integrals, axis=0)])
-    return HProcess(model=model, f0=f0_scaled, gamma1=gamma1, V=V, grid=grid,
+    return HProcess(model=model, f0=f0_scaled, gamma1=gamma1, V=v, grid=grid,
                     fk=fk, c=c, V_cum=_freeze(V_cum))
 
 
@@ -101,7 +103,7 @@ def g_at(hp: HProcess, tau: float) -> np.ndarray:
     k = min(int(s), N - 1)
     a = s - k
     g0, g1 = hp.fk.g[k], hp.fk.g[k + 1]
-    Q, V = hp.model.Q, hp.V.values
+    Q, V = hp.model.Q, hp.V
     d0 = dt * (V[k] * g0 - Q @ g0)
     d1 = dt * (V[k + 1] * g1 - Q @ g1)
     b = 1.0 - a
@@ -189,7 +191,7 @@ def relative_entropy(hp: HProcess) -> float:
     terminal_term = mass_weighted_log(P[N], hp.gamma1.gamma1, "terminal weight")
     weights = np.full(N + 1, hp.grid.dt)
     weights[0] = weights[N] = 0.5 * hp.grid.dt
-    potential_term = float(np.sum(weights[:, None] * P * hp.V.values))
+    potential_term = float(np.sum(weights[:, None] * P * hp.V))
     return initial_term - potential_term + terminal_term
 
 
@@ -200,7 +202,7 @@ def integrate_potential_along_path(hp: HProcess, path: PathView,
     V is piecewise linear in time, so the integral over each constant-state
     piece is the difference of a per-state quadratic antiderivative.
     """
-    N, V, V_cum = hp.grid.N, hp.V.values, hp.V_cum
+    N, V, V_cum = hp.grid.N, hp.V, hp.V_cum
 
     def antiderivative(tau: float, x: int) -> float:
         k = min(int(tau * N), N - 1)

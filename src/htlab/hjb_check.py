@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from htlab.errors import ModelValidationError
-from htlab.feynman_kac import PotentialField, derivative
+from htlab.feynman_kac import derivative, potential_on_grid
 from htlab.markov_core import ReversibleModel, TimeGrid, _freeze
 
 # theta_star(b) = b^2 sum_k (-b)^k / ((k+1)(k+2)), highest power first.
@@ -73,7 +73,7 @@ def _summarise(residual: np.ndarray, gap: np.ndarray,
 
 
 def discrete_hjb_residual(g: np.ndarray, model: ReversibleModel,
-                          V: PotentialField, grid: TimeGrid
+                          V, grid: TimeGrid
                           ) -> tuple[HJBResidual, HJBResidual]:
     """Residuals of the discrete HJB equation for psi = log g, in two forms.
 
@@ -94,9 +94,10 @@ def discrete_hjb_residual(g: np.ndarray, model: ReversibleModel,
     both forms; the log form also masks points whose stencil reads one.
     """
     g = np.asarray(g, dtype=float)
-    if g.shape[0] != grid.N + 1 or V.values.shape != g.shape:
-        raise ModelValidationError("g and the potential must both be "
-                                   "(N+1) x n", reason="dimension_mismatch")
+    if g.shape != (grid.N + 1, model.n):
+        raise ModelValidationError("g must be (N+1) x n",
+                                   reason="dimension_mismatch")
+    V = potential_on_grid(V, grid, model.n)
     with np.errstate(divide="ignore"):
         psi = np.where(g > 0, np.log(np.maximum(g, 1e-300)), -np.inf)
     J = model.J.rates
@@ -123,5 +124,5 @@ def discrete_hjb_residual(g: np.ndarray, model: ReversibleModel,
         dt_log = derivative(psi, grid.dt)
     log_defined = defined & np.isfinite(dt_log)
     return tuple(
-        _summarise(dt_psi + linear + theta_sum - V.values, gap, mask)
+        _summarise(dt_psi + linear + theta_sum - V, gap, mask)
         for dt_psi, mask in ((dt_exp, defined), (dt_log, log_defined)))

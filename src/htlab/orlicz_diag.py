@@ -160,7 +160,6 @@ class HypothesisReport:
     """
 
     v_min: float
-    lo: float
     bounded_below: bool
     gamma1_integral: float
     f0_sqlog_integral: float
@@ -171,7 +170,6 @@ class HypothesisReport:
 
     def report(self) -> str:
         lines = [f"v_min={self.v_min:.6e}",
-                 f"lo={self.lo:.6e}",
                  f"bounded_below={'yes' if self.bounded_below else 'no'}",
                  f"gamma1_integral={self.gamma1_integral:.6e}",
                  f"f0_sqlog_integral={self.f0_sqlog_integral:.6e} (p={self.p})",
@@ -207,7 +205,6 @@ def hypothesis_report(f0: np.ndarray, gamma1: np.ndarray, V: np.ndarray,
         conj_rows = np.array([float(np.sum(w * conj(row))) for row in V])
     return HypothesisReport(
         v_min=v_min,
-        lo=max(0.0, -v_min),
         bounded_below=bool(np.isfinite(v_min)),
         gamma1_integral=float(np.sum(w * gammaY(gamma1))),
         f0_sqlog_integral=_sqlog_integral(f0, w),

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from htlab.feynman_kac import InitialWeight, PotentialField, TerminalWeight
+from htlab.feynman_kac import InitialWeight, TerminalWeight
 from htlab.h_transform import build_h_process
 from htlab.markov_core import (JumpKernel, PathBatch, StateSpace, TimeGrid,
                                build_metropolis, build_reversible_model)
@@ -33,11 +33,11 @@ def five_state_model():
     return build_metropolis(space, ring_kernel(n, 0.3), np.full(n, 1.0 / n), U)
 
 
-def wavy_potential(model, grid: TimeGrid) -> PotentialField:
+def wavy_potential(model, grid: TimeGrid) -> np.ndarray:
     """Smooth nonconstant potential: 0.25 sin(pi t) + 0.1 x."""
     ts = grid.nodes
     xs = np.arange(model.n, dtype=float)
-    return PotentialField(0.25 * np.sin(np.pi * ts)[:, None] + 0.1 * xs[None, :])
+    return 0.25 * np.sin(np.pi * ts)[:, None] + 0.1 * xs[None, :]
 
 
 def identity_hprocess(model, N: int = 100):
@@ -45,7 +45,7 @@ def identity_hprocess(model, N: int = 100):
     grid = TimeGrid(N)
     return build_h_process(model, InitialWeight(np.ones(model.n)),
                            TerminalWeight(np.ones(model.n)),
-                           PotentialField.constant(0.0, grid, model.n), grid)
+                           0.0, grid)
 
 
 def generic_hprocess(N: int = 100):

@@ -16,7 +16,7 @@ from conftest import (five_state_model, identity_hprocess, generic_hprocess,
 from htlab.bridge import build_bridge_problem, ipf_solve, static_entropy
 from htlab.diffusion1d import (Diffusion1DModel, build_diffusion_transform,
                                sample_em_paths)
-from htlab.feynman_kac import (InitialWeight, PotentialField, TerminalWeight,
+from htlab.feynman_kac import (InitialWeight, TerminalWeight,
                                check_fk_generator, fk_propagator,
                                check_semigroup, solve_g)
 from htlab.generator_lab import (carre_du_champ, check_fk_stochastic_derivative,
@@ -80,10 +80,9 @@ def test_03_transformed_generator_identity():
     grid = TimeGrid(400)
     indicator = np.zeros(4)
     indicator[1] = 0.6
-    V = PotentialField(np.tile(indicator, (grid.N + 1, 1)))
     hp = build_h_process(model, InitialWeight(np.ones(4)),
                          TerminalWeight(np.array([0.5, 1.0, 0.8, 0.3])),
-                         V, grid)
+                         indicator, grid)
     rng = np.random.default_rng(7)
     worst = max(
         check_transformed_generator(hp, rng.uniform(-1.0, 1.0, 4), t).max_residual

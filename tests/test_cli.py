@@ -396,6 +396,29 @@ def test_malformed_diffusion_value_is_a_config_error(tmp_path, capsys, old,
     assert f"reason={reason}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("weight,reason", [("gamma1", "bad_terminal"),
+                                           ("f0", "bad_initial")])
+@pytest.mark.parametrize("value", [".nan", ".inf"])
+def test_nonfinite_diffusion_weight_is_rejected(tmp_path, capsys, weight,
+                                                reason, value):
+    """A NaN or infinite weight entry is named as a bad weight, not as a
+    Crank-Nicolson failure or a transform without mass."""
+    entries = ["1.0"] * 17
+    entries[8] = value
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(f"""
+model: {{kind: diffusion, x_min: -2.0, x_max: 2.0, M: 16, U: 0.0}}
+transform:
+  {weight}: [{", ".join(entries)}]
+  V: 0.1
+grid:
+  N: 20
+""", encoding="utf-8")
+    assert main(["diffusion", "--config", str(cfg), "--out",
+                 str(tmp_path / "out")]) == 2
+    assert f"reason={reason}:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command,edits,reason", [
     ("diffusion", [("n_paths: 2000", "n_paths: 0")], "empty_request"),
     ("diffusion", [("t: 0.5", "t: soon")], "bad_config"),

@@ -52,8 +52,7 @@ def test_load_jump_config(tmp_path):
     f0, gamma1, V = transform_pieces(cfg, model, cfg.time_grid)
     np.testing.assert_array_equal(f0.f0, np.ones(3))
     np.testing.assert_array_equal(gamma1.gamma1, [0.5, 1.0, 0.8])
-    assert V.values.shape == (41, 3)
-    assert np.all(V.values == 0.2)
+    assert V.shape == () and V == 0.2
 
 
 def test_defaults_and_missing_seed(tmp_path):
@@ -99,12 +98,21 @@ def test_vector_forms_for_jump_transform():
                     transform={"V": [0.1, 0.2]}, grid={"N": 10})
     model = build_model_from_config(cfg)
     f0, gamma1, V = transform_pieces(cfg, model, cfg.time_grid)
-    np.testing.assert_array_equal(V.values[7], [0.1, 0.2])
+    np.testing.assert_array_equal(V, [0.1, 0.2])
     full = np.zeros((11, 2)).tolist()
     cfg_full = RunConfig(model=cfg.model, transform={"V": full},
                          grid={"N": 10})
     _, _, V_full = transform_pieces(cfg_full, model, cfg_full.time_grid)
-    assert V_full.values.shape == (11, 2)
+    assert V_full.shape == (11, 2)
+    # V is checked before any solve, in the form the solvers take
+    for V_bad, reason in [([0.1], "dimension_mismatch"),
+                          (np.zeros((10, 2)).tolist(), "dimension_mismatch"),
+                          (float("nan"), "nonfinite_potential")]:
+        cfg_bad = RunConfig(model=cfg.model, transform={"V": V_bad},
+                            grid={"N": 10})
+        with pytest.raises(ModelValidationError) as info:
+            transform_pieces(cfg_bad, model, cfg_bad.time_grid)
+        assert info.value.reason == reason
     bad = RunConfig(model=cfg.model, transform={"f0": [1.0, 2.0, 3.0]},
                     grid={"N": 10})
     with pytest.raises(ModelValidationError):

@@ -22,11 +22,11 @@ from htlab.diffusion1d import (Diffusion1DModel, GridFunction, _DriftField,
                                _tridiag_solve,
                                build_diffusion_transform,
                                diffusion_hjb_residual,
-                               empirical_vs_fk_marginal, potential_on_grid,
-                               psi_and_drift, sample_em_paths,
+                               empirical_vs_fk_marginal, psi_and_drift, sample_em_paths,
                                solve_f_pde, solve_g_pde)
 from htlab.errors import (DegenerateInputError, ModelValidationError,
                           PositivityError)
+from htlab.feynman_kac import potential_on_grid
 from htlab.markov_core import TimeGrid
 
 
@@ -63,21 +63,21 @@ def test_model_validation_and_geometry():
 
 def test_potential_broadcasting():
     grid = TimeGrid(10)
-    assert potential_on_grid(0.3, grid, 16).shape == (11, 17)
+    assert potential_on_grid(0.3, grid, 17).shape == (11, 17)
     vec = np.linspace(0, 1, 17)
-    np.testing.assert_array_equal(potential_on_grid(vec, grid, 16)[7], vec)
+    np.testing.assert_array_equal(potential_on_grid(vec, grid, 17)[7], vec)
     full = np.zeros((11, 17))
-    assert potential_on_grid(full, grid, 16).shape == (11, 17)
+    assert potential_on_grid(full, grid, 17).shape == (11, 17)
     # scalars and node vectors are views along time, not tiled copies
     for V in (0.3, vec):
-        Vg = potential_on_grid(V, grid, 16)
+        Vg = potential_on_grid(V, grid, 17)
         assert Vg.strides[0] == 0
         assert not Vg.flags.writeable
     with pytest.raises(ModelValidationError):
-        potential_on_grid(np.zeros(16), grid, 16)
+        potential_on_grid(np.zeros(16), grid, 17)
     for bad in (np.inf, np.where(vec > 0.5, np.nan, vec)):
         with pytest.raises(ModelValidationError) as info:
-            potential_on_grid(bad, grid, 16)
+            potential_on_grid(bad, grid, 17)
         assert info.value.reason == "nonfinite_potential"
 
 
@@ -183,7 +183,7 @@ def reference_sweeps(model, V, gamma1, f0, grid):
     """Per-step Crank-Nicolson sweeps for g and f, every band formed inside
     the time loop and every step solved by LAPACK gtsv: the reference for
     the solvers' hoisted loops and factored left-hand sides."""
-    Vg = potential_on_grid(V, grid, model.M)
+    Vg = potential_on_grid(V, grid, model.M + 1)
     N, half = grid.N, 0.5 * grid.dt
     center, upper, lower = _operator_bands(model)
     hu, hl = half * upper, half * lower
@@ -249,7 +249,7 @@ def test_cn_sweeps_match_per_step_reference(steep, V_kind, N, width):
     if steep:
         half = 0.5 * grid.dt
         center, upper, lower = _operator_bands(model)
-        diag = 1.0 - half * (center - potential_on_grid(V, grid, M)[0])
+        diag = 1.0 - half * (center - potential_on_grid(V, grid, M + 1)[0])
         ipiv = dgttrf(-half * lower, diag, -half * upper)[4]
         assert np.any(ipiv != np.arange(1, M + 2))
 

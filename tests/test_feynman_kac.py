@@ -16,12 +16,14 @@ from scipy.linalg import expm
 from conftest import (five_state_model, ring_kernel, two_state_model,
                       wavy_potential)
 from htlab import feynman_kac
+from htlab.diffusion1d import Diffusion1DModel, solve_f_pde, solve_g_pde
 from htlab.errors import DegenerateInputError, ModelValidationError
-from htlab.feynman_kac import (FKPropagator, InitialWeight, PotentialField,
-                               TerminalWeight, check_fk_generator,
-                               check_semigroup, derivative, fk_propagator,
+from htlab.feynman_kac import (FKPropagator, InitialWeight, TerminalWeight,
+                               check_fk_generator, check_semigroup,
+                               derivative, fk_propagator, potential_on_grid,
                                positivity_report, rk4_matrix_step, solve_f,
                                solve_fk, solve_g)
+from htlab.h_transform import build_h_process, relative_entropy
 from htlab.markov_core import (StateSpace, TimeGrid, build_metropolis,
                                sample_paths_R, transition_matrix)
 
@@ -29,7 +31,7 @@ from htlab.markov_core import (StateSpace, TimeGrid, build_metropolis,
 def test_propagator_zero_potential_matches_transition_matrix():
     model = two_state_model()
     grid = TimeGrid(200)
-    prop = fk_propagator(model, PotentialField.constant(0.0, grid, 2), grid)
+    prop = fk_propagator(model, 0.0, grid)
     np.testing.assert_allclose(prop.matrix(0, 200), transition_matrix(model, 1.0),
                                atol=1e-8)
     np.testing.assert_array_equal(prop.matrix(40, 40), np.eye(2))
@@ -40,7 +42,7 @@ def test_propagator_constant_potential_shift():
     model = two_state_model()
     grid = TimeGrid(400)
     c = 0.8
-    prop = fk_propagator(model, PotentialField.constant(c, grid, 2), grid)
+    prop = fk_propagator(model, c, grid)
     for k, l in ((0, 400), (100, 300), (0, 40)):
         dt = (l - k) / 400
         expected = np.exp(-c * dt) * transition_matrix(model, dt)
@@ -50,8 +52,7 @@ def test_propagator_constant_potential_shift():
 def _wavy(model, grid):
     ts = grid.nodes
     xs = np.arange(model.n, dtype=float)
-    return PotentialField(0.4 * np.sin(2 * np.pi * ts)[:, None]
-                          + 0.3 * xs[None, :], lo=0.4)
+    return 0.4 * np.sin(2 * np.pi * ts)[:, None] + 0.3 * xs[None, :]
 
 
 def test_semigroup_residual():
@@ -60,7 +61,7 @@ def test_semigroup_residual():
     prop = fk_propagator(model, _wavy(model, grid), grid)
     assert check_semigroup(prop, 0.0, 0.5, 1.0) <= 1e-8
     assert check_semigroup(prop, 0.3, 0.3, 0.9) == 0.0
-    zero_prop = fk_propagator(model, PotentialField.constant(0.0, grid, 2), grid)
+    zero_prop = fk_propagator(model, 0.0, grid)
     assert check_semigroup(zero_prop, 0.0, 0.5, 1.0) <= 1e-10
     with pytest.raises(ModelValidationError):
         check_semigroup(prop, 0.0, 0.2503, 1.0)
@@ -92,7 +93,7 @@ def test_propagator_reuses_the_factor_of_a_repeated_cell(monkeypatch):
     # V jumps at nodes 4 and 8: cells 0-2 have rows (a, a), 3 (a, b),
     # 4-6 (b, b), 7 (b, c) and 8-11 (c, c)
     rows = levels[np.array([0] * 4 + [1] * 4 + [2] * 5)]
-    V = PotentialField(rows)
+    V = rows
     h, Q = grid.dt, model.Q
     cells = [(rows[k], rows[k + 1]) for k in range(grid.N)]
     expected = [rk4_matrix_step(Q - np.diag(v0), Q - np.diag(0.5 * (v0 + v2)),
@@ -117,8 +118,7 @@ def test_propagator_entry_bounds():
     grid = TimeGrid(100)
     lo = 0.5
     ts = grid.nodes
-    V = PotentialField(-lo * np.sin(np.pi * ts)[:, None] * np.ones((1, 2)),
-                       lo=lo)
+    V = -lo * np.sin(np.pi * ts)[:, None] * np.ones((1, 2))
     prop = fk_propagator(model, V, grid)
     for k, l in ((0, 100), (20, 70)):
         M = prop.matrix(k, l)
@@ -130,9 +130,9 @@ def test_solve_g_trivial_cases():
     model = two_state_model()
     grid = TimeGrid(100)
     ones = TerminalWeight(np.ones(2))
-    g0 = solve_g(model, PotentialField.constant(0.0, grid, 2), ones, grid)
+    g0 = solve_g(model, 0.0, ones, grid)
     np.testing.assert_allclose(g0, 1.0, atol=1e-14)
-    g1 = solve_g(model, PotentialField.constant(1.0, grid, 2), ones, grid)
+    g1 = solve_g(model, 1.0, ones, grid)
     expected = np.exp(-(1.0 - grid.nodes))[:, None] * np.ones((1, 2))
     np.testing.assert_allclose(g1, expected, atol=1e-9)
     assert g1[0, 0] == pytest.approx(0.367879, abs=1e-6)
@@ -142,7 +142,7 @@ def test_solve_g_monte_carlo_oracle():
     """g(0,x) = E[exp(-occupation of state 1) gamma(X_1)] along reference paths."""
     model = two_state_model()
     grid = TimeGrid(100)
-    V = PotentialField(np.tile(np.array([0.0, 1.0]), (101, 1)))
+    V = np.array([0.0, 1.0])
     g = solve_g(model, V, TerminalWeight(np.ones(2)), grid)
     n_paths = 30_000
     for x0 in (0, 1):
@@ -181,8 +181,7 @@ def test_solve_g_path_class_enumeration_oracle():
     v_states = np.array([0.2, 0.0, 0.5])
     gamma1 = np.array([1.0, 0.4, 0.7])
     grid = TimeGrid(10)
-    g = solve_g(model, PotentialField(np.tile(v_states, (11, 1))),
-                TerminalWeight(gamma1), grid)
+    g = solve_g(model, v_states, TerminalWeight(gamma1), grid)
     J = model.J.rates
     exit_rates = model.J.exit_rates
 
@@ -204,10 +203,10 @@ def test_solve_f_trivial_cases():
     model = two_state_model()
     grid = TimeGrid(100)
     ones = InitialWeight(np.ones(2))
-    f0 = solve_f(model, PotentialField.constant(0.0, grid, 2), ones, grid)
+    f0 = solve_f(model, 0.0, ones, grid)
     np.testing.assert_allclose(f0, 1.0, atol=1e-12)
     c = 0.7
-    fc = solve_f(model, PotentialField.constant(c, grid, 2), ones, grid)
+    fc = solve_f(model, c, ones, grid)
     expected = np.exp(-c * grid.nodes)[:, None] * np.ones((1, 2))
     np.testing.assert_allclose(fc, expected, atol=1e-10)
 
@@ -255,11 +254,11 @@ def test_g_upper_bounds():
     grid = TimeGrid(100)
     gamma1 = TerminalWeight(np.array([0.4, 1.3]))
     ts = grid.nodes
-    nonneg = PotentialField(0.5 * (1 + np.sin(3 * ts))[:, None] * np.ones((1, 2)))
+    nonneg = 0.5 * (1 + np.sin(3 * ts))[:, None] * np.ones((1, 2))
     g = solve_g(model, nonneg, gamma1, grid)
     assert g.max() <= 1.3 + 1e-12
     lo = 0.8
-    dipping = PotentialField(-lo * np.ones((101, 2)), lo=lo)
+    dipping = np.full(2, -lo)
     g_dip = solve_g(model, dipping, gamma1, grid)
     bound = np.exp(lo * (1.0 - ts))[:, None] * 1.3
     assert np.all(g_dip <= bound + 1e-10)
@@ -268,9 +267,9 @@ def test_g_upper_bounds():
 def test_fk_generator_residual_trivial():
     model = two_state_model()
     grid = TimeGrid(100)
-    g = solve_g(model, PotentialField.constant(0.0, grid, 2),
+    g = solve_g(model, 0.0,
                 TerminalWeight(np.ones(2)), grid)
-    res = check_fk_generator(model, PotentialField.constant(0.0, grid, 2),
+    res = check_fk_generator(model, 0.0,
                              g, grid)
     assert res.max_residual <= 1e-13
 
@@ -292,7 +291,7 @@ def test_fk_generator_residual_second_order():
 def test_fk_generator_residual_constant_potential():
     model = two_state_model()
     grid = TimeGrid(100)
-    V = PotentialField.constant(1.0, grid, 2)
+    V = 1.0
     g = solve_g(model, V, TerminalWeight(np.ones(2)), grid)
     res = check_fk_generator(model, V, g, grid)
     # stencil error of e^{-(1-t)}: dt^2/6 inside, dt^2/3 at the endpoints
@@ -303,7 +302,7 @@ def test_fk_generator_residual_constant_potential():
 def test_positivity_report():
     model = two_state_model()
     grid = TimeGrid(50)
-    V = PotentialField.constant(0.0, grid, 2)
+    V = 0.0
     g_pos = solve_g(model, V, TerminalWeight(np.array([1.0, 0.5])), grid)
     assert positivity_report(g_pos, grid) == []
     g_zero = solve_g(model, V, TerminalWeight(np.array([1.0, 0.0])), grid)
@@ -311,15 +310,61 @@ def test_positivity_report():
 
 
 def test_potential_field_validation():
+    """A full field is kept row for row as a read-only copy: later writes to
+    the caller's array do not reach it."""
     grid = TimeGrid(10)
-    with pytest.raises(ModelValidationError):
-        PotentialField(np.zeros(11))
-    with pytest.raises(ModelValidationError):
-        PotentialField(np.full((11, 2), -1.0), lo=0.5)
-    with pytest.raises(ModelValidationError):
-        PotentialField(np.full((11, 2), np.nan))
-    field = PotentialField.from_function(lambda t, x: t * (x + 1), grid, 2)
-    assert field.values[5, 1] == pytest.approx(1.0)
+    field = grid.nodes[:, None] * np.array([1.0, 2.0])
+    Vg = potential_on_grid(field, grid, 2)
+    assert Vg[5, 1] == pytest.approx(1.0)
+    assert not Vg.flags.writeable
+    field[5, 1] = 7.0
+    assert Vg[5, 1] == pytest.approx(1.0)
+    # a negative potential is a creation rate, not an error
+    assert potential_on_grid(-1.0, grid, 2).min() == -1.0
+
+
+def _jump_outputs(V, grid):
+    """Every jump-solver output that reads V: both RK4 sweeps, the
+    propagator, the backward-equation residual, V_cum and the entropy."""
+    model = five_state_model()
+    hp = build_h_process(model, InitialWeight(np.linspace(0.5, 1.5, 5)),
+                         TerminalWeight(np.array([0.5, 1.0, 0.8, 0.3, 1.2])),
+                         V, grid)
+    return (hp.fk.g, hp.fk.f, hp.V, hp.V_cum, relative_entropy(hp),
+            fk_propagator(model, V, grid).step,
+            check_fk_generator(model, V, hp.fk.g, grid).residual)
+
+
+def _cn_outputs(V, grid):
+    """g and f of both Crank-Nicolson sweeps and their clip counts."""
+    model = Diffusion1DModel(-2.0, 2.0, 16, np.linspace(-1.0, 1.0, 17) ** 2)
+    weight = np.exp(-np.linspace(-2.0, 2.0, 17) ** 2)
+    sol_g = solve_g_pde(model, V, weight, grid)
+    sol_f = solve_f_pde(model, V, weight, grid)
+    return (sol_g.gf.values, sol_f.gf.values, sol_g.clipped_nodes,
+            sol_f.clipped_nodes)
+
+
+@pytest.mark.parametrize("outputs, n", [(_jump_outputs, 5), (_cn_outputs, 17)],
+                         ids=["jump", "diffusion"])
+def test_both_model_kinds_take_V_in_the_same_forms(outputs, n):
+    """A scalar, a node vector and the constant full field they stand for
+    give the same outputs to the bit; any other shape is a
+    dimension_mismatch and a NaN a nonfinite_potential."""
+    grid = TimeGrid(20)
+    vec = np.linspace(-0.2, 0.6, n)
+    for V in (0.3, vec):
+        field = np.full((grid.N + 1, n), V)
+        for got, want in zip(outputs(V, grid), outputs(field, grid)):
+            assert np.array_equal(got, want)
+    for bad, reason in [(np.zeros((1, grid.N + 1, n)), "dimension_mismatch"),
+                        (np.zeros(n - 1), "dimension_mismatch"),
+                        (np.zeros((grid.N, n)), "dimension_mismatch"),
+                        (np.where(vec > 0.5, np.nan, vec),
+                         "nonfinite_potential")]:
+        with pytest.raises(ModelValidationError) as info:
+            outputs(bad, grid)
+        assert info.value.reason == reason
 
 
 def test_weight_validation():
@@ -355,7 +400,7 @@ def test_propagator_factors_are_not_copied():
     model = build_metropolis(StateSpace(tuple(f"s{i}" for i in range(n))),
                              ring_kernel(n), np.full(n, 1.0 / n), np.zeros(n))
     grid = TimeGrid(200)
-    V = PotentialField.constant(0.2, grid, n)
+    V = 0.2
     tracemalloc.start()
     try:
         prop = fk_propagator(model, V, grid)
@@ -370,7 +415,7 @@ def test_propagator_dimension_check():
     model = two_state_model()
     grid = TimeGrid(10)
     with pytest.raises(ModelValidationError):
-        fk_propagator(model, PotentialField.constant(0.0, grid, 3), grid)
-    prop = fk_propagator(model, PotentialField.constant(0.0, grid, 2), grid)
+        fk_propagator(model, np.zeros(3), grid)
+    prop = fk_propagator(model, 0.0, grid)
     with pytest.raises(ModelValidationError):
         prop.matrix(5, 2)

@@ -11,9 +11,9 @@ import pytest
 
 from conftest import (five_state_model, generic_hprocess, identity_hprocess,
                       two_state_model)
+from htlab import generator_lab
 from htlab.errors import ModelValidationError, PositivityError
-from htlab.feynman_kac import (InitialWeight, PotentialField, TerminalWeight,
-                               solve_g)
+from htlab.feynman_kac import InitialWeight, TerminalWeight, solve_g
 from htlab.generator_lab import (DEFAULT_H_SEQUENCE, _median,
                                  carre_du_champ,
                                  check_fk_stochastic_derivative,
@@ -63,7 +63,7 @@ def test_transition_matrix_P_pinned_terminal():
     grid = TimeGrid(100)
     hp = build_h_process(model, InitialWeight(np.ones(2)),
                          TerminalWeight(np.array([1.0, 0.0])),
-                         PotentialField.constant(0.0, grid, 2), grid)
+                         0.0, grid)
     T = transition_matrix_P(hp, 0.0, 0.99)
     assert T[0, 0] > 0.99
     with pytest.raises(PositivityError):
@@ -157,7 +157,7 @@ def test_transformed_generator_indicator_potential():
     """Two-state transform with V = 1_{hi}, checked at mid-horizon."""
     model = two_state_model()
     grid = TimeGrid(100)
-    V = PotentialField(np.tile(np.array([0.0, 1.0]), (101, 1)))
+    V = np.array([0.0, 1.0])
     hp = build_h_process(model, InitialWeight(np.ones(2)),
                          TerminalWeight(np.ones(2)), V, grid)
     res = check_transformed_generator(hp, np.array([0.0, 1.0]), 0.5)
@@ -172,10 +172,33 @@ def test_transformed_generator_generic_process():
         assert check_transformed_generator(hp, u, 0.25).max_residual <= 1e-5
 
 
+def test_stacked_functions_share_the_transition_matrices(monkeypatch):
+    """A (k, n) stack of u builds each step's transition matrix once and
+    gives, row for row, the bits of k separate checks."""
+    hp = generic_hprocess()
+    us = np.random.default_rng(3).normal(size=(3, 5))
+    singles = [check_transformed_generator(hp, u, 0.25) for u in us]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return transition_matrix_P(*args)
+
+    monkeypatch.setattr(generator_lab, "transition_matrix_P", counted)
+    stacked = check_transformed_generator(hp, us, 0.25)
+    assert len(calls) == len(DEFAULT_H_SEQUENCE)
+    assert stacked.max_residual == max(r.max_residual for r in singles)
+    for i, single in enumerate(singles):
+        assert np.array_equal(stacked.derivative.estimates[:, i],
+                              single.derivative.estimates)
+        assert np.array_equal(stacked.derivative.extrapolated[i],
+                              single.derivative.extrapolated)
+
+
 def test_fk_stochastic_derivative_zero_potential():
     model = five_state_model()
     grid = TimeGrid(1000)
-    V = PotentialField.constant(0.0, grid, 5)
+    V = 0.0
     gamma1 = TerminalWeight(np.array([0.2, 0.5, 1.0, 0.3, 0.8]))
     g = solve_g(model, V, gamma1, grid)
     res = check_fk_stochastic_derivative(model, V, g, grid, 0.5)
@@ -186,7 +209,7 @@ def test_fk_stochastic_derivative_constant_potential():
     """With V = 1 the sharp derivative equals g itself."""
     model = five_state_model()
     grid = TimeGrid(1000)
-    V = PotentialField.constant(1.0, grid, 5)
+    V = 1.0
     gamma1 = TerminalWeight(np.array([0.2, 0.5, 1.0, 0.3, 0.8]))
     g = solve_g(model, V, gamma1, grid)
     res = check_fk_stochastic_derivative(model, V, g, grid, 0.3)
@@ -203,7 +226,7 @@ def test_fk_stochastic_derivative_generic():
 def test_fk_stochastic_derivative_input_checks():
     model = two_state_model()
     grid = TimeGrid(100)
-    V = PotentialField.constant(0.0, grid, 2)
+    V = 0.0
     g = solve_g(model, V, TerminalWeight(np.ones(2)), grid)
     with pytest.raises(ModelValidationError) as err:
         check_fk_stochastic_derivative(model, V, g, grid, 0.95)

@@ -16,7 +16,7 @@ from conftest import (five_state_model, generic_hprocess, identity_hprocess,
 from htlab.errors import (DegenerateInputError, ModelValidationError,
                           PositivityError)
 from htlab import feynman_kac, h_transform
-from htlab.feynman_kac import (InitialWeight, PotentialField, TerminalWeight,
+from htlab.feynman_kac import (InitialWeight, TerminalWeight,
                                rk4_matrix_step, solve_f, solve_fk, solve_g)
 from htlab.h_transform import (build_h_process, forward_marginal_evolve, g_at,
                                integrate_potential_along_path, jump_kernel,
@@ -43,7 +43,7 @@ def test_constant_potential_is_a_gauge():
     grid = TimeGrid(100)
     hp = build_h_process(model, InitialWeight(np.ones(2)),
                          TerminalWeight(np.ones(2)),
-                         PotentialField.constant(1.0, grid, 2), grid)
+                         1.0, grid)
     assert hp.c == pytest.approx(np.exp(-1.0), rel=1e-9)
     np.testing.assert_allclose(marginal(hp, 0.5), model.m, atol=1e-9)
     np.testing.assert_allclose(jump_kernel(hp, 0.25), model.J.rates, atol=1e-9)
@@ -84,7 +84,7 @@ def test_g_at_returns_the_grid_values_at_nodes():
 
 def _half_step_midpoints(hp):
     """g(t_k + dt/2) = Phi(t_k + dt/2, t_{k+1}) g(t_{k+1}), by one RK4 step."""
-    Q, v, h = hp.model.Q, hp.V.values, hp.grid.dt
+    Q, v, h = hp.model.Q, hp.V, hp.grid.dt
     out = np.empty((hp.grid.N, hp.n))
     for k in range(hp.grid.N):
         factor = rk4_matrix_step(Q - np.diag(0.5 * (v[k] + v[k + 1])),
@@ -120,7 +120,7 @@ def test_terminal_kernel_reweights_by_terminal_weight():
     grid = TimeGrid(50)
     hp = build_h_process(model, InitialWeight(np.ones(2)),
                          TerminalWeight(np.array([1.0, 2.0])),
-                         PotentialField.constant(0.0, grid, 2), grid)
+                         0.0, grid)
     np.testing.assert_allclose(jump_kernel(hp, 1.0),
                                np.array([[0.0, 1.0], [1.0, 0.0]]), atol=1e-12)
 
@@ -130,7 +130,7 @@ def test_pinning_turns_off_jumps_into_dead_states():
     grid = TimeGrid(50)
     hp = build_h_process(model, InitialWeight(np.ones(2)),
                          TerminalWeight(np.array([1.0, 0.0])),
-                         PotentialField.constant(0.0, grid, 2), grid)
+                         0.0, grid)
     kern = jump_kernel(hp, 1.0)
     assert np.isnan(kern[1]).all()
     assert kern[0, 1] == 0.0
@@ -153,7 +153,7 @@ def test_forward_evolution_rejects_vanishing_g():
     grid = TimeGrid(50)
     hp = build_h_process(model, InitialWeight(np.ones(2)),
                          TerminalWeight(np.array([1.0, 0.0])),
-                         PotentialField.constant(0.0, grid, 2), grid)
+                         0.0, grid)
     with pytest.raises(PositivityError) as info:
         forward_marginal_evolve(hp)
     assert info.value.reason == "zero_g_nodes"
@@ -189,7 +189,7 @@ def test_potential_integral_closed_form():
     """V(t,x) = t (x+1) integrated along a hand-built two-jump path."""
     model = two_state_model()
     grid = TimeGrid(100)
-    V = PotentialField.from_function(lambda t, x: t * (x + 1), grid, 2)
+    V = grid.nodes[:, None] * np.array([1.0, 2.0])
     hp = build_h_process(model, InitialWeight(np.ones(2)),
                          TerminalWeight(np.array([0.7, 1.0])), V, grid)
     [path] = path_batch([(0, [0.3, 0.7], [1, 0])])
@@ -243,7 +243,7 @@ def test_sampler_respects_terminal_pinning():
     grid = TimeGrid(100)
     hp = build_h_process(model, InitialWeight(np.ones(2)),
                          TerminalWeight(np.array([1.0, 0.0])),
-                         PotentialField.constant(0.0, grid, 2), grid)
+                         0.0, grid)
     paths = sample_paths_P(hp, 2000, seed=5)
     assert all(p.state_at(1.0) == 0 for p in paths)
 
@@ -257,7 +257,7 @@ def test_thinning_rate_within_cell_endpoint_bound():
     grid = TimeGrid(100)
     pinned = build_h_process(two_state_model(), InitialWeight(np.ones(2)),
                              TerminalWeight(np.array([1.0, 0.0])),
-                             PotentialField.constant(0.0, grid, 2), grid)
+                             0.0, grid)
     for hp in (pinned, generic_hprocess()):
         ctx = h_transform._ThinningContext(hp)
         N = ctx.N

@@ -16,9 +16,9 @@ import pytest
 
 import htlab.cli  # noqa: F401  (loads every htlab module, as perfbench does)
 from conftest import generic_hprocess
+from htlab import config, h_transform, markov_core
 from htlab.feynman_kac import fk_propagator
 from htlab.h_transform import sample_paths_P
-from htlab import markov_core
 from htlab.markov_core import sample_paths_R
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -89,3 +89,33 @@ def test_reference_sampler_calls_the_traced_gillespie_kernel(tracer):
         trace.uninstall()
     assert trace.counts["markov_core.sample_path_R.calls"] >= 1
     assert trace.counts["markov_core.sample_paths_R.paths"] == 4
+
+
+def test_config_triple_feeds_the_master_equation_oracle(tmp_path):
+    """perfbench builds the process as the CLI does: the (f0, gamma1, V)
+    triple from transform_pieces goes straight into build_h_process, and the
+    transform oracle integrates the result with forward_marginal_evolve."""
+    path = tmp_path / "run.yaml"
+    path.write_text("""
+model:
+  kind: jump
+  J0: [[0.0, 0.3, 0.3], [0.3, 0.0, 0.3], [0.3, 0.3, 0.0]]
+  m0: 1.0
+  U: [0.0, 0.3, -0.2]
+transform:
+  f0: [1.0, 0.5, 2.0]
+  gamma1: [0.5, 1.0, 0.8]
+  V: [0.1, 0.3, 0.0]
+grid:
+  N: 100
+""", encoding="utf-8")
+    cfg = config.load_config(str(path))
+    model = config.build_model_from_config(cfg)
+    grid = cfg.time_grid
+    f0, gamma1, V = config.transform_pieces(cfg, model, grid)
+    hp = h_transform.build_h_process(model, f0, gamma1, V, grid)
+    np.testing.assert_array_equal(hp.V[37], [0.1, 0.3, 0.0])
+    evolved = h_transform.forward_marginal_evolve(hp)
+    marginals = np.array([h_transform.marginal(hp, t) for t in grid.nodes])
+    assert evolved.shape == marginals.shape == (grid.N + 1, model.n)
+    assert float(np.abs(evolved - marginals).sum(axis=1).max()) <= 1e-9

@@ -15,7 +15,7 @@ from scipy.special import xlogy
 
 from conftest import five_state_model, generic_hprocess, two_state_model
 from htlab.errors import ModelValidationError
-from htlab.feynman_kac import (InitialWeight, PotentialField, TerminalWeight,
+from htlab.feynman_kac import (InitialWeight, TerminalWeight,
                                check_fk_generator, solve_g)
 from htlab.h_transform import build_h_process
 from htlab.hjb_check import discrete_hjb_residual, theta, theta_star
@@ -87,7 +87,7 @@ def test_residual_zero_for_trivial_transform():
     """V = 0 and unit terminal weight give g = 1 and an exactly zero residual."""
     model = two_state_model()
     grid = TimeGrid(50)
-    V = PotentialField.constant(0.0, grid, 2)
+    V = 0.0
     g = solve_g(model, V, TerminalWeight(np.ones(2)), grid)
     for res in discrete_hjb_residual(g, model, V, grid):
         assert res.max_residual == 0.0
@@ -99,7 +99,7 @@ def test_residual_log_mode_exact_for_linear_psi():
     model = two_state_model()
     grid = TimeGrid(100)
     c = 0.8
-    V = PotentialField.constant(c, grid, 2)
+    V = c
     g_exact = np.exp(-c * (1.0 - grid.nodes))[:, None] * np.ones((1, 2))
     _, res = discrete_hjb_residual(g_exact, model, V, grid)
     assert res.max_residual <= 1e-12
@@ -132,7 +132,7 @@ def test_residual_modes_differ_at_second_order():
 def test_residual_masks_pinned_states():
     model = two_state_model()
     grid = TimeGrid(100)
-    V = PotentialField.constant(0.0, grid, 2)
+    V = 0.0
     g = solve_g(model, V, TerminalWeight(np.array([1.0, 0.0])), grid)
     res_exp, res_log = discrete_hjb_residual(g, model, V, grid)
     np.testing.assert_array_equal(np.argwhere(~res_exp.defined),
@@ -155,21 +155,20 @@ def test_residual_small_for_generic_transform():
 def test_residual_input_checks():
     model = five_state_model()
     grid = TimeGrid(20)
-    V = PotentialField.constant(0.0, grid, 5)
+    V = 0.0
     g = solve_g(model, V, TerminalWeight(np.ones(5)), grid)
     with pytest.raises(ModelValidationError):
         discrete_hjb_residual(g[:-1], model, V, grid)
     with pytest.raises(ModelValidationError):
-        discrete_hjb_residual(g, model, PotentialField.constant(0.0, grid, 4),
-                              grid)
+        discrete_hjb_residual(g, model, np.zeros(4), grid)
 
 
 def test_residual_detects_wrong_potential():
     """Feeding the wrong V leaves a residual of exactly the V mismatch."""
     model = two_state_model()
     grid = TimeGrid(100)
-    V = PotentialField.constant(0.0, grid, 2)
+    V = 0.0
     g = solve_g(model, V, TerminalWeight(np.ones(2)), grid)
-    wrong = PotentialField.constant(0.3, grid, 2)
+    wrong = 0.3
     res, _ = discrete_hjb_residual(g, model, wrong, grid)
     assert res.max_residual == pytest.approx(0.3, abs=1e-12)

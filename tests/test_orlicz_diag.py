@@ -159,14 +159,13 @@ def test_hypothesis_report_values():
     V = np.array([[0.0, -3.0], [1.0, 0.5]])
     rep = hypothesis_report(np.array([np.e, 1.0]), np.ones(2), V, m)
     assert rep.v_min == -3.0
-    assert rep.lo == 3.0
     assert rep.bounded_below
     assert rep.gamma1_integral == pytest.approx(2.0 * np.log(2.0) - 1.0,
                                                 rel=1e-12)
     assert rep.f0_sqlog_integral == pytest.approx(0.5 * np.e ** 2, rel=1e-12)
     assert rep.gamma1_sqlog_integral == 0.0
     assert rep.verdict == "satisfied (finite space)"
-    assert "lo=3.000000e+00" in rep.report()
+    assert rep.report().startswith("v_min=-3.000000e+00\nbounded_below=yes\n")
 
 
 def test_hypothesis_report_conjugate_integral():
