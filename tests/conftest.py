@@ -44,8 +44,7 @@ def identity_hprocess(model, N: int = 100):
     """Transform with unit weights and zero potential: the reference law."""
     grid = TimeGrid(N)
     return build_h_process(model, InitialWeight(np.ones(model.n)),
-                           TerminalWeight(np.ones(model.n)),
-                           0.0, grid)
+                           TerminalWeight(np.ones(model.n)), 0.0, grid)
 
 
 def generic_hprocess(N: int = 100):

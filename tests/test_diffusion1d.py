@@ -22,7 +22,7 @@ from htlab.diffusion1d import (Diffusion1DModel, GridFunction, _DriftField,
                                _tridiag_solve,
                                build_diffusion_transform,
                                diffusion_hjb_residual,
-                               empirical_vs_fk_marginal, psi_and_drift, sample_em_paths,
+                               empirical_vs_fk_marginal, sample_em_paths,
                                solve_f_pde, solve_g_pde)
 from htlab.errors import (DegenerateInputError, ModelValidationError,
                           PositivityError)

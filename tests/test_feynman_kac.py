@@ -18,7 +18,7 @@ from conftest import (five_state_model, ring_kernel, two_state_model,
 from htlab import feynman_kac
 from htlab.diffusion1d import Diffusion1DModel, solve_f_pde, solve_g_pde
 from htlab.errors import DegenerateInputError, ModelValidationError
-from htlab.feynman_kac import (FKPropagator, InitialWeight, TerminalWeight,
+from htlab.feynman_kac import (InitialWeight, TerminalWeight,
                                check_fk_generator, check_semigroup,
                                derivative, fk_propagator, potential_on_grid,
                                positivity_report, rk4_matrix_step, solve_f,
@@ -267,10 +267,8 @@ def test_g_upper_bounds():
 def test_fk_generator_residual_trivial():
     model = two_state_model()
     grid = TimeGrid(100)
-    g = solve_g(model, 0.0,
-                TerminalWeight(np.ones(2)), grid)
-    res = check_fk_generator(model, 0.0,
-                             g, grid)
+    g = solve_g(model, 0.0, TerminalWeight(np.ones(2)), grid)
+    res = check_fk_generator(model, 0.0, g, grid)
     assert res.max_residual <= 1e-13
 
 

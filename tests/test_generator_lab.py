@@ -62,8 +62,7 @@ def test_transition_matrix_P_pinned_terminal():
     model = two_state_model()
     grid = TimeGrid(100)
     hp = build_h_process(model, InitialWeight(np.ones(2)),
-                         TerminalWeight(np.array([1.0, 0.0])),
-                         0.0, grid)
+                         TerminalWeight(np.array([1.0, 0.0])), 0.0, grid)
     T = transition_matrix_P(hp, 0.0, 0.99)
     assert T[0, 0] > 0.99
     with pytest.raises(PositivityError):

@@ -119,8 +119,7 @@ def test_terminal_kernel_reweights_by_terminal_weight():
     model = two_state_model()
     grid = TimeGrid(50)
     hp = build_h_process(model, InitialWeight(np.ones(2)),
-                         TerminalWeight(np.array([1.0, 2.0])),
-                         0.0, grid)
+                         TerminalWeight(np.array([1.0, 2.0])), 0.0, grid)
     np.testing.assert_allclose(jump_kernel(hp, 1.0),
                                np.array([[0.0, 1.0], [1.0, 0.0]]), atol=1e-12)
 
@@ -129,8 +128,7 @@ def test_pinning_turns_off_jumps_into_dead_states():
     model = two_state_model()
     grid = TimeGrid(50)
     hp = build_h_process(model, InitialWeight(np.ones(2)),
-                         TerminalWeight(np.array([1.0, 0.0])),
-                         0.0, grid)
+                         TerminalWeight(np.array([1.0, 0.0])), 0.0, grid)
     kern = jump_kernel(hp, 1.0)
     assert np.isnan(kern[1]).all()
     assert kern[0, 1] == 0.0
@@ -152,8 +150,7 @@ def test_forward_evolution_rejects_vanishing_g():
     model = two_state_model()
     grid = TimeGrid(50)
     hp = build_h_process(model, InitialWeight(np.ones(2)),
-                         TerminalWeight(np.array([1.0, 0.0])),
-                         0.0, grid)
+                         TerminalWeight(np.array([1.0, 0.0])), 0.0, grid)
     with pytest.raises(PositivityError) as info:
         forward_marginal_evolve(hp)
     assert info.value.reason == "zero_g_nodes"
@@ -242,8 +239,7 @@ def test_sampler_respects_terminal_pinning():
     model = two_state_model()
     grid = TimeGrid(100)
     hp = build_h_process(model, InitialWeight(np.ones(2)),
-                         TerminalWeight(np.array([1.0, 0.0])),
-                         0.0, grid)
+                         TerminalWeight(np.array([1.0, 0.0])), 0.0, grid)
     paths = sample_paths_P(hp, 2000, seed=5)
     assert all(p.state_at(1.0) == 0 for p in paths)
 
@@ -256,8 +252,7 @@ def test_thinning_rate_within_cell_endpoint_bound():
     """
     grid = TimeGrid(100)
     pinned = build_h_process(two_state_model(), InitialWeight(np.ones(2)),
-                             TerminalWeight(np.array([1.0, 0.0])),
-                             0.0, grid)
+                             TerminalWeight(np.array([1.0, 0.0])), 0.0, grid)
     for hp in (pinned, generic_hprocess()):
         ctx = h_transform._ThinningContext(hp)
         N = ctx.N

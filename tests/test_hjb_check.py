@@ -15,9 +15,7 @@ from scipy.special import xlogy
 
 from conftest import five_state_model, generic_hprocess, two_state_model
 from htlab.errors import ModelValidationError
-from htlab.feynman_kac import (InitialWeight, TerminalWeight,
-                               check_fk_generator, solve_g)
-from htlab.h_transform import build_h_process
+from htlab.feynman_kac import TerminalWeight, check_fk_generator, solve_g
 from htlab.hjb_check import discrete_hjb_residual, theta, theta_star
 from htlab.markov_core import TimeGrid
 
