@@ -10,7 +10,8 @@ it at two checkouts to compare their sweeps. Then, on the left-hand sides of
 the time-varying case, it prints the mean time of one step taken each way a
 per-step solve can go: a LAPACK `gtsv`, or a `gttrf` followed by a `gttrs`.
 The sweeps use `gtsv` for a time-varying V because it is the faster of the
-two.
+two. Both ways call the routines the sweeps call, those of
+`diffusion1d._lapack()`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
 import numpy as np  # noqa: E402
-from scipy.linalg import lapack  # noqa: E402
 
 from htlab import diffusion1d  # noqa: E402
 from htlab.markov_core import TimeGrid  # noqa: E402
@@ -52,6 +52,7 @@ def main() -> int:
             seconds = _best(lambda: solve(model, V, weight, grid))
             print(f"{solve.__name__} {name} {seconds:.4f} s", flush=True)
 
+    lapack = diffusion1d._lapack()
     center, upper, lower = diffusion1d._operator_bands(model)
     half = 0.5 * grid.dt
     diags = [1.0 - half * (center - v) for v in varying[:N]]

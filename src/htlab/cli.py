@@ -23,7 +23,7 @@ import numpy as np
 from htlab import bridge as bridge_mod
 from htlab import diffusion1d, generator_lab, h_transform, hjb_check
 from htlab import orlicz_diag
-from htlab.config import RunConfig, _float_array, _read, \
+from htlab.config import RunConfig, _float_array, _read, _read_tolerance, \
     build_model_from_config, load_config, transform_pieces
 from htlab.errors import (ConvergenceError, HTLabError, InconsistencyError,
                           ModelValidationError)
@@ -196,7 +196,7 @@ def _run_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
     model, grid, hp = _hprocess(cfg)
     checks = cfg.checks
     tol_semigroup, tol_pde, tol_generator = (
-        _read(float, checks.get(key, default), f"checks.{key}")
+        _read_tolerance(checks.get(key, default), f"checks.{key}")
         for key, default in [("tolerance_semigroup", 1e-8),
                              ("tolerance_pde", 1e-6),
                              ("tolerance_generator", 1e-5)])
@@ -294,7 +294,8 @@ def _fit_bridge(cfg: RunConfig, model: ReversibleModel):
     mu0, mu1 = (_read(_float_array, sec[key], f"bridge.{key}")
                 for key in ("mu0", "mu1"))
     problem = bridge_mod.build_bridge_problem(model, mu0, mu1)
-    tol = _read(float, sec.get("tol", bridge_mod.DEFAULT_TOL), "bridge.tol")
+    tol = _read_tolerance(sec.get("tol", bridge_mod.DEFAULT_TOL),
+                          "bridge.tol")
     max_iter = _read(int, sec.get("max_iter", bridge_mod.DEFAULT_MAX_ITER),
                      "bridge.max_iter")
     return problem, tol, bridge_mod.ipf_solve(problem, tol=tol,

@@ -11,6 +11,7 @@ controls.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,9 +89,18 @@ def _read(convert, value, what: str):
     """convert(value), with a malformed value reported as a config error."""
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # int(.inf)
         raise ModelValidationError(f"{what}: cannot read {value!r} ({exc})",
                                    reason="bad_config") from None
+
+
+def _read_tolerance(value, what: str) -> float:
+    """A tolerance from the config: a finite float > 0, else bad_config."""
+    tol = _read(float, value, what)
+    if not 0.0 < tol < math.inf:
+        raise ModelValidationError(f"{what}: tolerance must be finite and "
+                                   f"> 0, got {value!r}", reason="bad_config")
+    return tol
 
 
 class _OutsideFastPath(Exception):

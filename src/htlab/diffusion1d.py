@@ -135,15 +135,33 @@ def _tridiag_mul(diag, upper, lower, v):
 
 @functools.cache
 def _lapack():
-    """scipy's LAPACK module, the package's only use of scipy, imported on
-    first call.
+    """scipy's compiled LAPACK wrappers, the package's only use of scipy,
+    loaded on first call.
 
-    Only the Crank-Nicolson solves need it (gtsv, gttrf and gttrs), so a
-    process that builds no diffusion model (every jump subcommand) never
-    imports scipy.
+    Only the Crank-Nicolson solves need them (dgtsv, dgttrf and dgttrs), so
+    a process that builds no diffusion model (every jump subcommand) never
+    imports scipy. The extension `scipy/linalg/_flapack` is loaded from its
+    file after the top-level `import scipy`, which skips `scipy.linalg` and
+    everything it imports. Python keeps one copy of such an extension per
+    file, so its routines are the very objects `scipy.linalg.lapack` holds,
+    whichever is loaded first.
     """
-    from scipy.linalg import lapack
-    return lapack
+    import importlib.machinery
+    import importlib.util
+    import os
+
+    import scipy
+
+    folder = os.path.join(scipy.__path__[0], "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_flapack" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location(
+                "scipy.linalg._flapack", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"no LAPACK extension _flapack in {folder}")
 
 
 def _require_nonsingular(info: int):

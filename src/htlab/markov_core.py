@@ -9,6 +9,7 @@ numeric routine works on dense integer indices.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,13 +76,15 @@ class TimeGrid:
         return np.arange(self.N + 1) / self.N
 
     def node_index(self, t: float) -> int:
-        """Map a time to its grid index, rejecting off-grid times."""
-        k = int(round(t * self.N))
-        if k < 0 or k > self.N or abs(k / self.N - t) > 1e-9:
-            raise ModelValidationError(
-                f"time {t} is not a node of the N={self.N} grid",
-                reason="off_grid_time")
-        return k
+        """Map a time to its grid index, rejecting off-grid and non-finite
+        times."""
+        if math.isfinite(t):
+            k = int(round(t * self.N))
+            if 0 <= k <= self.N and abs(k / self.N - t) <= 1e-9:
+                return k
+        raise ModelValidationError(
+            f"time {t} is not a node of the N={self.N} grid",
+            reason="off_grid_time")
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

@@ -262,6 +262,7 @@ def test_missing_config_file(tmp_path, capsys):
 # may hold numpy.ma.
 SCIPY_PROBE = """
 import json, sys
+from htlab import diffusion1d
 from htlab.cli import main
 from htlab.config import build_model_from_config, load_config
 jump, diffusion, out = sys.argv[1:]
@@ -271,18 +272,21 @@ codes = [main([command, "--config", jump, "--out", out])
 after_jump = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 numpy_ma = "numpy.ma" in sys.modules
 build_model_from_config(load_config(diffusion))
+lapack = diffusion1d._lapack()
 print(json.dumps({"codes": codes, "after_jump": after_jump,
                   "numpy_ma": numpy_ma,
-                  "lapack": "scipy.linalg.lapack" in sys.modules}))
+                  "scipy_linalg": "scipy.linalg" in sys.modules,
+                  "routines": [callable(getattr(lapack, name, None))
+                               for name in ("dgtsv", "dgttrf", "dgttrs")]}))
 """
 
 
 def test_jump_subcommands_never_load_scipy(jump_config, diffusion_config,
                                            tmp_path):
-    """scipy (LAPACK gtsv) loads when a diffusion model is built, and only
-    then. The jump subcommands never load numpy.ma either: the generator
-    checks take their median without np.median, whose first call imports
-    it."""
+    """scipy's LAPACK extension loads when a diffusion model is built, and
+    only then, without scipy.linalg. The jump subcommands never load
+    numpy.ma either: the generator checks take their median without
+    np.median, whose first call imports it."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(htlab.__file__)))
     probe = subprocess.run(
         [sys.executable, "-c", SCIPY_PROBE, jump_config, diffusion_config,
@@ -292,7 +296,36 @@ def test_jump_subcommands_never_load_scipy(jump_config, diffusion_config,
     assert result["codes"] == [0] * 7
     assert result["after_jump"] == []
     assert not result["numpy_ma"]
-    assert result["lapack"]
+    assert not result["scipy_linalg"]
+    assert result["routines"] == [True] * 3
+
+
+DIFFUSION_PROBE = """
+import json, sys
+from htlab import diffusion1d
+from htlab.cli import main
+diffusion, out = sys.argv[1:]
+code = main(["diffusion", "--config", diffusion, "--out", out])
+scipy_linalg = "scipy.linalg" in sys.modules
+from scipy.linalg import lapack
+same = [getattr(diffusion1d._lapack(), name) is getattr(lapack, name)
+        for name in ("dgtsv", "dgttrf", "dgttrs")]
+print(json.dumps({"code": code, "scipy_linalg": scipy_linalg,
+                  "same": same}))
+"""
+
+
+def test_diffusion_runs_without_scipy_linalg(diffusion_config, tmp_path):
+    """`htlab diffusion` in a fresh interpreter leaves scipy.linalg
+    unloaded, and the LAPACK routines it loaded first are the very objects
+    scipy.linalg.lapack holds once it is imported."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(htlab.__file__)))
+    probe = subprocess.run(
+        [sys.executable, "-c", DIFFUSION_PROBE, diffusion_config,
+         str(tmp_path / "out")], capture_output=True, text=True, check=True,
+        timeout=300, env={**os.environ, "PYTHONPATH": src})
+    result = json.loads(probe.stdout.splitlines()[-1])
+    assert result == {"code": 0, "scipy_linalg": False, "same": [True] * 3}
 
 
 def test_malformed_yaml_is_a_config_error(tmp_path, capsys):
@@ -342,8 +375,13 @@ def test_unconstructible_value_is_a_config_error(tmp_path, capsys, value,
     ("bridge", "mu1: [0.2, 0.2, 0.6]",
      "mu1: [0.2, 0.2, 0.6]\n  max_iter: lots"),
     ("bridge", "mu0: [0.5, 0.3, 0.2]", "mu0: abc"),
+    ("fk", "N: 200", "N: .inf"),
+    ("sample", "n_paths: 50", "n_paths: .inf"),
+    ("bridge", "mu1: [0.2, 0.2, 0.6]",
+     "mu1: [0.2, 0.2, 0.6]\n  max_iter: .inf"),
 ], ids=["gamma1", "N", "seed", "J0", "states", "n_paths", "check_seed",
-        "tolerance_pde", "times", "tol", "max_iter", "mu0"])
+        "tolerance_pde", "times", "tol", "max_iter", "mu0", "N_inf",
+        "n_paths_inf", "max_iter_inf"])
 def test_malformed_value_is_a_config_error(tmp_path, capsys, command, old,
                                            new):
     assert old in JUMP_YAML
@@ -385,7 +423,8 @@ def test_unknown_key_is_a_config_error(tmp_path, capsys, text, old, new, key):
     ("times: [0.0, 0.5]", "times: [x]", "bad_config"),
     ("n_paths: 2000", "n_paths: many", "bad_config"),
     ("V: 0.1", "V: .inf", "nonfinite_potential"),
-], ids=["V", "t", "times", "n_paths", "V_inf"])
+    ("N: 200", "N: .inf", "bad_config"),
+], ids=["V", "t", "times", "n_paths", "V_inf", "N_inf"])
 def test_malformed_diffusion_value_is_a_config_error(tmp_path, capsys, old,
                                                      new, reason):
     assert old in DIFFUSION_YAML
@@ -394,6 +433,48 @@ def test_malformed_diffusion_value_is_a_config_error(tmp_path, capsys, old,
     assert main(["diffusion", "--config", str(cfg), "--out",
                  str(tmp_path / "out")]) == 2
     assert f"reason={reason}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [".nan", ".inf"])
+@pytest.mark.parametrize("command,old,new", [
+    ("transform", "tolerance_generator: 1.0e-4",
+     "tolerance_generator: 1.0e-4\n  times: [{}]"),
+    ("check", "tolerance_generator: 1.0e-4",
+     "tolerance_generator: 1.0e-4\n  times: [{}]"),
+    ("report", "tolerance_generator: 1.0e-4",
+     "tolerance_generator: 1.0e-4\n  times: [{}]"),
+    ("diffusion", "times: [0.0, 0.5]", "times: [{}]"),
+    ("diffusion", "t: 0.5", "t: {}"),
+], ids=["transform_times", "check_times", "report_times", "diffusion_times",
+        "diffusion_t"])
+def test_nonfinite_time_is_off_grid(tmp_path, capsys, command, old, new,
+                                    value):
+    text = DIFFUSION_YAML if command == "diffusion" else JUMP_YAML
+    assert old in text
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(text.replace(old, new.format(value)), encoding="utf-8")
+    assert run(command, str(cfg), tmp_path / "out") == 2
+    assert "reason=off_grid_time" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [".nan", ".inf", "-1.0e-6", "0.0"])
+@pytest.mark.parametrize("command,old,new", [
+    ("check", "tolerance_pde: 1.0e-4",
+     "tolerance_pde: 1.0e-4\n  tolerance_semigroup: {}"),
+    ("check", "tolerance_pde: 1.0e-4", "tolerance_pde: {}"),
+    ("check", "tolerance_generator: 1.0e-4", "tolerance_generator: {}"),
+    ("bridge", "mu1: [0.2, 0.2, 0.6]", "mu1: [0.2, 0.2, 0.6]\n  tol: {}"),
+], ids=["tolerance_semigroup", "tolerance_pde", "tolerance_generator",
+        "bridge_tol"])
+def test_tolerance_must_be_finite_and_positive(tmp_path, capsys, command, old,
+                                               new, value):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(JUMP_YAML.replace(old, new.format(value)),
+                   encoding="utf-8")
+    assert run(command, str(cfg), tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "reason=bad_config" in err
+    assert "tolerance must be finite and > 0" in err
 
 
 @pytest.mark.parametrize("weight,reason", [("gamma1", "bad_terminal"),

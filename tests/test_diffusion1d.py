@@ -254,6 +254,24 @@ def test_cn_sweeps_match_per_step_reference(steep, V_kind, N, width):
         assert np.any(ipiv != np.arange(1, M + 2))
 
 
+def test_lapack_routines_are_scipy_linalg_lapacks():
+    """Loaded after scipy.linalg, the extension's routines are the very
+    objects scipy.linalg.lapack holds (the other order runs in a fresh
+    interpreter in test_cli)."""
+    from scipy.linalg import lapack
+    loaded = diffusion1d._lapack.__wrapped__()
+    for name in ("dgtsv", "dgttrf", "dgttrs"):
+        assert getattr(loaded, name) is getattr(lapack, name)
+
+
+def test_missing_lapack_extension_is_an_import_error(monkeypatch):
+    import importlib.machinery
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES",
+                        [".absent"])
+    with pytest.raises(ImportError, match="_flapack in .*linalg"):
+        diffusion1d._lapack.__wrapped__()
+
+
 def test_cn_factors_once_per_sweep_when_V_is_constant_in_time(monkeypatch):
     """One gttrf and a gttrs per step for a V constant in time, however it
     is given; a gtsv per step for a time-varying V."""
