@@ -78,7 +78,7 @@ class TimeGrid:
     def node_index(self, t: float) -> int:
         """Map a time to its grid index, rejecting off-grid and non-finite
         times."""
-        if math.isfinite(t):
+        if math.isfinite(t * self.N):  # false for NaN, inf and overflow
             k = int(round(t * self.N))
             if 0 <= k <= self.N and abs(k / self.N - t) <= 1e-9:
                 return k

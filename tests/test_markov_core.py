@@ -368,7 +368,7 @@ def test_time_grid():
     grid = TimeGrid(10)
     assert grid.dt == 0.1
     assert grid.node_index(0.3) == 3
-    for t in (0.25, np.nan, np.inf, -np.inf):
+    for t in (0.25, np.nan, np.inf, -np.inf, 1e308):
         with pytest.raises(ModelValidationError, match="not a node") as err:
             grid.node_index(t)
         assert err.value.reason == "off_grid_time"
