@@ -9,12 +9,13 @@ marginals with thresholds calibrated well above the Monte Carlo floor.
 
 import collections
 import hashlib
+import importlib.machinery
 import types
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgtsv, dgttrf
+from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 from htlab import diffusion1d
 from htlab.diffusion1d import (Diffusion1DModel, GridFunction, _DriftField,
@@ -258,14 +259,13 @@ def test_lapack_routines_are_scipy_linalg_lapacks():
     """Loaded after scipy.linalg, the extension's routines are the very
     objects scipy.linalg.lapack holds (the other order runs in a fresh
     interpreter in test_cli)."""
-    from scipy.linalg import lapack
     loaded = diffusion1d._lapack.__wrapped__()
-    for name in ("dgtsv", "dgttrf", "dgttrs"):
-        assert getattr(loaded, name) is getattr(lapack, name)
+    assert loaded.dgtsv is dgtsv
+    assert loaded.dgttrf is dgttrf
+    assert loaded.dgttrs is dgttrs
 
 
 def test_missing_lapack_extension_is_an_import_error(monkeypatch):
-    import importlib.machinery
     monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES",
                         [".absent"])
     with pytest.raises(ImportError, match="_flapack in .*linalg"):
