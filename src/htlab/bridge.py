@@ -15,7 +15,6 @@ import numpy as np
 
 from htlab.errors import (ConvergenceError, InconsistencyError,
                           ModelValidationError)
-from htlab.feynman_kac import InitialWeight, TerminalWeight
 from htlab.h_transform import HProcess, build_h_process, marginal
 from htlab.markov_core import ReversibleModel, TimeGrid, _freeze, transition_matrix
 
@@ -121,8 +120,7 @@ def bridge_to_hprocess(problem: BridgeProblem, f0: np.ndarray,
                        gamma1: np.ndarray, grid: TimeGrid,
                        tol: float = DEFAULT_TOL) -> HProcess:
     """Assemble the transformed process and verify it hits both marginals."""
-    hp = build_h_process(problem.model, InitialWeight(f0),
-                         TerminalWeight(gamma1), 0.0, grid)
+    hp = build_h_process(problem.model, f0, gamma1, 0.0, grid)
     gap0 = float(np.abs(marginal(hp, 0.0) - problem.mu0).sum())
     gap1 = float(np.abs(marginal(hp, 1.0) - problem.mu1).sum())
     if max(gap0, gap1) > 10.0 * tol:

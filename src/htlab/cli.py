@@ -82,8 +82,13 @@ def _hprocess(cfg: RunConfig):
 
 
 def _check_times(cfg: RunConfig, default=(0.25, 0.5, 0.75)) -> list[float]:
-    return _read(lambda ts: [float(t) for t in ts],
-                 cfg.checks.get("times", default), "checks.times")
+    """checks.times, each one a node of the config's grid."""
+    times = _read(lambda ts: [float(t) for t in ts],
+                  cfg.checks.get("times", default), "checks.times")
+    grid = cfg.time_grid
+    for t in times:
+        grid.node_index(t)
+    return times
 
 
 def _time_state(nodes, n: int) -> dict:
@@ -134,8 +139,7 @@ def cmd_transform(cfg: RunConfig, args) -> int:
                          (len(times), model.n, model.n))
     entropy = h_transform.relative_entropy(hp)
     rep = orlicz_diag.hypothesis_report(
-        hp.f0.f0, hp.gamma1.gamma1, hp.V,
-        orlicz_diag.WeightedMeasure(weights=model.m))
+        hp.f0, hp.gamma1, hp.V, orlicz_diag.WeightedMeasure(weights=model.m))
     write_csv(os.path.join(args.out, "marginals.csv"),
               {**_time_state(grid.nodes, model.n), "p": marg.ravel()},
               meta={"grid_N": grid.N})
@@ -192,14 +196,19 @@ def cmd_sample(cfg: RunConfig, args) -> int:
 
 
 def _run_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
-    """Shared body of `check` and `report`: named pass/fail results."""
-    model, grid, hp = _hprocess(cfg)
-    checks = cfg.checks
+    """Shared body of `check` and `report`: named pass/fail results.
+
+    The check settings are read before the process is built, so a bad one
+    fails before any solve.
+    """
     tol_semigroup, tol_pde, tol_generator = (
-        _read_tolerance(checks.get(key, default), f"checks.{key}")
+        _read_tolerance(cfg.checks.get(key, default), f"checks.{key}")
         for key, default in [("tolerance_semigroup", 1e-8),
                              ("tolerance_pde", 1e-6),
                              ("tolerance_generator", 1e-5)])
+    seed = _read(int, cfg.sampling.get("seed", 0), "sampling.seed")
+    times = _check_times(cfg)
+    model, grid, hp = _hprocess(cfg)
     results = []
 
     mid = 0.5 if grid.N % 2 == 0 else (grid.N // 2) / grid.N
@@ -211,11 +220,10 @@ def _run_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
     results.append(("backward_equation_residual", res.max_residual <= tol_pde,
                     f"max={res.max_residual:.3e} tol={tol_pde:.1e}"))
 
-    seed = _read(int, cfg.sampling.get("seed", 0), "sampling.seed")
     streams = np.random.SeedSequence(seed).spawn(2)
     rng = np.random.default_rng(streams[0])
     worst = 0.0
-    for t in _check_times(cfg):
+    for t in times:
         us = [rng.standard_normal(model.n) for _ in range(3)]
         res = generator_lab.check_transformed_generator(hp, us, t)
         worst = max(worst, res.max_residual)
@@ -237,8 +245,7 @@ def _run_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
                 detail = f"lhs={hc.lhs:.3e} rhs={hc.rhs:.3e}"
     results.append(("holder_inequality", holder_ok, detail or "all pairs ok"))
 
-    rep = orlicz_diag.hypothesis_report(
-        hp.f0.f0, hp.gamma1.gamma1, hp.V, mw)
+    rep = orlicz_diag.hypothesis_report(hp.f0, hp.gamma1, hp.V, mw)
     results.append(("integrability_hypotheses",
                     rep.verdict.startswith("satisfied"),
                     f"sup_conjugate_integral={rep.sup_v_conjugate_integral:.3e}"))
@@ -285,8 +292,18 @@ def cmd_hjb(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _fit_bridge(cfg: RunConfig, model: ReversibleModel):
-    """Read the bridge section and fit its marginals: (problem, tol, result)."""
+def _bridge_limits(cfg: RunConfig) -> tuple[float, int]:
+    """bridge.tol and bridge.max_iter, read before anything is built."""
+    sec = cfg.bridge
+    return (_read_tolerance(sec.get("tol", bridge_mod.DEFAULT_TOL),
+                            "bridge.tol"),
+            _read(int, sec.get("max_iter", bridge_mod.DEFAULT_MAX_ITER),
+                  "bridge.max_iter"))
+
+
+def _fit_bridge(cfg: RunConfig, model: ReversibleModel, tol: float,
+                max_iter: int):
+    """Read the bridge marginals and fit them: (problem, result)."""
     sec = cfg.bridge
     if "mu0" not in sec or "mu1" not in sec:
         raise ModelValidationError("bridge section needs mu0 and mu1",
@@ -294,17 +311,13 @@ def _fit_bridge(cfg: RunConfig, model: ReversibleModel):
     mu0, mu1 = (_read(_float_array, sec[key], f"bridge.{key}")
                 for key in ("mu0", "mu1"))
     problem = bridge_mod.build_bridge_problem(model, mu0, mu1)
-    tol = _read_tolerance(sec.get("tol", bridge_mod.DEFAULT_TOL),
-                          "bridge.tol")
-    max_iter = _read(int, sec.get("max_iter", bridge_mod.DEFAULT_MAX_ITER),
-                     "bridge.max_iter")
-    return problem, tol, bridge_mod.ipf_solve(problem, tol=tol,
-                                              max_iter=max_iter)
+    return problem, bridge_mod.ipf_solve(problem, tol=tol, max_iter=max_iter)
 
 
 def cmd_bridge(cfg: RunConfig, args) -> int:
+    tol, max_iter = _bridge_limits(cfg)
     model = _jump_model(cfg)
-    problem, tol, result = _fit_bridge(cfg, model)
+    problem, result = _fit_bridge(cfg, model, tol, max_iter)
     history = result.error_history
     write_csv(os.path.join(args.out, "bridge_convergence.csv"),
               {"iteration": np.arange(1, len(history) + 1), "error": history},
@@ -345,12 +358,13 @@ def cmd_diffusion(cfg: RunConfig, args) -> int:
     if sampling is not None:
         tv = diffusion1d.empirical_vs_fk_marginal(tr, *sampling)
         lines.append(f"empirical_tv={tv!r}")
-    for name, gf in [("diffusion_g.csv", tr.g), ("diffusion_f.csv", tr.f),
-                     ("diffusion_drift.csv", tr.drift)]:
+    for name, values in [("diffusion_g.csv", tr.fk.g),
+                         ("diffusion_f.csv", tr.fk.f),
+                         ("diffusion_drift.csv", tr.drift)]:
         write_csv(os.path.join(args.out, name),
                   {"t": np.repeat(times, len(model.xs)),
                    "x": np.tile(model.xs, len(times)),
-                   "value": gf.values[indices].ravel()},
+                   "value": values[indices].ravel()},
                   meta={"grid_N": grid.N, "M": model.M})
     write_text(os.path.join(args.out, "diffusion_summary.txt"), lines)
     _say(args, "diffusion pipeline done")
@@ -358,10 +372,12 @@ def cmd_diffusion(cfg: RunConfig, args) -> int:
 
 
 def cmd_report(cfg: RunConfig, args) -> int:
+    fit = "mu0" in cfg.bridge and "mu1" in cfg.bridge
+    limits = _bridge_limits(cfg) if fit else None
     results = _run_checks(cfg)
-    if "mu0" in cfg.bridge and "mu1" in cfg.bridge:
+    if fit:
         try:
-            result = _fit_bridge(cfg, _jump_model(cfg))[2]
+            result = _fit_bridge(cfg, _jump_model(cfg), *limits)[1]
             results.append(("bridge_convergence", True,
                             f"iterations={result.iterations}"))
         except (ConvergenceError, InconsistencyError) as exc:

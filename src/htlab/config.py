@@ -23,8 +23,7 @@ from yaml.nodes import ScalarNode
 
 from htlab.diffusion1d import Diffusion1DModel
 from htlab.errors import ModelValidationError
-from htlab.feynman_kac import (InitialWeight, TerminalWeight,
-                               potential_on_grid)
+from htlab.feynman_kac import potential_on_grid
 from htlab.markov_core import (JumpKernel, ReversibleModel, StateSpace,
                                TimeGrid, build_metropolis,
                                build_reversible_model)
@@ -323,8 +322,8 @@ def _diffusion_model(sec: dict) -> Diffusion1DModel:
 def transform_pieces(cfg: RunConfig, model, grid: TimeGrid):
     """Extract (f0, gamma1, V) from the transform section.
 
-    For jump models the weights are wrapped in their validated types; for
-    diffusion models they are plain node vectors. V, for both kinds, is the
+    For both model kinds the weights are plain node vectors, whose entries
+    the model's builder checks (feynman_kac.weight_on_nodes), and V is the
     array as given (scalar, node vector or (N+1) x n field), checked here by
     feynman_kac.potential_on_grid so that a bad V fails before any solve.
     """
@@ -341,6 +340,4 @@ def transform_pieces(cfg: RunConfig, model, grid: TimeGrid):
     else:
         V = _read(_float_array, V_entry, "V")
     potential_on_grid(V, grid, n)
-    if isinstance(model, ReversibleModel):
-        return InitialWeight(f0=f0), TerminalWeight(gamma1=gamma1), V
     return f0, gamma1, V

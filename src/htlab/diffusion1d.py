@@ -22,7 +22,9 @@ import numpy as np
 
 from htlab.errors import (DegenerateInputError, ModelValidationError,
                           PositivityError)
-from htlab.feynman_kac import derivative, potential_on_grid
+from htlab.feynman_kac import (FKSolution, derivative, potential_on_grid,
+                               weight_on_nodes)
+from htlab.h_transform import HProcess, marginal, normalization
 from htlab.markov_core import TimeGrid, _freeze
 
 # Equal-width histogram bins of empirical_vs_fk_marginal, capped at M.
@@ -82,27 +84,6 @@ class Diffusion1DModel:
         trap = np.full(self.M + 1, self.dx)
         trap[0] = trap[-1] = 0.5 * self.dx
         return w / np.sum(w * trap)
-
-
-@dataclass(frozen=True)
-class GridFunction:
-    """Values on the time-space grid: rows are time nodes.
-
-    Takes ownership of values: a float array is kept, not copied, and marked
-    read-only."""
-
-    grid: TimeGrid
-    xs: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.grid.N + 1, self.xs.shape[0]):
-            raise ModelValidationError("grid-function shape mismatch",
-                                       reason="dimension_mismatch")
-        v.setflags(write=False)
-        object.__setattr__(self, "xs", _freeze(self.xs))
-        object.__setattr__(self, "values", v)
 
 
 def _operator_bands(model: Diffusion1DModel) -> tuple:
@@ -217,14 +198,6 @@ def _cn_nodes(Vg: np.ndarray, center: float, half: float, upper, lower):
     return node
 
 
-@dataclass(frozen=True)
-class PDESolution:
-    """Solved grid function plus the count of negativity-clipped nodes."""
-
-    gf: GridFunction
-    clipped_nodes: int
-
-
 def _clip_negatives(x: np.ndarray, what: str) -> int:
     """Reject a non-finite solve result; zero its negative entries in place
     and return how many there were."""
@@ -240,27 +213,17 @@ def _clip_negatives(x: np.ndarray, what: str) -> int:
     return np.count_nonzero(neg)
 
 
-def _spatial_weight(w, M: int, what: str, reason: str) -> np.ndarray:
-    """A finite, nonnegative, non-vanishing weight with one value per node."""
-    w = np.asarray(w, dtype=float)
-    if w.shape != (M + 1,) or not np.all(np.isfinite(w)) or np.any(w < 0):
-        raise ModelValidationError(f"{what} weight must be a finite, "
-                                   "nonnegative spatial vector", reason=reason)
-    if not np.any(w > 0):
-        raise DegenerateInputError(f"{what} weight must not vanish",
-                                   reason="zero_weight")
-    return w
-
-
-def solve_g_pde(model: Diffusion1DModel, V, gamma1: np.ndarray,
-                grid: TimeGrid) -> PDESolution:
+def solve_g_pde(model: Diffusion1DModel, V, gamma1,
+                grid: TimeGrid) -> tuple[np.ndarray, int]:
     """Backward Crank-Nicolson for the potential-weighted heat flow.
 
     Solves d_t g - U' g' + 1/2 g'' = V g backward from the terminal weight,
     no-flux walls. Negative values produced by dispersion are clipped to zero
-    and counted.
+    and counted. Returns the read-only (N+1) x (M+1) values of g and the
+    count of clipped nodes.
     """
-    gamma1 = _spatial_weight(gamma1, model.M, "terminal", "bad_terminal")
+    gamma1 = weight_on_nodes(gamma1, model.M + 1, "terminal weight",
+                             "bad_terminal")
     Vg = potential_on_grid(V, grid, model.M + 1)
     N, half = grid.N, 0.5 * grid.dt
     center, upper, lower = _operator_bands(model)
@@ -278,20 +241,21 @@ def solve_g_pde(model: Diffusion1DModel, V, gamma1: np.ndarray,
         clipped += _clip_negatives(g, "backward")
         vals[k] = g
         plus_next = plus
-    return PDESolution(gf=GridFunction(grid=grid, xs=model.xs, values=vals),
-                       clipped_nodes=clipped)
+    vals.setflags(write=False)
+    return vals, clipped
 
 
-def solve_f_pde(model: Diffusion1DModel, V, f0: np.ndarray,
-                grid: TimeGrid) -> PDESolution:
+def solve_f_pde(model: Diffusion1DModel, V, f0,
+                grid: TimeGrid) -> tuple[np.ndarray, int]:
     """Forward function via the m-weighted adjoint of the backward stepping.
 
     Defining the forward step as the adjoint (in the reversing inner product)
     of the backward Crank-Nicolson step makes the pairing sum f g m constant
     in time exactly, which is the discrete shape of the duality between the
-    two functions.
+    two functions. Returns the read-only values of f and the clip count, as
+    solve_g_pde does.
     """
-    f0 = _spatial_weight(f0, model.M, "initial", "bad_initial")
+    f0 = weight_on_nodes(f0, model.M + 1, "initial weight", "bad_initial")
     Vg = potential_on_grid(V, grid, model.M + 1)
     N, half = grid.N, 0.5 * grid.dt
     center, upper, lower = _operator_bands(model)
@@ -310,33 +274,33 @@ def solve_f_pde(model: Diffusion1DModel, V, f0: np.ndarray,
         clipped += _clip_negatives(f_next, "forward")
         vals[k + 1] = f_next
         solve = solve_next
-    return PDESolution(gf=GridFunction(grid=grid, xs=model.xs, values=vals),
-                       clipped_nodes=clipped)
+    vals.setflags(write=False)
+    return vals, clipped
 
 
 def psi_and_drift(model: Diffusion1DModel,
-                  g: GridFunction) -> tuple[GridFunction, GridFunction]:
-    """Log of g and the transformed drift -U' + d/dx log g.
+                  g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log of g and the transformed drift -U' + d/dx log g, read-only.
 
     Nodes with g <= 0 are masked with NaN and propagate through the
     derivative stencils.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        psi = np.where(g.values > 0, np.log(np.maximum(g.values, 1e-300)),
-                       np.nan)
+        psi = np.where(g > 0, np.log(np.maximum(g, 1e-300)), np.nan)
     drift = derivative(psi, model.dx, axis=-1)
     drift -= model.U_prime[None, :]
-    return (GridFunction(grid=g.grid, xs=g.xs, values=psi),
-            GridFunction(grid=g.grid, xs=g.xs, values=drift))
+    psi.setflags(write=False)
+    drift.setflags(write=False)
+    return psi, drift
 
 
-def diffusion_hjb_residual(psi: GridFunction, model: Diffusion1DModel,
-                           V) -> GridFunction:
+def diffusion_hjb_residual(psi: np.ndarray, model: Diffusion1DModel, V,
+                           grid: TimeGrid) -> np.ndarray:
     """Residual of d_t psi - U' psi' + 1/2 psi'' + 1/2 (psi')^2 - V."""
-    Vg = potential_on_grid(V, psi.grid, model.M + 1)
+    Vg = potential_on_grid(V, grid, model.M + 1)
     dx = model.dx
-    p = psi.values
-    dt_psi = derivative(p, psi.grid.dt)
+    p = psi
+    dt_psi = derivative(p, grid.dt)
     dx_psi = derivative(p, dx, axis=-1)
     dxx_psi = np.empty_like(p)
     dxx_psi[:, 1:-1] = (p[:, 2:] - 2 * p[:, 1:-1] + p[:, :-2]) / dx ** 2
@@ -344,45 +308,42 @@ def diffusion_hjb_residual(psi: GridFunction, model: Diffusion1DModel,
                      - p[:, 3]) / dx ** 2
     dxx_psi[:, -1] = (2 * p[:, -1] - 5 * p[:, -2] + 4 * p[:, -3]
                       - p[:, -4]) / dx ** 2
-    res = (dt_psi - model.U_prime[None, :] * dx_psi + 0.5 * dxx_psi
-           + 0.5 * dx_psi ** 2 - Vg)
-    return GridFunction(grid=psi.grid, xs=psi.xs, values=res)
+    return (dt_psi - model.U_prime[None, :] * dx_psi + 0.5 * dxx_psi
+            + 0.5 * dx_psi ** 2 - Vg)
 
 
 @dataclass(frozen=True)
-class DiffusionTransform:
-    """Bundle of the transformed diffusion: solved g, f, psi and drift."""
+class DiffusionTransform(HProcess):
+    """The transformed diffusion: an HProcess whose m is the model's
+    m_weights, plus log g (psi), the transformed drift and the count of
+    Crank-Nicolson nodes clipped to zero in both solves."""
 
-    model: Diffusion1DModel
-    grid: TimeGrid
-    g: GridFunction
-    f: GridFunction
-    psi: GridFunction
-    drift: GridFunction
-    c: float
+    psi: np.ndarray
+    drift: np.ndarray
     clipped_nodes: int
-
-    def marginal_masses(self, t: float) -> np.ndarray:
-        """Node masses of the transformed law at a grid time."""
-        k = self.grid.node_index(t)
-        return self.f.values[k] * self.g.values[k] * self.model.m_weights
 
 
 def build_diffusion_transform(model: Diffusion1DModel, V, f0, gamma1,
                               grid: TimeGrid) -> DiffusionTransform:
-    """Normalize, solve both PDEs, and derive the transformed drift."""
-    sol_g = solve_g_pde(model, V, gamma1, grid)
-    f0 = _spatial_weight(f0, model.M, "initial", "bad_initial")
+    """Normalize, solve both PDEs, and derive the transformed drift.
+
+    V's grid view is taken last: for a full (N+1) x (M+1) field it is a
+    copy, which then does not coexist with the temporaries of the solves.
+    """
+    gamma1 = weight_on_nodes(gamma1, model.M + 1, "terminal weight",
+                             "bad_terminal")
+    g, clipped_g = solve_g_pde(model, V, gamma1, grid)
+    f0 = weight_on_nodes(f0, model.M + 1, "initial weight", "bad_initial")
     mw = model.m_weights
-    c = float(np.sum(mw * f0 * sol_g.gf.values[0]))
-    if not np.isfinite(c) or c <= 0:
-        raise DegenerateInputError("weights give the transform zero mass",
-                                   reason="null_transform")
-    sol_f = solve_f_pde(model, V, f0 / c, grid)
-    psi, drift = psi_and_drift(model, sol_g.gf)
-    return DiffusionTransform(model=model, grid=grid, g=sol_g.gf, f=sol_f.gf,
-                              psi=psi, drift=drift, c=c,
-                              clipped_nodes=sol_g.clipped_nodes + sol_f.clipped_nodes)
+    c = normalization(mw, f0, g[0])
+    f0 = _freeze(f0 / c)
+    f, clipped_f = solve_f_pde(model, V, f0, grid)
+    psi, drift = psi_and_drift(model, g)
+    return DiffusionTransform(model=model, f0=f0, gamma1=gamma1,
+                              V=potential_on_grid(V, grid, model.M + 1),
+                              grid=grid, fk=FKSolution(grid=grid, g=g, f=f),
+                              c=c, m=mw, psi=psi, drift=drift,
+                              clipped_nodes=clipped_g + clipped_f)
 
 
 def _reflect(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -419,7 +380,7 @@ class _DriftField:
       retried from the right end of the cell, as np.interp does.
     """
 
-    def __init__(self, model: Diffusion1DModel, drift: GridFunction | None):
+    def __init__(self, model: Diffusion1DModel, drift: np.ndarray | None):
         self.xs = xs = model.xs
         self.x_min, self.inv_dx, self.M = model.x_min, 1.0 / model.dx, model.M
         self.widths = np.diff(xs)
@@ -471,16 +432,16 @@ class _DriftField:
     def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
         if self.drift is None:
             return self._interp(x, self.static, self.static_slopes)
-        N = self.drift.grid.N
+        N = self.drift.shape[0] - 1
         s = min(max(t, 0.0), 1.0) * N
         k = min(int(np.floor(s)), N - 1)
         a = s - k
         # masked (NaN) nodes are tolerated as long as no path needs them, so
         # the finiteness guard applies to the interpolated values only
         if a == 0.0:
-            row = self.drift.values[k]
+            row = self.drift[k]
         else:
-            row = (1.0 - a) * self.drift.values[k] + a * self.drift.values[k + 1]
+            row = (1.0 - a) * self.drift[k] + a * self.drift[k + 1]
         out = self._interp(x, row, self._slopes(row))
         if not np.isfinite(out).all():
             raise PositivityError("a path reached a region where the drift "
@@ -496,7 +457,7 @@ def _require_paths(n_paths: int):
 
 
 def _em_positions(model: Diffusion1DModel, n_paths: int, seed, steps: int,
-                  drift: GridFunction | None, x0, initial_masses,
+                  drift: np.ndarray | None, x0, initial_masses,
                   t_end: float):
     """Yield the positions at t = 0 and after each of the `steps` steps."""
     rng = np.random.default_rng(seed)
@@ -530,12 +491,14 @@ def _em_positions(model: Diffusion1DModel, n_paths: int, seed, steps: int,
 
 
 def sample_em_paths(model: Diffusion1DModel, n_paths: int, seed,
-                    steps: int, drift: GridFunction | None = None,
+                    steps: int, drift: np.ndarray | None = None,
                     x0: float | np.ndarray | None = None,
                     initial_masses: np.ndarray | None = None) -> np.ndarray:
     """Euler-Maruyama batch with reflection at the walls, from t = 0 to 1.
 
-    Initial positions come from x0 (scalar or per-path array) or are drawn
+    drift is an (N+1) x (M+1) array on the nodes of a uniform time grid (a
+    transform's drift), or None for the reference drift -U'. Initial
+    positions come from x0 (scalar or per-path array) or are drawn
     from node masses. Returns an (n_paths, steps+1) array of positions.
     A path escaping the 2x-padded domain aborts the run: the drift and step
     size are inconsistent with the model window.
@@ -566,11 +529,11 @@ def empirical_vs_fk_marginal(transform: DiffusionTransform, t: float,
     bins = min(_TV_BINS, model.M)
     edges = np.linspace(model.x_min, model.x_max, bins + 1)
     for positions in _em_positions(model, n_paths, seed, k, transform.drift,
-                                   None, transform.marginal_masses(0.0), t):
+                                   None, marginal(transform, 0.0), t):
         pass  # only the positions at time t are kept
     hist, _ = np.histogram(positions, bins=edges)
     empirical = hist / n_paths
-    masses = transform.marginal_masses(t)
+    masses = marginal(transform, t)
     which = np.clip(np.searchsorted(edges, model.xs, side="right") - 1,
                     0, bins - 1)
     target = np.bincount(which, weights=masses, minlength=bins)

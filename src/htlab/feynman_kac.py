@@ -43,38 +43,24 @@ def potential_on_grid(V, grid: TimeGrid, n: int) -> np.ndarray:
     return np.broadcast_to(V, (grid.N + 1, n))
 
 
-def _nonneg_weight(vec: np.ndarray, what: str) -> np.ndarray:
-    v = np.asarray(vec, dtype=float)
-    if v.ndim != 1:
-        raise ModelValidationError(f"{what} must be a vector", reason="bad_shape")
-    if not np.all(np.isfinite(v)) or np.any(v < 0):
+def weight_on_nodes(w, n: int, what: str, reason: str) -> np.ndarray:
+    """Read-only copy of a weight with one finite value >= 0 per node.
+
+    A shape other than (n,) is a dimension_mismatch, a NaN, infinite or
+    negative entry raises the caller's reason token and an all-zero weight
+    is a zero_weight.
+    """
+    w = _freeze(w)
+    if w.shape != (n,):
+        raise ModelValidationError(f"{what} must have one value per node",
+                                   reason="dimension_mismatch")
+    if not np.all(np.isfinite(w)) or np.any(w < 0):
         raise ModelValidationError(f"{what} must be finite and nonnegative",
-                                   reason="negative_weight")
-    if not np.any(v > 0):
+                                   reason=reason)
+    if not np.any(w > 0):
         raise DegenerateInputError(f"{what} must not vanish identically",
                                    reason="zero_weight")
-    return _freeze(v)
-
-
-@dataclass(frozen=True)
-class TerminalWeight:
-    """Nonnegative terminal reward, not identically zero."""
-
-    gamma1: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "gamma1",
-                           _nonneg_weight(self.gamma1, "terminal weight"))
-
-
-@dataclass(frozen=True)
-class InitialWeight:
-    """Nonnegative initial density factor, not identically zero."""
-
-    f0: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "f0", _nonneg_weight(self.f0, "initial weight"))
+    return w
 
 
 @dataclass(frozen=True)
@@ -170,34 +156,42 @@ def _rk4_sweep(A: np.ndarray, v_rows: np.ndarray, x0: np.ndarray,
     return x
 
 
-def solve_g(model: ReversibleModel, V, gamma1: TerminalWeight,
+def solve_g(model: ReversibleModel, V, gamma1,
             grid: TimeGrid) -> np.ndarray:
     """Backward equation dg/dt = (V - Q) g, swept from g(1) = gamma1."""
+    gamma1 = weight_on_nodes(gamma1, model.n, "terminal weight",
+                             "negative_weight")
     V = potential_on_grid(V, grid, model.n)
-    g = _rk4_sweep(model.Q, V[::-1], gamma1.gamma1, grid.dt)[::-1]
+    g = _rk4_sweep(model.Q, V[::-1], gamma1, grid.dt)[::-1]
     # The weighted semigroup preserves nonnegativity; tiny negative values can
     # only be integrator artifacts near zero and are clamped.
     return np.maximum(g, 0.0)
 
 
-def solve_f(model: ReversibleModel, V, f0: InitialWeight,
+def solve_f(model: ReversibleModel, V, f0,
             grid: TimeGrid) -> np.ndarray:
     """Forward function f(t,y) = sum_x m(x) f0(x) Phi(0,t)(x,y) / m(y).
 
     m f is swept forward as the left vector of the propagator, so no appeal
     to reversibility is needed.
     """
+    f0 = weight_on_nodes(f0, model.n, "initial weight", "negative_weight")
     V = potential_on_grid(V, grid, model.n)
-    f = _rk4_sweep(model.Q.T, V, model.m * f0.f0, grid.dt) / model.m
-    f[0] = f0.f0
+    f = _rk4_sweep(model.Q.T, V, model.m * f0, grid.dt) / model.m
+    f[0] = f0
     return np.maximum(f, 0.0)
 
 
-def solve_fk(model: ReversibleModel, V, f0: InitialWeight,
-             gamma1: TerminalWeight, grid: TimeGrid) -> FKSolution:
-    """Both Feynman-Kac functions, g and f, on the grid."""
+def solve_fk(model: ReversibleModel, V, f0, gamma1,
+             grid: TimeGrid) -> FKSolution:
+    """Both Feynman-Kac functions, g and f, on the grid.
+
+    f is solved first, so a bad f0 is reported before a bad gamma1, as in
+    build_h_process.
+    """
+    f = _freeze(solve_f(model, V, f0, grid))
     return FKSolution(grid=grid, g=_freeze(solve_g(model, V, gamma1, grid)),
-                      f=_freeze(solve_f(model, V, f0, grid)))
+                      f=f)
 
 
 def check_semigroup(prop: FKPropagator, s: float, t: float, u: float) -> float:

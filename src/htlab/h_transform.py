@@ -1,15 +1,17 @@
 """Construction and interrogation of the transformed path law.
 
-An HProcess is the reweighting of a reference jump model by an initial
-weight, a terminal weight and an exponential potential factor. The class
-bundles the Feynman-Kac solution that makes the transform concrete and
-exposes marginals, g between grid nodes, the time-dependent jump kernel of
-the transformed dynamics, relative entropy, exact path density ratios and a
-thinning-based path sampler.
+An HProcess is the reweighting of a reference model by an initial weight, a
+terminal weight and an exponential potential factor, for a jump chain and
+(as diffusion1d.DiffusionTransform) for a diffusion alike. The class bundles
+the Feynman-Kac solution that makes the transform concrete; marginals and
+relative entropy take either kind. For jump chains the module also exposes
+g between grid nodes, the time-dependent jump kernel of the transformed
+dynamics, exact path density ratios and a thinning-based path sampler.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,10 +19,9 @@ import numpy as np
 from htlab.errors import (ConvergenceError, DegenerateInputError,
                           InconsistencyError, ModelValidationError,
                           PositivityError)
-from htlab.feynman_kac import (FKSolution, InitialWeight,
-                               POSITIVITY_THRESHOLD, TerminalWeight,
+from htlab.feynman_kac import (FKSolution, POSITIVITY_THRESHOLD,
                                potential_on_grid, positivity_report, solve_f,
-                               solve_g)
+                               solve_g, weight_on_nodes)
 from htlab.markov_core import (PathBatch, PathView, ReversibleModel, TimeGrid,
                                _batch_from_rounds, _freeze, _path_blocks,
                                _search_rows)
@@ -39,25 +40,49 @@ class HProcess:
 
     f0 is stored post-normalization: the recorded constant c rescales the
     user's initial weight so that the transformed law has total mass one.
-    V is the read-only (N+1) x n view from feynman_kac.potential_on_grid.
+    model is the reference model: a markov_core.ReversibleModel, or a
+    diffusion1d.Diffusion1DModel in a DiffusionTransform. V is the read-only
+    (N+1) x n view from feynman_kac.potential_on_grid, and m holds the
+    reference law's node masses: the jump chain's m, the diffusion's
+    m_weights.
     """
 
-    model: ReversibleModel
-    f0: InitialWeight
-    gamma1: TerminalWeight
+    model: object
+    f0: np.ndarray
+    gamma1: np.ndarray
     V: np.ndarray
     grid: TimeGrid
     fk: FKSolution
     c: float
-    V_cum: np.ndarray  # cumulative time integral of V at grid nodes, per state
+    m: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.model.n
+        return self.m.shape[0]
+
+    @functools.cached_property
+    def V_cum(self) -> np.ndarray:
+        """Cumulative time integral of V at the grid nodes, per node."""
+        cell_integrals = 0.5 * self.grid.dt * (self.V[:-1] + self.V[1:])
+        return _freeze(np.vstack([np.zeros(self.n),
+                                  np.cumsum(cell_integrals, axis=0)]))
 
 
-def build_h_process(model: ReversibleModel, f0: InitialWeight,
-                    gamma1: TerminalWeight, V,
+def normalization(m: np.ndarray, f0: np.ndarray, g0: np.ndarray) -> float:
+    """The constant c = sum_x m(x) f0(x) g(0,x) that gives P mass one.
+
+    A c that is zero or not finite means the weights leave the transform
+    without mass (null_transform).
+    """
+    c = float(np.sum(m * f0 * g0))
+    if not np.isfinite(c) or c <= 0.0:
+        raise DegenerateInputError(
+            "initial and terminal weights give the transform zero mass",
+            reason="null_transform")
+    return c
+
+
+def build_h_process(model: ReversibleModel, f0, gamma1, V,
                     grid: TimeGrid) -> HProcess:
     """Normalize the initial weight and assemble the transformed process.
 
@@ -65,26 +90,23 @@ def build_h_process(model: ReversibleModel, f0: InitialWeight,
     into f0; the terminal weight is left untouched. g does not depend on f0,
     so one backward sweep gives c and g, then one forward sweep gives f.
     """
-    v = potential_on_grid(V, grid, model.n)
+    f0 = weight_on_nodes(f0, model.n, "initial weight", "negative_weight")
+    gamma1 = weight_on_nodes(gamma1, model.n, "terminal weight",
+                             "negative_weight")
     g = solve_g(model, V, gamma1, grid)
-    c = float(np.sum(model.m * f0.f0 * g[0]))
-    if not np.isfinite(c) or c <= 0.0:
-        raise DegenerateInputError(
-            "initial and terminal weights give the transform zero mass",
-            reason="null_transform")
-    f0_scaled = InitialWeight(f0.f0 / c)
+    c = normalization(model.m, f0, g[0])
+    f0 = _freeze(f0 / c)
     fk = FKSolution(grid=grid, g=_freeze(g),
-                    f=_freeze(solve_f(model, V, f0_scaled, grid)))
-    cell_integrals = 0.5 * grid.dt * (v[:-1] + v[1:])
-    V_cum = np.vstack([np.zeros(model.n), np.cumsum(cell_integrals, axis=0)])
-    return HProcess(model=model, f0=f0_scaled, gamma1=gamma1, V=v, grid=grid,
-                    fk=fk, c=c, V_cum=_freeze(V_cum))
+                    f=_freeze(solve_f(model, V, f0, grid)))
+    return HProcess(model=model, f0=f0, gamma1=gamma1,
+                    V=potential_on_grid(V, grid, model.n), grid=grid, fk=fk,
+                    c=c, m=model.m)
 
 
 def marginal(hp: HProcess, t: float) -> np.ndarray:
     """One-time marginal at a grid node: density f g against m."""
     k = hp.grid.node_index(t)
-    return hp.fk.f[k] * hp.fk.g[k] * hp.model.m
+    return hp.fk.f[k] * hp.fk.g[k] * hp.m
 
 
 def g_at(hp: HProcess, tau: float) -> np.ndarray:
@@ -177,7 +199,7 @@ def relative_entropy(hp: HProcess) -> float:
     contribute zero by the 0 log 0 convention.
     """
     f, g = hp.fk.f, hp.fk.g
-    P = f * g * hp.model.m[None, :]
+    P = f * g * hp.m[None, :]
     N = hp.grid.N
 
     def mass_weighted_log(p: np.ndarray, w: np.ndarray, what: str) -> float:
@@ -187,8 +209,8 @@ def relative_entropy(hp: HProcess) -> float:
                                      reason="mass_outside_support")
         return float(np.sum(p[live] * np.log(w[live])))
 
-    initial_term = mass_weighted_log(P[0], hp.f0.f0, "initial weight")
-    terminal_term = mass_weighted_log(P[N], hp.gamma1.gamma1, "terminal weight")
+    initial_term = mass_weighted_log(P[0], hp.f0, "initial weight")
+    terminal_term = mass_weighted_log(P[N], hp.gamma1, "terminal weight")
     weights = np.full(N + 1, hp.grid.dt)
     weights[0] = weights[N] = 0.5 * hp.grid.dt
     potential_term = float(np.sum(weights[:, None] * P * hp.V))

@@ -2,7 +2,6 @@
 
 import numpy as np
 
-from htlab.feynman_kac import InitialWeight, TerminalWeight
 from htlab.h_transform import build_h_process
 from htlab.markov_core import (JumpKernel, PathBatch, StateSpace, TimeGrid,
                                build_metropolis, build_reversible_model)
@@ -43,16 +42,16 @@ def wavy_potential(model, grid: TimeGrid) -> np.ndarray:
 def identity_hprocess(model, N: int = 100):
     """Transform with unit weights and zero potential: the reference law."""
     grid = TimeGrid(N)
-    return build_h_process(model, InitialWeight(np.ones(model.n)),
-                           TerminalWeight(np.ones(model.n)), 0.0, grid)
+    return build_h_process(model, np.ones(model.n), np.ones(model.n), 0.0,
+                           grid)
 
 
 def generic_hprocess(N: int = 100):
     """Five-state transform with nonconstant potential and terminal weight."""
     model = five_state_model()
     grid = TimeGrid(N)
-    return build_h_process(model, InitialWeight(np.ones(model.n)),
-                           TerminalWeight(np.array([0.2, 0.5, 1.0, 0.3, 0.8])),
+    return build_h_process(model, np.ones(model.n),
+                           np.array([0.2, 0.5, 1.0, 0.3, 0.8]),
                            wavy_potential(model, grid), grid)
 
 

@@ -16,8 +16,7 @@ from conftest import (five_state_model, identity_hprocess, generic_hprocess,
 from htlab.bridge import build_bridge_problem, ipf_solve, static_entropy
 from htlab.diffusion1d import (Diffusion1DModel, build_diffusion_transform,
                                sample_em_paths)
-from htlab.feynman_kac import (InitialWeight, TerminalWeight,
-                               check_fk_generator, fk_propagator,
+from htlab.feynman_kac import (check_fk_generator, fk_propagator,
                                check_semigroup, solve_g)
 from htlab.generator_lab import (carre_du_champ, check_fk_stochastic_derivative,
                                  check_transformed_generator)
@@ -51,7 +50,7 @@ def test_01_semigroup_composition():
 
 def test_02_backward_equation_both_forms():
     model = five_state_model()
-    gamma1 = TerminalWeight(np.array([0.2, 0.5, 1.0, 0.3, 0.8]))
+    gamma1 = np.array([0.2, 0.5, 1.0, 0.3, 0.8])
 
     def pde_max(N: int) -> float:
         grid = TimeGrid(N)
@@ -80,8 +79,7 @@ def test_03_transformed_generator_identity():
     grid = TimeGrid(400)
     indicator = np.zeros(4)
     indicator[1] = 0.6
-    hp = build_h_process(model, InitialWeight(np.ones(4)),
-                         TerminalWeight(np.array([0.5, 1.0, 0.8, 0.3])),
+    hp = build_h_process(model, np.ones(4), np.array([0.5, 1.0, 0.8, 0.3]),
                          indicator, grid)
     rng = np.random.default_rng(7)
     worst = max(
@@ -130,8 +128,7 @@ def test_07_discrete_hjb():
     model = five_state_model()
     grid = TimeGrid(4000)
     V = wavy_potential(model, grid)
-    g = solve_g(model, V, TerminalWeight(np.array([0.2, 0.5, 1.0, 0.3, 0.8])),
-                grid)
+    g = solve_g(model, V, np.array([0.2, 0.5, 1.0, 0.3, 0.8]), grid)
     res, _ = discrete_hjb_residual(g, model, V, grid)
     fk_res = check_fk_generator(model, V, g, grid).residual
     identity_gap = float(np.abs(np.abs(res.residual) * g - fk_res).max())
@@ -196,11 +193,11 @@ def test_09_diffusion_bridge_drift():
     in_middle = np.abs(model.xs - 0.5 * (model.x_min + model.x_max)) \
         <= 0.25 * (model.x_max - model.x_min)
     region = (grid.nodes[:, None] <= 0.9) & in_middle[None, :]
-    err = np.abs(tr.drift.values - exact)[region]
+    err = np.abs(tr.drift - exact)[region]
     rel = float(err.max()) / float(np.abs(exact[region]).max())
 
     out = sample_em_paths(model, 10_000, seed=606, steps=512, drift=tr.drift,
-                          initial_masses=tr.marginal_masses(0.0))
+                          initial_masses=marginal(tr, 0.0))
     std_bound = 2 * eps + 2 * model.dx
     _verdict(9, {"drift_formula": rel <= 1e-2,
                  "terminal_spread": float(out[:, -1].std()) <= std_bound})

@@ -457,6 +457,41 @@ def test_nonfinite_time_is_off_grid(tmp_path, capsys, command, old, new,
     assert "reason=off_grid_time" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,old,new,reason", [
+    ("transform", "tolerance_pde: 1.0e-4",
+     "tolerance_pde: 1.0e-4\n  times: [0.123]", "off_grid_time"),
+    ("check", "tolerance_pde: 1.0e-4", "tolerance_pde: .nan", "bad_config"),
+    ("check", "seed: 7", "seed: abc", "bad_config"),
+    ("check", "tolerance_pde: 1.0e-4",
+     "tolerance_pde: 1.0e-4\n  times: [0.123]", "off_grid_time"),
+    ("report", "tolerance_generator: 1.0e-4", "tolerance_generator: 0.0",
+     "bad_config"),
+    ("report", "mu1: [0.2, 0.2, 0.6]", "mu1: [0.2, 0.2, 0.6]\n  tol: .nan",
+     "bad_config"),
+    ("report", "mu1: [0.2, 0.2, 0.6]",
+     "mu1: [0.2, 0.2, 0.6]\n  max_iter: many", "bad_config"),
+    ("bridge", "mu1: [0.2, 0.2, 0.6]",
+     "mu1: [0.2, 0.2, 0.6]\n  max_iter: many", "bad_config"),
+], ids=["transform_off_grid", "check_tolerance", "check_seed",
+        "check_off_grid", "report_tolerance", "report_bridge_tol",
+        "report_max_iter", "bridge_max_iter"])
+def test_bad_setting_fails_before_anything_is_built(tmp_path, capsys,
+                                                    monkeypatch, command, old,
+                                                    new, reason):
+    """Scalar settings (times, tolerances, seed, bridge limits) are read and
+    checked before the h-process or the bridge problem is built."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built before the settings were checked")
+
+    monkeypatch.setattr(htlab.h_transform, "build_h_process", forbidden)
+    monkeypatch.setattr(htlab.bridge, "build_bridge_problem", forbidden)
+    assert old in JUMP_YAML
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(JUMP_YAML.replace(old, new), encoding="utf-8")
+    assert run(command, str(cfg), tmp_path / "out") == 2
+    assert f"reason={reason}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", [".nan", ".inf", "-1.0e-6", "0.0"])
 @pytest.mark.parametrize("command,old,new", [
     ("check", "tolerance_pde: 1.0e-4",

@@ -50,8 +50,8 @@ def test_load_jump_config(tmp_path):
     np.testing.assert_allclose(model.m, expected_m / expected_m.sum(),
                                atol=1e-12)
     f0, gamma1, V = transform_pieces(cfg, model, cfg.time_grid)
-    np.testing.assert_array_equal(f0.f0, np.ones(3))
-    np.testing.assert_array_equal(gamma1.gamma1, [0.5, 1.0, 0.8])
+    np.testing.assert_array_equal(f0, np.ones(3))
+    np.testing.assert_array_equal(gamma1, [0.5, 1.0, 0.8])
     assert V.shape == () and V == 0.2
 
 

@@ -18,7 +18,7 @@ from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 from htlab import diffusion1d
-from htlab.diffusion1d import (Diffusion1DModel, GridFunction, _DriftField,
+from htlab.diffusion1d import (Diffusion1DModel, _DriftField,
                                _operator_bands, _reflect, _tridiag_mul,
                                _tridiag_solve,
                                build_diffusion_transform,
@@ -28,6 +28,7 @@ from htlab.diffusion1d import (Diffusion1DModel, GridFunction, _DriftField,
 from htlab.errors import (DegenerateInputError, ModelValidationError,
                           PositivityError)
 from htlab.feynman_kac import potential_on_grid
+from htlab.h_transform import marginal, relative_entropy
 from htlab.markov_core import TimeGrid
 
 
@@ -103,9 +104,9 @@ def test_tridiag_solve_matches_solve_banded(n):
 def test_backward_flat_solution_is_exact():
     model = quadratic_model()
     grid = TimeGrid(100)
-    sol = solve_g_pde(model, 0.0, np.ones(model.M + 1), grid)
-    np.testing.assert_allclose(sol.gf.values, 1.0, atol=1e-12)
-    assert sol.clipped_nodes == 0
+    g, clipped = solve_g_pde(model, 0.0, np.ones(model.M + 1), grid)
+    np.testing.assert_allclose(g, 1.0, atol=1e-12)
+    assert clipped == 0
 
 
 def test_backward_constant_potential_pade():
@@ -113,9 +114,9 @@ def test_backward_constant_potential_pade():
     model = flat_model()
     grid = TimeGrid(256)
     c = 1.0
-    sol = solve_g_pde(model, c, np.ones(model.M + 1), grid)
+    g = solve_g_pde(model, c, np.ones(model.M + 1), grid)[0]
     exact = np.exp(-c * (1.0 - grid.nodes))[:, None]
-    assert np.max(np.abs(sol.gf.values - exact)) <= 2e-6
+    assert np.max(np.abs(g - exact)) <= 2e-6
 
 
 def test_backward_gaussian_closed_form():
@@ -123,13 +124,13 @@ def test_backward_gaussian_closed_form():
     model = flat_model(M=512)
     grid = TimeGrid(512)
     eps = 0.5
-    sol = solve_g_pde(model, 0.0, gaussian_weight(model, eps), grid)
+    g, clipped = solve_g_pde(model, 0.0, gaussian_weight(model, eps), grid)
     s = eps ** 2 + 1.0 - grid.nodes[:, None]
     exact = eps / np.sqrt(s) * np.exp(-model.xs[None, :] ** 2 / (2 * s))
     win = np.abs(model.xs) <= 2.0
-    rel = np.abs(sol.gf.values[:, win] - exact[:, win]) / exact[:, win]
+    rel = np.abs(g[:, win] - exact[:, win]) / exact[:, win]
     assert rel.max() <= 1e-3
-    assert sol.clipped_nodes == 0
+    assert clipped == 0
 
 
 def test_backward_second_order_convergence():
@@ -138,11 +139,11 @@ def test_backward_second_order_convergence():
         model = flat_model(M=M)
         grid = TimeGrid(N)
         eps = 0.5
-        sol = solve_g_pde(model, 0.0, gaussian_weight(model, eps), grid)
+        g = solve_g_pde(model, 0.0, gaussian_weight(model, eps), grid)[0]
         s = eps ** 2 + 1.0 - grid.nodes[:, None]
         exact = eps / np.sqrt(s) * np.exp(-model.xs[None, :] ** 2 / (2 * s))
         win = np.abs(model.xs) <= 2.0
-        return np.max(np.abs(sol.gf.values[:, win] - exact[:, win])
+        return np.max(np.abs(g[:, win] - exact[:, win])
                       / exact[:, win])
 
     ratio = max_rel(64, 64) / max_rel(128, 256)
@@ -152,12 +153,12 @@ def test_backward_second_order_convergence():
 def test_forward_flat_and_constant_potential():
     model = flat_model()
     grid = TimeGrid(256)
-    sol = solve_f_pde(model, 0.0, np.ones(model.M + 1), grid)
-    np.testing.assert_allclose(sol.gf.values, 1.0, atol=1e-12)
+    f = solve_f_pde(model, 0.0, np.ones(model.M + 1), grid)[0]
+    np.testing.assert_allclose(f, 1.0, atol=1e-12)
     c = 0.8
-    sol_c = solve_f_pde(model, c, np.ones(model.M + 1), grid)
+    f_c = solve_f_pde(model, c, np.ones(model.M + 1), grid)[0]
     exact = np.exp(-c * grid.nodes)[:, None]
-    assert np.max(np.abs(sol_c.gf.values - exact)) <= 2e-6
+    assert np.max(np.abs(f_c - exact)) <= 2e-6
 
 
 def test_forward_backward_duality_is_exact():
@@ -168,8 +169,8 @@ def test_forward_backward_duality_is_exact():
     V = 0.4 * np.sin(np.pi * ts)[:, None] + 0.2 * np.cos(xs)[None, :]
     f0 = 1.0 + 0.5 * np.cos(xs)
     gamma1 = np.exp(-xs ** 2)
-    g = solve_g_pde(model, V, gamma1, grid).gf.values
-    f = solve_f_pde(model, V, f0, grid).gf.values
+    g = solve_g_pde(model, V, gamma1, grid)[0]
+    f = solve_f_pde(model, V, f0, grid)[0]
     pairing = np.sum(f * g * model.m_weights[None, :], axis=1)
     np.testing.assert_allclose(pairing, pairing[0], rtol=1e-12)
 
@@ -239,12 +240,11 @@ def test_cn_sweeps_match_per_step_reference(steep, V_kind, N, width):
     f0 = np.exp(-0.5 * ((xs + 0.8) / width) ** 2)
     g_ref, g_clipped, f_ref, f_clipped = reference_sweeps(model, V, gamma1,
                                                           f0, grid)
-    sol_g = solve_g_pde(model, V, gamma1, grid)
-    sol_f = solve_f_pde(model, V, f0, grid)
-    assert np.array_equal(sol_g.gf.values, g_ref)
-    assert np.array_equal(sol_f.gf.values, f_ref)
-    assert (sol_g.clipped_nodes, sol_f.clipped_nodes) == (g_clipped,
-                                                          f_clipped)
+    g, g_clips = solve_g_pde(model, V, gamma1, grid)
+    f, f_clips = solve_f_pde(model, V, f0, grid)
+    assert np.array_equal(g, g_ref)
+    assert np.array_equal(f, f_ref)
+    assert (g_clips, f_clips) == (g_clipped, f_clipped)
     if width < 0.1:
         assert g_clipped > 0 and f_clipped > 0
     if steep:
@@ -305,29 +305,38 @@ def test_cn_factors_once_per_sweep_when_V_is_constant_in_time(monkeypatch):
             assert calls == expected
 
 
-def test_weight_validation():
-    model = flat_model()
-    grid = TimeGrid(100)
-    with pytest.raises(ModelValidationError):
-        solve_g_pde(model, 0.0, np.ones(model.M), grid)
-    with pytest.raises(ModelValidationError):
-        solve_g_pde(model, 0.0, -np.ones(model.M + 1), grid)
-    with pytest.raises(DegenerateInputError):
-        solve_g_pde(model, 0.0, np.zeros(model.M + 1), grid)
-    with pytest.raises(DegenerateInputError):
-        solve_f_pde(model, 0.0, np.zeros(model.M + 1), grid)
-
-
 def test_transform_marginals_are_probabilities():
     model = quadratic_model()
     grid = TimeGrid(200)
     tr = build_diffusion_transform(model, 0.1, 1.0 + 0.3 * np.sin(model.xs),
                                    gaussian_weight(model, 0.8), grid)
     for t in (0.0, 0.25, 0.6, 1.0):
-        masses = tr.marginal_masses(t)
+        masses = marginal(tr, t)
         assert np.all(masses >= 0)
         assert masses.sum() == pytest.approx(1.0, abs=1e-12)
     assert tr.c > 0
+
+
+def test_relative_entropy_comes_from_the_jump_chain_function():
+    """h_transform.relative_entropy reads a diffusion transform as it reads
+    a jump chain's. A constant V changes no law, so H(P|R) = 0 up to the
+    O(dt^2) Pade bias; a tilting V and gamma1 give H > 0, converging as the
+    grid is refined."""
+    model = quadratic_model(M=64)
+    ones = np.ones(model.M + 1)
+    tr = build_diffusion_transform(model, 0.3, ones, ones, TimeGrid(200))
+    assert abs(relative_entropy(tr)) <= 1e-6
+
+    def tilted(M, N):
+        model = quadratic_model(M=M)
+        xs = model.xs
+        return relative_entropy(build_diffusion_transform(
+            model, 0.3 * np.exp(-xs ** 2), np.ones(M + 1),
+            np.exp(-(xs - 0.5) ** 2), TimeGrid(N)))
+
+    h = [tilted(32, 100), tilted(64, 200), tilted(128, 400)]
+    assert min(h) > 0.0
+    assert abs(h[2] - h[1]) < abs(h[1] - h[0])
 
 
 def test_flat_g_gives_reference_drift():
@@ -335,9 +344,9 @@ def test_flat_g_gives_reference_drift():
     grid = TimeGrid(100)
     tr = build_diffusion_transform(model, 0.0, np.ones(model.M + 1),
                                    np.ones(model.M + 1), grid)
-    np.testing.assert_allclose(tr.psi.values, 0.0, atol=1e-12)
+    np.testing.assert_allclose(tr.psi, 0.0, atol=1e-12)
     np.testing.assert_allclose(
-        tr.drift.values, np.tile(-model.U_prime, (101, 1)), atol=1e-12)
+        tr.drift, np.tile(-model.U_prime, (101, 1)), atol=1e-12)
 
 
 def test_drift_is_gauge_invariant():
@@ -347,9 +356,9 @@ def test_drift_is_gauge_invariant():
     tr1 = build_diffusion_transform(model, 0.0, np.ones(129), gamma1, grid)
     tr2 = build_diffusion_transform(model, 0.0, np.ones(129), 2.5 * gamma1,
                                     grid)
-    np.testing.assert_allclose(tr2.psi.values - tr1.psi.values, np.log(2.5),
+    np.testing.assert_allclose(tr2.psi - tr1.psi, np.log(2.5),
                                atol=1e-10)
-    np.testing.assert_allclose(tr2.drift.values, tr1.drift.values, atol=1e-9)
+    np.testing.assert_allclose(tr2.drift, tr1.drift, atol=1e-9)
 
 
 def test_bridge_drift_closed_form():
@@ -363,7 +372,7 @@ def test_bridge_drift_closed_form():
     exact = -model.xs[None, :] / s
     tw = grid.nodes <= 0.9
     win = np.abs(model.xs) <= 1.0
-    err = np.abs(tr.drift.values[np.ix_(tw, win)] - exact[np.ix_(tw, win)])
+    err = np.abs(tr.drift[np.ix_(tw, win)] - exact[np.ix_(tw, win)])
     assert err.max() / np.abs(exact[np.ix_(tw, win)]).max() <= 1e-2
 
 
@@ -372,9 +381,9 @@ def test_masked_psi_propagates_and_blocks_sampling():
     grid = TimeGrid(100)
     gamma1 = np.where(model.xs >= 0.0, gaussian_weight(model, 0.8), 0.0)
     tr = build_diffusion_transform(model, 0.0, np.ones(65), gamma1, grid)
-    assert np.isnan(tr.psi.values[-1, 0])
-    assert np.isnan(tr.drift.values[-1, 0])
-    assert np.isfinite(tr.psi.values[:-1]).all()
+    assert np.isnan(tr.psi[-1, 0])
+    assert np.isnan(tr.drift[-1, 0])
+    assert np.isfinite(tr.psi[:-1]).all()
     # off-grid final step blends into the masked terminal row
     with pytest.raises(PositivityError):
         sample_em_paths(model, 4, seed=3, steps=101, drift=tr.drift, x0=-1.5)
@@ -385,14 +394,14 @@ def test_hjb_residual_exact_and_pade():
     grid = TimeGrid(512)
     tr = build_diffusion_transform(model, 0.0, np.ones(129), np.ones(129),
                                    grid)
-    res0 = diffusion_hjb_residual(tr.psi, model, 0.0)
-    assert np.max(np.abs(res0.values)) <= 1e-12
+    res0 = diffusion_hjb_residual(tr.psi, model, 0.0, grid)
+    assert np.max(np.abs(res0)) <= 1e-12
     c = 0.05
     tr_c = build_diffusion_transform(model, c, np.ones(129), np.ones(129),
                                      grid)
-    res_c = diffusion_hjb_residual(tr_c.psi, model, c)
+    res_c = diffusion_hjb_residual(tr_c.psi, model, c, grid)
     # psi is exactly linear in time, leaving only the c^3 dt^2 / 12 Pade bias
-    assert np.max(np.abs(res_c.values)) <= 1e-10
+    assert np.max(np.abs(res_c)) <= 1e-10
 
 
 def test_hjb_residual_gaussian_scales_with_dx():
@@ -401,9 +410,9 @@ def test_hjb_residual_gaussian_scales_with_dx():
         grid = TimeGrid(512)
         tr = build_diffusion_transform(model, 0.0, np.ones(M + 1),
                                        gaussian_weight(model, 0.5), grid)
-        res = diffusion_hjb_residual(tr.psi, model, 0.0)
+        res = diffusion_hjb_residual(tr.psi, model, 0.0, grid)
         win = np.abs(model.xs) <= 2.0
-        return float(np.nanmax(np.abs(res.values[:, win])))
+        return float(np.nanmax(np.abs(res[:, win])))
 
     coarse, fine = interior_max(256), interior_max(512)
     assert fine <= 0.05
@@ -474,15 +483,14 @@ def test_drift_field_branches_match_np_interp():
     for t in (0.0, 0.37, 1.0):
         assert_same_bits(static(t, x), np.interp(x, model.xs, -model.U_prime))
     grid = TimeGrid(50)
-    drift = GridFunction(grid=grid, xs=model.xs,
-                         values=rng.standard_normal((51, 65)))
+    drift = rng.standard_normal((51, 65))
     blended = _DriftField(model, drift)
     for t in (0.0, 0.013, 0.5, 0.731, 1.0):
         s = t * grid.N
         k = min(int(np.floor(s)), grid.N - 1)
         a = s - k
-        row = drift.values[k] if a == 0.0 else \
-            (1.0 - a) * drift.values[k] + a * drift.values[k + 1]
+        row = drift[k] if a == 0.0 else \
+            (1.0 - a) * drift[k] + a * drift[k + 1]
         assert_same_bits(blended(t, x), np.interp(x, model.xs, row))
 
 
@@ -561,9 +569,7 @@ def test_em_rejects_empty_requests(n_paths):
 
 def test_em_escape_guard():
     model = quadratic_model()
-    grid = TimeGrid(100)
-    runaway = GridFunction(grid=grid, xs=model.xs,
-                           values=np.full((101, model.M + 1), 1e4))
+    runaway = np.full((101, model.M + 1), 1e4)
     with pytest.raises(ModelValidationError) as info:
         sample_em_paths(model, 2, seed=1, steps=100, drift=runaway, x0=0.0)
     assert info.value.reason == "path_escaped"
@@ -609,12 +615,3 @@ def test_empirical_marginal_bridge_transform():
     tr = build_diffusion_transform(model, 0.0, np.ones(257),
                                    gaussian_weight(model, 0.1), grid)
     assert empirical_vs_fk_marginal(tr, 0.9, 20_000, seed=5) <= 0.05
-
-
-def test_grid_function_takes_ownership_of_values():
-    """The values array is kept without a copy and frozen for its caller."""
-    model = quadratic_model()
-    values = np.ones((11, model.M + 1))
-    gf = GridFunction(grid=TimeGrid(10), xs=model.xs, values=values)
-    assert np.shares_memory(gf.values, values)
-    assert not values.flags.writeable

@@ -16,10 +16,11 @@ from scipy.linalg import expm
 from conftest import (five_state_model, ring_kernel, two_state_model,
                       wavy_potential)
 from htlab import feynman_kac
-from htlab.diffusion1d import Diffusion1DModel, solve_f_pde, solve_g_pde
-from htlab.errors import DegenerateInputError, ModelValidationError
-from htlab.feynman_kac import (InitialWeight, TerminalWeight,
-                               check_fk_generator, check_semigroup,
+from htlab.diffusion1d import (Diffusion1DModel, build_diffusion_transform,
+                               solve_f_pde, solve_g_pde)
+from htlab.errors import (DegenerateInputError, HTLabError,
+                          ModelValidationError)
+from htlab.feynman_kac import (check_fk_generator, check_semigroup,
                                derivative, fk_propagator, potential_on_grid,
                                positivity_report, rk4_matrix_step, solve_f,
                                solve_fk, solve_g)
@@ -129,7 +130,7 @@ def test_propagator_entry_bounds():
 def test_solve_g_trivial_cases():
     model = two_state_model()
     grid = TimeGrid(100)
-    ones = TerminalWeight(np.ones(2))
+    ones = np.ones(2)
     g0 = solve_g(model, 0.0, ones, grid)
     np.testing.assert_allclose(g0, 1.0, atol=1e-14)
     g1 = solve_g(model, 1.0, ones, grid)
@@ -143,7 +144,7 @@ def test_solve_g_monte_carlo_oracle():
     model = two_state_model()
     grid = TimeGrid(100)
     V = np.array([0.0, 1.0])
-    g = solve_g(model, V, TerminalWeight(np.ones(2)), grid)
+    g = solve_g(model, V, np.ones(2), grid)
     n_paths = 30_000
     for x0 in (0, 1):
         paths = sample_paths_R(model, n_paths, seed=90 + x0, x0=x0)
@@ -181,7 +182,7 @@ def test_solve_g_path_class_enumeration_oracle():
     v_states = np.array([0.2, 0.0, 0.5])
     gamma1 = np.array([1.0, 0.4, 0.7])
     grid = TimeGrid(10)
-    g = solve_g(model, v_states, TerminalWeight(gamma1), grid)
+    g = solve_g(model, v_states, gamma1, grid)
     J = model.J.rates
     exit_rates = model.J.exit_rates
 
@@ -202,7 +203,7 @@ def test_solve_g_path_class_enumeration_oracle():
 def test_solve_f_trivial_cases():
     model = two_state_model()
     grid = TimeGrid(100)
-    ones = InitialWeight(np.ones(2))
+    ones = np.ones(2)
     f0 = solve_f(model, 0.0, ones, grid)
     np.testing.assert_allclose(f0, 1.0, atol=1e-12)
     c = 0.7
@@ -216,8 +217,7 @@ def test_fg_duality():
     model = two_state_model()
     grid = TimeGrid(150)
     V = _wavy(model, grid)
-    sol = solve_fk(model, V, InitialWeight(np.array([0.5, 1.5])),
-                   TerminalWeight(np.array([1.0, 0.3])), grid)
+    sol = solve_fk(model, V, np.array([0.5, 1.5]), np.array([1.0, 0.3]), grid)
     pairing = np.sum(sol.f * sol.g * model.m[None, :], axis=1)
     np.testing.assert_allclose(pairing, pairing[0], rtol=1e-12)
 
@@ -227,8 +227,7 @@ def test_g_against_propagator_composition():
     model = two_state_model()
     grid = TimeGrid(100)
     V = _wavy(model, grid)
-    sol = solve_fk(model, V, InitialWeight(np.ones(2)),
-                   TerminalWeight(np.array([0.2, 1.0])), grid)
+    sol = solve_fk(model, V, np.ones(2), np.array([0.2, 1.0]), grid)
     prop = fk_propagator(model, V, grid)
     for k, l in ((0, 100), (30, 80)):
         np.testing.assert_allclose(sol.g[k], prop.matrix(k, l) @ sol.g[l],
@@ -241,7 +240,7 @@ def test_f_against_propagator_composition():
     grid = TimeGrid(100)
     V = wavy_potential(model, grid)
     f0 = np.array([1.0, 2.0, 0.5, 1.5, 1.0])
-    f = solve_f(model, V, InitialWeight(f0), grid)
+    f = solve_f(model, V, f0, grid)
     prop = fk_propagator(model, V, grid)
     np.testing.assert_array_equal(f[0], f0)
     for l in (1, 37, 100):
@@ -252,7 +251,7 @@ def test_f_against_propagator_composition():
 def test_g_upper_bounds():
     model = two_state_model()
     grid = TimeGrid(100)
-    gamma1 = TerminalWeight(np.array([0.4, 1.3]))
+    gamma1 = np.array([0.4, 1.3])
     ts = grid.nodes
     nonneg = 0.5 * (1 + np.sin(3 * ts))[:, None] * np.ones((1, 2))
     g = solve_g(model, nonneg, gamma1, grid)
@@ -267,7 +266,7 @@ def test_g_upper_bounds():
 def test_fk_generator_residual_trivial():
     model = two_state_model()
     grid = TimeGrid(100)
-    g = solve_g(model, 0.0, TerminalWeight(np.ones(2)), grid)
+    g = solve_g(model, 0.0, np.ones(2), grid)
     res = check_fk_generator(model, 0.0, g, grid)
     assert res.max_residual <= 1e-13
 
@@ -279,7 +278,7 @@ def test_fk_generator_residual_second_order():
     def max_residual(N):
         grid = TimeGrid(N)
         V = _wavy(model, grid)
-        g = solve_g(model, V, TerminalWeight(np.array([0.5, 1.0])), grid)
+        g = solve_g(model, V, np.array([0.5, 1.0]), grid)
         return check_fk_generator(model, V, g, grid).max_residual
 
     r_coarse, r_fine = max_residual(250), max_residual(500)
@@ -290,7 +289,7 @@ def test_fk_generator_residual_constant_potential():
     model = two_state_model()
     grid = TimeGrid(100)
     V = 1.0
-    g = solve_g(model, V, TerminalWeight(np.ones(2)), grid)
+    g = solve_g(model, V, np.ones(2), grid)
     res = check_fk_generator(model, V, g, grid)
     # stencil error of e^{-(1-t)}: dt^2/6 inside, dt^2/3 at the endpoints
     assert res.max_residual <= (grid.dt ** 2) / 2.0
@@ -301,9 +300,9 @@ def test_positivity_report():
     model = two_state_model()
     grid = TimeGrid(50)
     V = 0.0
-    g_pos = solve_g(model, V, TerminalWeight(np.array([1.0, 0.5])), grid)
+    g_pos = solve_g(model, V, np.array([1.0, 0.5]), grid)
     assert positivity_report(g_pos, grid) == []
-    g_zero = solve_g(model, V, TerminalWeight(np.array([1.0, 0.0])), grid)
+    g_zero = solve_g(model, V, np.array([1.0, 0.0]), grid)
     assert positivity_report(g_zero, grid) == [(1.0, 1)]
 
 
@@ -325,9 +324,8 @@ def _jump_outputs(V, grid):
     """Every jump-solver output that reads V: both RK4 sweeps, the
     propagator, the backward-equation residual, V_cum and the entropy."""
     model = five_state_model()
-    hp = build_h_process(model, InitialWeight(np.linspace(0.5, 1.5, 5)),
-                         TerminalWeight(np.array([0.5, 1.0, 0.8, 0.3, 1.2])),
-                         V, grid)
+    hp = build_h_process(model, np.linspace(0.5, 1.5, 5),
+                         np.array([0.5, 1.0, 0.8, 0.3, 1.2]), V, grid)
     return (hp.fk.g, hp.fk.f, hp.V, hp.V_cum, relative_entropy(hp),
             fk_propagator(model, V, grid).step,
             check_fk_generator(model, V, hp.fk.g, grid).residual)
@@ -337,10 +335,8 @@ def _cn_outputs(V, grid):
     """g and f of both Crank-Nicolson sweeps and their clip counts."""
     model = Diffusion1DModel(-2.0, 2.0, 16, np.linspace(-1.0, 1.0, 17) ** 2)
     weight = np.exp(-np.linspace(-2.0, 2.0, 17) ** 2)
-    sol_g = solve_g_pde(model, V, weight, grid)
-    sol_f = solve_f_pde(model, V, weight, grid)
-    return (sol_g.gf.values, sol_f.gf.values, sol_g.clipped_nodes,
-            sol_f.clipped_nodes)
+    return (*solve_g_pde(model, V, weight, grid),
+            *solve_f_pde(model, V, weight, grid))
 
 
 @pytest.mark.parametrize("outputs, n", [(_jump_outputs, 5), (_cn_outputs, 17)],
@@ -365,13 +361,58 @@ def test_both_model_kinds_take_V_in_the_same_forms(outputs, n):
         assert info.value.reason == reason
 
 
-def test_weight_validation():
-    with pytest.raises(ModelValidationError):
-        TerminalWeight(np.array([1.0, -0.1]))
-    with pytest.raises(DegenerateInputError):
-        TerminalWeight(np.zeros(2))
-    with pytest.raises(DegenerateInputError):
-        InitialWeight(np.zeros(3))
+def _jump_weight_users(grid):
+    """build(f0, gamma1), solve_f(f0) and solve_g(gamma1) on a jump chain."""
+    model = five_state_model()
+    return (lambda f0, gamma1: build_h_process(model, f0, gamma1, 0.1, grid),
+            lambda f0: solve_f(model, 0.1, f0, grid),
+            lambda gamma1: solve_g(model, 0.1, gamma1, grid))
+
+
+def _cn_weight_users(grid):
+    """The same three on a diffusion, with the Crank-Nicolson solvers."""
+    model = Diffusion1DModel(-2.0, 2.0, 16, np.linspace(-1.0, 1.0, 17) ** 2)
+    return (lambda f0, gamma1: build_diffusion_transform(model, 0.1, f0,
+                                                         gamma1, grid),
+            lambda f0: solve_f_pde(model, 0.1, f0, grid),
+            lambda gamma1: solve_g_pde(model, 0.1, gamma1, grid))
+
+
+@pytest.mark.parametrize("users, n, initial, terminal", [
+    (_jump_weight_users, 5, "negative_weight", "negative_weight"),
+    (_cn_weight_users, 17, "bad_initial", "bad_terminal")],
+    ids=["jump", "diffusion"])
+def test_both_model_kinds_check_weights_the_same_way(users, n, initial,
+                                                     terminal):
+    """A NaN, infinite or negative entry raises each kind's own token, an
+    all-zero weight zero_weight and any shape but (n,) dimension_mismatch,
+    from the builder and from the solver that reads the weight. Accepted
+    weights are kept as read-only copies."""
+    grid = TimeGrid(20)
+    build, f_solver, g_solver = users(grid)
+    ok = np.linspace(0.5, 1.5, n)
+    for token, solve, place in [
+            (initial, f_solver, lambda w: build(w, ok)),
+            (terminal, g_solver, lambda w: build(ok, w))]:
+        for bad, reason in [(np.where(ok > 1.2, np.nan, ok), token),
+                            (np.where(ok > 1.2, np.inf, ok), token),
+                            (np.where(ok > 1.2, -1.0, ok), token),
+                            (np.zeros(n), "zero_weight"),
+                            (np.ones(3), "dimension_mismatch"),
+                            (np.ones((1, n)), "dimension_mismatch")]:
+            for call in (solve, place):
+                with pytest.raises(HTLabError) as info:
+                    call(bad)
+                assert info.value.reason == reason
+                assert isinstance(info.value, DegenerateInputError
+                                  if reason == "zero_weight"
+                                  else ModelValidationError)
+    f0, gamma1 = ok.copy(), ok.copy()
+    hp = build(f0, gamma1)
+    f0[:] = gamma1[:] = 7.0
+    assert not hp.f0.flags.writeable and not hp.gamma1.flags.writeable
+    np.testing.assert_allclose(hp.f0 * hp.c, ok, rtol=1e-15)
+    assert np.array_equal(hp.gamma1, ok)
 
 
 def test_time_derivative_exact_for_quadratics():

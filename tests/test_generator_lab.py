@@ -13,7 +13,7 @@ from conftest import (five_state_model, generic_hprocess, identity_hprocess,
                       two_state_model)
 from htlab import generator_lab
 from htlab.errors import ModelValidationError, PositivityError
-from htlab.feynman_kac import InitialWeight, TerminalWeight, solve_g
+from htlab.feynman_kac import solve_g
 from htlab.generator_lab import (DEFAULT_H_SEQUENCE, _median,
                                  carre_du_champ,
                                  check_fk_stochastic_derivative,
@@ -61,8 +61,7 @@ def test_transition_matrix_P_input_checks():
 def test_transition_matrix_P_pinned_terminal():
     model = two_state_model()
     grid = TimeGrid(100)
-    hp = build_h_process(model, InitialWeight(np.ones(2)),
-                         TerminalWeight(np.array([1.0, 0.0])), 0.0, grid)
+    hp = build_h_process(model, np.ones(2), np.array([1.0, 0.0]), 0.0, grid)
     T = transition_matrix_P(hp, 0.0, 0.99)
     assert T[0, 0] > 0.99
     with pytest.raises(PositivityError):
@@ -157,8 +156,7 @@ def test_transformed_generator_indicator_potential():
     model = two_state_model()
     grid = TimeGrid(100)
     V = np.array([0.0, 1.0])
-    hp = build_h_process(model, InitialWeight(np.ones(2)),
-                         TerminalWeight(np.ones(2)), V, grid)
+    hp = build_h_process(model, np.ones(2), np.ones(2), V, grid)
     res = check_transformed_generator(hp, np.array([0.0, 1.0]), 0.5)
     assert res.max_residual <= 1e-5
 
@@ -198,7 +196,7 @@ def test_fk_stochastic_derivative_zero_potential():
     model = five_state_model()
     grid = TimeGrid(1000)
     V = 0.0
-    gamma1 = TerminalWeight(np.array([0.2, 0.5, 1.0, 0.3, 0.8]))
+    gamma1 = np.array([0.2, 0.5, 1.0, 0.3, 0.8])
     g = solve_g(model, V, gamma1, grid)
     res = check_fk_stochastic_derivative(model, V, g, grid, 0.5)
     assert res.max_residual <= 1e-8
@@ -209,7 +207,7 @@ def test_fk_stochastic_derivative_constant_potential():
     model = five_state_model()
     grid = TimeGrid(1000)
     V = 1.0
-    gamma1 = TerminalWeight(np.array([0.2, 0.5, 1.0, 0.3, 0.8]))
+    gamma1 = np.array([0.2, 0.5, 1.0, 0.3, 0.8])
     g = solve_g(model, V, gamma1, grid)
     res = check_fk_stochastic_derivative(model, V, g, grid, 0.3)
     assert res.max_residual <= 1e-6
@@ -226,7 +224,7 @@ def test_fk_stochastic_derivative_input_checks():
     model = two_state_model()
     grid = TimeGrid(100)
     V = 0.0
-    g = solve_g(model, V, TerminalWeight(np.ones(2)), grid)
+    g = solve_g(model, V, np.ones(2), grid)
     with pytest.raises(ModelValidationError) as err:
         check_fk_stochastic_derivative(model, V, g, grid, 0.95)
     assert err.value.reason == "step_beyond_horizon"

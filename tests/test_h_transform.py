@@ -16,8 +16,7 @@ from conftest import (five_state_model, generic_hprocess, identity_hprocess,
 from htlab.errors import (DegenerateInputError, ModelValidationError,
                           PositivityError)
 from htlab import feynman_kac, h_transform
-from htlab.feynman_kac import (InitialWeight, TerminalWeight,
-                               rk4_matrix_step, solve_f, solve_fk, solve_g)
+from htlab.feynman_kac import rk4_matrix_step, solve_f, solve_fk, solve_g
 from htlab.h_transform import (build_h_process, forward_marginal_evolve, g_at,
                                integrate_potential_along_path, jump_kernel,
                                marginal, path_density_ratio, relative_entropy,
@@ -41,9 +40,7 @@ def test_constant_potential_is_a_gauge():
     """V = 1 rescales f and g in opposite directions and changes no law."""
     model = two_state_model()
     grid = TimeGrid(100)
-    hp = build_h_process(model, InitialWeight(np.ones(2)),
-                         TerminalWeight(np.ones(2)),
-                         1.0, grid)
+    hp = build_h_process(model, np.ones(2), np.ones(2), 1.0, grid)
     assert hp.c == pytest.approx(np.exp(-1.0), rel=1e-9)
     np.testing.assert_allclose(marginal(hp, 0.5), model.m, atol=1e-9)
     np.testing.assert_allclose(jump_kernel(hp, 0.25), model.J.rates, atol=1e-9)
@@ -55,8 +52,8 @@ def test_h_process_builds_no_propagator(monkeypatch):
     model = five_state_model()
     grid = TimeGrid(100)
     V = wavy_potential(model, grid)
-    f0 = InitialWeight(np.array([1.0, 2.0, 0.5, 1.5, 1.0]))
-    gamma1 = TerminalWeight(np.array([0.2, 0.5, 1.0, 0.3, 0.8]))
+    f0 = np.array([1.0, 2.0, 0.5, 1.5, 1.0])
+    gamma1 = np.array([0.2, 0.5, 1.0, 0.3, 0.8])
 
     def forbidden(*args, **kwargs):
         raise AssertionError("fk_propagator called")
@@ -67,8 +64,8 @@ def test_h_process_builds_no_propagator(monkeypatch):
     fk = solve_fk(model, V, hp.f0, gamma1, grid)
 
     g = solve_g(model, V, gamma1, grid)
-    c = float(np.sum(model.m * f0.f0 * g[0]))
-    f = solve_f(model, V, InitialWeight(f0.f0 / c), grid)
+    c = float(np.sum(model.m * f0 * g[0]))
+    f = solve_f(model, V, f0 / c, grid)
     assert hp.c == c
     for sol in (hp.fk, fk):
         assert np.array_equal(sol.g, g)
@@ -118,8 +115,7 @@ def test_terminal_kernel_reweights_by_terminal_weight():
     """At t = 1 the rates become J(x,y) gamma(y)/gamma(x)."""
     model = two_state_model()
     grid = TimeGrid(50)
-    hp = build_h_process(model, InitialWeight(np.ones(2)),
-                         TerminalWeight(np.array([1.0, 2.0])), 0.0, grid)
+    hp = build_h_process(model, np.ones(2), np.array([1.0, 2.0]), 0.0, grid)
     np.testing.assert_allclose(jump_kernel(hp, 1.0),
                                np.array([[0.0, 1.0], [1.0, 0.0]]), atol=1e-12)
 
@@ -127,8 +123,7 @@ def test_terminal_kernel_reweights_by_terminal_weight():
 def test_pinning_turns_off_jumps_into_dead_states():
     model = two_state_model()
     grid = TimeGrid(50)
-    hp = build_h_process(model, InitialWeight(np.ones(2)),
-                         TerminalWeight(np.array([1.0, 0.0])), 0.0, grid)
+    hp = build_h_process(model, np.ones(2), np.array([1.0, 0.0]), 0.0, grid)
     kern = jump_kernel(hp, 1.0)
     assert np.isnan(kern[1]).all()
     assert kern[0, 1] == 0.0
@@ -149,8 +144,7 @@ def test_forward_evolution_matches_fk_marginal():
 def test_forward_evolution_rejects_vanishing_g():
     model = two_state_model()
     grid = TimeGrid(50)
-    hp = build_h_process(model, InitialWeight(np.ones(2)),
-                         TerminalWeight(np.array([1.0, 0.0])), 0.0, grid)
+    hp = build_h_process(model, np.ones(2), np.array([1.0, 0.0]), 0.0, grid)
     with pytest.raises(PositivityError) as info:
         forward_marginal_evolve(hp)
     assert info.value.reason == "zero_g_nodes"
@@ -163,7 +157,7 @@ def test_relative_entropy_nonnegative_and_sampled():
     # H is the transformed-law average of the log density ratio
     n_paths = 20_000
     paths = sample_paths_P(hp, n_paths, seed=314)
-    f0, gamma1 = hp.f0.f0, hp.gamma1.gamma1
+    f0, gamma1 = hp.f0, hp.gamma1
     samples = np.empty(n_paths)
     for i, p in enumerate(paths):
         integral = integrate_potential_along_path(hp, p, 0.0, 1.0)
@@ -187,8 +181,7 @@ def test_potential_integral_closed_form():
     model = two_state_model()
     grid = TimeGrid(100)
     V = grid.nodes[:, None] * np.array([1.0, 2.0])
-    hp = build_h_process(model, InitialWeight(np.ones(2)),
-                         TerminalWeight(np.array([0.7, 1.0])), V, grid)
+    hp = build_h_process(model, np.ones(2), np.array([0.7, 1.0]), V, grid)
     [path] = path_batch([(0, [0.3, 0.7], [1, 0])])
     # int_0^.3 t + int_.3^.7 2t + int_.7^1 t = 0.045 + 0.4 + 0.255
     assert integrate_potential_along_path(hp, path, 0.0, 1.0) == \
@@ -196,7 +189,7 @@ def test_potential_integral_closed_form():
     assert integrate_potential_along_path(hp, path, 0.2, 0.5) == \
         pytest.approx(0.185, abs=1e-12)
     ratio = path_density_ratio(hp, path, 0.0, 1.0)
-    expected = hp.f0.f0[0] * np.exp(-0.7) * hp.gamma1.gamma1[0]
+    expected = hp.f0[0] * np.exp(-0.7) * hp.gamma1[0]
     assert ratio == pytest.approx(expected, rel=1e-12)
     with pytest.raises(ModelValidationError):
         path_density_ratio(hp, path, 0.5, 0.2)
@@ -238,8 +231,7 @@ def test_sampler_marginal_total_variation():
 def test_sampler_respects_terminal_pinning():
     model = two_state_model()
     grid = TimeGrid(100)
-    hp = build_h_process(model, InitialWeight(np.ones(2)),
-                         TerminalWeight(np.array([1.0, 0.0])), 0.0, grid)
+    hp = build_h_process(model, np.ones(2), np.array([1.0, 0.0]), 0.0, grid)
     paths = sample_paths_P(hp, 2000, seed=5)
     assert all(p.state_at(1.0) == 0 for p in paths)
 
@@ -251,8 +243,8 @@ def test_thinning_rate_within_cell_endpoint_bound():
     rate it accepts, so this is the property that makes it exact.
     """
     grid = TimeGrid(100)
-    pinned = build_h_process(two_state_model(), InitialWeight(np.ones(2)),
-                             TerminalWeight(np.array([1.0, 0.0])), 0.0, grid)
+    pinned = build_h_process(two_state_model(), np.ones(2),
+                             np.array([1.0, 0.0]), 0.0, grid)
     for hp in (pinned, generic_hprocess()):
         ctx = h_transform._ThinningContext(hp)
         N = ctx.N
@@ -318,9 +310,9 @@ def test_entropy_invariant_under_weight_rescaling():
     model = five_state_model()
     grid = TimeGrid(100)
     V = wavy_potential(model, grid)
-    gamma1 = TerminalWeight(np.array([0.2, 0.5, 1.0, 0.3, 0.8]))
-    hp1 = build_h_process(model, InitialWeight(np.ones(5)), gamma1, V, grid)
-    hp2 = build_h_process(model, InitialWeight(np.full(5, 3.7)), gamma1, V, grid)
+    gamma1 = np.array([0.2, 0.5, 1.0, 0.3, 0.8])
+    hp1 = build_h_process(model, np.ones(5), gamma1, V, grid)
+    hp2 = build_h_process(model, np.full(5, 3.7), gamma1, V, grid)
     assert hp2.c == pytest.approx(3.7 * hp1.c, rel=1e-12)
     np.testing.assert_allclose(marginal(hp2, 0.5), marginal(hp1, 0.5),
                                rtol=1e-12)

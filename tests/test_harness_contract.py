@@ -16,7 +16,7 @@ import pytest
 
 import htlab.cli  # noqa: F401  (loads every htlab module, as perfbench does)
 from conftest import generic_hprocess
-from htlab import config, h_transform, markov_core
+from htlab import config, diffusion1d, h_transform, markov_core
 from htlab.feynman_kac import fk_propagator
 from htlab.h_transform import sample_paths_P
 from htlab.markov_core import sample_paths_R
@@ -75,6 +75,26 @@ def test_sampler_hooks_count_paths_and_jumps(tracer):
         assert tracer.COUNT_HOOKS[name]((), {}, paths) == {"paths": 4,
                                                            "jumps": jumps}
         assert all(isinstance(p.times, np.ndarray) for p in paths)
+
+
+def test_diffusion_hooks_read_a_real_transform(tracer):
+    """The clipped-node hook reads build_diffusion_transform's result, and
+    the path-step hook reads (transform, t, n_paths) and the result's
+    grid.node_index."""
+    M = 16
+    xs = np.linspace(-2.0, 2.0, M + 1)
+    model = diffusion1d.Diffusion1DModel(-2.0, 2.0, M, 0.5 * xs ** 2)
+    tr = diffusion1d.build_diffusion_transform(
+        model, 0.1, np.ones(M + 1), np.exp(-xs ** 2),
+        markov_core.TimeGrid(20))
+    hook = tracer.COUNT_HOOKS["diffusion1d.build_diffusion_transform"]
+    assert hook((), {}, tr) == {"clipped_nodes": tr.clipped_nodes}
+    assert isinstance(tr.clipped_nodes, int)
+    args = (tr, 0.5, 7, 3)
+    tv = diffusion1d.empirical_vs_fk_marginal(*args)
+    steps = tracer.COUNT_HOOKS["diffusion1d.empirical_vs_fk_marginal"]
+    assert steps is tracer._em_path_steps
+    assert steps(args, {}, tv) == {"path_steps": 7 * 10}
 
 
 def test_reference_sampler_calls_the_traced_gillespie_kernel(tracer):

@@ -15,7 +15,7 @@ from scipy.special import xlogy
 
 from conftest import five_state_model, generic_hprocess, two_state_model
 from htlab.errors import ModelValidationError
-from htlab.feynman_kac import TerminalWeight, check_fk_generator, solve_g
+from htlab.feynman_kac import check_fk_generator, solve_g
 from htlab.hjb_check import discrete_hjb_residual, theta, theta_star
 from htlab.markov_core import TimeGrid
 
@@ -86,7 +86,7 @@ def test_residual_zero_for_trivial_transform():
     model = two_state_model()
     grid = TimeGrid(50)
     V = 0.0
-    g = solve_g(model, V, TerminalWeight(np.ones(2)), grid)
+    g = solve_g(model, V, np.ones(2), grid)
     for res in discrete_hjb_residual(g, model, V, grid):
         assert res.max_residual == 0.0
         assert res.defined.all()
@@ -102,7 +102,7 @@ def test_residual_log_mode_exact_for_linear_psi():
     _, res = discrete_hjb_residual(g_exact, model, V, grid)
     assert res.max_residual <= 1e-12
     # the solver's g carries an O(dt^4) bias, still far below stencil error
-    g_solved = solve_g(model, V, TerminalWeight(np.ones(2)), grid)
+    g_solved = solve_g(model, V, np.ones(2), grid)
     _, res_solved = discrete_hjb_residual(g_solved, model, V, grid)
     assert res_solved.max_residual <= 1e-9
 
@@ -131,7 +131,7 @@ def test_residual_masks_pinned_states():
     model = two_state_model()
     grid = TimeGrid(100)
     V = 0.0
-    g = solve_g(model, V, TerminalWeight(np.array([1.0, 0.0])), grid)
+    g = solve_g(model, V, np.array([1.0, 0.0]), grid)
     res_exp, res_log = discrete_hjb_residual(g, model, V, grid)
     np.testing.assert_array_equal(np.argwhere(~res_exp.defined),
                                   [[100, 0], [100, 1]])
@@ -154,7 +154,7 @@ def test_residual_input_checks():
     model = five_state_model()
     grid = TimeGrid(20)
     V = 0.0
-    g = solve_g(model, V, TerminalWeight(np.ones(5)), grid)
+    g = solve_g(model, V, np.ones(5), grid)
     with pytest.raises(ModelValidationError):
         discrete_hjb_residual(g[:-1], model, V, grid)
     with pytest.raises(ModelValidationError):
@@ -166,7 +166,7 @@ def test_residual_detects_wrong_potential():
     model = two_state_model()
     grid = TimeGrid(100)
     V = 0.0
-    g = solve_g(model, V, TerminalWeight(np.ones(2)), grid)
+    g = solve_g(model, V, np.ones(2), grid)
     wrong = 0.3
     res, _ = discrete_hjb_residual(g, model, wrong, grid)
     assert res.max_residual == pytest.approx(0.3, abs=1e-12)
