@@ -334,7 +334,7 @@ def build_diffusion_transform(model: Diffusion1DModel, V, f0, gamma1,
                              "bad_terminal")
     g, clipped_g = solve_g_pde(model, V, gamma1, grid)
     f0 = weight_on_nodes(f0, model.M + 1, "initial weight", "bad_initial")
-    mw = model.m_weights
+    mw = _freeze(model.m_weights)
     c = normalization(mw, f0, g[0])
     f0 = _freeze(f0 / c)
     f, clipped_f = solve_f_pde(model, V, f0, grid)

@@ -315,6 +315,9 @@ def test_transform_marginals_are_probabilities():
         assert np.all(masses >= 0)
         assert masses.sum() == pytest.approx(1.0, abs=1e-12)
     assert tr.c > 0
+    for values in (tr.f0, tr.gamma1, tr.V, tr.m, tr.fk.g, tr.fk.f, tr.psi,
+                   tr.drift):
+        assert not values.flags.writeable
 
 
 def test_relative_entropy_comes_from_the_jump_chain_function():
