@@ -1,20 +1,22 @@
-"""Print the sha256 of everything each htlab subcommand produces on a config.
+"""Print the sha256 of everything each htlab subcommand produces on configs.
 
-    python3 scripts/output_digest.py --config run.yaml
+    python3 scripts/output_digest.py --config run.yaml [--config diff.yaml ...]
 
-Runs each of the nine subcommands once, as a fresh interpreter that
-imports htlab from the `src/` of the checkout holding this script, with
-`--out out` in its own empty working directory. For each subcommand it prints
-one line for the exit code, one for stdout, one for stderr, and one for every
-file written under `out/`, sorted by path:
+For each config in turn, runs each of the nine subcommands once, as a fresh
+interpreter that imports htlab from the `src/` of the checkout holding this
+script, with `--out out` in its own empty working directory. For each
+subcommand it prints one line for the exit code, one for stdout, one for
+stderr, and one for every file written under `out/`, sorted by path, each
+line starting with the config's file name:
 
-    fk exit 0
-    fk stdout <sha256>
-    fk stderr <sha256>
-    fk out/fk.csv <sha256>
+    run.yaml fk exit 0
+    run.yaml fk stdout <sha256>
+    run.yaml fk stderr <sha256>
+    run.yaml fk out/fk.csv <sha256>
 
 Two checkouts give the same listing exactly when their outputs are
-byte-identical, so comparing them is one `diff`. Standard library only.
+byte-identical, so comparing them is one `diff`. The configs' file names
+must differ. Standard library only.
 """
 
 from __future__ import annotations
@@ -59,11 +61,17 @@ def digest(command: str, config: str) -> list[str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--config", required=True, help="YAML run config")
+    parser.add_argument("--config", required=True, action="append",
+                        help="YAML run config; repeat for more configs")
     args = parser.parse_args(argv)
-    config = os.path.abspath(args.config)
-    for command in COMMANDS:
-        print("\n".join(digest(command, config)), flush=True)
+    names = [os.path.basename(config) for config in args.config]
+    if len(set(names)) != len(names):
+        parser.error("the configs' file names must differ")
+    for name, config in zip(names, args.config):
+        config = os.path.abspath(config)
+        for command in COMMANDS:
+            print("\n".join(f"{name} {line}"
+                            for line in digest(command, config)), flush=True)
     return 0
 
 

@@ -346,7 +346,7 @@ def cmd_diffusion(cfg: RunConfig, args) -> int:
     times = _check_times(cfg, (0.0, 0.25, 0.5, 0.75))
     indices = [grid.node_index(t) for t in times]
     sampling = None
-    if cfg.seed is not None and "n_paths" in cfg.sampling:
+    if "n_paths" in cfg.sampling:
         sampling = (_read(float, cfg.sampling.get("t", 0.5), "sampling.t"),
                     _read(int, cfg.sampling["n_paths"], "sampling.n_paths"),
                     cfg.require_seed())

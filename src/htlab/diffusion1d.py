@@ -22,8 +22,8 @@ import numpy as np
 
 from htlab.errors import (DegenerateInputError, ModelValidationError,
                           PositivityError)
-from htlab.feynman_kac import (FKSolution, derivative, potential_on_grid,
-                               weight_on_nodes)
+from htlab.feynman_kac import (FKSolution, derivative, log_g,
+                               potential_on_grid, weight_on_nodes)
 from htlab.h_transform import HProcess, marginal, normalization
 from htlab.markov_core import TimeGrid, _freeze
 
@@ -76,14 +76,6 @@ class Diffusion1DModel:
         w[0] *= 0.5
         w[-1] *= 0.5
         return w / w.sum()
-
-    @property
-    def density(self) -> np.ndarray:
-        """Reversing probability density at the nodes."""
-        w = np.exp(-2.0 * (self.U - self.U.min()))
-        trap = np.full(self.M + 1, self.dx)
-        trap[0] = trap[-1] = 0.5 * self.dx
-        return w / np.sum(w * trap)
 
 
 def _operator_bands(model: Diffusion1DModel) -> tuple:
@@ -278,47 +270,28 @@ def solve_f_pde(model: Diffusion1DModel, V, f0,
     return vals, clipped
 
 
-def psi_and_drift(model: Diffusion1DModel,
-                  g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Log of g and the transformed drift -U' + d/dx log g, read-only.
-
-    Nodes with g <= 0 are masked with NaN and propagate through the
-    derivative stencils.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        psi = np.where(g > 0, np.log(np.maximum(g, 1e-300)), np.nan)
-    drift = derivative(psi, model.dx, axis=-1)
-    drift -= model.U_prime[None, :]
-    psi.setflags(write=False)
-    drift.setflags(write=False)
-    return psi, drift
-
-
-def diffusion_hjb_residual(psi: np.ndarray, model: Diffusion1DModel, V,
+def diffusion_hjb_residual(g: np.ndarray, model: Diffusion1DModel, V,
                            grid: TimeGrid) -> np.ndarray:
-    """Residual of d_t psi - U' psi' + 1/2 psi'' + 1/2 (psi')^2 - V."""
+    """Residual of d_t psi - U' psi' + 1/2 psi'' + 1/2 (psi')^2 - V for
+    psi = log g, NaN where a stencil reads a node with g = 0.
+
+    Every derivative is feynman_kac.derivative; psi'' is that of psi'.
+    """
     Vg = potential_on_grid(V, grid, model.M + 1)
-    dx = model.dx
-    p = psi
-    dt_psi = derivative(p, grid.dt)
-    dx_psi = derivative(p, dx, axis=-1)
-    dxx_psi = np.empty_like(p)
-    dxx_psi[:, 1:-1] = (p[:, 2:] - 2 * p[:, 1:-1] + p[:, :-2]) / dx ** 2
-    dxx_psi[:, 0] = (2 * p[:, 0] - 5 * p[:, 1] + 4 * p[:, 2]
-                     - p[:, 3]) / dx ** 2
-    dxx_psi[:, -1] = (2 * p[:, -1] - 5 * p[:, -2] + 4 * p[:, -3]
-                      - p[:, -4]) / dx ** 2
-    return (dt_psi - model.U_prime[None, :] * dx_psi + 0.5 * dxx_psi
-            + 0.5 * dx_psi ** 2 - Vg)
+    psi = log_g(g)
+    dx_psi = derivative(psi, model.dx, axis=-1)
+    dxx_psi = derivative(dx_psi, model.dx, axis=-1)
+    return (derivative(psi, grid.dt) - model.U_prime * dx_psi
+            + 0.5 * dxx_psi + 0.5 * dx_psi ** 2 - Vg)
 
 
 @dataclass(frozen=True)
 class DiffusionTransform(HProcess):
     """The transformed diffusion: an HProcess whose m is the model's
-    m_weights, plus log g (psi), the transformed drift and the count of
-    Crank-Nicolson nodes clipped to zero in both solves."""
+    m_weights, plus the transformed drift -U' + d/dx log g (NaN where it
+    reads a node with g = 0) and the count of Crank-Nicolson nodes clipped
+    to zero in both solves."""
 
-    psi: np.ndarray
     drift: np.ndarray
     clipped_nodes: int
 
@@ -338,11 +311,13 @@ def build_diffusion_transform(model: Diffusion1DModel, V, f0, gamma1,
     c = normalization(mw, f0, g[0])
     f0 = _freeze(f0 / c)
     f, clipped_f = solve_f_pde(model, V, f0, grid)
-    psi, drift = psi_and_drift(model, g)
+    drift = derivative(log_g(g), model.dx, axis=-1)
+    drift -= model.U_prime
+    drift.setflags(write=False)
     return DiffusionTransform(model=model, f0=f0, gamma1=gamma1,
                               V=potential_on_grid(V, grid, model.M + 1),
                               grid=grid, fk=FKSolution(grid=grid, g=g, f=f),
-                              c=c, m=mw, psi=psi, drift=drift,
+                              c=c, m=mw, drift=drift,
                               clipped_nodes=clipped_g + clipped_f)
 
 
@@ -459,21 +434,34 @@ def _require_paths(n_paths: int):
 def _em_positions(model: Diffusion1DModel, n_paths: int, seed, steps: int,
                   drift: np.ndarray | None, x0, initial_masses,
                   t_end: float):
-    """Yield the positions at t = 0 and after each of the `steps` steps."""
-    rng = np.random.default_rng(seed)
+    """Yield the positions at t = 0 and after each of the `steps` steps.
+
+    The drift and the start are checked before anything is drawn.
+    """
     lo, hi = model.x_min, model.x_max
     width = hi - lo
+    if drift is not None and (np.ndim(drift) != 2 or len(drift) < 3
+                              or np.shape(drift)[1] != model.M + 1):
+        raise ModelValidationError("drift must be (N+1) x (M+1) with N >= 2",
+                                   reason="dimension_mismatch")
+    rng = np.random.default_rng(seed)
     if initial_masses is not None:
-        masses = np.asarray(initial_masses, dtype=float)
-        cdf = np.cumsum(masses)
+        cdf = np.cumsum(weight_on_nodes(initial_masses, model.M + 1,
+                                        "initial masses", "bad_initial"))
         idx = np.searchsorted(cdf, rng.random(n_paths) * cdf[-1], side="right")
         x = model.xs[np.minimum(idx, model.M)]
     elif x0 is None:
         raise ModelValidationError("need x0 or initial masses",
                                    reason="missing_initial")
     else:
-        x = np.full(n_paths, x0, dtype=float) if np.isscalar(x0) \
-            else np.asarray(x0, dtype=float).copy()
+        x0 = np.array(x0, dtype=float)
+        if x0.shape not in ((), (n_paths,)):
+            raise ModelValidationError("x0 must be a scalar or one value per "
+                                       "path", reason="dimension_mismatch")
+        if not np.all((x0 >= lo) & (x0 <= hi)):  # NaN fails both
+            raise ModelValidationError("x0 must be finite and inside the "
+                                       "model window", reason="bad_initial")
+        x = np.full(n_paths, x0)
     yield x
     field = _DriftField(model, drift)
     dt = t_end / max(steps, 1)  # steps = 0 yields the initial draw only
@@ -497,9 +485,12 @@ def sample_em_paths(model: Diffusion1DModel, n_paths: int, seed,
     """Euler-Maruyama batch with reflection at the walls, from t = 0 to 1.
 
     drift is an (N+1) x (M+1) array on the nodes of a uniform time grid (a
-    transform's drift), or None for the reference drift -U'. Initial
-    positions come from x0 (scalar or per-path array) or are drawn
-    from node masses. Returns an (n_paths, steps+1) array of positions.
+    transform's drift) with N >= 2, or None for the reference drift -U'.
+    Initial positions come from x0 (a scalar or one value per path, finite
+    and inside [x_min, x_max]) or are drawn from node masses, checked as a
+    weight. A bad shape is a dimension_mismatch and a bad start value a
+    bad_initial, raised before anything is drawn. Returns an
+    (n_paths, steps+1) array of positions.
     A path escaping the 2x-padded domain aborts the run: the drift and step
     size are inconsistent with the model window.
     """

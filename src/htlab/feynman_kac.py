@@ -233,6 +233,18 @@ def derivative(values: np.ndarray, step: float, axis: int = 0) -> np.ndarray:
     return np.moveaxis(d, 0, axis)
 
 
+def log_g(g: np.ndarray) -> np.ndarray:
+    """Read-only psi = log g, NaN where g = 0 (or is not positive).
+
+    The exact log wherever g > 0, subnormal g included, so psi has no
+    floor. Every derivative stencil that reads a masked node is NaN.
+    """
+    psi = np.full(np.shape(g), np.nan)
+    np.log(g, out=psi, where=np.greater(g, 0.0))
+    psi.setflags(write=False)
+    return psi
+
+
 def check_fk_generator(model: ReversibleModel, V,
                        g: np.ndarray, grid: TimeGrid) -> GeneratorResidual:
     """Residual of d/dt g + Q g - V g = 0 at every grid node."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from htlab.errors import ModelValidationError
-from htlab.feynman_kac import derivative, potential_on_grid
+from htlab.feynman_kac import derivative, log_g, potential_on_grid
 from htlab.markov_core import ReversibleModel, TimeGrid, _freeze
 
 # theta_star(b) = b^2 sum_k (-b)^k / ((k+1)(k+2)), highest power first.
@@ -78,10 +78,10 @@ def discrete_hjb_residual(g: np.ndarray, model: ReversibleModel,
     """Residuals of the discrete HJB equation for psi = log g, in two forms.
 
     residual = d_t psi + sum_y J (D psi) + sum_y theta(D psi) J - V, with
-    Du(x;y) = u(y) - u(x) and psi = -inf where g = 0. The two jump sums are
-    also recomputed in the collapsed form sum_y (e^{D psi} - 1) J as a
-    self-check; the collapse is an exact identity, so any gap beyond rounding
-    is a bug.
+    Du(x;y) = u(y) - u(x) and psi = feynman_kac.log_g(g), NaN where g = 0.
+    The two jump sums are also recomputed in the collapsed form
+    sum_y (e^{D psi} - 1) J as a self-check; the collapse is an exact
+    identity, so any gap beyond rounding is a bug.
 
     Returns the pair (exponential, log), which differ only in d_t psi:
       - exponential: (d_t g)/g with the grid's second-order stencils.
@@ -90,7 +90,7 @@ def discrete_hjb_residual(g: np.ndarray, model: ReversibleModel,
         equations, at the discrete level).
       - log: the same stencils applied to psi itself. Exact for psi linear
         in t; differs from the exponential form at second order in the step.
-    Points where psi is -inf, or where a jump lands on one, are masked in
+    Points where psi is NaN, or where a jump lands on one, are masked in
     both forms; the log form also masks points whose stencil reads one.
     """
     g = np.asarray(g, dtype=float)
@@ -98,8 +98,7 @@ def discrete_hjb_residual(g: np.ndarray, model: ReversibleModel,
         raise ModelValidationError("g must be (N+1) x n",
                                    reason="dimension_mismatch")
     V = potential_on_grid(V, grid, model.n)
-    with np.errstate(divide="ignore"):
-        psi = np.where(g > 0, np.log(np.maximum(g, 1e-300)), -np.inf)
+    psi = log_g(g)
     J = model.J.rates
     finite = np.isfinite(psi)
     # A point is evaluable when psi is finite there and at every jump target
@@ -120,8 +119,8 @@ def discrete_hjb_residual(g: np.ndarray, model: ReversibleModel,
 
     with np.errstate(divide="ignore", invalid="ignore"):
         dt_exp = derivative(g, grid.dt) / g
-        # Not finite exactly where the stencil reads a node with g = 0.
-        dt_log = derivative(psi, grid.dt)
+    # NaN exactly where the stencil reads a node with g = 0.
+    dt_log = derivative(psi, grid.dt)
     log_defined = defined & np.isfinite(dt_log)
     return tuple(
         _summarise(dt_psi + linear + theta_sum - V, gap, mask)

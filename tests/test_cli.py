@@ -538,6 +538,7 @@ grid:
 @pytest.mark.parametrize("command,edits,reason", [
     ("diffusion", [("n_paths: 2000", "n_paths: 0")], "empty_request"),
     ("diffusion", [("t: 0.5", "t: soon")], "bad_config"),
+    ("diffusion", [("  seed: 3\n", "")], "missing_seed"),
     ("diffusion", [("t: 0.5", "t: 0.3333"), ("N: 200", "N: 100")],
      "off_grid_time"),
     ("transform", [("tolerance_generator: 1.0e-4",
@@ -546,7 +547,8 @@ grid:
     ("transform", [("tolerance_generator: 1.0e-4",
                     "tolerance_generator: 1.0e-4\n  times: [0.3333]")],
      "off_grid_time"),
-], ids=["diffusion_n_paths", "diffusion_t", "diffusion_off_grid_t",
+], ids=["diffusion_n_paths", "diffusion_t", "diffusion_seed",
+        "diffusion_off_grid_t",
         "transform_times", "transform_off_grid_times"])
 def test_failed_run_writes_no_outputs(tmp_path, capsys, command, edits,
                                       reason):

@@ -27,7 +27,7 @@ from htlab.diffusion1d import (Diffusion1DModel, _DriftField,
                                solve_f_pde, solve_g_pde)
 from htlab.errors import (DegenerateInputError, ModelValidationError,
                           PositivityError)
-from htlab.feynman_kac import potential_on_grid
+from htlab.feynman_kac import derivative, log_g, potential_on_grid
 from htlab.h_transform import marginal, relative_entropy
 from htlab.markov_core import TimeGrid
 
@@ -58,9 +58,10 @@ def test_model_validation_and_geometry():
     assert model.dx == pytest.approx(4.0 / 128)
     np.testing.assert_allclose(model.U_prime, model.xs, atol=1e-12)
     assert model.m_weights.sum() == pytest.approx(1.0, abs=1e-12)
-    trap = np.full(model.M + 1, model.dx)
-    trap[0] = trap[-1] = 0.5 * model.dx
-    assert np.sum(model.density * trap) == pytest.approx(1.0, abs=1e-12)
+    # trapezoid masses of the reversing density e^{-2U}
+    w = np.exp(-2.0 * model.U)
+    w[[0, -1]] *= 0.5
+    np.testing.assert_allclose(model.m_weights, w / w.sum(), rtol=1e-12)
 
 
 def test_potential_broadcasting():
@@ -315,8 +316,7 @@ def test_transform_marginals_are_probabilities():
         assert np.all(masses >= 0)
         assert masses.sum() == pytest.approx(1.0, abs=1e-12)
     assert tr.c > 0
-    for values in (tr.f0, tr.gamma1, tr.V, tr.m, tr.fk.g, tr.fk.f, tr.psi,
-                   tr.drift):
+    for values in (tr.f0, tr.gamma1, tr.V, tr.m, tr.fk.g, tr.fk.f, tr.drift):
         assert not values.flags.writeable
 
 
@@ -347,7 +347,7 @@ def test_flat_g_gives_reference_drift():
     grid = TimeGrid(100)
     tr = build_diffusion_transform(model, 0.0, np.ones(model.M + 1),
                                    np.ones(model.M + 1), grid)
-    np.testing.assert_allclose(tr.psi, 0.0, atol=1e-12)
+    np.testing.assert_allclose(log_g(tr.fk.g), 0.0, atol=1e-12)
     np.testing.assert_allclose(
         tr.drift, np.tile(-model.U_prime, (101, 1)), atol=1e-12)
 
@@ -359,8 +359,8 @@ def test_drift_is_gauge_invariant():
     tr1 = build_diffusion_transform(model, 0.0, np.ones(129), gamma1, grid)
     tr2 = build_diffusion_transform(model, 0.0, np.ones(129), 2.5 * gamma1,
                                     grid)
-    np.testing.assert_allclose(tr2.psi - tr1.psi, np.log(2.5),
-                               atol=1e-10)
+    np.testing.assert_allclose(log_g(tr2.fk.g) - log_g(tr1.fk.g),
+                               np.log(2.5), atol=1e-10)
     np.testing.assert_allclose(tr2.drift, tr1.drift, atol=1e-9)
 
 
@@ -384,12 +384,27 @@ def test_masked_psi_propagates_and_blocks_sampling():
     grid = TimeGrid(100)
     gamma1 = np.where(model.xs >= 0.0, gaussian_weight(model, 0.8), 0.0)
     tr = build_diffusion_transform(model, 0.0, np.ones(65), gamma1, grid)
-    assert np.isnan(tr.psi[-1, 0])
+    assert np.isnan(log_g(tr.fk.g)[-1, 0])
     assert np.isnan(tr.drift[-1, 0])
-    assert np.isfinite(tr.psi[:-1]).all()
+    assert np.isfinite(log_g(tr.fk.g)[:-1]).all()
     # off-grid final step blends into the masked terminal row
     with pytest.raises(PositivityError):
         sample_em_paths(model, 4, seed=3, steps=101, drift=tr.drift, x0=-1.5)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_drift_is_the_derivative_of_log_g(masked):
+    """The drift is -U' plus the shared stencil applied to log g, bit for
+    bit, NaN where that stencil reads a node with g = 0."""
+    model = quadratic_model(M=64)
+    gamma1 = gaussian_weight(model, 0.8)
+    if masked:
+        gamma1 = np.where(model.xs >= 0.0, gamma1, 0.0)
+    tr = build_diffusion_transform(model, 0.1, np.ones(65), gamma1,
+                                   TimeGrid(100))
+    assert np.isnan(tr.drift).any() == masked
+    assert_same_bits(tr.drift, derivative(log_g(tr.fk.g), model.dx, -1)
+                     - model.U_prime)
 
 
 def test_hjb_residual_exact_and_pade():
@@ -397,12 +412,12 @@ def test_hjb_residual_exact_and_pade():
     grid = TimeGrid(512)
     tr = build_diffusion_transform(model, 0.0, np.ones(129), np.ones(129),
                                    grid)
-    res0 = diffusion_hjb_residual(tr.psi, model, 0.0, grid)
+    res0 = diffusion_hjb_residual(tr.fk.g, model, 0.0, grid)
     assert np.max(np.abs(res0)) <= 1e-12
     c = 0.05
     tr_c = build_diffusion_transform(model, c, np.ones(129), np.ones(129),
                                      grid)
-    res_c = diffusion_hjb_residual(tr_c.psi, model, c, grid)
+    res_c = diffusion_hjb_residual(tr_c.fk.g, model, c, grid)
     # psi is exactly linear in time, leaving only the c^3 dt^2 / 12 Pade bias
     assert np.max(np.abs(res_c)) <= 1e-10
 
@@ -413,7 +428,7 @@ def test_hjb_residual_gaussian_scales_with_dx():
         grid = TimeGrid(512)
         tr = build_diffusion_transform(model, 0.0, np.ones(M + 1),
                                        gaussian_weight(model, 0.5), grid)
-        res = diffusion_hjb_residual(tr.psi, model, 0.0, grid)
+        res = diffusion_hjb_residual(tr.fk.g, model, 0.0, grid)
         win = np.abs(model.xs) <= 2.0
         return float(np.nanmax(np.abs(res[:, win])))
 
@@ -547,6 +562,39 @@ def test_em_determinism_and_inputs():
         sample_em_paths(model, 2, seed=1, steps=50, x0=0.0)
     with pytest.raises(ModelValidationError):
         sample_em_paths(model, 2, seed=1, steps=200)
+
+
+@pytest.mark.parametrize("inputs,reason", [
+    (dict(x0=np.nan), "bad_initial"),
+    (dict(x0=5.0), "bad_initial"),
+    (dict(x0=np.array([0.0, -2.5])), "bad_initial"),
+    (dict(x0=np.zeros(3)), "dimension_mismatch"),
+    (dict(x0=np.zeros((2, 1))), "dimension_mismatch"),
+    (dict(initial_masses=np.ones(10)), "dimension_mismatch"),
+    (dict(initial_masses=np.full(33, np.nan)), "bad_initial"),
+    (dict(x0=0.0, drift=np.zeros((1, 33))), "dimension_mismatch"),
+    (dict(x0=0.0, drift=np.zeros((101, 32))), "dimension_mismatch"),
+    (dict(x0=0.0, drift=np.zeros(33)), "dimension_mismatch"),
+], ids=["x0_nan", "x0_outside", "x0_one_outside", "x0_length", "x0_2d",
+        "masses_length", "masses_nan", "drift_one_row", "drift_width",
+        "drift_1d"])
+def test_em_checks_its_inputs_before_drawing(inputs, reason):
+    model = flat_model(M=32, lo=-2.0, hi=2.0)
+    with pytest.raises(ModelValidationError) as info:
+        sample_em_paths(model, 2, seed=1, steps=100, **inputs)
+    assert info.value.reason == reason
+
+
+def test_em_starts_on_the_window_edges():
+    model = flat_model(M=32, lo=-2.0, hi=2.0)
+    paths = sample_em_paths(model, 2, seed=1, steps=100,
+                            x0=np.array([-2.0, 2.0]))
+    np.testing.assert_array_equal(paths[:, 0], [-2.0, 2.0])
+    masses = np.zeros(33)
+    masses[-1] = 1.0
+    paths = sample_em_paths(model, 3, seed=1, steps=100,
+                            initial_masses=masses)
+    np.testing.assert_array_equal(paths[:, 0], 2.0)
 
 
 def test_em_static_drift_stream_is_pinned():

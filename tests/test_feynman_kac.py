@@ -21,9 +21,9 @@ from htlab.diffusion1d import (Diffusion1DModel, build_diffusion_transform,
 from htlab.errors import (DegenerateInputError, HTLabError,
                           ModelValidationError)
 from htlab.feynman_kac import (check_fk_generator, check_semigroup,
-                               derivative, fk_propagator, potential_on_grid,
-                               positivity_report, rk4_matrix_step, solve_f,
-                               solve_fk, solve_g)
+                               derivative, fk_propagator, log_g,
+                               potential_on_grid, positivity_report,
+                               rk4_matrix_step, solve_f, solve_fk, solve_g)
 from htlab.h_transform import build_h_process, relative_entropy
 from htlab.markov_core import (StateSpace, TimeGrid, build_metropolis,
                                sample_paths_R, transition_matrix)
@@ -431,6 +431,21 @@ def test_derivative_axis_is_a_transpose():
     for step in (0.1, 0.37):
         np.testing.assert_array_equal(derivative(values.T, step, axis=-1),
                                       derivative(values, step).T)
+
+
+def test_log_g_is_nan_exactly_where_g_vanishes():
+    """The exact log wherever g > 0, subnormal g included: no floor."""
+    tiny = np.nextafter(0.0, 1.0)
+    g = np.array([[0.0, tiny, 1e-310, 1e-300, 0.5],
+                  [1.0, 2.0, 0.0, 3e-320, 7.0]])
+    psi = log_g(g)
+    np.testing.assert_array_equal(np.isnan(psi), g == 0)
+    live = g > 0
+    assert np.array_equal(psi[live], np.log(g[live]))
+    assert psi[0, 1] == np.log(tiny) < np.log(1e-300)
+    assert not psi.flags.writeable
+    with pytest.raises(ValueError):
+        psi[0, 0] = 1.0
 
 
 def test_propagator_factors_are_not_copied():

@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 from scipy.special import xlogy
 
-from conftest import five_state_model, generic_hprocess, two_state_model
+from conftest import (five_state_model, generic_hprocess, ring_kernel,
+                      two_state_model)
 from htlab.errors import ModelValidationError
 from htlab.feynman_kac import check_fk_generator, solve_g
 from htlab.hjb_check import discrete_hjb_residual, theta, theta_star
-from htlab.markov_core import TimeGrid
+from htlab.markov_core import StateSpace, TimeGrid, build_metropolis
 
 
 def test_theta_values():
@@ -170,3 +171,22 @@ def test_residual_detects_wrong_potential():
     wrong = 0.3
     res, _ = discrete_hjb_residual(g, model, wrong, grid)
     assert res.max_residual == pytest.approx(0.3, abs=1e-12)
+
+
+def test_log_form_takes_the_exact_log_below_1e_300():
+    """V = 700 on a unit-rate 5-ring drives g(0) = e^{-700} below 1e-300.
+
+    psi is then the exact log, so the log form keeps its stencil error
+    (h V = 0.35 at N = 2000); a log floored at 1e-300 would flatten psi
+    there and leave a residual of V itself.
+    """
+    n = 5
+    model = build_metropolis(StateSpace(tuple(f"s{i}" for i in range(n))),
+                             ring_kernel(n), np.full(n, 1.0 / n), np.zeros(n))
+    grid = TimeGrid(2000)
+    V = 700.0
+    g = solve_g(model, V, np.ones(n), grid)
+    assert 0.0 < g[0].max() < 1e-300
+    _, res = discrete_hjb_residual(g, model, V, grid)
+    assert res.defined.all()
+    assert res.max_residual <= 0.2
