@@ -567,7 +567,8 @@ def test_failed_run_writes_no_outputs(tmp_path, capsys, command, edits,
 @pytest.mark.parametrize("edits,reason", [
     ([("n_paths: 2000", "n_paths: 0")], "empty_request"),
     ([("t: 0.5", "t: 0.3333"), ("N: 200", "N: 100")], "off_grid_time"),
-], ids=["n_paths", "off_grid_t"])
+    ([("  seed: 3\n", "")], "missing_seed"),
+], ids=["n_paths", "off_grid_t", "seed"])
 def test_bad_diffusion_sampling_is_rejected_before_the_solve(
         tmp_path, capsys, monkeypatch, edits, reason):
     text = DIFFUSION_YAML
