@@ -23,8 +23,8 @@ import numpy as np
 from htlab import bridge as bridge_mod
 from htlab import diffusion1d, generator_lab, h_transform, hjb_check
 from htlab import orlicz_diag
-from htlab.config import RunConfig, _float_array, _read, _read_tolerance, \
-    build_model_from_config, load_config, transform_pieces
+from htlab.config import RunConfig, _float_array, _read, _read_int, \
+    _read_tolerance, build_model_from_config, load_config, transform_pieces
 from htlab.errors import (ConvergenceError, HTLabError, InconsistencyError,
                           ModelValidationError)
 from htlab.feynman_kac import (check_fk_generator, check_semigroup,
@@ -164,8 +164,7 @@ def cmd_transform(cfg: RunConfig, args) -> int:
 
 def cmd_sample(cfg: RunConfig, args) -> int:
     seed = cfg.require_seed()
-    n_paths = _read(int, cfg.sampling.get("n_paths", 1000),
-                    "sampling.n_paths")
+    n_paths = _read_int(cfg.sampling.get("n_paths", 1000), "sampling.n_paths")
     process = str(cfg.sampling.get("process", "P"))
     if process == "P":
         model, grid, hp = _hprocess(cfg)
@@ -206,7 +205,7 @@ def _run_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
         for key, default in [("tolerance_semigroup", 1e-8),
                              ("tolerance_pde", 1e-6),
                              ("tolerance_generator", 1e-5)])
-    seed = _read(int, cfg.sampling.get("seed", 0), "sampling.seed")
+    seed = _read_int(cfg.sampling.get("seed", 0), "sampling.seed")
     times = _check_times(cfg)
     model, grid, hp = _hprocess(cfg)
     results = []
@@ -297,8 +296,8 @@ def _bridge_limits(cfg: RunConfig) -> tuple[float, int]:
     sec = cfg.bridge
     return (_read_tolerance(sec.get("tol", bridge_mod.DEFAULT_TOL),
                             "bridge.tol"),
-            _read(int, sec.get("max_iter", bridge_mod.DEFAULT_MAX_ITER),
-                  "bridge.max_iter"))
+            _read_int(sec.get("max_iter", bridge_mod.DEFAULT_MAX_ITER),
+                      "bridge.max_iter"))
 
 
 def _fit_bridge(cfg: RunConfig, model: ReversibleModel, tol: float,
@@ -348,7 +347,7 @@ def cmd_diffusion(cfg: RunConfig, args) -> int:
     sampling = None
     if "n_paths" in cfg.sampling:
         sampling = (_read(float, cfg.sampling.get("t", 0.5), "sampling.t"),
-                    _read(int, cfg.sampling["n_paths"], "sampling.n_paths"),
+                    _read_int(cfg.sampling["n_paths"], "sampling.n_paths"),
                     cfg.require_seed())
         diffusion1d._require_paths(sampling[1])
         grid.node_index(sampling[0])
@@ -358,13 +357,13 @@ def cmd_diffusion(cfg: RunConfig, args) -> int:
     if sampling is not None:
         tv = diffusion1d.empirical_vs_fk_marginal(tr, *sampling)
         lines.append(f"empirical_tv={tv!r}")
-    for name, values in [("diffusion_g.csv", tr.fk.g),
-                         ("diffusion_f.csv", tr.fk.f),
-                         ("diffusion_drift.csv", tr.drift)]:
+    for name, values in [("diffusion_g.csv", tr.fk.g[indices]),
+                         ("diffusion_f.csv", tr.fk.f[indices]),
+                         ("diffusion_drift.csv", tr.drift_rows(indices))]:
         write_csv(os.path.join(args.out, name),
                   {"t": np.repeat(times, len(model.xs)),
                    "x": np.tile(model.xs, len(times)),
-                   "value": values[indices].ravel()},
+                   "value": values.ravel()},
                   meta={"grid_N": grid.N, "M": model.M})
     write_text(os.path.join(args.out, "diffusion_summary.txt"), lines)
     _say(args, "diffusion pipeline done")

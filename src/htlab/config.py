@@ -21,7 +21,7 @@ from yaml.events import (AliasEvent, DocumentStartEvent, MappingEndEvent,
                          SequenceStartEvent, StreamEndEvent)
 from yaml.nodes import ScalarNode
 
-from htlab.diffusion1d import Diffusion1DModel
+from htlab.diffusion1d import Diffusion1DModel, check_window
 from htlab.errors import ModelValidationError
 from htlab.feynman_kac import potential_on_grid
 from htlab.markov_core import (JumpKernel, ReversibleModel, StateSpace,
@@ -59,7 +59,7 @@ class RunConfig:
 
     @property
     def grid_n(self) -> int:
-        return _read(int, self.grid.get("N", DEFAULT_GRID_N), "grid.N")
+        return _read_int(self.grid.get("N", DEFAULT_GRID_N), "grid.N")
 
     @property
     def time_grid(self) -> TimeGrid:
@@ -74,7 +74,7 @@ class RunConfig:
             raise ModelValidationError(
                 "sampling commands need an explicit seed in the config",
                 reason="missing_seed")
-        return _read(int, self.seed, "sampling.seed")
+        return _read_int(self.seed, "sampling.seed")
 
 
 def _reject_unknown_keys(mapping: dict, known, what: str):
@@ -91,6 +91,18 @@ def _read(convert, value, what: str):
     except (TypeError, ValueError, OverflowError) as exc:  # int(.inf)
         raise ModelValidationError(f"{what}: cannot read {value!r} ({exc})",
                                    reason="bad_config") from None
+
+
+def _read_int(value, what: str) -> int:
+    """An integer setting: an int, or a float with no fractional part
+    (200.0). A bool, a fractional or non-finite float and any other type
+    are bad_config, naming the key and the value: nothing is truncated."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ModelValidationError(f"{what}: expected an integer, got {value!r}",
+                               reason="bad_config")
 
 
 def _read_tolerance(value, what: str) -> float:
@@ -311,9 +323,10 @@ def _diffusion_model(sec: dict) -> Diffusion1DModel:
         if key not in sec:
             raise ModelValidationError(f"diffusion model needs '{key}'",
                                        reason="bad_config")
-    M = _read(int, sec["M"], "M")
+    M = _read_int(sec["M"], "M")
     x_min = _read(float, sec["x_min"], "x_min")
     x_max = _read(float, sec["x_max"], "x_max")
+    check_window(x_min, x_max, M)  # before linspace warns or fails on it
     xs = np.linspace(x_min, x_max, M + 1)
     U = _vector(sec.get("U", 0.0), M + 1, "U", xs=xs)
     return Diffusion1DModel(x_min=x_min, x_max=x_max, M=M, U=U)

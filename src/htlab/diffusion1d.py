@@ -16,6 +16,7 @@ the tests measure (rather than hide) the residual boundary contamination.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,26 @@ from htlab.markov_core import TimeGrid, _freeze
 # Equal-width histogram bins of empirical_vs_fk_marginal, capped at M.
 _TV_BINS = 64
 
+# Time rows per drift block of _DriftField: Euler-Maruyama holds one block of
+# (_DRIFT_BLOCK_ROWS + 1) x (M + 1) drift values, never the full field.
+_DRIFT_BLOCK_ROWS = 64
+
+
+def check_window(x_min, x_max, M):
+    """Reject a window that is not finite with positive width (bad_domain),
+    or that has fewer than 16 cells (grid_too_coarse).
+
+    The width is taken in Python floats, which overflow to inf silently, so
+    a huge window raises no numpy warning before it is refused.
+    """
+    lo, hi = float(x_min), float(x_max)
+    if not (lo < hi and math.isfinite(hi - lo)):  # NaN fails both
+        raise ModelValidationError("domain must be finite with positive "
+                                   "width", reason="bad_domain")
+    if M < 16:
+        raise ModelValidationError("need at least 16 spatial cells",
+                                   reason="grid_too_coarse")
+
 
 @dataclass(frozen=True)
 class Diffusion1DModel:
@@ -41,12 +62,7 @@ class Diffusion1DModel:
     U: np.ndarray
 
     def __post_init__(self):
-        if not self.x_min < self.x_max:
-            raise ModelValidationError("domain must have positive width",
-                                       reason="bad_domain")
-        if self.M < 16:
-            raise ModelValidationError("need at least 16 spatial cells",
-                                       reason="grid_too_coarse")
+        check_window(self.x_min, self.x_max, self.M)
         U = np.asarray(self.U, dtype=float)
         if np.isscalar(self.U) or U.ndim == 0:
             U = np.full(self.M + 1, float(self.U))
@@ -288,17 +304,29 @@ def diffusion_hjb_residual(g: np.ndarray, model: Diffusion1DModel, V,
 @dataclass(frozen=True)
 class DiffusionTransform(HProcess):
     """The transformed diffusion: an HProcess whose m is the model's
-    m_weights, plus the transformed drift -U' + d/dx log g (NaN where it
-    reads a node with g = 0) and the count of Crank-Nicolson nodes clipped
-    to zero in both solves."""
+    m_weights, plus the count of Crank-Nicolson nodes clipped to zero in
+    both solves. The transformed drift is not stored: drift_rows derives
+    it from g."""
 
-    drift: np.ndarray
     clipped_nodes: int
+
+    def drift_rows(self, rows) -> np.ndarray:
+        """Read-only transformed drift -U' + d/dx log g on the time nodes
+        `rows` (any index of g's first axis), NaN where the stencil reads a
+        node with g = 0.
+
+        The log and the stencil act row by row, so a row's drift has the
+        same bits whichever rows are formed with it.
+        """
+        drift = derivative(log_g(self.fk.g[rows]), self.model.dx, axis=-1)
+        drift -= self.model.U_prime
+        drift.setflags(write=False)
+        return drift
 
 
 def build_diffusion_transform(model: Diffusion1DModel, V, f0, gamma1,
                               grid: TimeGrid) -> DiffusionTransform:
-    """Normalize, solve both PDEs, and derive the transformed drift.
+    """Normalize and solve both PDEs.
 
     V's grid view is taken last: for a full (N+1) x (M+1) field it is a
     copy, which then does not coexist with the temporaries of the solves.
@@ -311,13 +339,10 @@ def build_diffusion_transform(model: Diffusion1DModel, V, f0, gamma1,
     c = normalization(mw, f0, g[0])
     f0 = _freeze(f0 / c)
     f, clipped_f = solve_f_pde(model, V, f0, grid)
-    drift = derivative(log_g(g), model.dx, axis=-1)
-    drift -= model.U_prime
-    drift.setflags(write=False)
     return DiffusionTransform(model=model, f0=f0, gamma1=gamma1,
                               V=potential_on_grid(V, grid, model.M + 1),
                               grid=grid, fk=FKSolution(grid=grid, g=g, f=f),
-                              c=c, m=mw, drift=drift,
+                              c=c, m=mw,
                               clipped_nodes=clipped_g + clipped_f)
 
 
@@ -353,9 +378,15 @@ class _DriftField:
       differ from x_max by rounding);
     - NaN x gives NaN, and a NaN value from an infinite row entry is
       retried from the right end of the cell, as np.interp does.
+
+    `rows(block)` returns the drift on a slice of the time nodes 0..N (a
+    transform's drift_rows, or an explicit array's __getitem__); None is
+    the reference drift -U'. The field keeps one block of rows
+    [b B, b B + B] for B = _DRIFT_BLOCK_ROWS: the extra row lets the time
+    blend of rows k and k + 1 read a single block.
     """
 
-    def __init__(self, model: Diffusion1DModel, drift: np.ndarray | None):
+    def __init__(self, model: Diffusion1DModel, rows=None, N: int = 0):
         self.xs = xs = model.xs
         self.x_min, self.inv_dx, self.M = model.x_min, 1.0 / model.dx, model.M
         self.widths = np.diff(xs)
@@ -363,8 +394,9 @@ class _DriftField:
         # x >= xs[-1] (j = M)
         self.node_max = xs.copy()
         self.node_max[-1] = np.inf
-        self.drift = drift
-        if drift is None:
+        self.rows, self.N = rows, N
+        self.block_start, self.block = -1, None
+        if rows is None:
             self.static = -model.U_prime
             self.static_slopes = self._slopes(self.static)
 
@@ -405,18 +437,25 @@ class _DriftField:
         return out
 
     def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
-        if self.drift is None:
+        if self.rows is None:
             return self._interp(x, self.static, self.static_slopes)
-        N = self.drift.shape[0] - 1
+        N = self.N
         s = min(max(t, 0.0), 1.0) * N
         k = min(int(np.floor(s)), N - 1)
         a = s - k
+        start = k - k % _DRIFT_BLOCK_ROWS
+        if start != self.block_start:
+            self.block = None  # the old block goes before the new is formed
+            self.block = self.rows(slice(start,
+                                         start + _DRIFT_BLOCK_ROWS + 1))
+            self.block_start = start
+        i = k - start
         # masked (NaN) nodes are tolerated as long as no path needs them, so
         # the finiteness guard applies to the interpolated values only
         if a == 0.0:
-            row = self.drift[k]
+            row = self.block[i]
         else:
-            row = (1.0 - a) * self.drift[k] + a * self.drift[k + 1]
+            row = (1.0 - a) * self.block[i] + a * self.block[i + 1]
         out = self._interp(x, row, self._slopes(row))
         if not np.isfinite(out).all():
             raise PositivityError("a path reached a region where the drift "
@@ -432,18 +471,13 @@ def _require_paths(n_paths: int):
 
 
 def _em_positions(model: Diffusion1DModel, n_paths: int, seed, steps: int,
-                  drift: np.ndarray | None, x0, initial_masses,
-                  t_end: float):
+                  field: _DriftField, x0, initial_masses, t_end: float):
     """Yield the positions at t = 0 and after each of the `steps` steps.
 
-    The drift and the start are checked before anything is drawn.
+    The start is checked before anything is drawn.
     """
     lo, hi = model.x_min, model.x_max
     width = hi - lo
-    if drift is not None and (np.ndim(drift) != 2 or len(drift) < 3
-                              or np.shape(drift)[1] != model.M + 1):
-        raise ModelValidationError("drift must be (N+1) x (M+1) with N >= 2",
-                                   reason="dimension_mismatch")
     rng = np.random.default_rng(seed)
     if initial_masses is not None:
         cdf = np.cumsum(weight_on_nodes(initial_masses, model.M + 1,
@@ -463,7 +497,6 @@ def _em_positions(model: Diffusion1DModel, n_paths: int, seed, steps: int,
                                        "model window", reason="bad_initial")
         x = np.full(n_paths, x0)
     yield x
-    field = _DriftField(model, drift)
     dt = t_end / max(steps, 1)  # steps = 0 yields the initial draw only
     sqrt_dt = np.sqrt(dt)
     for k in range(steps):
@@ -484,8 +517,9 @@ def sample_em_paths(model: Diffusion1DModel, n_paths: int, seed,
                     initial_masses: np.ndarray | None = None) -> np.ndarray:
     """Euler-Maruyama batch with reflection at the walls, from t = 0 to 1.
 
-    drift is an (N+1) x (M+1) array on the nodes of a uniform time grid (a
-    transform's drift) with N >= 2, or None for the reference drift -U'.
+    drift is an (N+1) x (M+1) array on the nodes of a uniform time grid
+    (a transform's drift_rows(slice(None))) with N >= 2, or None for the
+    reference drift -U'.
     Initial positions come from x0 (a scalar or one value per path, finite
     and inside [x_min, x_max]) or are drawn from node masses, checked as a
     weight. A bad shape is a dimension_mismatch and a bad start value a
@@ -498,8 +532,16 @@ def sample_em_paths(model: Diffusion1DModel, n_paths: int, seed,
     if steps < 100:
         raise ModelValidationError("need at least 100 steps",
                                    reason="too_few_steps")
+    if drift is None:
+        field = _DriftField(model)
+    elif (np.ndim(drift) != 2 or len(drift) < 3
+          or np.shape(drift)[1] != model.M + 1):
+        raise ModelValidationError("drift must be (N+1) x (M+1) with N >= 2",
+                                   reason="dimension_mismatch")
+    else:
+        field = _DriftField(model, drift.__getitem__, len(drift) - 1)
     out = np.empty((n_paths, steps + 1))
-    for k, x in enumerate(_em_positions(model, n_paths, seed, steps, drift,
+    for k, x in enumerate(_em_positions(model, n_paths, seed, steps, field,
                                         x0, initial_masses, 1.0)):
         out[:, k] = x
     return out
@@ -519,8 +561,9 @@ def empirical_vs_fk_marginal(transform: DiffusionTransform, t: float,
     k = grid.node_index(t)
     bins = min(_TV_BINS, model.M)
     edges = np.linspace(model.x_min, model.x_max, bins + 1)
-    for positions in _em_positions(model, n_paths, seed, k, transform.drift,
-                                   None, marginal(transform, 0.0), t):
+    field = _DriftField(model, transform.drift_rows, grid.N)
+    for positions in _em_positions(model, n_paths, seed, k, field, None,
+                                   marginal(transform, 0.0), t):
         pass  # only the positions at time t are kept
     hist, _ = np.histogram(positions, bins=edges)
     empirical = hist / n_paths

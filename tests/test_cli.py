@@ -435,6 +435,68 @@ def test_malformed_diffusion_value_is_a_config_error(tmp_path, capsys, old,
     assert f"reason={reason}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,text,old,new,key,value", [
+    ("fk", JUMP_YAML, "N: 200", "N: 200.7", "grid.N", "200.7"),
+    ("fk", JUMP_YAML, "N: 200", "N: true", "grid.N", "True"),
+    ("diffusion", DIFFUSION_YAML, "M: 64", "M: 16.5", "M", "16.5"),
+    ("sample", JUMP_YAML, "n_paths: 50", "n_paths: 200.9",
+     "sampling.n_paths", "200.9"),
+    ("diffusion", DIFFUSION_YAML, "n_paths: 2000", "n_paths: 200.9",
+     "sampling.n_paths", "200.9"),
+    ("sample", JUMP_YAML, "seed: 7", "seed: 7.5", "sampling.seed", "7.5"),
+    ("check", JUMP_YAML, "seed: 7", "seed: 7.5", "sampling.seed", "7.5"),
+    ("bridge", JUMP_YAML, "mu1: [0.2, 0.2, 0.6]",
+     "mu1: [0.2, 0.2, 0.6]\n  max_iter: 10.5", "bridge.max_iter", "10.5"),
+], ids=["N", "N_bool", "M", "n_paths", "diffusion_n_paths", "seed",
+        "check_seed", "max_iter"])
+def test_integer_setting_is_not_truncated(tmp_path, capsys, command, text,
+                                          old, new, key, value):
+    """A fractional or boolean integer setting is a config error naming
+    the key and the value, not a run with the value cut to an int."""
+    assert old in text
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(text.replace(old, new), encoding="utf-8")
+    assert run(command, str(cfg), tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "reason=bad_config" in err
+    assert f"{key}: expected an integer, got {value}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_integral_float_setting_reads_as_its_int(tmp_path):
+    whole = tmp_path / "whole.yaml"
+    whole.write_text(JUMP_YAML.replace("N: 200", "N: 200.0")
+                     .replace("n_paths: 50", "n_paths: 50.0"),
+                     encoding="utf-8")
+    plain = tmp_path / "plain.yaml"
+    plain.write_text(JUMP_YAML, encoding="utf-8")
+    for command, name in (("fk", "fk.csv"), ("sample", "paths.csv")):
+        assert run(command, str(whole), tmp_path / "a") == 0
+        assert run(command, str(plain), tmp_path / "b") == 0
+        assert (tmp_path / "a" / name).read_bytes() == \
+            (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("old,new,reason", [
+    ("x_max: 2.0", "x_max: .inf", "bad_domain"),
+    ("x_min: -2.0", "x_min: -.inf", "bad_domain"),
+    ("x_min: -2.0\n  x_max: 2.0", "x_min: -1.0e308\n  x_max: 1.0e308",
+     "bad_domain"),
+    ("x_min: -2.0", "x_min: .nan", "bad_domain"),
+    ("M: 64", "M: -5", "grid_too_coarse"),
+], ids=["x_max_inf", "x_min_inf", "width_overflows", "x_min_nan", "M_neg"])
+def test_unusable_diffusion_window_fails_before_the_grid(tmp_path, capsys,
+                                                         old, new, reason):
+    """The window is checked before the node grid is built, so no numpy
+    warning or error comes first."""
+    assert old in DIFFUSION_YAML
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(DIFFUSION_YAML.replace(old, new), encoding="utf-8")
+    assert run("diffusion", str(cfg), tmp_path / "out") == 2
+    assert f"reason={reason}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", [".nan", ".inf"])
 @pytest.mark.parametrize("command,old,new", [
     ("transform", "tolerance_generator: 1.0e-4",

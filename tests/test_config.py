@@ -64,6 +64,22 @@ def test_defaults_and_missing_seed(tmp_path):
     assert info.value.reason == "missing_seed"
 
 
+@pytest.mark.parametrize("value,expected", [
+    (200, 200), (200.0, 200), (-3, -3), (0.0, 0), (True, None),
+    (False, None), (200.7, None), (-0.5, None), (float("inf"), None),
+    (float("nan"), None), ("200", None), (None, None), ([1], None)])
+def test_read_int_refuses_what_it_would_truncate(value, expected):
+    if expected is None:
+        with pytest.raises(ModelValidationError) as info:
+            config._read_int(value, "grid.N")
+        assert info.value.reason == "bad_config"
+        assert f"grid.N: expected an integer, got {value!r}" in \
+            str(info.value)
+    else:
+        got = config._read_int(value, "grid.N")
+        assert got == expected and type(got) is int
+
+
 def test_structural_validation(tmp_path):
     with pytest.raises(ModelValidationError):
         load_config(write(tmp_path, "- a\n- b\n"))

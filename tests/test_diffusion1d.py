@@ -10,6 +10,7 @@ marginals with thresholds calibrated well above the Monte Carlo floor.
 import collections
 import hashlib
 import importlib.machinery
+import tracemalloc
 import types
 
 import numpy as np
@@ -18,9 +19,9 @@ from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 from htlab import diffusion1d
-from htlab.diffusion1d import (Diffusion1DModel, _DriftField,
-                               _operator_bands, _reflect, _tridiag_mul,
-                               _tridiag_solve,
+from htlab.diffusion1d import (_DRIFT_BLOCK_ROWS, Diffusion1DModel,
+                               _DriftField, _operator_bands, _reflect,
+                               _tridiag_mul, _tridiag_solve,
                                build_diffusion_transform,
                                diffusion_hjb_residual,
                                empirical_vs_fk_marginal, sample_em_paths,
@@ -62,6 +63,18 @@ def test_model_validation_and_geometry():
     w = np.exp(-2.0 * model.U)
     w[[0, -1]] *= 0.5
     np.testing.assert_allclose(model.m_weights, w / w.sum(), rtol=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lo,hi", [
+    (0.0, np.inf), (-np.inf, 0.0), (-np.inf, np.inf), (np.nan, 1.0),
+    (-1e308, 1e308), (np.float64(-1e308), np.float64(1e308))],
+    ids=["hi_inf", "lo_inf", "both_inf", "lo_nan", "width_overflows",
+         "width_overflows_np"])
+def test_model_window_must_be_finite(lo, hi):
+    with pytest.raises(ModelValidationError) as info:
+        Diffusion1DModel(lo, hi, 64, 0.0)
+    assert info.value.reason == "bad_domain"
 
 
 def test_potential_broadcasting():
@@ -316,7 +329,8 @@ def test_transform_marginals_are_probabilities():
         assert np.all(masses >= 0)
         assert masses.sum() == pytest.approx(1.0, abs=1e-12)
     assert tr.c > 0
-    for values in (tr.f0, tr.gamma1, tr.V, tr.m, tr.fk.g, tr.fk.f, tr.drift):
+    for values in (tr.f0, tr.gamma1, tr.V, tr.m, tr.fk.g, tr.fk.f,
+                   tr.drift_rows(slice(None)), tr.drift_rows(7)):
         assert not values.flags.writeable
 
 
@@ -348,8 +362,8 @@ def test_flat_g_gives_reference_drift():
     tr = build_diffusion_transform(model, 0.0, np.ones(model.M + 1),
                                    np.ones(model.M + 1), grid)
     np.testing.assert_allclose(log_g(tr.fk.g), 0.0, atol=1e-12)
-    np.testing.assert_allclose(
-        tr.drift, np.tile(-model.U_prime, (101, 1)), atol=1e-12)
+    np.testing.assert_allclose(tr.drift_rows(slice(None)),
+                               np.tile(-model.U_prime, (101, 1)), atol=1e-12)
 
 
 def test_drift_is_gauge_invariant():
@@ -361,7 +375,8 @@ def test_drift_is_gauge_invariant():
                                     grid)
     np.testing.assert_allclose(log_g(tr2.fk.g) - log_g(tr1.fk.g),
                                np.log(2.5), atol=1e-10)
-    np.testing.assert_allclose(tr2.drift, tr1.drift, atol=1e-9)
+    np.testing.assert_allclose(tr2.drift_rows(slice(None)),
+                               tr1.drift_rows(slice(None)), atol=1e-9)
 
 
 def test_bridge_drift_closed_form():
@@ -375,7 +390,7 @@ def test_bridge_drift_closed_form():
     exact = -model.xs[None, :] / s
     tw = grid.nodes <= 0.9
     win = np.abs(model.xs) <= 1.0
-    err = np.abs(tr.drift[np.ix_(tw, win)] - exact[np.ix_(tw, win)])
+    err = np.abs(tr.drift_rows(tw)[:, win] - exact[np.ix_(tw, win)])
     assert err.max() / np.abs(exact[np.ix_(tw, win)]).max() <= 1e-2
 
 
@@ -385,11 +400,12 @@ def test_masked_psi_propagates_and_blocks_sampling():
     gamma1 = np.where(model.xs >= 0.0, gaussian_weight(model, 0.8), 0.0)
     tr = build_diffusion_transform(model, 0.0, np.ones(65), gamma1, grid)
     assert np.isnan(log_g(tr.fk.g)[-1, 0])
-    assert np.isnan(tr.drift[-1, 0])
+    assert np.isnan(tr.drift_rows(-1)[0])
     assert np.isfinite(log_g(tr.fk.g)[:-1]).all()
     # off-grid final step blends into the masked terminal row
     with pytest.raises(PositivityError):
-        sample_em_paths(model, 4, seed=3, steps=101, drift=tr.drift, x0=-1.5)
+        sample_em_paths(model, 4, seed=3, steps=101,
+                        drift=tr.drift_rows(slice(None)), x0=-1.5)
 
 
 @pytest.mark.parametrize("masked", [False, True])
@@ -401,10 +417,16 @@ def test_drift_is_the_derivative_of_log_g(masked):
     if masked:
         gamma1 = np.where(model.xs >= 0.0, gamma1, 0.0)
     tr = build_diffusion_transform(model, 0.1, np.ones(65), gamma1,
-                                   TimeGrid(100))
-    assert np.isnan(tr.drift).any() == masked
-    assert_same_bits(tr.drift, derivative(log_g(tr.fk.g), model.dx, -1)
-                     - model.U_prime)
+                                   TimeGrid(150))
+    full = derivative(log_g(tr.fk.g), model.dx, -1) - model.U_prime
+    assert np.isnan(full).any() == masked
+    B = _DRIFT_BLOCK_ROWS
+    for rows in (slice(None), slice(0, B + 1), slice(B, 2 * B + 1),
+                 slice(2 * B, 3 * B + 1), slice(B - 3, B + 4), slice(-7, None),
+                 [0, B - 1, B, 150], B, 150):
+        drift = tr.drift_rows(rows)
+        assert not drift.flags.writeable
+        assert_same_bits(drift, full[rows])
 
 
 def test_hjb_residual_exact_and_pade():
@@ -500,10 +522,15 @@ def test_drift_field_branches_match_np_interp():
     static = _DriftField(model, None)
     for t in (0.0, 0.37, 1.0):
         assert_same_bits(static(t, x), np.interp(x, model.xs, -model.U_prime))
-    grid = TimeGrid(50)
-    drift = rng.standard_normal((51, 65))
-    blended = _DriftField(model, drift)
-    for t in (0.0, 0.013, 0.5, 0.731, 1.0):
+    # N is no multiple of the block rows, and the times leave and reenter
+    # blocks and blend rows B - 1 and B, the last row of a block and the
+    # first of the next
+    grid = TimeGrid(150)
+    drift = rng.standard_normal((151, 65))
+    blended = _DriftField(model, drift.__getitem__, grid.N)
+    B = _DRIFT_BLOCK_ROWS
+    for t in (0.0, 0.013, 0.5, (B - 0.5) / 150, 0.731, 1.0, 0.42,
+              (2 * B + 0.3) / 150, B / 150):
         s = t * grid.N
         k = min(int(np.floor(s)), grid.N - 1)
         a = s - k
@@ -645,6 +672,82 @@ def test_empirical_marginal_stream_is_pinned():
         0.06950133994521619
     assert empirical_vs_fk_marginal(tr, 0.5, 2000, seed=4) == \
         0.06215240810393192
+
+
+def binned_tv(tr, positions, t):
+    """The total variation empirical_vs_fk_marginal reports for positions
+    at time t."""
+    model = tr.model
+    bins = min(64, model.M)
+    edges = np.linspace(model.x_min, model.x_max, bins + 1)
+    empirical = np.histogram(positions, bins=edges)[0] / len(positions)
+    which = np.clip(np.searchsorted(edges, model.xs, side="right") - 1,
+                    0, bins - 1)
+    target = np.bincount(which, weights=marginal(tr, t), minlength=bins)
+    return 0.5 * float(np.abs(empirical - target / target.sum()).sum())
+
+
+def test_empirical_marginal_reads_the_blocks_as_the_full_drift():
+    """Driven from the transform's drift blocks, the sampler takes the same
+    paths as sample_em_paths given the full drift array. N = 150 is no
+    multiple of the block rows, and t = 0.5 steps through two blocks."""
+    model = quadratic_model()
+    grid = TimeGrid(150)
+    tr = build_diffusion_transform(model, 0.1, 1.0 + 0.3 * np.sin(model.xs),
+                                   gaussian_weight(model, 0.8), grid)
+    paths = sample_em_paths(model, 500, 9, grid.N,
+                            drift=tr.drift_rows(slice(None)),
+                            initial_masses=marginal(tr, 0.0))
+    for t in (0.5, 1.0):
+        k = grid.node_index(t)
+        assert k > _DRIFT_BLOCK_ROWS
+        assert empirical_vs_fk_marginal(tr, t, 500, 9) == \
+            binned_tv(tr, paths[:, k], t)
+
+
+def test_em_blocked_drift_steps_as_the_full_field():
+    """With steps != N the time blend of rows k and k + 1 runs across block
+    edges; every step equals one taken with np.interp on the blend of the
+    full drift array."""
+    model = quadratic_model(M=64)
+    grid = TimeGrid(150)
+    tr = build_diffusion_transform(model, 0.1, np.ones(65),
+                                   gaussian_weight(model, 0.8), grid)
+    drift = tr.drift_rows(slice(None))
+    steps, x0 = 211, np.linspace(-1.5, 1.5, 40)
+    paths = sample_em_paths(model, 40, 4, steps, drift=drift, x0=x0)
+    rng = np.random.default_rng(4)
+    dt = 1.0 / steps
+    x = x0
+    for j in range(steps):
+        s = j * dt * grid.N
+        k = min(int(np.floor(s)), grid.N - 1)
+        a = s - k
+        row = drift[k] if a == 0.0 else \
+            (1.0 - a) * drift[k] + a * drift[k + 1]
+        x = x + np.interp(x, model.xs, row) * dt \
+            + np.sqrt(dt) * rng.standard_normal(40)
+        x = _reflect(x, model.x_min, model.x_max)
+        assert_same_bits(paths[:, j + 1], x)
+
+
+def test_sampled_transform_holds_no_drift_field():
+    """Building a transform and sampling its marginal holds g and f, not a
+    drift field or a log g of the same size (4 grids before the drift was
+    formed a block of rows at a time)."""
+    model = quadratic_model(M=256)
+    grid = TimeGrid(1000)
+    grid_bytes = (grid.N + 1) * (model.M + 1) * 8
+    ones = np.ones(model.M + 1)
+    tracemalloc.start()
+    try:
+        tr = build_diffusion_transform(model, 0.1, ones,
+                                       gaussian_weight(model, 0.8), grid)
+        empirical_vs_fk_marginal(tr, 0.5, 2000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.3 * grid_bytes
 
 
 @pytest.mark.parametrize("M", [16, 32, 48])
