@@ -82,9 +82,12 @@ def _hprocess(cfg: RunConfig):
 
 
 def _check_times(cfg: RunConfig, default=(0.25, 0.5, 0.75)) -> list[float]:
-    """checks.times, each one a node of the config's grid."""
+    """checks.times: a nonempty list of nodes of the config's grid."""
     times = _read(lambda ts: [float(t) for t in ts],
                   cfg.checks.get("times", default), "checks.times")
+    if not times:  # an empty list would check nothing and pass
+        raise ModelValidationError("checks.times: need at least one time",
+                                   reason="bad_config")
     grid = cfg.time_grid
     for t in times:
         grid.node_index(t)

@@ -24,7 +24,8 @@ import numpy as np
 from htlab.errors import (DegenerateInputError, ModelValidationError,
                           PositivityError)
 from htlab.feynman_kac import (FKSolution, derivative, log_g,
-                               potential_on_grid, weight_on_nodes)
+                               potential_on_grid, repeated_rows,
+                               weight_on_nodes)
 from htlab.h_transform import HProcess, marginal, normalization
 from htlab.markov_core import TimeGrid, _freeze
 
@@ -127,7 +128,7 @@ def _lapack():
     """scipy's compiled LAPACK wrappers, the package's only use of scipy,
     loaded on first call.
 
-    Only the Crank-Nicolson solves need them (dgtsv, dgttrf and dgttrs), so
+    Only the Crank-Nicolson solves need them (dgttrf and dgttrs), so
     a process that builds no diffusion model (every jump subcommand) never
     imports scipy. The extension `scipy/linalg/_flapack` is loaded from its
     file after the top-level `import scipy`, which skips `scipy.linalg` and
@@ -153,19 +154,6 @@ def _lapack():
     raise ImportError(f"no LAPACK extension _flapack in {folder}")
 
 
-def _require_nonsingular(info: int):
-    if info != 0:
-        raise DegenerateInputError("Crank-Nicolson system is singular",
-                                   reason="cn_conditioning")
-
-
-def _tridiag_solve(diag, upper, lower, rhs):
-    """Solve the tridiagonal system by LAPACK gtsv (partial pivoting)."""
-    x, info = _lapack().dgtsv(lower, diag, upper, rhs)[3:]
-    _require_nonsingular(info)
-    return x
-
-
 def _factored_solver(diag, upper, lower):
     """Factor the tridiagonal matrix once by LAPACK gttrf; solve by gttrs.
 
@@ -174,7 +162,9 @@ def _factored_solver(diag, upper, lower):
     """
     lapack = _lapack()
     dl, d, du, du2, ipiv, info = lapack.dgttrf(lower, diag, upper)
-    _require_nonsingular(info)
+    if info != 0:
+        raise DegenerateInputError("Crank-Nicolson system is singular",
+                                   reason="cn_conditioning")
     gttrs = lapack.dgttrs
 
     def solve(rhs):
@@ -182,28 +172,27 @@ def _factored_solver(diag, upper, lower):
     return solve
 
 
-def _cn_nodes(Vg: np.ndarray, center: float, half: float, upper, lower):
-    """node(k) -> (solve, plus): the Crank-Nicolson diagonals of time node k.
+def _cn_nodes(Vg: np.ndarray, center: float, half: float, upper, lower,
+              ks: range):
+    """Yield (solve, plus), the Crank-Nicolson diagonals of each time node
+    k in ks, a range of step 1 or -1.
 
     With h_k = half (center - V[k]), solve(rhs) solves the left-hand side of
     node k, whose diagonal is 1 - h_k and whose bands are upper and lower,
-    and plus = 1 + h_k is its right-hand diagonal. When V is constant in
-    time every node is the same: its left-hand side is factored once and
-    every node returns the same pair. Otherwise each call forms node k's
-    diagonals and its solve is a gtsv.
+    and plus = 1 + h_k is its right-hand diagonal. A node whose V row equals
+    the row of the node before it in ks gets that node's pair, so a run of
+    equal rows forms its diagonals once and its factor at most once. The
+    sweeps solve only on nodes 0..N-1: a run of node N alone has no solve.
     """
-    # V is finite, so its rows are all equal exactly when each node's least
-    # and greatest value agree; this builds no (N+1, M+1) temporary
-    if (Vg.min(axis=0) == Vg.max(axis=0)).all():
-        h = half * (center - Vg[0])
-        same = (_factored_solver(1.0 - h, upper, lower), 1.0 + h)
-        return lambda k: same
-
-    def node(k):
-        h = half * (center - Vg[k])
-        return (functools.partial(_tridiag_solve, 1.0 - h, upper, lower),
-                1.0 + h)
-    return node
+    same = repeated_rows(Vg)
+    before = min(0, -ks.step)  # same[k + before]: V[k] equals the row before
+    for k in ks:
+        if k == ks[0] or not same[k + before]:
+            h = half * (center - Vg[k])
+            minus, plus, solve = 1.0 - h, 1.0 + h, None
+        if solve is None and k < len(same):
+            solve = _factored_solver(minus, upper, lower)
+        yield solve, plus
 
 
 def _clip_negatives(x: np.ndarray, what: str) -> int:
@@ -236,15 +225,14 @@ def solve_g_pde(model: Diffusion1DModel, V, gamma1,
     N, half = grid.N, 0.5 * grid.dt
     center, upper, lower = _operator_bands(model)
     hu, hl = half * upper, half * lower
-    node = _cn_nodes(Vg, center, half, -hu, -hl)
+    nodes = _cn_nodes(Vg, center, half, -hu, -hl, range(N, -1, -1))
     vals = np.empty((N + 1, model.M + 1))
     vals[N] = gamma1
     clipped = 0
-    # each node is formed once: node k + 1's right-hand diagonal serves
-    # step k, and its solve served step k + 1
-    plus_next = node(N)[1]
-    for k in range(N - 1, -1, -1):
-        solve, plus = node(k)
+    # node k + 1's right-hand diagonal serves step k, and its solve served
+    # step k + 1
+    plus_next = next(nodes)[1]
+    for k, (solve, plus) in zip(range(N - 1, -1, -1), nodes):
         g = solve(_tridiag_mul(plus_next, hu, hl, vals[k + 1]))
         clipped += _clip_negatives(g, "backward")
         vals[k] = g
@@ -269,14 +257,13 @@ def solve_f_pde(model: Diffusion1DModel, V, f0,
     center, upper, lower = _operator_bands(model)
     hu, hl = half * upper, half * lower
     # transposes of the backward step: swap the off-diagonal bands
-    node = _cn_nodes(Vg, center, half, -hl, -hu)
+    nodes = _cn_nodes(Vg, center, half, -hl, -hu, range(N + 1))
     mw = model.m_weights
     vals = np.empty((N + 1, model.M + 1))
     vals[0] = f0
     clipped = 0
-    solve = node(0)[0]
-    for k in range(N):
-        solve_next, plus_next = node(k + 1)
+    solve = next(nodes)[0]
+    for k, (solve_next, plus_next) in enumerate(nodes):
         f_next = _tridiag_mul(plus_next, hl, hu, solve(mw * vals[k]))
         f_next /= mw
         clipped += _clip_negatives(f_next, "forward")
@@ -518,8 +505,8 @@ def sample_em_paths(model: Diffusion1DModel, n_paths: int, seed,
     """Euler-Maruyama batch with reflection at the walls, from t = 0 to 1.
 
     drift is an (N+1) x (M+1) array on the nodes of a uniform time grid
-    (a transform's drift_rows(slice(None))) with N >= 2, or None for the
-    reference drift -U'.
+    (a transform's drift_rows(slice(None))) with N >= 2, or anything numpy
+    reads as one with dtype float, or None for the reference drift -U'.
     Initial positions come from x0 (a scalar or one value per path, finite
     and inside [x_min, x_max]) or are drawn from node masses, checked as a
     weight. A bad shape is a dimension_mismatch and a bad start value a
@@ -534,11 +521,14 @@ def sample_em_paths(model: Diffusion1DModel, n_paths: int, seed,
                                    reason="too_few_steps")
     if drift is None:
         field = _DriftField(model)
-    elif (np.ndim(drift) != 2 or len(drift) < 3
-          or np.shape(drift)[1] != model.M + 1):
-        raise ModelValidationError("drift must be (N+1) x (M+1) with N >= 2",
-                                   reason="dimension_mismatch")
     else:
+        try:
+            drift = np.asarray(drift, dtype=float)
+        except (TypeError, ValueError):  # ragged, or not numbers
+            drift = np.empty(0)
+        if drift.ndim != 2 or len(drift) < 3 or drift.shape[1] != model.M + 1:
+            raise ModelValidationError("drift must be (N+1) x (M+1) floats, "
+                                       "N >= 2", reason="dimension_mismatch")
         field = _DriftField(model, drift.__getitem__, len(drift) - 1)
     out = np.empty((n_paths, steps + 1))
     for k, x in enumerate(_em_positions(model, n_paths, seed, steps, field,

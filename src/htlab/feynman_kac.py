@@ -7,9 +7,10 @@ grid, in O(N n) memory, and the propagator Phi(s,t) as dense RK4 factors.
 
 A factor S_k = Phi(t_k, t_{k+1}) is the same polynomial in h(Q - V) as one
 sweep cell, so g(t_k) = Phi(t_k, t_l) g(t_l) holds to rounding, not exactly.
-A cell whose two V rows equal those of the cell before it has that cell's
-factor, so the factor is copied, not recomputed: a V constant in time costs
-one RK4 matrix step, not N.
+A cell whose two V rows equal those of the cell before it (repeated_rows,
+shared with the diffusion's Crank-Nicolson sweeps) has that cell's factor,
+so the factor is copied, not recomputed: a V constant in time costs one RK4
+matrix step, not N.
 """
 
 from __future__ import annotations
@@ -22,6 +23,9 @@ from htlab.errors import DegenerateInputError, ModelValidationError
 from htlab.markov_core import ReversibleModel, TimeGrid, _freeze
 
 POSITIVITY_THRESHOLD = 1e-300
+
+# Rows per block compared by repeated_rows, so it builds no (N, n) temporary.
+_SAME_BLOCK_ROWS = 128
 
 
 def potential_on_grid(V, grid: TimeGrid, n: int) -> np.ndarray:
@@ -41,6 +45,17 @@ def potential_on_grid(V, grid: TimeGrid, n: int) -> np.ndarray:
         raise ModelValidationError("potential must be finite",
                                    reason="nonfinite_potential")
     return np.broadcast_to(V, (grid.N + 1, n))
+
+
+def repeated_rows(vals: np.ndarray) -> list[bool]:
+    """same[j] for j = 0..N-1: rows j and j + 1 of the (N+1) x n grid view
+    of a (finite) V are equal."""
+    same = np.empty(len(vals) - 1, dtype=bool)
+    for s in range(0, len(same), _SAME_BLOCK_ROWS):
+        block = vals[s:s + _SAME_BLOCK_ROWS + 1]
+        np.all(block[1:] == block[:-1], axis=1,
+               out=same[s:s + _SAME_BLOCK_ROWS])
+    return same.tolist()
 
 
 def weight_on_nodes(w, n: int, what: str, reason: str) -> np.ndarray:
@@ -117,9 +132,9 @@ def fk_propagator(model: ReversibleModel, V,
     """Integrate the propagator over every grid cell; frozen in place."""
     vals = potential_on_grid(V, grid, model.n)
     n, h, Q = model.n, grid.dt, model.Q
-    # same[j]: V rows j and j + 1 are equal, so a cell k with same[k - 1]
-    # and same[k] has the two rows of cell k - 1, and its factor
-    same = (vals[1:] == vals[:-1]).all(axis=1).tolist()
+    # a cell k with same[k - 1] and same[k] has the two V rows of cell
+    # k - 1, and its factor
+    same = repeated_rows(vals)
     steps = np.empty((grid.N, n, n))
     for k in range(grid.N):
         if k and same[k - 1] and same[k]:

@@ -314,6 +314,9 @@ def build_metropolis(space: StateSpace, J0: JumpKernel, m0: np.ndarray,
     if m0.shape != (n,) or U.shape != (n,):
         raise ModelValidationError("m0 and U must have one entry per state",
                                    reason="dimension_mismatch")
+    if not np.all(np.isfinite(U)):
+        raise ModelValidationError("potential U must be finite",
+                                   reason="bad_potential")
     if np.any(m0 <= 0):
         raise ModelValidationError("base measure must be strictly positive",
                                    reason="nonpositive_measure")

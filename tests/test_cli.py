@@ -98,6 +98,17 @@ def test_model_rejects_unbalanced_kernel(tmp_path, capsys):
     assert "reason=detailed_balance_violation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+def test_nonfinite_jump_potential_is_a_bad_potential(tmp_path, capsys,
+                                                      value):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(JUMP_YAML.replace("U: [0.0, 0.3, -0.2]",
+                                     f"U: [{value}, 0.3, -0.2]"),
+                   encoding="utf-8")
+    assert run("model", str(cfg), tmp_path / "out") == 2
+    assert "reason=bad_potential" in capsys.readouterr().err
+
+
 def test_fk_csv_layout(jump_config, tmp_path):
     assert run("fk", jump_config, tmp_path / "out") == 0
     lines = (tmp_path / "out" / "fk.csv").read_text().splitlines()
@@ -623,6 +634,28 @@ def test_failed_run_writes_no_outputs(tmp_path, capsys, command, edits,
     out = tmp_path / "out"
     assert run(command, str(cfg), out) == 2
     assert f"reason={reason}" in capsys.readouterr().err
+    assert list(out.glob("*")) == []
+
+
+@pytest.mark.parametrize("command", ["transform", "check", "report",
+                                     "diffusion"])
+def test_empty_check_times_is_a_config_error(tmp_path, capsys, command):
+    """An empty checks.times is refused, not read as a check of nothing
+    that passes."""
+    if command == "diffusion":
+        text = DIFFUSION_YAML.replace("times: [0.0, 0.5]", "times: []")
+    else:
+        text = JUMP_YAML.replace("tolerance_generator: 1.0e-4",
+                                 "tolerance_generator: 1.0e-4\n  times: []")
+    assert "times: []" in text
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(command, str(cfg), out) == 2
+    captured = capsys.readouterr()
+    assert "reason=bad_config" in captured.err
+    assert "checks.times: need at least one time" in captured.err
+    assert "PASS" not in captured.out
     assert list(out.glob("*")) == []
 
 

@@ -20,8 +20,8 @@ from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 from htlab import diffusion1d
 from htlab.diffusion1d import (_DRIFT_BLOCK_ROWS, Diffusion1DModel,
-                               _DriftField, _operator_bands, _reflect,
-                               _tridiag_mul, _tridiag_solve,
+                               _DriftField, _factored_solver,
+                               _operator_bands, _reflect, _tridiag_mul,
                                build_diffusion_transform,
                                diffusion_hjb_residual,
                                empirical_vs_fk_marginal, sample_em_paths,
@@ -108,10 +108,10 @@ def test_tridiag_solve_matches_solve_banded(n):
     ab[1] = diag
     ab[2, :-1] = lower
     rhs = rng.standard_normal(n)
-    assert np.array_equal(_tridiag_solve(diag, upper, lower, rhs),
+    assert np.array_equal(_factored_solver(diag, upper, lower)(rhs),
                           solve_banded((1, 1), ab, rhs))
     with pytest.raises(DegenerateInputError) as info:
-        _tridiag_solve(np.zeros(n), np.zeros(n - 1), np.zeros(n - 1), rhs)
+        _factored_solver(np.zeros(n), np.zeros(n - 1), np.zeros(n - 1))(rhs)
     assert info.value.reason == "cn_conditioning"
 
 
@@ -226,9 +226,18 @@ def reference_sweeps(model, V, gamma1, f0, grid):
 
 
 def cn_potential(kind, xs, grid):
-    """A scalar, a node vector, or a time-varying (N+1) x (M+1) field."""
+    """A scalar, a node vector, or an (N+1) x (M+1) field: one that changes
+    in every time row, one that switches once at t = 1/2 (a node for even N)
+    and one that differs from the node vector only in its last row."""
     ts = grid.nodes[:, None]
-    return {"scalar": 0.3, "vector": 0.2 + 0.1 * xs ** 2,
+    vector = 0.2 + 0.1 * xs ** 2
+    if kind == "switch":
+        return np.where(ts < 0.5, vector, 0.5 + 0.3 * np.cos(xs))
+    if kind == "last":
+        V = np.tile(vector, (grid.N + 1, 1))
+        V[-1] += 0.4 * np.sin(xs)
+        return V
+    return {"scalar": 0.3, "vector": vector,
             "field": 0.6 * np.sin(3.0 * ts + xs[None, :])
             + 0.4 * ts * xs[None, :] ** 2}[kind]
 
@@ -238,12 +247,15 @@ def cn_potential(kind, xs, grid):
     (False, "scalar", 200, 0.5), (False, "vector", 200, 0.5),
     (False, "scalar", 20, 0.05), (False, "vector", 20, 0.05),
     (True, "scalar", 200, 0.5), (True, "vector", 20, 0.05),
+    (False, "switch", 200, 0.5), (False, "last", 20, 0.05),
 ], ids=["smooth", "clipping", "scalar", "vector", "scalar_clipping",
-        "vector_clipping", "steep_scalar", "steep_vector_clipping"])
+        "vector_clipping", "steep_scalar", "steep_vector_clipping",
+        "switch_once", "last_row_clipping"])
 def test_cn_sweeps_match_per_step_reference(steep, V_kind, N, width):
     """Both solvers equal the per-step gtsv loop bit for bit, clipping
     included, under an asymmetric U (or a steep one, whose systems need row
-    interchanges) and a time-varying or time-constant V."""
+    interchanges) and a V that changes in every row, in some rows or in
+    none."""
     lo, hi, M = -2.0, 2.0, (32 if steep else 64)
     xs = lo + (hi - lo) / M * np.arange(M + 1)
     U = 40.0 * xs ** 2 if steep else 5.0 * (xs - 0.3) ** 2 + 0.7 * xs ** 3
@@ -286,9 +298,10 @@ def test_missing_lapack_extension_is_an_import_error(monkeypatch):
         diffusion1d._lapack.__wrapped__()
 
 
-def test_cn_factors_once_per_sweep_when_V_is_constant_in_time(monkeypatch):
-    """One gttrf and a gttrs per step for a V constant in time, however it
-    is given; a gtsv per step for a time-varying V."""
+def test_cn_factors_once_per_run_of_equal_V_rows(monkeypatch):
+    """Each sweep makes a gttrf per run of equal V rows among nodes
+    0..N-1, whose left-hand sides it solves, and a gttrs per step, however
+    V is given; no gtsv."""
     lapack = diffusion1d._lapack()
     calls = collections.Counter()
 
@@ -306,17 +319,17 @@ def test_cn_factors_once_per_sweep_when_V_is_constant_in_time(monkeypatch):
     model = quadratic_model()
     grid = TimeGrid(50)
     xs, w = model.xs, gaussian_weight(model, 0.5)
-    constant = {"dgttrf": 1, "dgttrs": grid.N}
-    cases = [(cn_potential("scalar", xs, grid), constant),
-             (cn_potential("vector", xs, grid), constant),
-             (np.tile(cn_potential("vector", xs, grid), (grid.N + 1, 1)),
-              constant),
-             (cn_potential("field", xs, grid), {"dgtsv": grid.N})]
-    for V, expected in cases:
+    vector = cn_potential("vector", xs, grid)
+    factors = [(cn_potential("scalar", xs, grid), 1), (vector, 1),
+               (np.tile(vector, (grid.N + 1, 1)), 1),
+               (cn_potential("last", xs, grid), 1),
+               (cn_potential("switch", xs, grid), 2),
+               (cn_potential("field", xs, grid), grid.N)]
+    for V, gttrf in factors:
         for solve in (solve_g_pde, solve_f_pde):
             calls.clear()
             solve(model, V, w, grid)
-            assert calls == expected
+            assert calls == {"dgttrf": gttrf, "dgttrs": grid.N}
 
 
 def test_transform_marginals_are_probabilities():
@@ -602,14 +615,27 @@ def test_em_determinism_and_inputs():
     (dict(x0=0.0, drift=np.zeros((1, 33))), "dimension_mismatch"),
     (dict(x0=0.0, drift=np.zeros((101, 32))), "dimension_mismatch"),
     (dict(x0=0.0, drift=np.zeros(33)), "dimension_mismatch"),
+    (dict(x0=0.0, drift=np.full((101, 33), "abc")), "dimension_mismatch"),
+    (dict(x0=0.0, drift=[[0.0] * 33] * 100 + [[0.0] * 32]),
+     "dimension_mismatch"),
 ], ids=["x0_nan", "x0_outside", "x0_one_outside", "x0_length", "x0_2d",
         "masses_length", "masses_nan", "drift_one_row", "drift_width",
-        "drift_1d"])
+        "drift_1d", "drift_strings", "drift_ragged"])
 def test_em_checks_its_inputs_before_drawing(inputs, reason):
     model = flat_model(M=32, lo=-2.0, hi=2.0)
     with pytest.raises(ModelValidationError) as info:
         sample_em_paths(model, 2, seed=1, steps=100, **inputs)
     assert info.value.reason == reason
+
+
+def test_em_reads_a_nested_list_drift_as_its_array():
+    model = flat_model(M=32, lo=-2.0, hi=2.0)
+    rows = [[0.1 * np.sin(0.3 * k + 0.2 * j) for j in range(33)]
+            for k in range(101)]
+    x0 = np.linspace(-1.5, 1.5, 4)
+    assert np.array_equal(
+        sample_em_paths(model, 4, 1, 100, drift=rows, x0=x0),
+        sample_em_paths(model, 4, 1, 100, drift=np.array(rows), x0=x0))
 
 
 def test_em_starts_on_the_window_edges():

@@ -23,7 +23,8 @@ from htlab.errors import (DegenerateInputError, HTLabError,
 from htlab.feynman_kac import (check_fk_generator, check_semigroup,
                                derivative, fk_propagator, log_g,
                                potential_on_grid, positivity_report,
-                               rk4_matrix_step, solve_f, solve_fk, solve_g)
+                               repeated_rows, rk4_matrix_step, solve_f,
+                               solve_fk, solve_g)
 from htlab.h_transform import build_h_process, relative_entropy
 from htlab.markov_core import (StateSpace, TimeGrid, build_metropolis,
                                sample_paths_R, transition_matrix)
@@ -111,6 +112,24 @@ def test_propagator_reuses_the_factor_of_a_repeated_cell(monkeypatch):
         assert np.array_equal(prop.step[k], expected[k])
     distinct = {(v0.tobytes(), v2.tobytes()) for v0, v2 in cells}
     assert len(calls) == len(distinct) == 5
+
+
+@pytest.mark.parametrize("V", ["scalar", "vector", "changes"])
+def test_repeated_rows_compare_across_blocks(V):
+    """Block by block, repeated_rows equals the whole-array comparison on
+    grid views, with row changes on both sides of the block edges at 128
+    and 256 and in the last row (N = 300)."""
+    grid, n = TimeGrid(300), 7
+    if V == "changes":
+        V = np.tile(np.linspace(0.0, 1.0, n), (grid.N + 1, 1))
+        for k in (127, 128, 129, 255, 256, 257, 300):
+            V[k:, k % n] += 0.5
+    else:
+        V = 0.3 if V == "scalar" else np.linspace(0.0, 1.0, n)
+    vals = potential_on_grid(V, grid, n)
+    same = repeated_rows(vals)
+    assert same == (vals[1:] == vals[:-1]).all(axis=1).tolist()
+    assert len(same) == grid.N
 
 
 def test_propagator_entry_bounds():

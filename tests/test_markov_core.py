@@ -52,6 +52,18 @@ def test_metropolis_rejects_unbalanced_base():
     assert err.value.reason == "detailed_balance_violation"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_metropolis_rejects_nonfinite_potential(bad):
+    """A NaN or infinite U is named as a bad potential before the tilt is
+    formed, not as non-finite rates."""
+    space = StateSpace(("a", "b", "c"))
+    with pytest.raises(ModelValidationError) as err:
+        build_metropolis(space, ring_kernel(3), np.full(3, 1 / 3),
+                         np.array([bad, 0.3, -0.2]))
+    assert err.value.reason == "bad_potential"
+
+
 def test_metropolis_rejects_reducible_base():
     space = StateSpace(("a", "b"))
     rates = np.array([[0.0, 1.0], [0.0, 0.0]])
