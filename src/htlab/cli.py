@@ -361,7 +361,7 @@ def cmd_diffusion(cfg: RunConfig, args) -> int:
         tv = diffusion1d.empirical_vs_fk_marginal(tr, *sampling)
         lines.append(f"empirical_tv={tv!r}")
     for name, values in [("diffusion_g.csv", tr.fk.g[indices]),
-                         ("diffusion_f.csv", tr.fk.f[indices]),
+                         ("diffusion_f.csv", tr.f_rows(indices)),
                          ("diffusion_drift.csv", tr.drift_rows(indices))]:
         write_csv(os.path.join(args.out, name),
                   {"t": np.repeat(times, len(model.xs)),

@@ -26,15 +26,11 @@ from htlab.errors import (DegenerateInputError, ModelValidationError,
 from htlab.feynman_kac import (FKSolution, derivative, log_g,
                                potential_on_grid, repeated_rows,
                                weight_on_nodes)
-from htlab.h_transform import HProcess, marginal, normalization
+from htlab.h_transform import _BLOCK_ROWS, HProcess, marginal, normalization
 from htlab.markov_core import TimeGrid, _freeze
 
 # Equal-width histogram bins of empirical_vs_fk_marginal, capped at M.
 _TV_BINS = 64
-
-# Time rows per drift block of _DriftField: Euler-Maruyama holds one block of
-# (_DRIFT_BLOCK_ROWS + 1) x (M + 1) drift values, never the full field.
-_DRIFT_BLOCK_ROWS = 64
 
 
 def check_window(x_min, x_max, M):
@@ -174,15 +170,18 @@ def _factored_solver(diag, upper, lower):
 
 def _cn_nodes(Vg: np.ndarray, center: float, half: float, upper, lower,
               ks: range):
-    """Yield (solve, plus), the Crank-Nicolson diagonals of each time node
-    k in ks, a range of step 1 or -1.
+    """Yield (solve, plus), the Crank-Nicolson diagonals of each row k of
+    Vg in ks, a range of step 1 or -1 over all of Vg's rows.
 
-    With h_k = half (center - V[k]), solve(rhs) solves the left-hand side of
-    node k, whose diagonal is 1 - h_k and whose bands are upper and lower,
-    and plus = 1 + h_k is its right-hand diagonal. A node whose V row equals
-    the row of the node before it in ks gets that node's pair, so a run of
-    equal rows forms its diagonals once and its factor at most once. The
-    sweeps solve only on nodes 0..N-1: a run of node N alone has no solve.
+    Vg holds the V rows of consecutive time nodes: all of them for a full
+    sweep, or the rows a resumed forward sweep crosses. With
+    h_k = half (center - Vg[k]), solve(rhs) solves the left-hand side of
+    row k, whose diagonal is 1 - h_k and whose bands are upper and lower,
+    and plus = 1 + h_k is its right-hand diagonal. A row equal to the row
+    before it in ks gets that row's pair, so a run of equal rows forms its
+    diagonals once and its factor at most once. The sweeps never solve on
+    the last row of Vg (node N of a full sweep): a run of that row alone
+    has no solve.
     """
     same = repeated_rows(Vg)
     before = min(0, -ks.step)  # same[k + before]: V[k] equals the row before
@@ -241,34 +240,51 @@ def solve_g_pde(model: Diffusion1DModel, V, gamma1,
     return vals, clipped
 
 
-def solve_f_pde(model: Diffusion1DModel, V, f0,
-                grid: TimeGrid) -> tuple[np.ndarray, int]:
+def _forward_steps(model: Diffusion1DModel, Vg: np.ndarray, f: np.ndarray,
+                   dt: float):
+    """Step f from the node of Vg's first row to the node of each later
+    row; yield f there and the count of its entries clipped to zero.
+
+    This is the one forward step: solve_f_pde sweeps all nodes with it and
+    DiffusionTransform.f_rows resumes it from a stored row, so a resumed
+    row has the bits, clipped zeros included, of the full sweep's.
+    """
+    half = 0.5 * dt
+    center, upper, lower = _operator_bands(model)
+    hu, hl = half * upper, half * lower
+    # transposes of the backward step: swap the off-diagonal bands
+    nodes = _cn_nodes(Vg, center, half, -hl, -hu, range(len(Vg)))
+    mw = model.m_weights
+    solve = next(nodes)[0]
+    for solve_next, plus_next in nodes:
+        f = _tridiag_mul(plus_next, hl, hu, solve(mw * f))
+        f /= mw
+        yield f, _clip_negatives(f, "forward")
+        solve = solve_next
+
+
+def solve_f_pde(model: Diffusion1DModel, V, f0, grid: TimeGrid,
+                every: int = 1) -> tuple[np.ndarray, int]:
     """Forward function via the m-weighted adjoint of the backward stepping.
 
     Defining the forward step as the adjoint (in the reversing inner product)
     of the backward Crank-Nicolson step makes the pairing sum f g m constant
     in time exactly, which is the discrete shape of the duality between the
-    two functions. Returns the read-only values of f and the clip count, as
+    two functions. Sweeps all N steps and returns the read-only values of f
+    at nodes 0, every, 2 every, ... and N, row ceil(k / every) holding node
+    k (every node by default), and the clip count of the whole sweep, as
     solve_g_pde does.
     """
     f0 = weight_on_nodes(f0, model.M + 1, "initial weight", "bad_initial")
     Vg = potential_on_grid(V, grid, model.M + 1)
-    N, half = grid.N, 0.5 * grid.dt
-    center, upper, lower = _operator_bands(model)
-    hu, hl = half * upper, half * lower
-    # transposes of the backward step: swap the off-diagonal bands
-    nodes = _cn_nodes(Vg, center, half, -hl, -hu, range(N + 1))
-    mw = model.m_weights
-    vals = np.empty((N + 1, model.M + 1))
+    N = grid.N
+    vals = np.empty((-(-N // every) + 1, model.M + 1))
     vals[0] = f0
     clipped = 0
-    solve = next(nodes)[0]
-    for k, (solve_next, plus_next) in enumerate(nodes):
-        f_next = _tridiag_mul(plus_next, hl, hu, solve(mw * vals[k]))
-        f_next /= mw
-        clipped += _clip_negatives(f_next, "forward")
-        vals[k + 1] = f_next
-        solve = solve_next
+    for k, (f, clips) in enumerate(_forward_steps(model, Vg, f0, grid.dt), 1):
+        clipped += clips
+        if k % every == 0 or k == N:
+            vals[-(-k // every)] = f
     vals.setflags(write=False)
     return vals, clipped
 
@@ -292,10 +308,42 @@ def diffusion_hjb_residual(g: np.ndarray, model: Diffusion1DModel, V,
 class DiffusionTransform(HProcess):
     """The transformed diffusion: an HProcess whose m is the model's
     m_weights, plus the count of Crank-Nicolson nodes clipped to zero in
-    both solves. The transformed drift is not stored: drift_rows derives
-    it from g."""
+    both solves.
 
+    g is stored whole. f is stored only at every _BLOCK_ROWS-th node and at
+    node N, in f_stored (row ceil(k / _BLOCK_ROWS) holds node k), and fk.f
+    is None, so f is read through f_rows alone. The transformed drift is
+    not stored: drift_rows derives it from g.
+    """
+
+    f_stored: np.ndarray
     clipped_nodes: int
+
+    def f_rows(self, rows) -> np.ndarray:
+        """Read-only f on the time nodes `rows` (any index of the first axis
+        of an (N+1) x (M+1) grid), bit for bit the full forward sweep's.
+
+        A stored node is read as stored. Any other node k is reached by
+        resuming the forward sweep from the stored node k - k % B at or
+        below it (B = _BLOCK_ROWS): the nodes wanted from one stored node
+        cost one resume, of at most B - 1 steps, on the V rows it crosses.
+        """
+        N, B = self.grid.N, _BLOCK_ROWS
+        ks = np.arange(N + 1)[rows]
+        flat = ks.ravel()
+        out = np.empty((len(flat), self.n))
+        starts = np.where(flat == N, N, flat - flat % B)
+        for s in np.unique(starts).tolist():
+            stop = int(flat[starts == s].max())
+            f = self.f_stored[-(-s // B)]
+            out[flat == s] = f
+            sweep = _forward_steps(self.model, self.V[s:stop + 1], f,
+                                   self.grid.dt)
+            for k, (f, _) in enumerate(sweep, s + 1):
+                out[flat == k] = f
+        out = out.reshape(ks.shape + (self.n,))
+        out.setflags(write=False)
+        return out
 
     def drift_rows(self, rows) -> np.ndarray:
         """Read-only transformed drift -U' + d/dx log g on the time nodes
@@ -315,8 +363,11 @@ def build_diffusion_transform(model: Diffusion1DModel, V, f0, gamma1,
                               grid: TimeGrid) -> DiffusionTransform:
     """Normalize and solve both PDEs.
 
-    V's grid view is taken last: for a full (N+1) x (M+1) field it is a
-    copy, which then does not coexist with the temporaries of the solves.
+    The backward sweep keeps all of g; the forward sweep runs over all
+    nodes but keeps f only at every _BLOCK_ROWS-th node and at node N, and
+    clipped_nodes counts the clips of both whole sweeps. V's grid view is
+    taken last: for a full (N+1) x (M+1) field it is a copy, which then
+    does not coexist with the temporaries of the solves.
     """
     gamma1 = weight_on_nodes(gamma1, model.M + 1, "terminal weight",
                              "bad_terminal")
@@ -325,11 +376,12 @@ def build_diffusion_transform(model: Diffusion1DModel, V, f0, gamma1,
     mw = _freeze(model.m_weights)
     c = normalization(mw, f0, g[0])
     f0 = _freeze(f0 / c)
-    f, clipped_f = solve_f_pde(model, V, f0, grid)
+    f_stored, clipped_f = solve_f_pde(model, V, f0, grid, _BLOCK_ROWS)
     return DiffusionTransform(model=model, f0=f0, gamma1=gamma1,
                               V=potential_on_grid(V, grid, model.M + 1),
-                              grid=grid, fk=FKSolution(grid=grid, g=g, f=f),
-                              c=c, m=mw,
+                              grid=grid,
+                              fk=FKSolution(grid=grid, g=g, f=None),
+                              c=c, m=mw, f_stored=f_stored,
                               clipped_nodes=clipped_g + clipped_f)
 
 
@@ -369,7 +421,7 @@ class _DriftField:
     `rows(block)` returns the drift on a slice of the time nodes 0..N (a
     transform's drift_rows, or an explicit array's __getitem__); None is
     the reference drift -U'. The field keeps one block of rows
-    [b B, b B + B] for B = _DRIFT_BLOCK_ROWS: the extra row lets the time
+    [b B, b B + B] for B = _BLOCK_ROWS: the extra row lets the time
     blend of rows k and k + 1 read a single block.
     """
 
@@ -430,11 +482,11 @@ class _DriftField:
         s = min(max(t, 0.0), 1.0) * N
         k = min(int(np.floor(s)), N - 1)
         a = s - k
-        start = k - k % _DRIFT_BLOCK_ROWS
+        start = k - k % _BLOCK_ROWS
         if start != self.block_start:
             self.block = None  # the old block goes before the new is formed
             self.block = self.rows(slice(start,
-                                         start + _DRIFT_BLOCK_ROWS + 1))
+                                         start + _BLOCK_ROWS + 1))
             self.block_start = start
         i = k - start
         # masked (NaN) nodes are tolerated as long as no path needs them, so

@@ -105,11 +105,15 @@ class FKPropagator:
 
 @dataclass(frozen=True)
 class FKSolution:
-    """Grid values of the backward function g and forward function f."""
+    """Grid values of the backward function g and forward function f.
+
+    f is None in a diffusion1d.DiffusionTransform, which stores f only at
+    some nodes; h_transform.HProcess.f_rows reads f on either kind.
+    """
 
     grid: TimeGrid
     g: np.ndarray
-    f: np.ndarray
+    f: np.ndarray | None
 
 
 def rk4_matrix_step(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray,

@@ -33,6 +33,11 @@ MASS_THRESHOLD = 1e-12
 _THINNING_MAX_DEPTH = 20
 _THINNING_SAFETY = 1.1
 
+# Time rows per block of the readers that never form an (N+1) x n field:
+# relative_entropy's sums, and on a diffusion the rows at which f is stored
+# and the drift blocks Euler-Maruyama holds (65 rows each).
+_BLOCK_ROWS = 64
+
 
 @dataclass(frozen=True)
 class HProcess:
@@ -59,6 +64,14 @@ class HProcess:
     @property
     def n(self) -> int:
         return self.m.shape[0]
+
+    def f_rows(self, rows) -> np.ndarray:
+        """f on the time nodes `rows`, any index of the grid's first axis.
+
+        Every reader of f goes through this method: a DiffusionTransform
+        stores f only at some nodes and derives the other rows.
+        """
+        return self.fk.f[rows]
 
     @functools.cached_property
     def V_cum(self) -> np.ndarray:
@@ -106,7 +119,7 @@ def build_h_process(model: ReversibleModel, f0, gamma1, V,
 def marginal(hp: HProcess, t: float) -> np.ndarray:
     """One-time marginal at a grid node: density f g against m."""
     k = hp.grid.node_index(t)
-    return hp.fk.f[k] * hp.fk.g[k] * hp.m
+    return hp.f_rows(k) * hp.fk.g[k] * hp.m
 
 
 def g_at(hp: HProcess, tau: float) -> np.ndarray:
@@ -196,10 +209,9 @@ def relative_entropy(hp: HProcess) -> float:
     Assembled from the three density factors: the initial-weight term, the
     time integral of the potential against the marginal flow (trapezoidal
     weights on the grid), and the terminal-weight term. States without mass
-    contribute zero by the 0 log 0 convention.
+    contribute zero by the 0 log 0 convention. The marginal flow f g m is
+    formed _BLOCK_ROWS time rows at a time, never as a full (N+1) x n field.
     """
-    f, g = hp.fk.f, hp.fk.g
-    P = f * g * hp.m[None, :]
     N = hp.grid.N
 
     def mass_weighted_log(p: np.ndarray, w: np.ndarray, what: str) -> float:
@@ -209,11 +221,21 @@ def relative_entropy(hp: HProcess) -> float:
                                      reason="mass_outside_support")
         return float(np.sum(p[live] * np.log(w[live])))
 
-    initial_term = mass_weighted_log(P[0], hp.f0, "initial weight")
-    terminal_term = mass_weighted_log(P[N], hp.gamma1, "terminal weight")
+    potential = np.empty(N + 1)  # sum over states of P V, per time row
+    for start in range(0, N + 1, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        P = None  # the old block goes before the new is formed
+        P = hp.f_rows(rows) * hp.fk.g[rows] * hp.m
+        if start == 0:
+            initial_term = mass_weighted_log(P[0], hp.f0, "initial weight")
+        if start + _BLOCK_ROWS > N:
+            terminal_term = mass_weighted_log(P[-1], hp.gamma1,
+                                              "terminal weight")
+        P *= hp.V[rows]
+        P.sum(axis=1, out=potential[rows])
     weights = np.full(N + 1, hp.grid.dt)
     weights[0] = weights[N] = 0.5 * hp.grid.dt
-    potential_term = float(np.sum(weights[:, None] * P * hp.V))
+    potential_term = float(weights @ potential)
     return initial_term - potential_term + terminal_term
 
 
@@ -257,7 +279,7 @@ def path_density_ratio(hp: HProcess, path: PathView,
     if gs <= POSITIVITY_THRESHOLD:
         raise PositivityError("g vanishes at the start state",
                               reason="zero_g_at_start")
-    density_s = hp.fk.f[ks, xs] * gs
+    density_s = hp.f_rows(ks)[xs] * gs
     integral = integrate_potential_along_path(hp, path, s, t)
     return float(density_s / gs * np.exp(-integral) * hp.fk.g[kt, xt])
 

@@ -18,18 +18,18 @@ import pytest
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
+from conftest import generic_hprocess
 from htlab import diffusion1d
-from htlab.diffusion1d import (_DRIFT_BLOCK_ROWS, Diffusion1DModel,
-                               _DriftField, _factored_solver,
-                               _operator_bands, _reflect, _tridiag_mul,
-                               build_diffusion_transform,
+from htlab.diffusion1d import (Diffusion1DModel, _DriftField,
+                               _factored_solver, _operator_bands, _reflect,
+                               _tridiag_mul, build_diffusion_transform,
                                diffusion_hjb_residual,
                                empirical_vs_fk_marginal, sample_em_paths,
                                solve_f_pde, solve_g_pde)
 from htlab.errors import (DegenerateInputError, ModelValidationError,
                           PositivityError)
 from htlab.feynman_kac import derivative, log_g, potential_on_grid
-from htlab.h_transform import marginal, relative_entropy
+from htlab.h_transform import _BLOCK_ROWS, marginal, relative_entropy
 from htlab.markov_core import TimeGrid
 
 
@@ -226,11 +226,14 @@ def reference_sweeps(model, V, gamma1, f0, grid):
 
 
 def cn_potential(kind, xs, grid):
-    """A scalar, a node vector, or an (N+1) x (M+1) field: one that changes
-    in every time row, one that switches once at t = 1/2 (a node for even N)
-    and one that differs from the node vector only in its last row."""
+    """A scalar, a node vector, or an (N+1) x (M+1) field: the node vector
+    tiled, one that changes in every time row, one that switches once at
+    t = 1/2 (a node for even N) and one that differs from the node vector
+    only in its last row."""
     ts = grid.nodes[:, None]
     vector = 0.2 + 0.1 * xs ** 2
+    if kind == "tiled":
+        return np.tile(vector, (grid.N + 1, 1))
     if kind == "switch":
         return np.where(ts < 0.5, vector, 0.5 + 0.3 * np.cos(xs))
     if kind == "last":
@@ -319,17 +322,36 @@ def test_cn_factors_once_per_run_of_equal_V_rows(monkeypatch):
     model = quadratic_model()
     grid = TimeGrid(50)
     xs, w = model.xs, gaussian_weight(model, 0.5)
-    vector = cn_potential("vector", xs, grid)
-    factors = [(cn_potential("scalar", xs, grid), 1), (vector, 1),
-               (np.tile(vector, (grid.N + 1, 1)), 1),
-               (cn_potential("last", xs, grid), 1),
-               (cn_potential("switch", xs, grid), 2),
-               (cn_potential("field", xs, grid), grid.N)]
-    for V, gttrf in factors:
+    factors = [("scalar", 1), ("vector", 1), ("tiled", 1), ("last", 1),
+               ("switch", 2), ("field", grid.N)]
+    for kind, gttrf in factors:
+        V = cn_potential(kind, xs, grid)
         for solve in (solve_g_pde, solve_f_pde):
             calls.clear()
             solve(model, V, w, grid)
             assert calls == {"dgttrf": gttrf, "dgttrs": grid.N}
+
+    # A resume of f_rows solves the nodes from the stored row at or below
+    # the row asked for up to the node before it, on the transform's V.
+    def forbidden(*args):
+        raise AssertionError("potential_on_grid called")
+
+    B, grid = _BLOCK_ROWS, TimeGrid(150)  # V switches at node 75
+    resumes = [("scalar", B + 5, 1, 5), ("scalar", 2 * B - 1, 1, B - 1),
+               ("scalar", [B, grid.N, 0], 0, 0), ("scalar", 7, 1, 7),
+               ("switch", B + 5, 1, 5), ("switch", B + 30, 2, 30),
+               ("switch", [B + 30, B + 5, B + 30], 2, 30),
+               ("switch", [B + 5, 2 * B + 3], 2, 8),
+               ("field", B + 5, 5, 5)]
+    for kind, rows, gttrf, gttrs in resumes:
+        tr = build_diffusion_transform(model, cn_potential(kind, xs, grid),
+                                       w, w, grid)
+        with monkeypatch.context() as patch:
+            patch.setattr(diffusion1d, "potential_on_grid", forbidden)
+            calls.clear()
+            tr.f_rows(rows)
+        assert calls == {name: n for name, n in
+                         (("dgttrf", gttrf), ("dgttrs", gttrs)) if n}
 
 
 def test_transform_marginals_are_probabilities():
@@ -342,9 +364,48 @@ def test_transform_marginals_are_probabilities():
         assert np.all(masses >= 0)
         assert masses.sum() == pytest.approx(1.0, abs=1e-12)
     assert tr.c > 0
-    for values in (tr.f0, tr.gamma1, tr.V, tr.m, tr.fk.g, tr.fk.f,
+    for values in (tr.f0, tr.gamma1, tr.V, tr.m, tr.fk.g, tr.f_stored,
+                   tr.f_rows(slice(None)), tr.f_rows(7),
                    tr.drift_rows(slice(None)), tr.drift_rows(7)):
         assert not values.flags.writeable
+
+
+@pytest.mark.parametrize("V_kind", ["scalar", "vector", "tiled", "last",
+                                    "switch", "field"])
+def test_f_rows_resume_the_full_forward_sweep(V_kind):
+    """f is stored at every B-th node and at node N only; f_rows gives any
+    rows, in any order and repeated, bit for bit as the full solve_f_pde
+    sweep does. N = 150 is no multiple of B."""
+    model = quadratic_model(M=64)
+    grid = TimeGrid(150)
+    xs = model.xs
+    V = cn_potential(V_kind, xs, grid)
+    tr = build_diffusion_transform(model, V, 1.0 + 0.3 * np.sin(xs),
+                                   gaussian_weight(model, 0.8), grid)
+    full, _ = solve_f_pde(model, V, tr.f0, grid)
+    B, N = _BLOCK_ROWS, grid.N
+    assert tr.fk.f is None
+    assert_same_bits(tr.f_stored, full[[0, B, 2 * B, N]])
+    for rows in (0, B - 1, B, B + 1, N - 1, N, slice(None),
+                 [N - 1, B + 1, 0, B - 1, B + 1, N, 3, B]):
+        assert_same_bits(tr.f_rows(rows), full[rows])
+
+
+@pytest.mark.parametrize("N,clipped", [(20, 145), (100, 608)])
+def test_resumed_f_rows_carry_the_clipped_zeros(N, clipped):
+    """U = 5 x^2 on [-2, 2], M = 64, V = 0 and a narrow Gaussian terminal
+    weight clip nodes in both sweeps; the whole sweeps count them, and the
+    resumed rows hold the full sweep's zeros."""
+    xs = np.linspace(-2.0, 2.0, 65)
+    model = Diffusion1DModel(-2.0, 2.0, 64, 5.0 * xs ** 2)
+    grid = TimeGrid(N)
+    tr = build_diffusion_transform(model, 0.0, np.ones(65),
+                                   np.exp(-0.5 * ((xs - 0.5) / 0.05) ** 2),
+                                   grid)
+    full, f_clipped = solve_f_pde(model, 0.0, tr.f0, grid)
+    assert tr.clipped_nodes == clipped
+    assert f_clipped > 0
+    assert_same_bits(tr.f_rows(slice(None)), full)
 
 
 def test_relative_entropy_comes_from_the_jump_chain_function():
@@ -367,6 +428,56 @@ def test_relative_entropy_comes_from_the_jump_chain_function():
     h = [tilted(32, 100), tilted(64, 200), tilted(128, 400)]
     assert min(h) > 0.0
     assert abs(h[2] - h[1]) < abs(h[1] - h[0])
+
+
+def full_grid_relative_entropy(hp, f):
+    """relative_entropy's sum on the whole (N+1) x n flow P = f g m, as it
+    was formed before the sums ran a block of rows at a time."""
+    P = f * hp.fk.g * hp.m[None, :]
+    N = hp.grid.N
+    weights = np.full(N + 1, hp.grid.dt)
+    weights[0] = weights[N] = 0.5 * hp.grid.dt
+    terms = []
+    for p, w in ((P[0], hp.f0), (P[N], hp.gamma1)):
+        live = p > 1e-12
+        terms.append(float(np.sum(p[live] * np.log(w[live]))))
+    return terms[0] - float(np.sum(weights[:, None] * P * hp.V)) + terms[1]
+
+
+@pytest.mark.parametrize("kind", ["jump", "diffusion"])
+def test_relative_entropy_by_blocks_matches_the_full_grid_sum(kind):
+    """N = 150 spans three blocks of rows, the last one short."""
+    if kind == "jump":
+        hp = generic_hprocess(N=150)
+        f = hp.fk.f
+    else:
+        model = quadratic_model(M=64)
+        grid = TimeGrid(150)
+        V = cn_potential("field", model.xs, grid)
+        hp = build_diffusion_transform(model, V, 1.0 + 0.3 * np.sin(model.xs),
+                                       gaussian_weight(model, 0.8), grid)
+        f = solve_f_pde(model, V, hp.f0, grid)[0]
+    expected = full_grid_relative_entropy(hp, f)
+    assert expected > 0.0
+    assert relative_entropy(hp) == pytest.approx(expected, rel=1e-13)
+
+
+def test_relative_entropy_forms_no_full_grid():
+    """The flow f g m is formed a block of rows at a time: on a diffusion
+    the sums peak below a quarter grid (2.0 grids when they were formed on
+    the whole grid)."""
+    model = quadratic_model(M=256)
+    grid = TimeGrid(1000)
+    grid_bytes = (grid.N + 1) * (model.M + 1) * 8
+    tr = build_diffusion_transform(model, 0.1, np.ones(model.M + 1),
+                                   gaussian_weight(model, 0.8), grid)
+    tracemalloc.start()
+    try:
+        relative_entropy(tr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * grid_bytes
 
 
 def test_flat_g_gives_reference_drift():
@@ -433,7 +544,7 @@ def test_drift_is_the_derivative_of_log_g(masked):
                                    TimeGrid(150))
     full = derivative(log_g(tr.fk.g), model.dx, -1) - model.U_prime
     assert np.isnan(full).any() == masked
-    B = _DRIFT_BLOCK_ROWS
+    B = _BLOCK_ROWS
     for rows in (slice(None), slice(0, B + 1), slice(B, 2 * B + 1),
                  slice(2 * B, 3 * B + 1), slice(B - 3, B + 4), slice(-7, None),
                  [0, B - 1, B, 150], B, 150):
@@ -541,7 +652,7 @@ def test_drift_field_branches_match_np_interp():
     grid = TimeGrid(150)
     drift = rng.standard_normal((151, 65))
     blended = _DriftField(model, drift.__getitem__, grid.N)
-    B = _DRIFT_BLOCK_ROWS
+    B = _BLOCK_ROWS
     for t in (0.0, 0.013, 0.5, (B - 0.5) / 150, 0.731, 1.0, 0.42,
               (2 * B + 0.3) / 150, B / 150):
         s = t * grid.N
@@ -726,7 +837,7 @@ def test_empirical_marginal_reads_the_blocks_as_the_full_drift():
                             initial_masses=marginal(tr, 0.0))
     for t in (0.5, 1.0):
         k = grid.node_index(t)
-        assert k > _DRIFT_BLOCK_ROWS
+        assert k > _BLOCK_ROWS
         assert empirical_vs_fk_marginal(tr, t, 500, 9) == \
             binned_tv(tr, paths[:, k], t)
 
@@ -758,9 +869,10 @@ def test_em_blocked_drift_steps_as_the_full_field():
 
 
 def test_sampled_transform_holds_no_drift_field():
-    """Building a transform and sampling its marginal holds g and f, not a
-    drift field or a log g of the same size (4 grids before the drift was
-    formed a block of rows at a time)."""
+    """Building a transform and sampling its marginal holds g, the stored
+    rows of f and one drift block, not f whole, a drift field or a log g of
+    the same size (4 grids before the drift was formed a block of rows at a
+    time, 2.25 before f was stored at every B-th node only)."""
     model = quadratic_model(M=256)
     grid = TimeGrid(1000)
     grid_bytes = (grid.N + 1) * (model.M + 1) * 8
@@ -773,7 +885,7 @@ def test_sampled_transform_holds_no_drift_field():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.3 * grid_bytes
+    assert peak <= 1.35 * grid_bytes
 
 
 @pytest.mark.parametrize("M", [16, 32, 48])
