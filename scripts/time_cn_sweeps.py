@@ -7,7 +7,8 @@ Imports htlab from the `src/` of the checkout holding this script and builds
 a diffusion model at the `diffusion-cn` size, M = 1024 nodes and N = 2000
 time cells. It prints the best of three wall times of `solve_g_pde` and
 `solve_f_pde` for a scalar V, for a V that switches once at t = 1/2 and for
-a V that changes in every time row, and for each V that of
+a V that changes in every time row, and for each V those of
+`build_diffusion_transform` (both sweeps, with V checked once) and of
 `DiffusionTransform.f_rows` on the mid-grid row that resumes the forward
 sweep for the most steps (B - 1 from the stored row below N/2, for
 B = `h_transform._BLOCK_ROWS`); run it at two checkouts to compare their
@@ -55,8 +56,13 @@ def main() -> int:
         for solve in (diffusion1d.solve_g_pde, diffusion1d.solve_f_pde):
             seconds = _best(lambda: solve(model, V, weight, grid))
             print(f"{solve.__name__} {name} {seconds:.4f} s", flush=True)
-        tr = diffusion1d.build_diffusion_transform(model, V, weight, weight,
-                                                   grid)
+
+        def build():
+            return diffusion1d.build_diffusion_transform(model, V, weight,
+                                                         weight, grid)
+        seconds = _best(build)
+        print(f"build_diffusion_transform {name} {seconds:.4f} s", flush=True)
+        tr = build()
         row = N // 2 - N // 2 % _BLOCK_ROWS + _BLOCK_ROWS - 1
         seconds = _best(lambda: tr.f_rows(row))
         print(f"f_rows({row}) {name} {seconds:.4f} s", flush=True)

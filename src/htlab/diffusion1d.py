@@ -366,19 +366,18 @@ def build_diffusion_transform(model: Diffusion1DModel, V, f0, gamma1,
     The backward sweep keeps all of g; the forward sweep runs over all
     nodes but keeps f only at every _BLOCK_ROWS-th node and at node N, and
     clipped_nodes counts the clips of both whole sweeps. V's grid view is
-    taken last: for a full (N+1) x (M+1) field it is a copy, which then
-    does not coexist with the temporaries of the solves.
+    formed once and handed to both sweeps, which check it without a copy.
     """
     gamma1 = weight_on_nodes(gamma1, model.M + 1, "terminal weight",
                              "bad_terminal")
+    V = potential_on_grid(V, grid, model.M + 1)
     g, clipped_g = solve_g_pde(model, V, gamma1, grid)
     f0 = weight_on_nodes(f0, model.M + 1, "initial weight", "bad_initial")
     mw = _freeze(model.m_weights)
     c = normalization(mw, f0, g[0])
     f0 = _freeze(f0 / c)
     f_stored, clipped_f = solve_f_pde(model, V, f0, grid, _BLOCK_ROWS)
-    return DiffusionTransform(model=model, f0=f0, gamma1=gamma1,
-                              V=potential_on_grid(V, grid, model.M + 1),
+    return DiffusionTransform(model=model, f0=f0, gamma1=gamma1, V=V,
                               grid=grid,
                               fk=FKSolution(grid=grid, g=g, f=None),
                               c=c, m=mw, f_stored=f_stored,

@@ -24,23 +24,32 @@ from htlab.markov_core import ReversibleModel, TimeGrid, _freeze
 
 POSITIVITY_THRESHOLD = 1e-300
 
-# Rows per block compared by repeated_rows, so it builds no (N, n) temporary.
-_SAME_BLOCK_ROWS = 128
-
 
 def potential_on_grid(V, grid: TimeGrid, n: int) -> np.ndarray:
     """Read-only (N+1) x n view of V on the grid nodes, row k = V(t_k, .).
 
     V is a scalar, a vector with one value per state (or spatial node) or a
-    full (N+1) x n field, copied and checked to be finite. Between nodes V
-    is piecewise linear in t (the discretization contract; a discontinuous
-    potential should place its jumps on grid nodes).
+    full (N+1) x n field. Its shape is checked first; then each leading
+    axis of stride 0 is dropped, so a view returned here (or any broadcast
+    view) is read as the scalar or vector it repeats. What is left is
+    copied unless no writable array holds its memory (so a view returned
+    here is not copied again), then checked to be finite; the result
+    views it, in O(n) work and memory unless V is a full field. Between
+    nodes V is piecewise linear in t (the discretization contract; a
+    discontinuous potential should place its jumps on grid nodes).
     """
-    V = np.array(V, dtype=float)
+    V = np.asarray(V, dtype=float)
     if V.shape not in ((), (n,), (grid.N + 1, n)):
         raise ModelValidationError("potential must be scalar, one value per "
                                    "state, or a full (N+1) x n field",
                                    reason="dimension_mismatch")
+    while V.ndim and V.strides[0] == 0 and V.size:
+        V = V[0, ...]
+    base = V
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    if base is not None:  # memory that can still be written
+        V = _freeze(V)
     if not np.all(np.isfinite(V)):
         raise ModelValidationError("potential must be finite",
                                    reason="nonfinite_potential")
@@ -49,13 +58,12 @@ def potential_on_grid(V, grid: TimeGrid, n: int) -> np.ndarray:
 
 def repeated_rows(vals: np.ndarray) -> list[bool]:
     """same[j] for j = 0..N-1: rows j and j + 1 of the (N+1) x n grid view
-    of a (finite) V are equal."""
-    same = np.empty(len(vals) - 1, dtype=bool)
-    for s in range(0, len(same), _SAME_BLOCK_ROWS):
-        block = vals[s:s + _SAME_BLOCK_ROWS + 1]
-        np.all(block[1:] == block[:-1], axis=1,
-               out=same[s:s + _SAME_BLOCK_ROWS])
-    return same.tolist()
+    of a (finite) V are equal. A view constant in time (row stride 0, as
+    potential_on_grid gives for a scalar or a vector) repeats every row
+    and is not compared."""
+    if vals.strides[0] == 0:
+        return [True] * (len(vals) - 1)
+    return np.all(vals[1:] == vals[:-1], axis=1).tolist()
 
 
 def weight_on_nodes(w, n: int, what: str, reason: str) -> np.ndarray:

@@ -47,9 +47,10 @@ class HProcess:
     user's initial weight so that the transformed law has total mass one.
     model is the reference model: a markov_core.ReversibleModel, or a
     diffusion1d.Diffusion1DModel in a DiffusionTransform. V is the read-only
-    (N+1) x n view from feynman_kac.potential_on_grid, and m holds the
-    reference law's node masses: the jump chain's m, the diffusion's
-    m_weights.
+    (N+1) x n view from feynman_kac.potential_on_grid that both sweeps
+    took (row stride 0 for a V constant in time); passing it back there
+    copies nothing. m holds the reference law's node masses: the jump
+    chain's m, the diffusion's m_weights.
     """
 
     model: object
@@ -106,13 +107,13 @@ def build_h_process(model: ReversibleModel, f0, gamma1, V,
     f0 = weight_on_nodes(f0, model.n, "initial weight", "negative_weight")
     gamma1 = weight_on_nodes(gamma1, model.n, "terminal weight",
                              "negative_weight")
+    V = potential_on_grid(V, grid, model.n)
     g = solve_g(model, V, gamma1, grid)
     c = normalization(model.m, f0, g[0])
     f0 = _freeze(f0 / c)
     fk = FKSolution(grid=grid, g=_freeze(g),
                     f=_freeze(solve_f(model, V, f0, grid)))
-    return HProcess(model=model, f0=f0, gamma1=gamma1,
-                    V=potential_on_grid(V, grid, model.n), grid=grid, fk=fk,
+    return HProcess(model=model, f0=f0, gamma1=gamma1, V=V, grid=grid, fk=fk,
                     c=c, m=model.m)
 
 

@@ -95,6 +95,29 @@ def test_potential_broadcasting():
         with pytest.raises(ModelValidationError) as info:
             potential_on_grid(bad, grid, 17)
         assert info.value.reason == "nonfinite_potential"
+    # its own view passed back reads the scalar or vector it repeats: the
+    # same values, still along time, and at most n values behind them
+    for V in (0.3, vec):
+        Vg = potential_on_grid(V, grid, 17)
+        again = potential_on_grid(Vg, grid, 17)
+        np.testing.assert_array_equal(again, Vg)
+        assert again.strides[0] == 0
+        assert again.base.size <= 17
+    # the shape is checked before the stride-0 axes are dropped
+    for view in (np.broadcast_to(vec, (12, 17)),
+                 np.broadcast_to(0.3, (11, 16)),
+                 np.broadcast_to(0.3, (16,))):
+        with pytest.raises(ModelValidationError) as info:
+            potential_on_grid(view, grid, 17)
+        assert info.value.reason == "dimension_mismatch"
+    # a NaN behind a read-only broadcast view, held writable or read-only
+    nan_vec = np.where(vec > 0.5, np.nan, vec)
+    frozen = nan_vec.copy()
+    frozen.setflags(write=False)
+    for behind in (nan_vec, frozen):
+        with pytest.raises(ModelValidationError) as info:
+            potential_on_grid(np.broadcast_to(behind, (11, 17)), grid, 17)
+        assert info.value.reason == "nonfinite_potential"
 
 
 @pytest.mark.parametrize("n", [17, 1025])
@@ -352,6 +375,38 @@ def test_cn_factors_once_per_run_of_equal_V_rows(monkeypatch):
             tr.f_rows(rows)
         assert calls == {name: n for name, n in
                          (("dgttrf", gttrf), ("dgttrs", gttrs)) if n}
+
+
+@pytest.mark.parametrize("V_kind", ["scalar", "vector", "field"])
+def test_sweeps_take_the_transform_V(monkeypatch, V_kind):
+    """build_diffusion_transform checks V once, and both sweeps receive the
+    very view it stores as tr.V, which they check again without a copy; a
+    V constant in time stays a view along time."""
+    model = quadratic_model(M=64)
+    grid = TimeGrid(50)
+    V = cn_potential(V_kind, model.xs, grid)
+    seen = {"potential_on_grid": [], "solve_g_pde": [], "solve_f_pde": []}
+
+    def spy(name):
+        routine = getattr(diffusion1d, name)
+
+        def wrapper(*args):
+            seen[name].append(args[0] if name == "potential_on_grid"
+                              else args[1])
+            return routine(*args)
+        return wrapper
+
+    for name in seen:
+        monkeypatch.setattr(diffusion1d, name, spy(name))
+    w = gaussian_weight(model, 0.5)
+    tr = build_diffusion_transform(model, V, w, w, grid)
+    checked = seen.pop("potential_on_grid")
+    assert checked[0] is V
+    # the builder's one check, then one in each sweep, of the stored view
+    assert [v is tr.V for v in checked[1:]] == [True] * 2
+    assert [v is tr.V for vs in seen.values() for v in vs] == [True] * 2
+    assert (tr.V.strides[0] == 0) == (V_kind != "field")
+    assert np.shares_memory(potential_on_grid(tr.V, grid, model.M + 1), tr.V)
 
 
 def test_transform_marginals_are_probabilities():

@@ -114,15 +114,17 @@ def test_propagator_reuses_the_factor_of_a_repeated_cell(monkeypatch):
     assert len(calls) == len(distinct) == 5
 
 
-@pytest.mark.parametrize("V", ["scalar", "vector", "changes"])
+@pytest.mark.parametrize("V", ["scalar", "vector", "tiled", "changes"])
 def test_repeated_rows_compare_across_blocks(V):
-    """Block by block, repeated_rows equals the whole-array comparison on
-    grid views, with row changes on both sides of the block edges at 128
-    and 256 and in the last row (N = 300)."""
+    """repeated_rows equals the whole-array row comparison on the grid view
+    of V: a scalar or a vector (views constant in time, not compared), a
+    dense field of equal rows, and one whose rows change at nodes 127-129,
+    255-257 and in the last row (N = 300)."""
     grid, n = TimeGrid(300), 7
-    if V == "changes":
+    if V in ("tiled", "changes"):
+        changes = (127, 128, 129, 255, 256, 257, 300) if V == "changes" else ()
         V = np.tile(np.linspace(0.0, 1.0, n), (grid.N + 1, 1))
-        for k in (127, 128, 129, 255, 256, 257, 300):
+        for k in changes:
             V[k:, k % n] += 0.5
     else:
         V = 0.3 if V == "scalar" else np.linspace(0.0, 1.0, n)
@@ -335,6 +337,14 @@ def test_potential_field_validation():
     assert not Vg.flags.writeable
     field[5, 1] = 7.0
     assert Vg[5, 1] == pytest.approx(1.0)
+    # the read-only field view passed back is not copied again
+    assert np.shares_memory(potential_on_grid(Vg, grid, 2), Vg)
+    # nor does a write to a writable vector behind a broadcast view reach
+    # the result
+    vec = np.array([1.0, 2.0])
+    Vg = potential_on_grid(np.broadcast_to(vec, (grid.N + 1, 2)), grid, 2)
+    vec[1] = 7.0
+    assert Vg[5, 1] == 2.0
     # a negative potential is a creation rate, not an error
     assert potential_on_grid(-1.0, grid, 2).min() == -1.0
 

@@ -72,6 +72,33 @@ def test_h_process_builds_no_propagator(monkeypatch):
         assert np.array_equal(sol.f, f)
 
 
+@pytest.mark.parametrize("V_kind", ["scalar", "vector", "field"])
+def test_sweeps_take_the_stored_V(monkeypatch, V_kind):
+    """build_h_process checks V once, and both sweeps receive the very view
+    it stores as hp.V; a V constant in time stays a view along time."""
+    model = five_state_model()
+    grid = TimeGrid(40)
+    V = {"scalar": 0.3, "vector": np.linspace(0.1, 0.5, 5),
+         "field": wavy_potential(model, grid)}[V_kind]
+    seen = {"potential_on_grid": [], "solve_g": [], "solve_f": []}
+
+    def spy(name):
+        routine = getattr(h_transform, name)
+
+        def wrapper(*args):
+            seen[name].append(args[0] if name == "potential_on_grid"
+                              else args[1])
+            return routine(*args)
+        return wrapper
+
+    for name in seen:
+        monkeypatch.setattr(h_transform, name, spy(name))
+    hp = build_h_process(model, np.ones(5), np.ones(5), V, grid)
+    assert [v is V for v in seen.pop("potential_on_grid")] == [True]
+    assert [v is hp.V for vs in seen.values() for v in vs] == [True] * 2
+    assert (hp.V.strides[0] == 0) == (V_kind != "field")
+
+
 def test_g_at_returns_the_grid_values_at_nodes():
     hp = generic_hprocess()
     N = hp.grid.N
