@@ -378,9 +378,8 @@ def build_diffusion_transform(model: Diffusion1DModel, V, f0, gamma1,
     f0 = _freeze(f0 / c)
     f_stored, clipped_f = solve_f_pde(model, V, f0, grid, _BLOCK_ROWS)
     return DiffusionTransform(model=model, f0=f0, gamma1=gamma1, V=V,
-                              grid=grid,
+                              grid=grid, c=c, m=mw, f_stored=f_stored,
                               fk=FKSolution(grid=grid, g=g, f=None),
-                              c=c, m=mw, f_stored=f_stored,
                               clipped_nodes=clipped_g + clipped_f)
 
 
