@@ -10,8 +10,11 @@ controls.
 
 from __future__ import annotations
 
+import functools
 import io
+import json
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +38,16 @@ DEFAULT_GRID_N = 200
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _FLOAT_TAG = "tag:yaml.org,2002:float"
 _STR_TAG = "tag:yaml.org,2002:str"
+
+# A block-mapping line whose whole value is a one-line flow sequence
+# (`  J0: [[0.0, 0.3], [0.3, 0.0]]`), and the numbers in such a sequence
+# that YAML 1.1 and JSON read as the same int or float. `1e-05` and
+# `1.0e5` (strings in YAML 1.1), `1.`, `+1.0` and `01.0` are not among them.
+_FLOW_LINE = re.compile(r"^( *\w+: +)(\[[^\n]*\]) *$", re.MULTILINE)
+_NUMBER = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+][0-9]+)?)?"
+# Possessive, so that a match keeps no backtracking state per token.
+_NUMERIC_FLOW = re.compile(rf"(?:[\[\], ]++|{_NUMBER}(?![^\[\], ]))*+")
+_MARK = "_htlab_lifted_list_"  # numbered, it stands in for a lifted value
 
 # The keys each section defines; the model section's depend on its kind.
 _SECTION_KEYS = {"transform": {"f0", "gamma1", "V"}, "grid": {"N"},
@@ -134,25 +147,58 @@ def _scalar(loader, value: str, implicit):
     return constructor(loader, ScalarNode(tag, value))
 
 
+def _lift_numeric_lists(text: str):
+    """(text with marks, {mark: list}): each value that _FLOW_LINE and
+    _NUMERIC_FLOW accept is parsed by json and replaced, on its line, by a
+    numbered mark, so line numbers do not move. Nothing is lifted from a
+    text that already holds the mark."""
+    lists = {}
+    if _MARK in text:
+        return text, lists
+    # Equal literals share one float, as in _load_events' scalar cache.
+    parse_float = functools.lru_cache(maxsize=None)(float)
+
+    def lift(match):
+        head, flow = match.groups()
+        if not _NUMERIC_FLOW.fullmatch(flow):
+            return match.group()
+        try:
+            items = json.loads(flow, parse_float=parse_float)
+        except (ValueError, RecursionError):  # `[1.0 2.0]`, `[1.0, ]`
+            return match.group()
+        mark = f"{_MARK}{len(lists)}"
+        lists[mark] = items
+        return head + mark
+
+    return _FLOW_LINE.sub(lift, text), lists
+
+
 def _load_events(text: str):
     """Build the document straight from the loader's event stream.
 
     Covers the YAML a config is written in: one document of mappings,
     sequences and untagged scalars. Scalars take their tags from the
     loader's own resolver (exact while it has no path resolvers), so the
-    objects equal yaml.load's. Raises _OutsideFastPath on an anchor, an
-    alias, an explicit tag, a merge key or `=` scalar, an unhashable key or
-    a second document, which the full loader handles. A scalar that its
-    constructor cannot build is reported, with its line, only once the
-    stream has ended, so that a later syntax error keeps yaml.load's own
-    message.
+    objects equal yaml.load's. A one-line list of plain numbers is read by
+    json instead (_lift_numeric_lists), and its mark, met as a plain
+    scalar, stands for the list. Raises _OutsideFastPath on an anchor, an
+    alias, an explicit tag, a merge key or `=` scalar, an unhashable key, a
+    second document or a mark inside a longer scalar (a lifted line that
+    was part of a block or quoted scalar), which the full loader handles.
+    A scalar that its constructor cannot build is reported, with its line,
+    only once the stream has ended, so that a later syntax error keeps
+    yaml.load's own message.
     """
+    text, lists = _lift_numeric_lists(text)
     loader = _YAML_LOADER(text)
     try:
         if loader.yaml_path_resolvers:
             raise _OutsideFastPath
         get_event = loader.get_event
-        scalars = {}  # (value, implicit) -> object, within this text
+        # (value, implicit) -> object, within this text; a mark is a plain
+        # scalar that stands for its lifted list
+        scalars = {(mark, (True, False)): items
+                   for mark, items in lists.items()}
         frames = [[]]  # items of each open collection, the document first
         documents = 0
         unreadable = None  # (line, value, error) of the first such scalar
@@ -166,6 +212,8 @@ def _load_events(text: str):
                 try:
                     value = scalars[key]
                 except KeyError:
+                    if lists and _MARK in event.value:
+                        raise _OutsideFastPath
                     try:
                         value = _scalar(loader, *key)
                     except (TypeError, ValueError) as exc:  # `2001-13-45`

@@ -190,14 +190,18 @@ def hypothesis_report(f0: np.ndarray, gamma1: np.ndarray, V: np.ndarray,
 
     The primal Young function is theta_star_llogl. V may be a single time
     slice or a full (N+1) x n field; the conjugate integral is reported as
-    the sup over time slices. Finiteness of the two square-log-power
-    integrals for some p > 1 (here p = 2) is a sufficient condition for the
-    transformed law to have finite relative entropy.
+    the sup over time slices, and a field constant in time (row stride 0,
+    as potential_on_grid gives for a scalar or a vector) is one slice.
+    Finiteness of the two square-log-power integrals for some p > 1 (here
+    p = 2) is a sufficient condition for the transformed law to have finite
+    relative entropy.
     """
     gammaY = YoungFunction("theta_star_llogl")
     f0 = np.asarray(f0, dtype=float)
     gamma1 = np.asarray(gamma1, dtype=float)
     V = np.atleast_2d(np.asarray(V, dtype=float))
+    if V.strides[0] == 0:
+        V = V[:1]
     w = m.weights
     v_min = float(V.min())
     conj = gammaY.conjugate()

@@ -1,10 +1,15 @@
 """YAML config parsing, defaults, and model/transform assembly."""
 
+import importlib
+import pathlib
 import struct
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from yaml.events import ScalarEvent
 
 from htlab import config
 from htlab.config import (DEFAULT_GRID_N, RunConfig, build_model_from_config,
@@ -13,6 +18,8 @@ from htlab.diffusion1d import Diffusion1DModel
 from htlab.errors import ModelValidationError
 from htlab.markov_core import ReversibleModel
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SECTIONS = ("model", "transform", "grid", "checks", "sampling", "bridge")
 
 def write(tmp_path, text):
     path = tmp_path / "run.yaml"
@@ -206,8 +213,7 @@ sampling:
 def test_loader_matches_pure_python_safe_loader(tmp_path, text):
     cfg = load_config(write(tmp_path, text))
     expected = yaml.load(text, Loader=yaml.SafeLoader)
-    for name in ("model", "transform", "grid", "checks", "sampling",
-                 "bridge"):
+    for name in SECTIONS:
         assert getattr(cfg, name) == expected.get(name, {}), name
 
 
@@ -325,6 +331,187 @@ def test_generated_config_never_reaches_yaml_load(tmp_path, monkeypatch):
     anchored = text.replace("  m0: 1.0", "  m0: &m 1.0")
     with pytest.raises(AssertionError, match="yaml.load reached"):
         load_config(write(tmp_path, anchored))
+
+
+# A one-line flow sequence of plain numbers as a block-mapping value is read
+# by json, not from the event stream, when each number is one that YAML 1.1
+# and JSON read alike. Lines of the second corpus stay on the event stream.
+LIFTED_CORPUS = {
+    "nested": "a: [[0.0, 0.3, 1.5], [0.3, 0.0, -2.25], [], [[7]]]\n",
+    "negative_zero": "a: [-0.0, 0.0, -0, 0]\n",
+    "overflow": "a: [1.0e+400, -1.0e+400, 2.5e-400]\n",
+    "ints": "a: [1, -7, 0, 123456789012345678901234567890]\n",
+    "no_spaces": "a: [1.5,2,[-0.25,3.0e-8]]\n",
+    "trailing_spaces": "a: [1.5, 2.5]   \nb: [0.5]  \n",
+}
+EVENT_STREAM_CORPUS = {
+    "yaml11_strings": "a: [1e-05]\nb: [1.0e5]\n",
+    "other_yaml_floats": "a: [1.]\nb: [+1.0]\nc: [01.0]\n",
+    "not_json": "a: [1.0 2.0]\nb: [1.0, ]\n",
+    "comment": "a: [1.0, 2.0] # two numbers\n",
+    "tabs": "a:\t[1.0, 2.0]\nb: [1.0,\t2.0]\n",
+}
+# Lines that look like numeric lists but sit inside other YAML, and whether
+# the file then takes yaml.load.
+MARK_CORPUS = {
+    "block_scalar": ("a: |\n  b: [1.0, 2.0]\nc: [3.0]\n", True),
+    "quoted_string": ('a: "x\n  b: [1.0, 2.0]\n  y"\nc: [3.0]\n', True),
+    "flow_mapping": ("a: {b: 1,\n  c: [1.0, 2.0]\n  }\nd: [3.0]\n", False),
+    "mark_in_file": (f"a: {config._MARK}0\nb: [1.0, 2.0]\n", False),
+}
+
+
+def _scalar_events(monkeypatch):
+    """Record the value of each ScalarEvent the loader in use emits."""
+    seen = []
+
+    class Recording(config._YAML_LOADER):
+        def get_event(self):
+            event = super().get_event()
+            if isinstance(event, ScalarEvent):
+                seen.append((event.start_mark.line, event.value))
+            return event
+    monkeypatch.setattr(config, "_YAML_LOADER", Recording)
+    return seen
+
+
+def _yaml_load_model(text):
+    """yaml.load's model section with the loader in use, or None where that
+    loader refuses the text (the pure-Python scanner refuses tabs)."""
+    try:
+        return yaml.load(text, Loader=config._YAML_LOADER)["model"]
+    except yaml.YAMLError:
+        return None
+
+
+def _assert_loads_as(tmp_path, text, expected):
+    """load_config(text).model is exactly expected, or, for None, a
+    bad_config error."""
+    if expected is None:
+        with pytest.raises(ModelValidationError) as info:
+            load_config(write(tmp_path, text))
+        assert info.value.reason == "bad_config"
+    else:
+        got = load_config(write(tmp_path, text)).model
+        assert _exact(got) == _exact(expected)
+
+
+@pytest.mark.parametrize("name", sorted(LIFTED_CORPUS))
+def test_numeric_lists_are_lifted(tmp_path, monkeypatch, loader, name):
+    text = _as_model(LIFTED_CORPUS[name])
+    expected = _yaml_load_model(text)
+    _yaml_load_spy(monkeypatch, allowed=False)
+    seen = _scalar_events(monkeypatch)
+    _assert_loads_as(tmp_path, text, expected)
+    keys = [line.split(":")[0].strip() for line in text.splitlines()[1:]]
+    assert [value for _, value in seen] == ["model", *(
+        value for i, key in enumerate(keys)
+        for value in (key, f"{config._MARK}{i}"))]
+
+
+@pytest.mark.parametrize("name", sorted(EVENT_STREAM_CORPUS))
+def test_other_lists_take_the_event_stream(tmp_path, monkeypatch, loader,
+                                           name):
+    text = _as_model(EVENT_STREAM_CORPUS[name])
+    expected = _yaml_load_model(text)
+    _yaml_load_spy(monkeypatch, allowed=expected is None)
+    seen = _scalar_events(monkeypatch)
+    _assert_loads_as(tmp_path, text, expected)
+    if expected is not None:  # the key and at least one item per list
+        assert len(seen) >= 2 * len(text.splitlines()) - 1
+        assert not any(config._MARK in value for _, value in seen)
+    assert config._lift_numeric_lists(text) == (text, {})
+
+
+@pytest.mark.parametrize("name", sorted(MARK_CORPUS))
+def test_marks_outside_plain_values(tmp_path, monkeypatch, loader, name):
+    text = _as_model(MARK_CORPUS[name][0])
+    expected = _yaml_load_model(text)
+    calls = _yaml_load_spy(monkeypatch, allowed=True)
+    _assert_loads_as(tmp_path, text, expected)
+    assert bool(calls) == MARK_CORPUS[name][1]
+
+
+def test_crlf_lines_are_lifted_after_newline_translation(tmp_path,
+                                                         monkeypatch):
+    """load_config reads in text mode, so CRLF ends arrive as LF; a CR left
+    before a line end would keep the line on the event stream."""
+    text = "model:\r\n  a: [1.0, 2]\r\n  b: [[0.5], []]\r\n"
+    path = tmp_path / "crlf.yaml"
+    path.write_bytes(text.encode("utf-8"))
+    expected = yaml.load(text, Loader=yaml.SafeLoader)["model"]
+    _yaml_load_spy(monkeypatch, allowed=False)
+    seen = _scalar_events(monkeypatch)
+    assert _exact(load_config(str(path)).model) == _exact(expected)
+    assert [value for _, value in seen] == [
+        "model", "a", f"{config._MARK}0", "b", f"{config._MARK}1"]
+    assert config._lift_numeric_lists(text) == (text, {})
+
+
+def test_lifted_lines_keep_the_line_of_an_unreadable_value(tmp_path,
+                                                           loader):
+    text = _as_model("a: [1.0, 2.0]\nb: [[1, 2],\n  [3]]\nc: 2001-13-45\n")
+    with pytest.raises(ModelValidationError,
+                       match="line 5: '2001-13-45'") as info:
+        load_config(write(tmp_path, text))
+    assert info.value.reason == "bad_config"
+
+
+_NUMBERS = st.floats(allow_nan=False, allow_infinity=False) | st.integers()
+_NESTED = st.lists(st.recursive(
+    _NUMBERS, lambda inner: st.lists(inner, max_size=4), max_leaves=20),
+    max_size=6)
+
+
+def _flow(items, float_format: str) -> str:
+    if isinstance(items, list):
+        return "[" + ", ".join(_flow(v, float_format) for v in items) + "]"
+    return float_format % items if isinstance(items, float) else "%r" % items
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(drawn=st.lists(_NESTED, min_size=1, max_size=3))
+def test_drawn_numeric_lists_match_yaml_load(tmp_path, loader, drawn):
+    """repr and %.6e floats, %r ints: lifted or not, each line's list is
+    yaml.load's."""
+    text = "model:\n" + "".join(
+        f"  r{i}: {_flow(items, '%r')}\n  e{i}: {_flow(items, '%.6e')}\n"
+        for i, items in enumerate(drawn))
+    _assert_loads_as(tmp_path, text, _yaml_load_model(text))
+
+
+LIST_KEYS = ("J0", "V", "U", "f0", "gamma1", "mu0", "mu1")
+
+
+def test_config_lists_never_reach_the_event_stream(tmp_path, monkeypatch):
+    """On a generated config and the benchmark's seed-11 jump-dense config,
+    each line of J0, V, U, f0, gamma1, mu0 and mu1 gives the event stream
+    its key and a mark only, and yaml.load is never reached."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    dense = workloads.write_config("jump-dense", 11, str(tmp_path / "bench"))
+    texts = [generated_jump_yaml(),
+             pathlib.Path(dense).read_text(encoding="utf-8")]
+    expected_sections = [yaml.load(text, Loader=yaml.SafeLoader)
+                         for text in texts]
+    _yaml_load_spy(monkeypatch, allowed=False)
+    seen = _scalar_events(monkeypatch)
+    for text, expected in zip(texts, expected_sections):
+        seen.clear()
+        cfg = load_config(write(tmp_path, text))
+        for name in SECTIONS:
+            assert _exact(getattr(cfg, name)) == _exact(expected.get(name,
+                                                                      {}))
+        lines = {i: line.split(":")[0].strip()
+                 for i, line in enumerate(text.splitlines())}
+        on_lists = [(lines[i], value) for i, value in seen
+                    if lines[i] in LIST_KEYS]
+        assert sorted(key for key, _ in on_lists[0::2]) == sorted(LIST_KEYS)
+        assert [key for key, _ in on_lists[0::2]] == [
+            value for _, value in on_lists[0::2]]
+        assert all(value.startswith(config._MARK)
+                   for _, value in on_lists[1::2])
 
 
 def test_generated_config_parses_floats(tmp_path):

@@ -5,10 +5,16 @@ exponential pair evaluates to e - 2 and 2 log 2 - 1 at unit argument, and
 the norm's defining property (unit mean at the norm) is checked directly.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from conftest import five_state_model
+from htlab import orlicz_diag
 from htlab.errors import DegenerateInputError, ModelValidationError
+from htlab.h_transform import build_h_process
+from htlab.markov_core import TimeGrid
 from htlab.orlicz_diag import (KINDS, WeightedMeasure, YoungFunction,
                                holder_check, hypothesis_report,
                                luxemburg_norm)
@@ -175,6 +181,33 @@ def test_hypothesis_report_conjugate_integral():
     rep = hypothesis_report(np.ones(3), np.ones(3), V, m)
     assert rep.sup_v_conjugate_integral == pytest.approx(
         np.expm1(0.7) - 0.7, rel=1e-12)
+
+
+def test_hypothesis_report_reads_a_potential_constant_in_time_once(
+        monkeypatch):
+    """hp.V of a vector V repeats one row (stride 0): its report equals the
+    dense field's, from one conjugate evaluation instead of N + 1."""
+    model = five_state_model()
+    grid = TimeGrid(50)
+    hp = build_h_process(model, np.ones(model.n),
+                         np.array([0.2, 0.5, 1.0, 0.3, 0.8]),
+                         np.array([0.4, -0.1, 0.0, 1.3, 0.7]), grid)
+    assert hp.V.strides[0] == 0
+    calls = []
+    real = orlicz_diag.theta
+
+    def spy(a):
+        calls.append(np.shape(a))
+        return real(a)
+    monkeypatch.setattr(orlicz_diag, "theta", spy)
+    m = WeightedMeasure(model.m)
+    reports = []
+    for V in (hp.V, np.array(hp.V)):
+        calls.clear()
+        reports.append(hypothesis_report(hp.f0, hp.gamma1, V, m))
+        assert len(calls) == (1 if V is hp.V else grid.N + 1)
+    assert dataclasses.asdict(reports[0]) == dataclasses.asdict(reports[1])
+    assert reports[0].v_min == -0.1
 
 
 def test_hypothesis_report_square_log_integrals():
