@@ -48,6 +48,11 @@ _NUMBER = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+][0-9]+)?)?"
 # Possessive, so that a match keeps no backtracking state per token.
 _NUMERIC_FLOW = re.compile(rf"(?:[\[\], ]++|{_NUMBER}(?![^\[\], ]))*+")
 _MARK = "_htlab_lifted_list_"  # numbered, it stands in for a lifted value
+# Within one text, equal literals share one float, as in _load_events'
+# scalar cache. One decoder serves every load: a decoder made per load or
+# per list leaves its scanner's blocks on CPython's free lists.
+_PARSE_FLOAT = functools.lru_cache(maxsize=None)(float)
+_DECODER = json.JSONDecoder(parse_float=_PARSE_FLOAT)
 
 # The keys each section defines; the model section's depend on its kind.
 _SECTION_KEYS = {"transform": {"f0", "gamma1", "V"}, "grid": {"N"},
@@ -155,22 +160,22 @@ def _lift_numeric_lists(text: str):
     lists = {}
     if _MARK in text:
         return text, lists
-    # Equal literals share one float, as in _load_events' scalar cache.
-    parse_float = functools.lru_cache(maxsize=None)(float)
 
     def lift(match):
         head, flow = match.groups()
         if not _NUMERIC_FLOW.fullmatch(flow):
             return match.group()
         try:
-            items = json.loads(flow, parse_float=parse_float)
+            items = _DECODER.decode(flow)
         except (ValueError, RecursionError):  # `[1.0 2.0]`, `[1.0, ]`
             return match.group()
         mark = f"{_MARK}{len(lists)}"
         lists[mark] = items
         return head + mark
 
-    return _FLOW_LINE.sub(lift, text), lists
+    text = _FLOW_LINE.sub(lift, text)
+    _PARSE_FLOAT.cache_clear()  # the lists keep their floats, not the cache
+    return text, lists
 
 
 def _load_events(text: str):

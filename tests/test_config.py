@@ -503,15 +503,15 @@ def test_config_lists_never_reach_the_event_stream(tmp_path, monkeypatch):
         for name in SECTIONS:
             assert _exact(getattr(cfg, name)) == _exact(expected.get(name,
                                                                       {}))
-        lines = {i: line.split(":")[0].strip()
-                 for i, line in enumerate(text.splitlines())}
-        on_lists = [(lines[i], value) for i, value in seen
-                    if lines[i] in LIST_KEYS]
-        assert sorted(key for key, _ in on_lists[0::2]) == sorted(LIST_KEYS)
-        assert [key for key, _ in on_lists[0::2]] == [
-            value for _, value in on_lists[0::2]]
-        assert all(value.startswith(config._MARK)
-                   for _, value in on_lists[1::2])
+        keys = [line.split(":")[0].strip() for line in text.splitlines()]
+        by_key = {}
+        for line, value in seen:
+            if keys[line] in LIST_KEYS:
+                by_key.setdefault(keys[line], []).append(value)
+        assert sorted(by_key) == sorted(LIST_KEYS)
+        for key, values in by_key.items():
+            assert len(values) == 2 and values[0] == key
+            assert values[1].startswith(config._MARK)
 
 
 def test_generated_config_parses_floats(tmp_path):
