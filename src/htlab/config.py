@@ -34,7 +34,9 @@ from htlab.markov_core import (JumpKernel, ReversibleModel, StateSpace,
 DEFAULT_GRID_N = 200
 
 # libyaml's C scanner and parser with PyYAML's safe constructor and resolver;
-# the pure-Python loader builds the same objects when libyaml is absent.
+# the pure-Python loader, used when libyaml is absent, builds the same objects
+# except where the two scanners differ: a tab before or inside a flow list
+# (`a:\t[1.0, 2.0]`) loads under libyaml and is a bad_config without it.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _FLOAT_TAG = "tag:yaml.org,2002:float"
 _STR_TAG = "tag:yaml.org,2002:str"

@@ -269,6 +269,104 @@ def test_f_against_propagator_composition():
             f[l], (model.m * f0) @ prop.matrix(0, l) / model.m, rtol=1e-12)
 
 
+def _stage_sweep(A, v_rows, x0, h):
+    """The RK4 stages on every cell: the sweep before runs of equal V rows
+    were stepped by one factor."""
+    def rate(v, y):
+        return A @ y - v * y
+
+    x = np.empty(v_rows.shape)
+    x[0] = x0
+    for k in range(len(v_rows) - 1):
+        v0, v2 = v_rows[k], v_rows[k + 1]
+        v1, xk = 0.5 * (v0 + v2), x[k]
+        k1 = rate(v0, xk)
+        k2 = rate(v1, xk + 0.5 * h * k1)
+        k3 = rate(v1, xk + 0.5 * h * k2)
+        k4 = rate(v2, xk + h * k3)
+        x[k + 1] = xk + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x
+
+
+def _stage_g(model, V, gamma1, grid):
+    V = potential_on_grid(V, grid, model.n)
+    return np.maximum(_stage_sweep(model.Q, V[::-1], gamma1, grid.dt)[::-1],
+                      0.0)
+
+
+def _stage_f(model, V, f0, grid):
+    V = potential_on_grid(V, grid, model.n)
+    f = _stage_sweep(model.Q.T, V, model.m * f0, grid.dt) / model.m
+    f[0] = f0
+    return np.maximum(f, 0.0)
+
+
+def _switch_once(model, grid):
+    """V rows a up to node N/2 - 1 and b from N/2 on: runs of N/2 - 1 and
+    N/2 cells with equal rows, and one cell between them."""
+    rows = np.where(grid.nodes[:, None] < 0.5, 0.3,
+                    np.linspace(0.1, 0.6, model.n)[None, :])
+    assert repeated_rows(potential_on_grid(rows, grid, model.n)).count(
+        False) == 1
+    return rows
+
+
+@pytest.mark.parametrize("kind, N, factors", [
+    ("constant", 40, 1), ("switch", 40, 2), ("every row", 40, 0),
+    ("constant", 4, 0)], ids=["constant", "switch", "every-row", "short"])
+def test_sweeps_step_runs_of_equal_rows_by_one_factor(monkeypatch, kind, N,
+                                                      factors):
+    """A run of at least n cells with equal V rows is stepped by one RK4
+    factor, the same polynomial as the stages, so g and f agree with the
+    stage loop to rounding; a V that changes in every row, and a run of
+    fewer than n cells, keep the stages and their bits."""
+    model = five_state_model()
+    grid = TimeGrid(N)
+    V = {"constant": 0.3, "switch": _switch_once(model, grid),
+         "every row": wavy_potential(model, grid)}[kind]
+    f0 = np.array([1.0, 2.0, 0.5, 1.5, 1.0])
+    gamma1 = np.array([0.2, 0.5, 1.0, 0.3, 0.8])
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return rk4_matrix_step(*args)
+
+    monkeypatch.setattr(feynman_kac, "rk4_matrix_step", counted)
+    for solve, stages, weight in ((solve_g, _stage_g, gamma1),
+                                  (solve_f, _stage_f, f0)):
+        calls.clear()
+        got, want = solve(model, V, weight, grid), stages(model, V, weight,
+                                                         grid)
+        assert len(calls) == factors
+        if factors:
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        else:
+            assert np.array_equal(got, want)
+
+
+def test_propagator_of_a_constant_V_is_one_factor_viewed_N_times():
+    """A V constant in time gives the materialized factors' bits and the
+    same semigroup gap, from one read-only factor of row stride 0."""
+    model = five_state_model()
+    grid = TimeGrid(60)
+    h, Q = grid.dt, model.Q
+    vec = np.linspace(0.1, 0.6, model.n)
+    for V in (0.3, vec, np.tile(vec, (grid.N + 1, 1))):
+        v = potential_on_grid(V, grid, model.n)[0]
+        old = np.empty((grid.N, model.n, model.n))
+        old[:] = rk4_matrix_step(Q - np.diag(v), Q - np.diag(0.5 * (v + v)),
+                                 Q - np.diag(v), h)
+        prop = fk_propagator(model, V, grid)
+        assert prop.step.strides[0] == 0 and not prop.step.flags.writeable
+        assert np.array_equal(prop.step, old)
+        materialized = feynman_kac.FKPropagator(grid=grid, step=old,
+                                                half_step=prop.half_step)
+        for s, t, u in ((0.0, 0.5, 1.0), (0.2, 0.3, 0.9)):
+            assert (check_semigroup(prop, s, t, u)
+                    == check_semigroup(materialized, s, t, u))
+
+
 def test_g_upper_bounds():
     model = two_state_model()
     grid = TimeGrid(100)
