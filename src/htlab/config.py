@@ -391,9 +391,10 @@ def transform_pieces(cfg: RunConfig, model, grid: TimeGrid):
     """Extract (f0, gamma1, V) from the transform section.
 
     For both model kinds the weights are plain node vectors, whose entries
-    the model's builder checks (feynman_kac.weight_on_nodes), and V is the
-    array as given (scalar, node vector or (N+1) x n field), checked here by
-    feynman_kac.potential_on_grid so that a bad V fails before any solve.
+    the model's builder checks (feynman_kac.weight_on_nodes). V (scalar,
+    node vector or (N+1) x n field) is checked here, so that a bad V fails
+    before any solve, and returned as the read-only (N+1) x n view of
+    feynman_kac.potential_on_grid, which the solvers take without a copy.
     """
     sec = cfg.transform
     if isinstance(model, ReversibleModel):
@@ -407,5 +408,4 @@ def transform_pieces(cfg: RunConfig, model, grid: TimeGrid):
         V = _vector(V_entry, n, "V", xs=xs)
     else:
         V = _read(_float_array, V_entry, "V")
-    potential_on_grid(V, grid, n)
-    return f0, gamma1, V
+    return f0, gamma1, potential_on_grid(V, grid, n)

@@ -81,6 +81,12 @@ class HProcess:
         return _freeze(np.vstack([np.zeros(self.n),
                                   np.cumsum(cell_integrals, axis=0)]))
 
+    @functools.cached_property
+    def _potential_items(self) -> tuple[memoryview, memoryview]:
+        """V and V_cum as memoryviews, whose [k, x] items are Python
+        floats: cheaper than numpy scalars for one-item reads."""
+        return memoryview(self.V), memoryview(self.V_cum)
+
 
 def normalization(m: np.ndarray, f0: np.ndarray, g0: np.ndarray) -> float:
     """The constant c = sum_x m(x) f0(x) g(0,x) that gives P mass one.
@@ -247,18 +253,20 @@ def integrate_potential_along_path(hp: HProcess, path: PathView,
     V is piecewise linear in time, so the integral over each constant-state
     piece is the difference of a per-state quadratic antiderivative.
     """
-    N, V, V_cum = hp.grid.N, hp.V, hp.V_cum
+    N = hp.grid.N
+    V, V_cum = hp._potential_items
 
     def antiderivative(tau: float, x: int) -> float:
         k = min(int(tau * N), N - 1)
         a = tau - k / N
         v0 = V[k, x]
         slope = (V[k + 1, x] - v0) * N
-        return float(V_cum[k, x] + v0 * a + 0.5 * slope * a * a)
+        return V_cum[k, x] + v0 * a + 0.5 * slope * a * a
 
+    knots = [0.0, *path.times.tolist(), 1.0]
     total = 0.0
-    for a, b, x in path.segments():
-        lo, hi = max(a, s), min(b, t)
+    for i, x in enumerate([path.x0, *path.states.tolist()]):
+        lo, hi = max(knots[i], s), min(knots[i + 1], t)
         if hi > lo:
             total += antiderivative(hi, x) - antiderivative(lo, x)
     return total
@@ -298,10 +306,18 @@ class _ThinningContext:
     def __init__(self, hp: HProcess):
         self.N = hp.grid.N
         self.g = hp.fk.g
-        self.J = hp.model.J.rates
         # numerator[k, x] = sum_y J(x,y) g(t_k, y); linear interpolation of g
         # makes the interpolated numerator exact.
-        self.numer = self.g @ self.J.T
+        self.numer = self.g @ hp.model.J.rates.T
+        # Out-edges per state, padded to the largest out-degree: padding
+        # has rate 0 and repeats the state's last target.
+        source, target, rate = hp.model.J.edges
+        first = np.searchsorted(source, np.arange(hp.n))
+        degree = np.diff(first, append=source.size)
+        slot = np.arange(degree.max())
+        edge = first[:, None] + np.minimum(slot, degree[:, None] - 1)
+        self.out_targets = target[edge]
+        self.out_rates = np.where(slot < degree[:, None], rate[edge], 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             rates = np.where(self.g > 0.0, self.numer / self.g, np.inf)
         self.bounds = _THINNING_SAFETY * np.maximum(rates[:-1], rates[1:])
@@ -335,13 +351,20 @@ class _ThinningContext:
 
     def draw_destination(self, rng, tau, x) -> np.ndarray:
         """Jump destinations out of x at tau, one per entry, drawn from
-        J(x, .) g(tau, .) with g interpolated linearly in the cell."""
+        J(x, .) g(tau, .) with g interpolated linearly in the cell.
+
+        The running sum covers x's out-edges only; a dense row would add
+        exact zeros between them, so the same edge is drawn.
+        """
         k, a = self._cell(np.atleast_1d(tau))
-        a = a[:, None]
-        c = np.cumsum(self.J[x] * ((1.0 - a) * self.g[k] + a * self.g[k + 1]),
+        x = np.atleast_1d(x)
+        k, a, y = k[:, None], a[:, None], self.out_targets[x]
+        c = np.cumsum(self.out_rates[x]
+                      * ((1.0 - a) * self.g[k, y] + a * self.g[k + 1, y]),
                       axis=1)
         u = rng.random(len(c))[:, None] * c[:, -1:]
-        return np.minimum((c <= u).sum(axis=1), self.J.shape[0] - 1)
+        j = np.minimum((c <= u).sum(axis=1), c.shape[1] - 1)
+        return np.take_along_axis(y, j[:, None], axis=1)[:, 0]
 
 
 def _jump_in_slow_cells(ctx: _ThinningContext, rng, tau: float, x: int):

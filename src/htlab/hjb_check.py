@@ -19,6 +19,9 @@ from htlab.markov_core import ReversibleModel, TimeGrid, _freeze
 # theta_star(b) = b^2 sum_k (-b)^k / ((k+1)(k+2)), highest power first.
 _SERIES = np.array([(-1) ** k / ((k + 1) * (k + 2)) for k in range(14, -1, -1)])
 
+# Time rows whose jump sums discrete_hjb_residual forms at once.
+_ROWS_PER_BLOCK = 16
+
 
 def theta(a):
     """e^a - a - 1, elementwise; the exponential-moment Young function."""
@@ -99,23 +102,33 @@ def discrete_hjb_residual(g: np.ndarray, model: ReversibleModel,
                                    reason="dimension_mismatch")
     V = potential_on_grid(V, grid, model.n)
     psi = log_g(g)
-    J = model.J.rates
+    n = model.n
+    source, target, rate = model.J.edges
     finite = np.isfinite(psi)
-    # A point is evaluable when psi is finite there and at every jump target
-    # with positive rate.
-    bad_targets = (~finite).astype(float) @ (J.T > 0).astype(float)
-    defined = finite & (bad_targets == 0)
+    # A point is evaluable when psi is finite there and at every jump target.
+    # Every state has an out-edge, so each source opens a reduceat group.
+    firsts = np.flatnonzero(np.diff(source, prepend=-1))
+    defined = finite & ~np.logical_or.reduceat(~finite[:, target], firsts,
+                                               axis=1)
 
+    # The jump sums are the dense n x n row sums of before, over the same
+    # zeros: each term is scattered onto its edge in a zeroed buffer, so
+    # the sums have the same bits as the dense J * f(D psi) row sums.
     linear, theta_sum, gap = np.full((3, *g.shape), np.nan)
-    for k in np.flatnonzero(defined.any(axis=1)):
-        p = np.where(finite[k], psi[k], 0.0)
-        # Differences are only ever weighted by J; zero-rate pairs are blanked
-        # so that placeholder psi values cannot overflow theta.
-        dpsi = np.where(J > 0, p[None, :] - p[:, None], 0.0)
-        linear[k] = (J * dpsi).sum(axis=1)
-        theta_sum[k] = (J * theta(dpsi)).sum(axis=1)
-        collapsed = (J * np.expm1(dpsi)).sum(axis=1)
-        gap[k] = np.abs((linear[k] + theta_sum[k]) - collapsed)
+    pairs = source * n + target
+    dense = np.zeros((_ROWS_PER_BLOCK, n * n))
+    rows = np.flatnonzero(defined.any(axis=1))
+    for start in range(0, rows.size, _ROWS_PER_BLOCK):
+        ks = rows[start:start + _ROWS_PER_BLOCK]
+        p = np.where(finite[ks], psi[ks], 0.0)
+        dpsi = p[:, target] - p[:, source]
+        block = dense[:ks.size]
+        sums = []
+        for term in (dpsi, theta(dpsi), np.expm1(dpsi)):
+            block[:, pairs] = rate * term
+            sums.append(block.reshape(ks.size, n, n).sum(axis=2))
+        linear[ks], theta_sum[ks], collapsed = sums
+        gap[ks] = np.abs((linear[ks] + theta_sum[ks]) - collapsed)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         dt_exp = derivative(g, grid.dt) / g

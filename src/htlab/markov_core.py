@@ -11,6 +11,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,12 +94,26 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return out
 
 
+class Edges(NamedTuple):
+    """The positive entries of a rate matrix in row-major order: edge i
+    jumps from source[i] to target[i] at rate[i]. Read-only arrays."""
+
+    source: np.ndarray
+    target: np.ndarray
+    rate: np.ndarray
+
+
 @dataclass(frozen=True)
 class JumpKernel:
-    """Matrix of jump rates J(x, y); diagonal identically zero."""
+    """Matrix of jump rates J(x, y); diagonal identically zero.
+
+    edges lists the positive rates, grouped by source state and ordered by
+    target within each source, for the layers whose work is O(edges).
+    """
 
     rates: np.ndarray
     exit_rates: np.ndarray = field(init=False)
+    edges: Edges = field(init=False)
 
     def __post_init__(self):
         r = np.asarray(self.rates, dtype=float)
@@ -119,8 +134,13 @@ class JumpKernel:
         if np.any(exit_rates <= 0):
             raise DegenerateInputError("every state needs a positive exit rate",
                                        reason="absorbing_state")
+        source, target = np.nonzero(rates)
+        edges = Edges(source, target, rates[source, target])
+        for a in edges:
+            a.setflags(write=False)
         object.__setattr__(self, "rates", rates)
         object.__setattr__(self, "exit_rates", exit_rates)
+        object.__setattr__(self, "edges", edges)
 
     @property
     def n(self) -> int:

@@ -32,6 +32,28 @@ def five_state_model():
     return build_metropolis(space, ring_kernel(n, 0.3), np.full(n, 1.0 / n), U)
 
 
+def chorded_ring_model():
+    """Seven-state Metropolis ring with three chords, so that out-degrees
+    differ from state to state (4, 2, 3, 3, 3, 3, 2)."""
+    n = 7
+    rates = np.array(ring_kernel(n, 0.3).rates)
+    for x, y, r in ((0, 3, 0.2), (0, 4, 0.05), (2, 5, 0.15)):
+        rates[x, y] = rates[y, x] = r
+    U = np.array([0.0, 0.3, -0.2, 0.5, 0.1, -0.4, 0.2])
+    space = StateSpace(tuple(f"s{i}" for i in range(n)))
+    return build_metropolis(space, JumpKernel(rates), np.full(n, 1.0 / n), U)
+
+
+def complete_graph_model():
+    """Four-state Metropolis chain on the complete graph."""
+    n = 4
+    rates = 0.3 + 0.1 * np.add.outer(np.arange(n), np.arange(n))
+    np.fill_diagonal(rates, 0.0)
+    space = StateSpace(tuple(f"s{i}" for i in range(n)))
+    return build_metropolis(space, JumpKernel(rates), np.full(n, 1.0 / n),
+                            np.array([0.0, 0.4, -0.3, 0.2]))
+
+
 def wavy_potential(model, grid: TimeGrid) -> np.ndarray:
     """Smooth nonconstant potential: 0.25 sin(pi t) + 0.1 x."""
     ts = grid.nodes

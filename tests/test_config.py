@@ -59,7 +59,7 @@ def test_load_jump_config(tmp_path):
     f0, gamma1, V = transform_pieces(cfg, model, cfg.time_grid)
     np.testing.assert_array_equal(f0, np.ones(3))
     np.testing.assert_array_equal(gamma1, [0.5, 1.0, 0.8])
-    assert V.shape == () and V == 0.2
+    assert V.shape == (41, 3) and np.all(V == 0.2)
 
 
 def test_defaults_and_missing_seed(tmp_path):
@@ -121,7 +121,9 @@ def test_vector_forms_for_jump_transform():
                     transform={"V": [0.1, 0.2]}, grid={"N": 10})
     model = build_model_from_config(cfg)
     f0, gamma1, V = transform_pieces(cfg, model, cfg.time_grid)
-    np.testing.assert_array_equal(V, [0.1, 0.2])
+    # V comes back as the read-only grid view the solvers take
+    assert V.shape == (11, 2) and not V.flags.writeable
+    np.testing.assert_array_equal(V, np.broadcast_to([0.1, 0.2], (11, 2)))
     full = np.zeros((11, 2)).tolist()
     cfg_full = RunConfig(model=cfg.model, transform={"V": full},
                          grid={"N": 10})
@@ -532,7 +534,7 @@ def test_diffusion_model_and_gaussian_weights(tmp_path):
     np.testing.assert_array_equal(f0, np.ones(65))
     expected = 2.0 * np.exp(-0.5 * ((model.xs - 0.5) / 0.6) ** 2)
     np.testing.assert_allclose(gamma1, expected, atol=1e-12)
-    assert V == 0.0
+    assert V.shape == (cfg.time_grid.N + 1, 65) and not V.any()
 
 
 def test_gaussian_form_validation():

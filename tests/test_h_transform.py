@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from conftest import (five_state_model, generic_hprocess, identity_hprocess,
-                      path_batch, path_bytes, two_state_model, wavy_potential)
+from conftest import (chorded_ring_model, five_state_model, generic_hprocess,
+                      identity_hprocess, path_batch, path_bytes,
+                      two_state_model, wavy_potential)
 from htlab.errors import (DegenerateInputError, ModelValidationError,
                           PositivityError)
 from htlab import feynman_kac, h_transform
@@ -330,6 +331,41 @@ def test_sampler_blocks_are_separate_streams():
                                       block.offsets)
         np.testing.assert_array_equal(longer.times[:jumps], block.times)
         np.testing.assert_array_equal(longer.states[:jumps], block.states)
+
+
+@pytest.mark.parametrize("gamma1", [[0.2, 0.5, 1.0, 0.3, 0.8, 0.6, 0.4],
+                                    [0.2, 0.5, 0.0, 0.3, 0.8, 0.6, 0.4]],
+                         ids=["unequal_degrees", "zero_gamma1"])
+def test_edge_draw_matches_the_dense_draw(monkeypatch, gamma1):
+    """Drawing a destination from x's out-edges gives the batch that a
+    running sum over the dense row J(x, .) g(tau, .) gives, array for array.
+    A zero in gamma1 sends paths through _jump_in_slow_cells, which draws
+    with a scalar state."""
+    model = chorded_ring_model()
+    grid = TimeGrid(50)
+    hp = build_h_process(model, np.ones(model.n), np.array(gamma1),
+                         wavy_potential(model, grid), grid)
+    edge_batch = sample_paths_P(hp, 3000, seed=21)
+    J = model.J.rates
+    scalar_states = []
+
+    def dense_draw(ctx, rng, tau, x):
+        scalar_states.append(np.ndim(x) == 0)
+        k, a = ctx._cell(np.atleast_1d(tau))
+        a = a[:, None]
+        c = np.cumsum(J[x] * ((1.0 - a) * ctx.g[k] + a * ctx.g[k + 1]),
+                      axis=1)
+        u = rng.random(len(c))[:, None] * c[:, -1:]
+        return np.minimum((c <= u).sum(axis=1), J.shape[0] - 1)
+
+    monkeypatch.setattr(h_transform._ThinningContext, "draw_destination",
+                        dense_draw)
+    dense_batch = sample_paths_P(hp, 3000, seed=21)
+    for name in ("x0", "offsets", "times", "states"):
+        np.testing.assert_array_equal(getattr(edge_batch, name),
+                                      getattr(dense_batch, name))
+    assert edge_batch.times.size > 1000
+    assert any(scalar_states) == (0.0 in gamma1)
 
 
 def test_entropy_invariant_under_weight_rescaling():

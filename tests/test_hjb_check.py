@@ -6,6 +6,7 @@ constant potentials, and the algebraic identity residual * g = backward
 Feynman-Kac residual in the exponential time form.
 """
 
+import dataclasses
 import decimal
 from decimal import Decimal
 
@@ -13,11 +14,15 @@ import numpy as np
 import pytest
 from scipy.special import xlogy
 
-from conftest import (five_state_model, generic_hprocess, ring_kernel,
-                      two_state_model)
+from conftest import (chorded_ring_model, complete_graph_model,
+                      five_state_model, generic_hprocess, ring_kernel,
+                      two_state_model, wavy_potential)
 from htlab.errors import ModelValidationError
-from htlab.feynman_kac import check_fk_generator, solve_g
-from htlab.hjb_check import discrete_hjb_residual, theta, theta_star
+from htlab.feynman_kac import (check_fk_generator, derivative, log_g,
+                               potential_on_grid, solve_g)
+from htlab.h_transform import build_h_process
+from htlab.hjb_check import (_summarise, discrete_hjb_residual, theta,
+                             theta_star)
 from htlab.markov_core import StateSpace, TimeGrid, build_metropolis
 
 
@@ -190,3 +195,52 @@ def test_log_form_takes_the_exact_log_below_1e_300():
     _, res = discrete_hjb_residual(g, model, V, grid)
     assert res.defined.all()
     assert res.max_residual <= 0.2
+
+
+def dense_hjb_residual(g, model, V, grid):
+    """The residual evaluated on every pair (x, y), one time row at a time,
+    with zero-rate pairs blanked: the reference for the edge-list form."""
+    V = potential_on_grid(V, grid, model.n)
+    psi = log_g(g)
+    J = model.J.rates
+    finite = np.isfinite(psi)
+    bad_targets = (~finite).astype(float) @ (J.T > 0).astype(float)
+    defined = finite & (bad_targets == 0)
+    linear, theta_sum, gap = np.full((3, *g.shape), np.nan)
+    for k in np.flatnonzero(defined.any(axis=1)):
+        p = np.where(finite[k], psi[k], 0.0)
+        dpsi = np.where(J > 0, p[None, :] - p[:, None], 0.0)
+        linear[k] = (J * dpsi).sum(axis=1)
+        theta_sum[k] = (J * theta(dpsi)).sum(axis=1)
+        collapsed = (J * np.expm1(dpsi)).sum(axis=1)
+        gap[k] = np.abs((linear[k] + theta_sum[k]) - collapsed)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dt_exp = derivative(g, grid.dt) / g
+    dt_log = derivative(psi, grid.dt)
+    log_defined = defined & np.isfinite(dt_log)
+    return tuple(
+        _summarise(dt_psi + linear + theta_sum - V, gap, mask)
+        for dt_psi, mask in ((dt_exp, defined), (dt_log, log_defined)))
+
+
+@pytest.mark.parametrize("build, gamma1", [
+    (chorded_ring_model, [0.2, 0.5, 1.0, 0.3, 0.8, 0.6, 0.4]),
+    (complete_graph_model, [0.2, 0.5, 1.0, 0.3]),
+    (chorded_ring_model, [0.2, 0.5, 0.0, 0.3, 0.8, 0.6, 0.4]),
+], ids=["chorded_ring", "complete_graph", "zero_gamma1"])
+def test_edge_residual_matches_the_dense_rows_bit_for_bit(build, gamma1):
+    """The sums over J's edges have the bits of the dense row sums, on
+    unequal out-degrees, on a complete graph, and with masked points. N = 40
+    gives 41 rows, so the last block of rows is short."""
+    model = build()
+    grid = TimeGrid(40)
+    hp = build_h_process(model, np.ones(model.n), np.array(gamma1),
+                         wavy_potential(model, grid), grid)
+    new = discrete_hjb_residual(hp.fk.g, model, hp.V, grid)
+    old = dense_hjb_residual(hp.fk.g, model, hp.V, grid)
+    for a, b in zip(new, old):
+        for field in dataclasses.fields(a):
+            assert np.array_equal(getattr(a, field.name),
+                                  getattr(b, field.name), equal_nan=True)
+    if 0.0 in gamma1:
+        assert not new[0].defined.all()

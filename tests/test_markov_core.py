@@ -5,7 +5,8 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from conftest import path_batch, ring_kernel, two_state_model
+from conftest import (chorded_ring_model, path_batch, ring_kernel,
+                      two_state_model)
 from htlab.errors import (DegenerateInputError, HTLabError,
                           ModelValidationError)
 from htlab.markov_core import (JumpKernel, PathBatch, StateSpace, TimeGrid,
@@ -363,6 +364,23 @@ def test_jump_kernel_validation():
         JumpKernel(np.array([[0.1, 1.0], [1.0, 0.0]]))
     with pytest.raises(DegenerateInputError):
         JumpKernel(np.array([[0.0, 0.0], [1.0, 0.0]]))
+
+
+def test_jump_kernel_edges_are_read_only_and_row_major():
+    """The edge list holds every positive rate, grouped by source and
+    ordered by target within a source (the order of np.nonzero)."""
+    J = chorded_ring_model().J
+    source, target, rate = J.edges
+    assert not any(a.flags.writeable for a in J.edges)
+    with pytest.raises(ValueError):
+        rate[0] = 1.0
+    np.testing.assert_array_equal(np.lexsort((target, source)),
+                                  np.arange(source.size))
+    assert np.all(np.diff(source * J.n + target) > 0)
+    dense = np.zeros_like(J.rates)
+    dense[source, target] = rate
+    np.testing.assert_array_equal(dense, J.rates)
+    assert np.all(rate > 0) and source.size == np.count_nonzero(J.rates)
 
 
 def test_reversible_model_validation():
