@@ -353,8 +353,9 @@ class _ThinningContext:
         """Jump destinations out of x at tau, one per entry, drawn from
         J(x, .) g(tau, .) with g interpolated linearly in the cell.
 
-        The running sum covers x's out-edges only; a dense row would add
-        exact zeros between them, so the same edge is drawn.
+        The running sum covers x's out-edges only. The rest of the row
+        J(x, .) holds exact zeros, so each partial sum, and the edge drawn,
+        is what a running sum over the whole row gives.
         """
         k, a = self._cell(np.atleast_1d(tau))
         x = np.atleast_1d(x)

@@ -106,14 +106,14 @@ def discrete_hjb_residual(g: np.ndarray, model: ReversibleModel,
     source, target, rate = model.J.edges
     finite = np.isfinite(psi)
     # A point is evaluable when psi is finite there and at every jump target.
-    # Every state has an out-edge, so each source opens a reduceat group.
-    firsts = np.flatnonzero(np.diff(source, prepend=-1))
-    defined = finite & ~np.logical_or.reduceat(~finite[:, target], firsts,
+    # Every state has an out-edge, so each state opens a reduceat group.
+    first = np.searchsorted(source, np.arange(n))
+    defined = finite & ~np.logical_or.reduceat(~finite[:, target], first,
                                                axis=1)
 
-    # The jump sums are the dense n x n row sums of before, over the same
-    # zeros: each term is scattered onto its edge in a zeroed buffer, so
-    # the sums have the same bits as the dense J * f(D psi) row sums.
+    # Each weighted term is scattered onto its edge in a zeroed n x n buffer
+    # per row and summed along the row. Summing the edges alone would round
+    # differently; the zeros keep the bits of a dense row sum of J * f(D psi).
     linear, theta_sum, gap = np.full((3, *g.shape), np.nan)
     pairs = source * n + target
     dense = np.zeros((_ROWS_PER_BLOCK, n * n))
