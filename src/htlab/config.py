@@ -19,9 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import yaml
-from yaml.events import (AliasEvent, DocumentStartEvent, MappingEndEvent,
-                         MappingStartEvent, ScalarEvent, SequenceEndEvent,
-                         SequenceStartEvent, StreamEndEvent)
 from yaml.nodes import ScalarNode
 
 from htlab.diffusion1d import Diffusion1DModel, check_window
@@ -38,8 +35,6 @@ DEFAULT_GRID_N = 200
 # except where the two scanners differ: a tab before or inside a flow list
 # (`a:\t[1.0, 2.0]`) loads under libyaml and is a bad_config without it.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-_FLOAT_TAG = "tag:yaml.org,2002:float"
-_STR_TAG = "tag:yaml.org,2002:str"
 
 # A block-mapping line whose whole value is a one-line flow sequence
 # (`  J0: [[0.0, 0.3], [0.3, 0.0]]`), and the numbers in such a sequence
@@ -50,9 +45,10 @@ _NUMBER = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+][0-9]+)?)?"
 # Possessive, so that a match keeps no backtracking state per token.
 _NUMERIC_FLOW = re.compile(rf"(?:[\[\], ]++|{_NUMBER}(?![^\[\], ]))*+")
 _MARK = "_htlab_lifted_list_"  # numbered, it stands in for a lifted value
-# Within one text, equal literals share one float, as in _load_events'
-# scalar cache. One decoder serves every load: a decoder made per load or
-# per list leaves its scanner's blocks on CPython's free lists.
+# Within one text, equal literals share one float, so a matrix's repeated
+# entries (J0's zeros) hold one object each. One decoder serves every load:
+# a decoder made per load or per list leaves its scanner's blocks on
+# CPython's free lists.
 _PARSE_FLOAT = functools.lru_cache(maxsize=None)(float)
 _DECODER = json.JSONDecoder(parse_float=_PARSE_FLOAT)
 
@@ -134,26 +130,6 @@ def _read_tolerance(value, what: str) -> float:
     return tol
 
 
-class _OutsideFastPath(Exception):
-    """The text uses a YAML feature that only the full loader builds."""
-
-
-def _scalar(loader, value: str, implicit):
-    """The object yaml.load builds for an untagged scalar."""
-    tag = loader.resolve(ScalarNode, value, implicit)
-    if tag == _STR_TAG:
-        return value
-    if tag == _FLOAT_TAG:
-        try:
-            return float(value)
-        except ValueError:  # underscores, .inf, .nan, sexagesimal
-            pass
-    constructor = loader.yaml_constructors.get(tag)
-    if constructor is None:  # `<<` merges and `=` values
-        raise _OutsideFastPath
-    return constructor(loader, ScalarNode(tag, value))
-
-
 def _lift_numeric_lists(text: str):
     """(text with marks, {mark: list}): each value that _FLOW_LINE and
     _NUMERIC_FLOW accept is parsed by json and replaced, on its line, by a
@@ -180,114 +156,56 @@ def _lift_numeric_lists(text: str):
     return text, lists
 
 
-def _load_events(text: str):
-    """Build the document straight from the loader's event stream.
-
-    Covers the YAML a config is written in: one document of mappings,
-    sequences and untagged scalars. Scalars take their tags from the
-    loader's own resolver (exact while it has no path resolvers), so the
-    objects equal yaml.load's. A one-line list of plain numbers is read by
-    json instead (_lift_numeric_lists), and its mark, met as a plain
-    scalar, stands for the list. Raises _OutsideFastPath on an anchor, an
-    alias, an explicit tag, a merge key or `=` scalar, an unhashable key, a
-    second document or a mark inside a longer scalar (a lifted line that
-    was part of a block or quoted scalar), which the full loader handles.
-    A scalar that its constructor cannot build is reported, with its line,
-    only once the stream has ended, so that a later syntax error keeps
-    yaml.load's own message.
+def _load_yaml(text: str, path: str, lists: dict):
+    """The loader's document for text, in which each plain scalar that is a
+    mark of lists stands for its list. A mark inside a longer scalar raises
+    KeyError. A scalar that its constructor cannot build (`2001-13-45`,
+    `!!int abc`) is a bad_config naming its line; the whole text is
+    composed first, so a syntax error anywhere is reported instead, as the
+    loader's own message.
     """
-    text, lists = _lift_numeric_lists(text)
-    loader = _YAML_LOADER(text)
-    try:
-        if loader.yaml_path_resolvers:
-            raise _OutsideFastPath
-        get_event = loader.get_event
-        # (value, implicit) -> object, within this text; a mark is a plain
-        # scalar that stands for its lifted list
-        scalars = {(mark, (True, False)): items
-                   for mark, items in lists.items()}
-        frames = [[]]  # items of each open collection, the document first
-        documents = 0
-        unreadable = None  # (line, value, error) of the first such scalar
-        while True:
-            event = get_event()
-            kind = type(event)
-            if kind is ScalarEvent:
-                if event.anchor is not None or event.tag is not None:
-                    raise _OutsideFastPath
-                key = (event.value, event.implicit)
-                try:
-                    value = scalars[key]
-                except KeyError:
-                    if lists and _MARK in event.value:
-                        raise _OutsideFastPath
-                    try:
-                        value = _scalar(loader, *key)
-                    except (TypeError, ValueError) as exc:  # `2001-13-45`
-                        if unreadable is None:
-                            unreadable = (event.start_mark.line + 1,
-                                          event.value, exc)
-                        value = None
-                    scalars[key] = value
-                frames[-1].append(value)
-            elif kind is SequenceStartEvent or kind is MappingStartEvent:
-                if event.anchor is not None or event.tag is not None:
-                    raise _OutsideFastPath
-                frames.append([])
-            elif kind is SequenceEndEvent:
-                items = frames.pop()
-                frames[-1].append(items)
-            elif kind is MappingEndEvent:
-                items = frames.pop()
-                try:  # later duplicate keys win, as in yaml.load
-                    mapping = dict(zip(items[0::2], items[1::2]))
-                except TypeError:  # an unhashable key
-                    raise _OutsideFastPath from None
-                frames[-1].append(mapping)
-            elif kind is DocumentStartEvent:
-                documents += 1
-                if documents > 1:
-                    raise _OutsideFastPath
-            elif kind is AliasEvent:
-                raise _OutsideFastPath
-            elif kind is StreamEndEvent:
-                break
-    finally:
-        loader.dispose()
-    if unreadable is not None:
-        line, value, exc = unreadable
-        raise ModelValidationError(f"config value cannot be read: line {line}:"
-                                   f" {value!r}: {exc}", reason="bad_config")
-    return frames[0][0] if frames[0] else None
-
-
-def _load_full(text: str, path: str):
-    """yaml.load on the text, naming the file in its error messages."""
     stream = io.StringIO(text)
     stream.name = path
+    loader = _YAML_LOADER(stream)
+    construct = loader.construct_object
+
+    def construct_object(node, deep=False):
+        if not isinstance(node, ScalarNode):
+            return construct(node, deep)
+        if lists and _MARK in node.value:
+            return lists[node.value]
+        try:
+            return construct(node, deep)
+        except (TypeError, ValueError) as exc:
+            raise ModelValidationError(
+                f"config value cannot be read: line {node.start_mark.line + 1}"
+                f": {node.value!r}: {exc}", reason="bad_config") from None
+
+    loader.construct_object = construct_object
     try:
-        return yaml.load(stream, Loader=_YAML_LOADER)
+        return loader.get_single_data()
     except yaml.YAMLError as exc:
         raise ModelValidationError(f"config is not valid YAML: {exc}",
                                    reason="bad_config") from exc
-    except (TypeError, ValueError) as exc:  # e.g. `!!int abc`, `2001-13-45`
-        raise ModelValidationError(f"config value cannot be read: {exc}",
-                                   reason="bad_config") from exc
+    finally:
+        loader.dispose()
+        del loader.construct_object  # it refers back to the loader
 
 
 def load_config(path: str) -> RunConfig:
     """Read and structurally validate a YAML config file.
 
-    The event-stream builder reads the usual config; any input outside its
-    subset, and any input it cannot read, goes to yaml.load, so those get
-    exactly yaml.load's objects and errors.
+    The loader reads the text with its numeric lists lifted out. If that
+    fails, or a mark lands inside a longer scalar, it reads the original
+    text instead, so such inputs get exactly its objects and errors.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
+    lifted, lists = _lift_numeric_lists(text)
     try:
-        raw = _load_events(text)
-    except (_OutsideFastPath, yaml.YAMLError, TypeError, ValueError):
-        raw = _load_full(text, path)
+        raw = _load_yaml(lifted, path, lists)
+    except (ModelValidationError, KeyError):
+        raw = _load_yaml(text, path, {})
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):

@@ -348,12 +348,14 @@ def test_malformed_yaml_is_a_config_error(tmp_path, capsys):
     assert "reason=bad_config" in capsys.readouterr().err
 
 
-# YAML constructors that raise ValueError: explicit tags take yaml.load, the
-# bad date is an implicit timestamp the event-stream builder meets first and
-# names with its line, unless the YAML after it does not parse.
+# YAML constructors that raise ValueError, on an explicit tag or on an
+# implicit timestamp: the value is named with its line, unless the YAML
+# after it does not parse.
 @pytest.mark.parametrize("value,tail,message", [
-    ("!!int abc", "", "config value cannot be read: "),
-    ("!!float x", "", "config value cannot be read: "),
+    ("!!int abc", "", "config value cannot be read: line 12: 'abc': "
+     "invalid literal for int()"),
+    ("!!float x", "", "config value cannot be read: line 12: 'x': "
+     "could not convert string to float"),
     ("2001-13-45", "", "config value cannot be read: line 12: '2001-13-45': "
      "month must be in 1..12"),
     ("2001-13-45", "extra: [1, 2\n", "config is not valid YAML: "),

@@ -9,7 +9,6 @@ import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from yaml.events import ScalarEvent
 
 from htlab import config
 from htlab.config import (DEFAULT_GRID_N, RunConfig, build_model_from_config,
@@ -220,9 +219,11 @@ def test_loader_matches_pure_python_safe_loader(tmp_path, text):
 
 
 # Model keys are checked only when the model is built, so any mapping can
-# stand under `model:` in a loaded config. Fast-path inputs are built from
-# the event stream; fallback inputs take yaml.load.
-FAST_PATH_CORPUS = {
+# stand under `model:` in a loaded config. Each corpus entry must load to
+# exactly the object yaml.load builds, under both loaders: scalars of every
+# resolver kind, and anchors, aliases, tags and merges, also beside a lifted
+# list, a cycle included.
+SCALAR_CORPUS = {
     "quoted_numbers": "a: '1.5'\nb: \"2\"\nc: '1.0e+3'\nd: '~'\n",
     "underscores": "a: 1_000.5\nb: 1__0.5\nc: 10_.5\nd: 1_000\ne: -_1.5\n",
     "special_floats": "a: .inf\nb: -.Inf\nc: .nan\nd: +.INF\ne: [.NaN, 1.]\n",
@@ -240,7 +241,7 @@ FAST_PATH_CORPUS = {
     "block_scalars": "a: |\n  1.5\n  two\nb: >\n  folded\n  text\n",
     "repeated_values": "a: [0.0, 0.0, 1.5, 0.0, '0.0', 0.0]\nb: 0.0\n",
 }
-FALLBACK_CORPUS = {
+ANCHOR_AND_TAG_CORPUS = {
     "anchor_alias": "a: &x [1, 2.5]\nb: *x\n",
     "anchor_only": "a: &x 1.5\n",
     "merge": "base: &b {x: 1}\nderived:\n  <<: *b\n  y: 2\n",
@@ -249,20 +250,36 @@ FALLBACK_CORPUS = {
     "explicit_float": "a: !!float 1\n",
     "explicit_collection": "a: !!seq [1]\nb: !!map {c: 2}\n",
     "value_key": "=: 1\n",
+    "cycle_beside_lifted": "a: &x\n  - *x\nb: [1.0, 2.0]\n",
+    "alias_of_lifted": ("m: &m\n  c: [1.0, 2.0]\n  d: 0.5\nn: *m\n"
+                        "o: [[3.5], []]\np: *m\n"),
 }
+# Texts the loader refuses, with the message it gives on the original text.
+# The last two are refused on the lifted text too, with other messages.
 ERROR_CORPUS = {
     "two_documents": "model: {}\n---\nmodel: {}\n",
     "list_as_key": "model:\n  ? [1, 2]\n  : x\n",
+    "indent_after_lifted": "model:\n  a: [1.0, 2.0]\n   b: 1\n",
+    "tab_after_lifted": "model:\n  a: [1.0, 2.0]\n\tb: 1\n",
 }
 
 
-def _exact(obj):
+def _exact(obj, seen=None):
     """obj with every scalar typed and every float as its 8 bytes, so that
-    == on the result is exact (NaN payloads, -0.0, key order)."""
+    == on the result is exact (NaN payloads, -0.0, key order). A list or
+    dict met again (an alias, or a cycle) is written as the number of its
+    first visit, so shared structure must match too."""
+    if seen is None:
+        seen = {}
+    if isinstance(obj, (dict, list)):
+        if id(obj) in seen:
+            return ["seen", seen[id(obj)]]
+        seen[id(obj)] = len(seen)
     if isinstance(obj, dict):
-        return ["dict", [(_exact(k), _exact(v)) for k, v in obj.items()]]
+        return ["dict", [(_exact(k, seen), _exact(v, seen))
+                         for k, v in obj.items()]]
     if isinstance(obj, list):
-        return ["list", [_exact(v) for v in obj]]
+        return ["list", [_exact(v, seen) for v in obj]]
     if isinstance(obj, float):
         return ["float", struct.pack("<d", obj)]
     return [type(obj).__name__, obj]
@@ -281,63 +298,40 @@ def loader(request, monkeypatch):
     return request.param
 
 
-def _yaml_load_spy(monkeypatch, allowed: bool):
-    """Count calls to yaml.load; make it raise unless allowed."""
-    calls = []
-    real = yaml.load
-
-    def spy(*args, **kwargs):
-        calls.append(args)
-        if not allowed:
-            raise AssertionError("yaml.load reached")
-        return real(*args, **kwargs)
-    monkeypatch.setattr(yaml, "load", spy)
-    return calls
-
-
-@pytest.mark.parametrize("name", sorted(FAST_PATH_CORPUS))
-def test_event_loader_matches_safe_loader(tmp_path, monkeypatch, loader,
-                                          name):
-    text = _as_model(FAST_PATH_CORPUS[name])
+@pytest.mark.parametrize("name", sorted(SCALAR_CORPUS))
+def test_event_loader_matches_safe_loader(tmp_path, loader, name):
+    text = _as_model(SCALAR_CORPUS[name])
     expected = yaml.load(text, Loader=yaml.SafeLoader)["model"]
-    _yaml_load_spy(monkeypatch, allowed=False)
     got = load_config(write(tmp_path, text)).model
     assert _exact(got) == _exact(expected)
     if name != "special_floats":  # NaN != NaN
         assert got == expected
 
 
-@pytest.mark.parametrize("name", sorted(FALLBACK_CORPUS))
-def test_fallback_inputs_take_yaml_load(tmp_path, monkeypatch, loader, name):
-    text = _as_model(FALLBACK_CORPUS[name])
+@pytest.mark.parametrize("name", sorted(ANCHOR_AND_TAG_CORPUS))
+def test_fallback_inputs_take_yaml_load(tmp_path, loader, name):
+    text = _as_model(ANCHOR_AND_TAG_CORPUS[name])
     expected = yaml.load(text, Loader=yaml.SafeLoader)["model"]
-    calls = _yaml_load_spy(monkeypatch, allowed=True)
     got = load_config(write(tmp_path, text)).model
-    assert calls, "the input should have left the event-stream builder"
-    assert got == expected and _exact(got) == _exact(expected)
+    assert _exact(got) == _exact(expected)
 
 
 @pytest.mark.parametrize("name", sorted(ERROR_CORPUS))
 def test_unloadable_inputs_stay_config_errors(tmp_path, loader, name):
+    path = write(tmp_path, ERROR_CORPUS[name])
+    with open(path, encoding="utf-8") as fh, \
+            pytest.raises(yaml.YAMLError) as expected:
+        yaml.load(fh, Loader=config._YAML_LOADER)
     with pytest.raises(ModelValidationError) as info:
-        load_config(write(tmp_path, ERROR_CORPUS[name]))
+        load_config(path)
     assert info.value.reason == "bad_config"
-
-
-def test_generated_config_never_reaches_yaml_load(tmp_path, monkeypatch):
-    text = generated_jump_yaml()
-    expected = yaml.load(text, Loader=yaml.SafeLoader)
-    _yaml_load_spy(monkeypatch, allowed=False)
-    cfg = load_config(write(tmp_path, text))
-    assert _exact(cfg.transform) == _exact(expected["transform"])
-    anchored = text.replace("  m0: 1.0", "  m0: &m 1.0")
-    with pytest.raises(AssertionError, match="yaml.load reached"):
-        load_config(write(tmp_path, anchored))
+    assert str(info.value) == f"config is not valid YAML: {expected.value}"
 
 
 # A one-line flow sequence of plain numbers as a block-mapping value is read
-# by json, not from the event stream, when each number is one that YAML 1.1
-# and JSON read alike. Lines of the second corpus stay on the event stream.
+# by json, and the loader meets a mark in its place, when each number is one
+# that YAML 1.1 and JSON read alike. Lines of the second corpus are left to
+# the loader.
 LIFTED_CORPUS = {
     "nested": "a: [[0.0, 0.3, 1.5], [0.3, 0.0, -2.25], [], [[7]]]\n",
     "negative_zero": "a: [-0.0, 0.0, -0, 0]\n",
@@ -346,7 +340,7 @@ LIFTED_CORPUS = {
     "no_spaces": "a: [1.5,2,[-0.25,3.0e-8]]\n",
     "trailing_spaces": "a: [1.5, 2.5]   \nb: [0.5]  \n",
 }
-EVENT_STREAM_CORPUS = {
+UNLIFTED_CORPUS = {
     "yaml11_strings": "a: [1e-05]\nb: [1.0e5]\n",
     "other_yaml_floats": "a: [1.]\nb: [+1.0]\nc: [01.0]\n",
     "not_json": "a: [1.0 2.0]\nb: [1.0, ]\n",
@@ -354,27 +348,14 @@ EVENT_STREAM_CORPUS = {
     "tabs": "a:\t[1.0, 2.0]\nb: [1.0,\t2.0]\n",
 }
 # Lines that look like numeric lists but sit inside other YAML, and whether
-# the file then takes yaml.load.
+# a mark then lands inside a longer scalar, so that the original text is
+# loaded instead.
 MARK_CORPUS = {
     "block_scalar": ("a: |\n  b: [1.0, 2.0]\nc: [3.0]\n", True),
     "quoted_string": ('a: "x\n  b: [1.0, 2.0]\n  y"\nc: [3.0]\n', True),
     "flow_mapping": ("a: {b: 1,\n  c: [1.0, 2.0]\n  }\nd: [3.0]\n", False),
     "mark_in_file": (f"a: {config._MARK}0\nb: [1.0, 2.0]\n", False),
 }
-
-
-def _scalar_events(monkeypatch):
-    """Record the value of each ScalarEvent the loader in use emits."""
-    seen = []
-
-    class Recording(config._YAML_LOADER):
-        def get_event(self):
-            event = super().get_event()
-            if isinstance(event, ScalarEvent):
-                seen.append((event.start_mark.line, event.value))
-            return event
-    monkeypatch.setattr(config, "_YAML_LOADER", Recording)
-    return seen
 
 
 def _yaml_load_model(text):
@@ -399,54 +380,46 @@ def _assert_loads_as(tmp_path, text, expected):
 
 
 @pytest.mark.parametrize("name", sorted(LIFTED_CORPUS))
-def test_numeric_lists_are_lifted(tmp_path, monkeypatch, loader, name):
+def test_numeric_lists_are_lifted(tmp_path, loader, name):
     text = _as_model(LIFTED_CORPUS[name])
-    expected = _yaml_load_model(text)
-    _yaml_load_spy(monkeypatch, allowed=False)
-    seen = _scalar_events(monkeypatch)
-    _assert_loads_as(tmp_path, text, expected)
+    _assert_loads_as(tmp_path, text, _yaml_load_model(text))
     keys = [line.split(":")[0].strip() for line in text.splitlines()[1:]]
-    assert [value for _, value in seen] == ["model", *(
-        value for i, key in enumerate(keys)
-        for value in (key, f"{config._MARK}{i}"))]
+    lifted, lists = config._lift_numeric_lists(text)
+    assert lifted == "model:\n" + "".join(
+        f"  {key}: {config._MARK}{i}\n" for i, key in enumerate(keys))
+    assert list(lists) == [f"{config._MARK}{i}" for i in range(len(keys))]
 
 
-@pytest.mark.parametrize("name", sorted(EVENT_STREAM_CORPUS))
-def test_other_lists_take_the_event_stream(tmp_path, monkeypatch, loader,
-                                           name):
-    text = _as_model(EVENT_STREAM_CORPUS[name])
-    expected = _yaml_load_model(text)
-    _yaml_load_spy(monkeypatch, allowed=expected is None)
-    seen = _scalar_events(monkeypatch)
-    _assert_loads_as(tmp_path, text, expected)
-    if expected is not None:  # the key and at least one item per list
-        assert len(seen) >= 2 * len(text.splitlines()) - 1
-        assert not any(config._MARK in value for _, value in seen)
+@pytest.mark.parametrize("name", sorted(UNLIFTED_CORPUS))
+def test_other_lists_take_the_event_stream(tmp_path, loader, name):
+    text = _as_model(UNLIFTED_CORPUS[name])
+    _assert_loads_as(tmp_path, text, _yaml_load_model(text))
     assert config._lift_numeric_lists(text) == (text, {})
 
 
 @pytest.mark.parametrize("name", sorted(MARK_CORPUS))
-def test_marks_outside_plain_values(tmp_path, monkeypatch, loader, name):
-    text = _as_model(MARK_CORPUS[name][0])
-    expected = _yaml_load_model(text)
-    calls = _yaml_load_spy(monkeypatch, allowed=True)
-    _assert_loads_as(tmp_path, text, expected)
-    assert bool(calls) == MARK_CORPUS[name][1]
+def test_marks_outside_plain_values(tmp_path, loader, name):
+    text, inside = MARK_CORPUS[name]
+    text = _as_model(text)
+    _assert_loads_as(tmp_path, text, _yaml_load_model(text))
+    lifted, lists = config._lift_numeric_lists(text)
+    assert len(lists) == (0 if name == "mark_in_file" else 2)
+    if inside:
+        with pytest.raises(KeyError):
+            config._load_yaml(lifted, "run.yaml", lists)
 
 
-def test_crlf_lines_are_lifted_after_newline_translation(tmp_path,
-                                                         monkeypatch):
+def test_crlf_lines_are_lifted_after_newline_translation(tmp_path):
     """load_config reads in text mode, so CRLF ends arrive as LF; a CR left
-    before a line end would keep the line on the event stream."""
+    before a line end would keep the line from being lifted."""
     text = "model:\r\n  a: [1.0, 2]\r\n  b: [[0.5], []]\r\n"
     path = tmp_path / "crlf.yaml"
     path.write_bytes(text.encode("utf-8"))
     expected = yaml.load(text, Loader=yaml.SafeLoader)["model"]
-    _yaml_load_spy(monkeypatch, allowed=False)
-    seen = _scalar_events(monkeypatch)
     assert _exact(load_config(str(path)).model) == _exact(expected)
-    assert [value for _, value in seen] == [
-        "model", "a", f"{config._MARK}0", "b", f"{config._MARK}1"]
+    lifted, _ = config._lift_numeric_lists(text.replace("\r\n", "\n"))
+    assert lifted == (f"model:\n  a: {config._MARK}0\n"
+                      f"  b: {config._MARK}1\n")
     assert config._lift_numeric_lists(text) == (text, {})
 
 
@@ -488,32 +461,28 @@ LIST_KEYS = ("J0", "V", "U", "f0", "gamma1", "mu0", "mu1")
 
 def test_config_lists_never_reach_the_event_stream(tmp_path, monkeypatch):
     """On a generated config and the benchmark's seed-11 jump-dense config,
-    each line of J0, V, U, f0, gamma1, mu0 and mu1 gives the event stream
-    its key and a mark only, and yaml.load is never reached."""
+    each line of J0, V, U, f0, gamma1, mu0 and mu1 is lifted, so the loader
+    meets its key and a mark only, and every section equals yaml.load's."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     workloads = importlib.import_module("workloads")
     dense = workloads.write_config("jump-dense", 11, str(tmp_path / "bench"))
     texts = [generated_jump_yaml(),
              pathlib.Path(dense).read_text(encoding="utf-8")]
-    expected_sections = [yaml.load(text, Loader=yaml.SafeLoader)
-                         for text in texts]
-    _yaml_load_spy(monkeypatch, allowed=False)
-    seen = _scalar_events(monkeypatch)
-    for text, expected in zip(texts, expected_sections):
-        seen.clear()
+    for text in texts:
+        expected = yaml.load(text, Loader=yaml.SafeLoader)
         cfg = load_config(write(tmp_path, text))
         for name in SECTIONS:
             assert _exact(getattr(cfg, name)) == _exact(expected.get(name,
                                                                       {}))
-        keys = [line.split(":")[0].strip() for line in text.splitlines()]
-        by_key = {}
-        for line, value in seen:
-            if keys[line] in LIST_KEYS:
-                by_key.setdefault(keys[line], []).append(value)
-        assert sorted(by_key) == sorted(LIST_KEYS)
-        for key, values in by_key.items():
-            assert len(values) == 2 and values[0] == key
-            assert values[1].startswith(config._MARK)
+        lifted, lists = config._lift_numeric_lists(text)
+        values = {}
+        for line in lifted.splitlines():
+            key, _, value = line.strip().partition(": ")
+            if key in LIST_KEYS:
+                values.setdefault(key, []).append(value)
+        assert sorted(values) == sorted(LIST_KEYS)
+        assert all(len(found) == 1 and found[0] in lists
+                   for found in values.values())
 
 
 def test_generated_config_parses_floats(tmp_path):
