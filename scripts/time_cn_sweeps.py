@@ -14,8 +14,10 @@ and `solve_f_pde` for each V, and for each V those of
 `build_diffusion_transform` (both sweeps, with V checked once) and of
 `DiffusionTransform.f_rows` on the mid-grid row that resumes the forward
 sweep for the most steps (B - 1 from the stored row below N/2, for
-B = `h_transform._BLOCK_ROWS`); run it at two checkouts to compare their
-sweeps.
+B = `h_transform._BLOCK_ROWS`). Last it prints that of
+`empirical_vs_fk_marginal` on the transform with the V constant in time:
+Euler-Maruyama with 5,000 paths to t = 0.5, the `diffusion-cn` sampling.
+Run it at two checkouts to compare their sweeps and samplers.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from htlab.markov_core import (JumpKernel, StateSpace, TimeGrid,  # noqa: E402
                                build_metropolis)
 
 M, N, REPEATS = 1024, 2000, 3
+EM_PATHS, EM_T = 5000, 0.5
 JUMP_SIZES, JUMP_N = (100, 400), 200
 
 
@@ -96,6 +99,12 @@ def main() -> int:
         row = N // 2 - N // 2 % _BLOCK_ROWS + _BLOCK_ROWS - 1
         seconds = _best(lambda: tr.f_rows(row))
         print(f"f_rows({row}) {name} {seconds:.4f} s", flush=True)
+        if name == "constant":
+            sampled = tr
+    seconds = _best(lambda: diffusion1d.empirical_vs_fk_marginal(
+        sampled, EM_T, EM_PATHS, 1))
+    print(f"empirical_vs_fk_marginal paths={EM_PATHS} t={EM_T} constant "
+          f"{seconds:.4f} s", flush=True)
     return 0
 
 

@@ -347,21 +347,26 @@ def cmd_diffusion(cfg: RunConfig, args) -> int:
     f0, gamma1, V = transform_pieces(cfg, model, grid)
     times = _check_times(cfg, (0.0, 0.25, 0.5, 0.75))
     indices = [grid.node_index(t) for t in times]
-    sampling = None
+    sampling, rows = None, indices
     if "n_paths" in cfg.sampling:
         sampling = (_read(float, cfg.sampling.get("t", 0.5), "sampling.t"),
                     _read_int(cfg.sampling["n_paths"], "sampling.n_paths"),
                     cfg.require_seed())
         diffusion1d._require_paths(sampling[1])
-        grid.node_index(sampling[0])
+        rows = indices + [grid.node_index(sampling[0])]
     tr = diffusion1d.build_diffusion_transform(model, V, f0, gamma1, grid)
+    # one f_rows call resumes the forward sweep once per stored row, for the
+    # CSV's rows and the sampled one together
+    f = tr.f_rows(rows)
     lines = [f"normalization_c={tr.c!r}",
              f"clipped_nodes={tr.clipped_nodes}"]
     if sampling is not None:
-        tv = diffusion1d.empirical_vs_fk_marginal(tr, *sampling)
+        masses = f[-1] * tr.fk.g[rows[-1]] * tr.m  # marginal(tr, t)'s bits
+        tv = diffusion1d.empirical_vs_fk_marginal(tr, *sampling,
+                                                  masses=masses)
         lines.append(f"empirical_tv={tv!r}")
     for name, values in [("diffusion_g.csv", tr.fk.g[indices]),
-                         ("diffusion_f.csv", tr.f_rows(indices)),
+                         ("diffusion_f.csv", f[:len(indices)]),
                          ("diffusion_drift.csv", tr.drift_rows(indices))]:
         write_csv(os.path.join(args.out, name),
                   {"t": np.repeat(times, len(model.xs)),

@@ -399,6 +399,11 @@ def _reflect(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return y
 
 
+# Below this size a row with finite slopes interpolates to finite values: an
+# interior value is at most |row[j]| + |row[j + 1]| + |row[j]| plus rounding.
+_SAFE_ROW_SIZE = np.finfo(float).max / 4.0
+
+
 class _DriftField:
     """Drift evaluation with linear interpolation in space and time.
 
@@ -416,6 +421,11 @@ class _DriftField:
     - NaN x gives NaN, and a NaN value from an infinite row entry is
       retried from the right end of the cell, as np.interp does.
 
+    A row is safe when its slopes are finite (so its values are) and its
+    values are below _SAFE_ROW_SIZE in size. No value interpolated on a safe
+    row at finite x is NaN or infinite, so the NaN retry and the masked-drift
+    guard are skipped there.
+
     `rows(block)` returns the drift on a slice of the time nodes 0..N (a
     transform's drift_rows, or an explicit array's __getitem__); None is
     the reference drift -U'. The field keeps one block of rows
@@ -427,55 +437,73 @@ class _DriftField:
         self.xs = xs = model.xs
         self.x_min, self.inv_dx, self.M = model.x_min, 1.0 / model.dx, model.M
         self.widths = np.diff(xs)
-        # x <= node_max[j] marks node hits, x < xs[0] (j = 0) and
-        # x >= xs[-1] (j = M)
-        self.node_max = xs.copy()
-        self.node_max[-1] = np.inf
         self.rows, self.N = rows, N
         self.block_start, self.block = -1, None
         if rows is None:
             self.static = -model.U_prime
             self.static_slopes = self._slopes(self.static)
+            self.static_safe = self._safe(self.static, self.static_slopes)
 
     def _slopes(self, row: np.ndarray) -> np.ndarray:
         """Per-interval slopes, padded with a 0 for the right end (j = M)."""
+        slopes = np.zeros(self.M + 1)
+        inner = slopes[:-1]
         with np.errstate(all="ignore"):  # inf - inf is NaN, as in np.interp
-            return np.append(np.diff(row) / self.widths, 0.0)
+            np.subtract(row[1:], row[:-1], out=inner)
+            inner /= self.widths
+        return slopes
 
-    def _interp(self, x: np.ndarray, row: np.ndarray,
-                slopes: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _safe(row: np.ndarray, slopes: np.ndarray) -> bool:
+        """Whether the row is safe (see the class docstring); NaN fails both
+        comparisons."""
+        return bool(np.abs(row).max() < _SAFE_ROW_SIZE
+                    and np.abs(slopes).max() < np.inf)
+
+    def _interp(self, x: np.ndarray, row: np.ndarray, slopes: np.ndarray,
+                safe: bool = False) -> np.ndarray:
         # in-place steps keep few path-sized temporaries alive at once
         xs = self.xs
         # far or infinite x would warn where np.interp stays silent
         with np.errstate(all="ignore"):
             s = x - self.x_min
             s *= self.inv_dx
-            np.floor(s, out=s)
             np.fmax(s, 0.0, out=s)  # NaN x maps to cell 0, stays NaN below
             np.fmin(s, self.M - 1, out=s)
-            j = s.astype(np.intp)
-            # where= steps, since j -= bool_mask buffers a cast per call
-            np.subtract(j, 1, out=j, where=x < xs[j])
-            np.add(j, 1, out=j, where=xs[1:][j] <= x)
-            np.maximum(j, 0, out=j)
-            out = np.subtract(x, xs[j], out=s)
-            out *= slopes[j]
-            node = x <= self.node_max[j]
-            row_j = row[j]
+            j = s.astype(np.intp)  # truncation is the floor on [0, M - 1]
+            xj = xs.take(j)
+            below = x < xj
+            # x < xs[j] rules out xs[j+1] <= x, so the unmoved j serves both
+            above = xs[1:].take(j) <= x
+            if below.any() or above.any():
+                # where= steps, since j -= bool_mask buffers a cast per call
+                np.subtract(j, 1, out=j, where=below)
+                np.add(j, 1, out=j, where=above)
+                np.maximum(j, 0, out=j)
+                xj = xs.take(j)
+                node = x <= xj
+                node |= j == self.M
+            else:  # no x is off its cell, and j < M
+                node = x <= xj
+            out = np.subtract(x, xj, out=s)
+            out *= slopes.take(j)
+            row_j = row.take(j)
             out += row_j
-            retry = np.isnan(out)
-            if retry.any():
-                i = np.flatnonzero(retry & (xs[j] < x) & (j < self.M))
-                ji = j[i]
-                y = slopes[ji] * (x[i] - xs[ji + 1]) + row[ji + 1]
-                out[i] = np.where(np.isnan(y) & (row[ji] == row[ji + 1]),
-                                  row[ji], y)
+            if not safe:
+                retry = np.isnan(out)
+                if retry.any():
+                    i = np.flatnonzero(retry & (xj < x) & (j < self.M))
+                    ji = j[i]
+                    y = slopes[ji] * (x[i] - xs[ji + 1]) + row[ji + 1]
+                    out[i] = np.where(np.isnan(y) & (row[ji] == row[ji + 1]),
+                                      row[ji], y)
         np.copyto(out, row_j, where=node)
         return out
 
     def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
         if self.rows is None:
-            return self._interp(x, self.static, self.static_slopes)
+            return self._interp(x, self.static, self.static_slopes,
+                                self.static_safe)
         N = self.N
         s = min(max(t, 0.0), 1.0) * N
         k = min(int(np.floor(s)), N - 1)
@@ -487,14 +515,17 @@ class _DriftField:
                                          start + _BLOCK_ROWS + 1))
             self.block_start = start
         i = k - start
-        # masked (NaN) nodes are tolerated as long as no path needs them, so
-        # the finiteness guard applies to the interpolated values only
         if a == 0.0:
             row = self.block[i]
         else:
             row = (1.0 - a) * self.block[i] + a * self.block[i + 1]
-        out = self._interp(x, row, self._slopes(row))
-        if not np.isfinite(out).all():
+        slopes = self._slopes(row)
+        safe = self._safe(row, slopes)
+        out = self._interp(x, row, slopes, safe)
+        # masked (NaN) nodes are tolerated as long as no path needs them, so
+        # the finiteness guard applies to the interpolated values only; x is
+        # finite, so a safe row gives finite values
+        if not safe and not np.isfinite(out).all():
             raise PositivityError("a path reached a region where the drift "
                                   "field is masked", reason="masked_drift")
         return out
@@ -507,44 +538,58 @@ def _require_paths(n_paths: int):
                                    reason="empty_request")
 
 
-def _em_positions(model: Diffusion1DModel, n_paths: int, seed, steps: int,
-                  field: _DriftField, x0, initial_masses, t_end: float):
-    """Yield the positions at t = 0 and after each of the `steps` steps.
-
-    The start is checked before anything is drawn.
-    """
+def _em_start(model: Diffusion1DModel, n_paths: int, rng, x0,
+              initial_masses) -> np.ndarray:
+    """The start positions: x0, checked before anything is drawn, or draws
+    from the node masses."""
     lo, hi = model.x_min, model.x_max
-    width = hi - lo
-    rng = np.random.default_rng(seed)
     if initial_masses is not None:
         cdf = np.cumsum(weight_on_nodes(initial_masses, model.M + 1,
                                         "initial masses", "bad_initial"))
         idx = np.searchsorted(cdf, rng.random(n_paths) * cdf[-1], side="right")
-        x = model.xs[np.minimum(idx, model.M)]
-    elif x0 is None:
+        return model.xs[np.minimum(idx, model.M)]
+    if x0 is None:
         raise ModelValidationError("need x0 or initial masses",
                                    reason="missing_initial")
-    else:
-        x0 = np.array(x0, dtype=float)
-        if x0.shape not in ((), (n_paths,)):
-            raise ModelValidationError("x0 must be a scalar or one value per "
-                                       "path", reason="dimension_mismatch")
-        if not np.all((x0 >= lo) & (x0 <= hi)):  # NaN fails both
-            raise ModelValidationError("x0 must be finite and inside the "
-                                       "model window", reason="bad_initial")
-        x = np.full(n_paths, x0)
+    x0 = np.array(x0, dtype=float)
+    if x0.shape not in ((), (n_paths,)):
+        raise ModelValidationError("x0 must be a scalar or one value per "
+                                   "path", reason="dimension_mismatch")
+    if not np.all((x0 >= lo) & (x0 <= hi)):  # NaN fails both
+        raise ModelValidationError("x0 must be finite and inside the "
+                                   "model window", reason="bad_initial")
+    return np.full(n_paths, x0)
+
+
+def _em_positions(model: Diffusion1DModel, n_paths: int, seed, steps: int,
+                  field: _DriftField, x0, initial_masses, t_end: float):
+    """Yield the positions at t = 0 and after each of the `steps` steps."""
+    lo, hi = model.x_min, model.x_max
+    width = hi - lo
+    rng = np.random.default_rng(seed)
+    # the draw's temporaries end with _em_start, before the steps begin
+    x = _em_start(model, n_paths, rng, x0, initial_masses)
     yield x
     dt = t_end / max(steps, 1)  # steps = 0 yields the initial draw only
     sqrt_dt = np.sqrt(dt)
     for k in range(steps):
-        t = k * dt
-        x = x + field(t, x) * dt + sqrt_dt * rng.standard_normal(n_paths)
+        # x + drift dt + sqrt(dt) z in place: IEEE + and * commute, so the
+        # bits are those of that expression
+        step = field(k * dt, x)
+        step *= dt
+        step += x
+        z = rng.standard_normal(n_paths)
+        z *= sqrt_dt
+        step += z
         # fmin/fmax skip NaN, as the comparisons do
-        if np.fmin.reduce(x) < lo - width or np.fmax.reduce(x) > hi + width:
+        if (np.fmin.reduce(step) < lo - width
+                or np.fmax.reduce(step) > hi + width):
             raise ModelValidationError(
                 "a path escaped the padded domain; drift and step size are "
                 "inconsistent with the model window", reason="path_escaped")
-        x = _reflect(x, lo, hi)
+        x = _reflect(step, lo, hi)
+        # only x stays alive into the next lookup, which may form a block
+        del step, z
         yield x
 
 
@@ -588,13 +633,15 @@ def sample_em_paths(model: Diffusion1DModel, n_paths: int, seed,
 
 
 def empirical_vs_fk_marginal(transform: DiffusionTransform, t: float,
-                             n_paths: int, seed) -> float:
+                             n_paths: int, seed, *,
+                             masses: np.ndarray | None = None) -> float:
     """Total variation between sampled and solved marginals at time t.
 
     Paths start from the transformed initial law and move with the
     transformed drift; node masses of f g m are aggregated onto the same
     equal-width bins as the path histogram. There are min(_TV_BINS, M) bins,
-    so every bin holds at least one node.
+    so every bin holds at least one node. masses is marginal(transform, t)
+    when the caller already has it, which spares a resumed forward sweep.
     """
     _require_paths(n_paths)
     model, grid = transform.model, transform.grid
@@ -607,7 +654,8 @@ def empirical_vs_fk_marginal(transform: DiffusionTransform, t: float,
         pass  # only the positions at time t are kept
     hist, _ = np.histogram(positions, bins=edges)
     empirical = hist / n_paths
-    masses = marginal(transform, t)
+    if masses is None:
+        masses = marginal(transform, t)
     which = np.clip(np.searchsorted(edges, model.xs, side="right") - 1,
                     0, bins - 1)
     target = np.bincount(which, weights=masses, minlength=bins)

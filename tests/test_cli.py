@@ -247,6 +247,23 @@ def test_diffusion_outputs(diffusion_config, tmp_path):
     assert "empirical_tv=" in summary
 
 
+def test_diffusion_resumes_the_forward_sweep_once(diffusion_config, tmp_path,
+                                                  monkeypatch):
+    """The sampled row t = 0.5 (node 100 of N = 200) is also a CSV row; its
+    f is resumed once from stored node 64, for the CSV and the sampled
+    marginal together."""
+    sweeps = []
+    forward = diffusion1d._forward_steps
+
+    def spy(model, Vg, f, dt):
+        sweeps.append(len(Vg))
+        return forward(model, Vg, f, dt)
+    monkeypatch.setattr(diffusion1d, "_forward_steps", spy)
+    assert run("diffusion", diffusion_config, tmp_path / "out") == 0
+    # a stored row is read through a sweep of one V row, which takes no step
+    assert [n for n in sweeps if n > 1] == [201, 37]  # all rows, 64..100
+
+
 @pytest.mark.parametrize("n_paths", ["0", "-5"])
 def test_diffusion_empty_path_count_is_rejected(tmp_path, capsys, n_paths):
     cfg = tmp_path / "empty.yaml"

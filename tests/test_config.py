@@ -300,6 +300,7 @@ def loader(request, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(SCALAR_CORPUS))
 def test_event_loader_matches_safe_loader(tmp_path, loader, name):
+    """Plain scalars load as yaml.load gives them, to the type and sign."""
     text = _as_model(SCALAR_CORPUS[name])
     expected = yaml.load(text, Loader=yaml.SafeLoader)["model"]
     got = load_config(write(tmp_path, text)).model
@@ -310,6 +311,8 @@ def test_event_loader_matches_safe_loader(tmp_path, loader, name):
 
 @pytest.mark.parametrize("name", sorted(ANCHOR_AND_TAG_CORPUS))
 def test_fallback_inputs_take_yaml_load(tmp_path, loader, name):
+    """Anchors, aliases and tags load as yaml.load gives them, beside a
+    lifted list too."""
     text = _as_model(ANCHOR_AND_TAG_CORPUS[name])
     expected = yaml.load(text, Loader=yaml.SafeLoader)["model"]
     got = load_config(write(tmp_path, text)).model
@@ -392,6 +395,8 @@ def test_numeric_lists_are_lifted(tmp_path, loader, name):
 
 @pytest.mark.parametrize("name", sorted(UNLIFTED_CORPUS))
 def test_other_lists_take_the_event_stream(tmp_path, loader, name):
+    """A list that is not one line of plain numbers is not lifted, and
+    loads as yaml.load gives it or fails as a config error."""
     text = _as_model(UNLIFTED_CORPUS[name])
     _assert_loads_as(tmp_path, text, _yaml_load_model(text))
     assert config._lift_numeric_lists(text) == (text, {})
@@ -459,7 +464,7 @@ def test_drawn_numeric_lists_match_yaml_load(tmp_path, loader, drawn):
 LIST_KEYS = ("J0", "V", "U", "f0", "gamma1", "mu0", "mu1")
 
 
-def test_config_lists_never_reach_the_event_stream(tmp_path, monkeypatch):
+def test_config_lists_are_lifted(tmp_path, monkeypatch):
     """On a generated config and the benchmark's seed-11 jump-dense config,
     each line of J0, V, U, f0, gamma1, mu0 and mu1 is lifted, so the loader
     meets its key and a mark only, and every section equals yaml.load's."""

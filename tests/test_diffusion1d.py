@@ -908,19 +908,85 @@ def test_em_blocked_drift_steps_as_the_full_field():
     drift = tr.drift_rows(slice(None))
     steps, x0 = 211, np.linspace(-1.5, 1.5, 40)
     paths = sample_em_paths(model, 40, 4, steps, drift=drift, x0=x0)
-    rng = np.random.default_rng(4)
+    assert_same_bits(paths, np_interp_em_paths(model, drift, 4, steps, x0))
+
+
+def np_interp_em_paths(model, drift, seed, steps, x0):
+    """The Euler-Maruyama paths of sample_em_paths from x0, each step taken
+    with np.interp on the time blend of rows k and k + 1 of drift."""
+    N = len(drift) - 1
+    rng = np.random.default_rng(seed)
     dt = 1.0 / steps
     x = x0
+    paths = [x0]
     for j in range(steps):
-        s = j * dt * grid.N
-        k = min(int(np.floor(s)), grid.N - 1)
+        s = j * dt * N
+        k = min(int(np.floor(s)), N - 1)
         a = s - k
         row = drift[k] if a == 0.0 else \
             (1.0 - a) * drift[k] + a * drift[k + 1]
         x = x + np.interp(x, model.xs, row) * dt \
-            + np.sqrt(dt) * rng.standard_normal(40)
+            + np.sqrt(dt) * rng.standard_normal(len(x0))
         x = _reflect(x, model.x_min, model.x_max)
-        assert_same_bits(paths[:, j + 1], x)
+        paths.append(x)
+    return np.stack(paths, axis=1)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_em_reached_masked_band_raises_masked_drift(value):
+    """A path that reaches a NaN or infinite band of the drift stops the run
+    with masked_drift."""
+    model = flat_model(M=64, lo=-2.0, hi=2.0)
+    drift = np.zeros((101, 65))
+    drift[:, 40:45] = value  # x in [0.5, 0.75]
+    with pytest.raises(PositivityError) as info:
+        sample_em_paths(model, 40, 4, 100, drift=drift,
+                        x0=np.linspace(-1.5, 1.5, 40))
+    assert info.value.reason == "masked_drift"
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1.7e308])
+def test_em_unreached_band_steps_as_np_interp(value):
+    """A NaN, infinite or near-overflow band that no path reaches leaves
+    every step equal, bit for bit, to one taken with np.interp."""
+    model = flat_model(M=64, lo=-20.0, hi=20.0)
+    drift = 0.3 * np.sin(np.add.outer(np.linspace(0.0, 3.0, 101),
+                                      model.xs))
+    drift[:, 56:] = value  # x >= 15; paths start in [-2, 2] and move ~1
+    x0 = np.linspace(-2.0, 2.0, 40)
+    paths = sample_em_paths(model, 40, 4, 100, drift=drift, x0=x0)
+    assert np.abs(paths).max() < 10.0
+    assert_same_bits(paths, np_interp_em_paths(model, drift, 4, 100, x0))
+
+
+def test_drift_near_overflow_keeps_its_outcome():
+    """A finite drift row near the largest float: where an interpolated
+    value overflows the masked-drift guard fires, though every value and
+    slope of the row is finite; elsewhere the field gives np.interp's bits;
+    a path driven by such a drift escapes."""
+    model = Diffusion1DModel(0.0, 30.4, 16, 0.0)
+    xs, big = model.xs, np.finfo(float).max
+    drift = np.zeros((3, 17))
+    drift[:, 0], drift[:, 1] = 0.47 * big, big
+    field = _DriftField(model, drift.__getitem__, 2)
+    edge = np.nextafter(xs[1], -np.inf)
+    assert np.isfinite(field._slopes(drift[0])).all()
+    with np.errstate(over="ignore"):
+        assert np.interp(edge, xs, drift[0]) == np.inf
+    with pytest.raises(PositivityError) as info:
+        field(0.0, np.array([5.0, edge]))
+    assert info.value.reason == "masked_drift"
+    x = np.concatenate([np.linspace(0.0, 30.4, 97), [np.nextafter(edge, 0)]])
+    assert_same_bits(field(0.0, x), np.interp(x, xs, drift[0]))
+    # adjacent +-1.7e308 overflow the slope between them
+    drift[:, 0], drift[:, 1] = 1.7e308, -1.7e308
+    with pytest.raises(PositivityError) as info:
+        field(0.0, np.array([0.5]))
+    assert info.value.reason == "masked_drift"
+    with pytest.raises(ModelValidationError) as info:
+        sample_em_paths(model, 4, 1, 100, drift=np.full((101, 17), 1.7e308),
+                        x0=15.0)
+    assert info.value.reason == "path_escaped"
 
 
 def test_sampled_transform_holds_no_drift_field():
