@@ -333,7 +333,8 @@ class DiffusionTransform(HProcess):
         flat = ks.ravel()
         out = np.empty((len(flat), self.n))
         starts = np.where(flat == N, N, flat - flat % B)
-        for s in np.unique(starts).tolist():
+        # a set, since np.unique imports numpy.ma (0.5 MB) on first use
+        for s in sorted(set(starts.tolist())):
             stop = int(flat[starts == s].max())
             f = self.f_stored[-(-s // B)]
             out[flat == s] = f
