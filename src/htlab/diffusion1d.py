@@ -400,8 +400,9 @@ def _reflect(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return y
 
 
-# Below this size a row with finite slopes interpolates to finite values: an
-# interior value is at most |row[j]| + |row[j + 1]| + |row[j]| plus rounding.
+# Below this size a row with finite slopes interpolates to finite values:
+# slope times offset is at most |row[j + 1] - row[j]|, so an interior value
+# is at most 3 max |row| plus rounding.
 _SAFE_ROW_SIZE = np.finfo(float).max / 4.0
 
 
