@@ -338,6 +338,8 @@ class DiffusionTransform(HProcess):
             stop = int(flat[starts == s].max())
             f = self.f_stored[-(-s // B)]
             out[flat == s] = f
+            if stop == s:  # a stored row alone needs no sweep
+                continue
             sweep = _forward_steps(self.model, self.V[s:stop + 1], f,
                                    self.grid.dt)
             for k, (f, _) in enumerate(sweep, s + 1):
@@ -400,12 +402,6 @@ def _reflect(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return y
 
 
-# Below this size a row with finite slopes interpolates to finite values:
-# slope times offset is at most |row[j + 1] - row[j]|, so an interior value
-# is at most 3 max |row| plus rounding.
-_SAFE_ROW_SIZE = np.finfo(float).max / 4.0
-
-
 class _DriftField:
     """Drift evaluation with linear interpolation in space and time.
 
@@ -423,11 +419,6 @@ class _DriftField:
     - NaN x gives NaN, and a NaN value from an infinite row entry is
       retried from the right end of the cell, as np.interp does.
 
-    A row is safe when its slopes are finite (so its values are) and its
-    values are below _SAFE_ROW_SIZE in size. No value interpolated on a safe
-    row at finite x is NaN or infinite, so the NaN retry and the masked-drift
-    guard are skipped there.
-
     `rows(block)` returns the drift on a slice of the time nodes 0..N (a
     transform's drift_rows, or an explicit array's __getitem__); None is
     the reference drift -U'. The field keeps one block of rows
@@ -444,7 +435,6 @@ class _DriftField:
         if rows is None:
             self.static = -model.U_prime
             self.static_slopes = self._slopes(self.static)
-            self.static_safe = self._safe(self.static, self.static_slopes)
 
     def _slopes(self, row: np.ndarray) -> np.ndarray:
         """Per-interval slopes, padded with a 0 for the right end (j = M)."""
@@ -455,15 +445,8 @@ class _DriftField:
             inner /= self.widths
         return slopes
 
-    @staticmethod
-    def _safe(row: np.ndarray, slopes: np.ndarray) -> bool:
-        """Whether the row is safe (see the class docstring); NaN fails both
-        comparisons."""
-        return bool(np.abs(row).max() < _SAFE_ROW_SIZE
-                    and np.abs(slopes).max() < np.inf)
-
-    def _interp(self, x: np.ndarray, row: np.ndarray, slopes: np.ndarray,
-                safe: bool = False) -> np.ndarray:
+    def _interp(self, x: np.ndarray, row: np.ndarray,
+                slopes: np.ndarray) -> np.ndarray:
         # in-place steps keep few path-sized temporaries alive at once
         xs = self.xs
         # far or infinite x would warn where np.interp stays silent
@@ -491,43 +474,39 @@ class _DriftField:
             out *= slopes.take(j)
             row_j = row.take(j)
             out += row_j
-            if not safe:
-                retry = np.isnan(out)
-                if retry.any():
-                    i = np.flatnonzero(retry & (xj < x) & (j < self.M))
-                    ji = j[i]
-                    y = slopes[ji] * (x[i] - xs[ji + 1]) + row[ji + 1]
-                    out[i] = np.where(np.isnan(y) & (row[ji] == row[ji + 1]),
-                                      row[ji], y)
+            retry = np.isnan(out)
+            if retry.any():
+                i = np.flatnonzero(retry & (xj < x) & (j < self.M))
+                ji = j[i]
+                y = slopes[ji] * (x[i] - xs[ji + 1]) + row[ji + 1]
+                out[i] = np.where(np.isnan(y) & (row[ji] == row[ji + 1]),
+                                  row[ji], y)
         np.copyto(out, row_j, where=node)
         return out
 
     def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
         if self.rows is None:
-            return self._interp(x, self.static, self.static_slopes,
-                                self.static_safe)
-        N = self.N
-        s = min(max(t, 0.0), 1.0) * N
-        k = min(int(np.floor(s)), N - 1)
-        a = s - k
-        start = k - k % _BLOCK_ROWS
-        if start != self.block_start:
-            self.block = None  # the old block goes before the new is formed
-            self.block = self.rows(slice(start,
-                                         start + _BLOCK_ROWS + 1))
-            self.block_start = start
-        i = k - start
-        if a == 0.0:
-            row = self.block[i]
+            row, slopes = self.static, self.static_slopes
         else:
-            row = (1.0 - a) * self.block[i] + a * self.block[i + 1]
-        slopes = self._slopes(row)
-        safe = self._safe(row, slopes)
-        out = self._interp(x, row, slopes, safe)
+            N = self.N
+            s = min(max(t, 0.0), 1.0) * N
+            k = min(int(np.floor(s)), N - 1)
+            a = s - k
+            start = k - k % _BLOCK_ROWS
+            if start != self.block_start:
+                self.block = None  # the old block goes before the new is formed
+                self.block = self.rows(slice(start, start + _BLOCK_ROWS + 1))
+                self.block_start = start
+            i = k - start
+            if a == 0.0:
+                row = self.block[i]
+            else:
+                row = (1.0 - a) * self.block[i] + a * self.block[i + 1]
+            slopes = self._slopes(row)
+        out = self._interp(x, row, slopes)
         # masked (NaN) nodes are tolerated as long as no path needs them, so
-        # the finiteness guard applies to the interpolated values only; x is
-        # finite, so a safe row gives finite values
-        if not safe and not np.isfinite(out).all():
+        # the finiteness guard applies to the interpolated values only
+        if not np.isfinite(out).all():
             raise PositivityError("a path reached a region where the drift "
                                   "field is masked", reason="masked_drift")
         return out

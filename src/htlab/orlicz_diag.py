@@ -133,8 +133,6 @@ class HolderCheck:
     lhs: float
     rhs: float
     satisfied: bool
-    norm_u: float
-    norm_v: float
 
 
 def holder_check(u: np.ndarray, v: np.ndarray, m: WeightedMeasure,
@@ -147,8 +145,7 @@ def holder_check(u: np.ndarray, v: np.ndarray, m: WeightedMeasure,
     nv = luxemburg_norm(v, m, gammaY.conjugate())
     rhs = 2.0 * nu * nv
     return HolderCheck(lhs=lhs, rhs=rhs,
-                       satisfied=bool(lhs <= rhs * (1.0 + 1e-12)),
-                       norm_u=nu, norm_v=nv)
+                       satisfied=bool(lhs <= rhs * (1.0 + 1e-12)))
 
 
 @dataclass(frozen=True)
@@ -159,24 +156,11 @@ class HypothesisReport:
     always satisfied; the value of the report is the numbers themselves.
     """
 
-    v_min: float
-    bounded_below: bool
-    gamma1_integral: float
     f0_sqlog_integral: float
     gamma1_sqlog_integral: float
     sup_v_conjugate_integral: float
     p: float
     verdict: str
-
-    def report(self) -> str:
-        lines = [f"v_min={self.v_min:.6e}",
-                 f"bounded_below={'yes' if self.bounded_below else 'no'}",
-                 f"gamma1_integral={self.gamma1_integral:.6e}",
-                 f"f0_sqlog_integral={self.f0_sqlog_integral:.6e} (p={self.p})",
-                 f"gamma1_sqlog_integral={self.gamma1_sqlog_integral:.6e}",
-                 f"sup_v_conjugate_integral={self.sup_v_conjugate_integral:.6e}",
-                 f"verdict={self.verdict}"]
-        return "\n".join(lines) + "\n"
 
 
 def _sqlog_integral(w: np.ndarray, m: np.ndarray) -> float:
@@ -196,21 +180,16 @@ def hypothesis_report(f0: np.ndarray, gamma1: np.ndarray, V: np.ndarray,
     p = 2) is a sufficient condition for the transformed law to have finite
     relative entropy.
     """
-    gammaY = YoungFunction("theta_star_llogl")
     f0 = np.asarray(f0, dtype=float)
     gamma1 = np.asarray(gamma1, dtype=float)
     V = np.atleast_2d(np.asarray(V, dtype=float))
     if V.strides[0] == 0:
         V = V[:1]
     w = m.weights
-    v_min = float(V.min())
-    conj = gammaY.conjugate()
+    conj = YoungFunction("theta_star_llogl").conjugate()
     with np.errstate(over="ignore"):
         conj_rows = np.array([float(np.sum(w * conj(row))) for row in V])
     return HypothesisReport(
-        v_min=v_min,
-        bounded_below=bool(np.isfinite(v_min)),
-        gamma1_integral=float(np.sum(w * gammaY(gamma1))),
         f0_sqlog_integral=_sqlog_integral(f0, w),
         gamma1_sqlog_integral=_sqlog_integral(gamma1, w),
         sup_v_conjugate_integral=float(conj_rows.max()),

@@ -260,8 +260,33 @@ def test_diffusion_resumes_the_forward_sweep_once(diffusion_config, tmp_path,
         return forward(model, Vg, f, dt)
     monkeypatch.setattr(diffusion1d, "_forward_steps", spy)
     assert run("diffusion", diffusion_config, tmp_path / "out") == 0
-    # a stored row is read through a sweep of one V row, which takes no step
-    assert [n for n in sweeps if n > 1] == [201, 37]  # all rows, 64..100
+    # stored rows (node 0 of the CSV and of the initial law) take no sweep
+    assert sweeps == [201, 37]  # all rows, 64..100
+
+
+def test_diffusion_path_on_a_masked_drift_fails(tmp_path, capsys):
+    """A steep potential on a coarse step clips g to zero near the terminal
+    peak, and a path that reaches the masked drift there stops the run with
+    masked_drift before any output is written."""
+    U = (5.0 * np.linspace(-2.0, 2.0, 65) ** 2).tolist()
+    cfg = tmp_path / "masked.yaml"
+    cfg.write_text(f"""
+model: {{kind: diffusion, x_min: -2.0, x_max: 2.0, M: 64, U: {U}}}
+transform:
+  gamma1:
+    gaussian: {{center: 1.0, width: 0.05}}
+  V: 0.0
+grid:
+  N: 20
+sampling:
+  seed: 3
+  n_paths: 2000
+  t: 0.5
+""", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run("diffusion", str(cfg), out) == 2
+    assert "reason=masked_drift" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("n_paths", ["0", "-5"])

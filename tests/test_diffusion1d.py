@@ -945,6 +945,24 @@ def test_em_reached_masked_band_raises_masked_drift(value):
     assert info.value.reason == "masked_drift"
 
 
+@pytest.mark.parametrize("form", ["reference", "explicit"])
+def test_em_masked_reference_drift_raises_masked_drift(form):
+    """A finite U whose -U' holds adjacent +inf and -inf masks the cell
+    between them on the reference drift too: paths started there stop the
+    run with masked_drift, whether the drift is None or -U' passed as an
+    array."""
+    U = np.zeros(17)
+    U[7], U[8], U[9], U[10] = -1.7e308, 1.7e308, 1.7e308, -1.7e308
+    model = Diffusion1DModel(-2.0, 2.0, 16, U)
+    with np.errstate(over="ignore"):
+        drift = None if form == "reference" else \
+            np.tile(-model.U_prime, (101, 1))
+        with pytest.raises(PositivityError) as info:
+            sample_em_paths(model, 5, 1, 100, drift=drift,
+                            x0=[-1.9, 0.05, 0.1, 0.2, 1.9])
+    assert info.value.reason == "masked_drift"
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1.7e308])
 def test_em_unreached_band_steps_as_np_interp(value):
     """A NaN, infinite or near-overflow band that no path reaches leaves
