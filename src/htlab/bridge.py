@@ -45,10 +45,6 @@ class BridgeProblem:
     mu1: np.ndarray
     K: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.model.n
-
 
 def build_bridge_problem(model: ReversibleModel, mu0, mu1) -> BridgeProblem:
     mu0 = _probability_vector(mu0, model.n, "initial marginal")
@@ -102,8 +98,8 @@ def ipf_solve(problem: BridgeProblem, tol: float = DEFAULT_TOL,
                 f"({prev:.3e} -> {err:.3e})", reason="ipf_error_increase")
         prev = err
         if err < tol:
-            f0 = np.zeros(problem.n)
-            gamma1 = np.zeros(problem.n)
+            f0 = np.zeros(problem.model.n)
+            gamma1 = np.zeros(problem.model.n)
             f0[on0] = a
             gamma1[on1] = b
             return IPFResult(f0=_freeze(f0), gamma1=_freeze(gamma1),

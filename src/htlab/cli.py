@@ -24,7 +24,8 @@ from htlab import bridge as bridge_mod
 from htlab import diffusion1d, generator_lab, h_transform, hjb_check
 from htlab import orlicz_diag
 from htlab.config import RunConfig, _float_array, _read, _read_int, \
-    _read_tolerance, build_model_from_config, load_config, transform_pieces
+    _read_seed, _read_tolerance, build_model_from_config, load_config, \
+    transform_pieces
 from htlab.errors import (ConvergenceError, HTLabError, InconsistencyError,
                           ModelValidationError)
 from htlab.feynman_kac import (check_fk_generator, check_semigroup,
@@ -179,19 +180,14 @@ def cmd_sample(cfg: RunConfig, args) -> int:
         raise ModelValidationError(
             f"sampling.process must be 'R' or 'P', got {process!r}",
             reason="bad_config")
-    # One row for each path's start, then one per jump: path i starts on
-    # row offsets[i] + i.
-    jump = np.ones(len(paths) + paths.times.size, dtype=bool)
-    jump[paths.offsets[:-1] + np.arange(len(paths))] = False
-    time = np.zeros(jump.size)
-    time[jump] = paths.times
-    state = np.empty(jump.size, dtype=paths.states.dtype)
-    state[~jump] = paths.x0
-    state[jump] = paths.states
+    # One row for each path's start, then one per jump; np.insert keeps the
+    # given order of equal indices, so a path with no jump is one row.
+    starts = paths.offsets[:-1]
     write_csv(os.path.join(args.out, "paths.csv"),
               {"path_id": np.repeat(np.arange(len(paths)),
                                     np.diff(paths.offsets) + 1),
-               "time": time, "state": state},
+               "time": np.insert(paths.times, starts, 0.0),
+               "state": np.insert(paths.states, starts, paths.x0)},
               meta={"process": process, "seed": seed, "n_paths": n_paths})
     _say(args, f"sampled {n_paths} {process}-paths")
     return EXIT_OK
@@ -208,7 +204,7 @@ def _run_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
         for key, default in [("tolerance_semigroup", 1e-8),
                              ("tolerance_pde", 1e-6),
                              ("tolerance_generator", 1e-5)])
-    seed = _read_int(cfg.sampling.get("seed", 0), "sampling.seed")
+    seed = _read_seed(cfg.sampling.get("seed", 0))
     times = _check_times(cfg)
     model, grid, hp = _hprocess(cfg)
     results = []
@@ -297,10 +293,13 @@ def cmd_hjb(cfg: RunConfig, args) -> int:
 def _bridge_limits(cfg: RunConfig) -> tuple[float, int]:
     """bridge.tol and bridge.max_iter, read before anything is built."""
     sec = cfg.bridge
-    return (_read_tolerance(sec.get("tol", bridge_mod.DEFAULT_TOL),
-                            "bridge.tol"),
-            _read_int(sec.get("max_iter", bridge_mod.DEFAULT_MAX_ITER),
-                      "bridge.max_iter"))
+    tol = _read_tolerance(sec.get("tol", bridge_mod.DEFAULT_TOL), "bridge.tol")
+    max_iter = _read_int(sec.get("max_iter", bridge_mod.DEFAULT_MAX_ITER),
+                         "bridge.max_iter")
+    if max_iter < 1:
+        raise ModelValidationError("bridge.max_iter: expected an integer >= 1, "
+                                   f"got {max_iter!r}", reason="bad_config")
+    return tol, max_iter
 
 
 def _fit_bridge(cfg: RunConfig, model: ReversibleModel, tol: float,

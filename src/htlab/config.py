@@ -90,7 +90,7 @@ class RunConfig:
             raise ModelValidationError(
                 "sampling commands need an explicit seed in the config",
                 reason="missing_seed")
-        return _read_int(self.seed, "sampling.seed")
+        return _read_seed(self.seed)
 
 
 def _reject_unknown_keys(mapping: dict, known, what: str):
@@ -119,6 +119,16 @@ def _read_int(value, what: str) -> int:
         return value
     raise ModelValidationError(f"{what}: expected an integer, got {value!r}",
                                reason="bad_config")
+
+
+def _read_seed(value) -> int:
+    """sampling.seed: an integer >= 0, as np.random.SeedSequence needs,
+    else bad_config."""
+    seed = _read_int(value, "sampling.seed")
+    if seed < 0:
+        raise ModelValidationError(f"sampling.seed: expected an integer >= 0, "
+                                   f"got {value!r}", reason="bad_config")
+    return seed
 
 
 def _read_tolerance(value, what: str) -> float:

@@ -382,7 +382,7 @@ def build_diffusion_transform(model: Diffusion1DModel, V, f0, gamma1,
     f_stored, clipped_f = solve_f_pde(model, V, f0, grid, _BLOCK_ROWS)
     return DiffusionTransform(model=model, f0=f0, gamma1=gamma1, V=V,
                               grid=grid, c=c, m=mw, f_stored=f_stored,
-                              fk=FKSolution(grid=grid, g=g, f=None),
+                              fk=FKSolution(g=g, f=None),
                               clipped_nodes=clipped_g + clipped_f)
 
 

@@ -122,7 +122,6 @@ class FKSolution:
     some nodes; h_transform.HProcess.f_rows reads f on either kind.
     """
 
-    grid: TimeGrid
     g: np.ndarray
     f: np.ndarray | None
 
@@ -239,8 +238,7 @@ def solve_fk(model: ReversibleModel, V, f0, gamma1,
     build_h_process.
     """
     f = _freeze(solve_f(model, V, f0, grid))
-    return FKSolution(grid=grid, g=_freeze(solve_g(model, V, gamma1, grid)),
-                      f=f)
+    return FKSolution(g=_freeze(solve_g(model, V, gamma1, grid)), f=f)
 
 
 def check_semigroup(prop: FKPropagator, s: float, t: float, u: float) -> float:

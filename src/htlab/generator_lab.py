@@ -29,27 +29,11 @@ class DerivativeEstimate:
 
     estimates[i] is the plain difference quotient at the i-th step, shaped
     like the function (or stack of functions) it differentiates;
-    extrapolated is the two-level Richardson limit; observed_order is the
-    median convergence order of the plain estimates over all their entries
-    (about 1 for a first-order quotient).
+    extrapolated is the two-level Richardson limit.
     """
 
     estimates: np.ndarray
     extrapolated: np.ndarray
-    observed_order: float
-
-
-def _median(values: np.ndarray) -> float:
-    """np.median of a few values, by sorting: NaN if any value is NaN.
-
-    np.median itself imports numpy.ma on first use, about 10 ms of start-up
-    in every process that runs the generator checks.
-    """
-    v = np.sort(values)
-    if np.isnan(v[-1]):  # sorting puts NaN last
-        return float(v[-1])
-    n = v.size
-    return float(v[(n - 1) // 2:n // 2 + 1].mean())
 
 
 def _richardson(hs: tuple[float, ...], quotient) -> DerivativeEstimate:
@@ -61,16 +45,7 @@ def _richardson(hs: tuple[float, ...], quotient) -> DerivativeEstimate:
              for i in range(len(hs) - 1)]
     r2 = r * r
     extrapolated = (r2 * first[1] - first[0]) / (r2 - 1.0)
-    d01 = np.abs(estimates[0] - estimates[1])
-    d12 = np.abs(estimates[1] - estimates[2])
-    safe = d12 > 0
-    if np.any(safe):
-        orders = np.log(d01[safe] / d12[safe]) / np.log(r)
-        observed = _median(orders)
-    else:
-        observed = np.nan
-    return DerivativeEstimate(estimates=estimates, extrapolated=extrapolated,
-                              observed_order=observed)
+    return DerivativeEstimate(estimates=estimates, extrapolated=extrapolated)
 
 
 def transformed_rate_matrix(g_slice: np.ndarray, J: np.ndarray) -> np.ndarray:
@@ -169,9 +144,8 @@ def carre_du_champ(model: ReversibleModel, phi: np.ndarray,
 
 @dataclass(frozen=True)
 class IdentityResidual:
-    """Residuals of a generator identity, masked to states carrying mass."""
+    """Largest residual of a generator identity, and the estimate it used."""
 
-    mask: np.ndarray
     max_residual: float
     derivative: DerivativeEstimate
 
@@ -198,8 +172,7 @@ def check_transformed_generator(hp: HProcess, u: np.ndarray,
                       for row in np.atleast_2d(u)], u.shape)
     residuals = np.abs(est.extrapolated - rhs)
     mask = marginal(hp, t) > MASS_THRESHOLD
-    return IdentityResidual(mask=mask,
-                            max_residual=float(residuals[..., mask].max()),
+    return IdentityResidual(max_residual=float(residuals[..., mask].max()),
                             derivative=est)
 
 
@@ -222,6 +195,5 @@ def check_fk_stochastic_derivative(model: ReversibleModel, V,
         lambda h: (transition_matrix(model, h) @ g[grid.node_index(t + h)]
                    - g[k]) / h)
     residuals = np.abs(est.extrapolated - V[k] * g[k])
-    mask = np.ones(model.n, dtype=bool)
-    return IdentityResidual(mask=mask, max_residual=float(residuals.max()),
+    return IdentityResidual(max_residual=float(residuals.max()),
                             derivative=est)

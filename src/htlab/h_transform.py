@@ -117,8 +117,7 @@ def build_h_process(model: ReversibleModel, f0, gamma1, V,
     g = solve_g(model, V, gamma1, grid)
     c = normalization(model.m, f0, g[0])
     f0 = _freeze(f0 / c)
-    fk = FKSolution(grid=grid, g=_freeze(g),
-                    f=_freeze(solve_f(model, V, f0, grid)))
+    fk = FKSolution(g=_freeze(g), f=_freeze(solve_f(model, V, f0, grid)))
     return HProcess(model=model, f0=f0, gamma1=gamma1, V=V, grid=grid, fk=fk,
                     c=c, m=model.m)
 
@@ -298,9 +297,10 @@ class _ThinningContext:
 
     node_rates[k, x] is the transformed total exit rate at node t_k; the
     per-cell dominating bound is 1.1 times the larger endpoint rate (the rate
-    is a ratio of linear interpolants, hence monotone within a cell). cum
-    holds the running integral of the bounds, which lets the proposal search
-    jump straight to the right cell instead of scanning the grid.
+    is a ratio of linear interpolants, hence monotone within a cell).
+    cum[x, k] is the integral of x's bound from 0 to t_k, one row per state,
+    which lets the proposal search jump straight to the right cell instead
+    of scanning the grid.
     """
 
     def __init__(self, hp: HProcess):
@@ -326,9 +326,8 @@ class _ThinningContext:
         self.horizon = np.where(finite.all(axis=0), self.N,
                                 np.argmin(finite, axis=0))
         safe = np.where(finite, self.bounds, 0.0)
-        self.cum = np.vstack([np.zeros(self.g.shape[1]),
-                              np.cumsum(safe / self.N, axis=0)])
-        self.cum_rows = np.ascontiguousarray(self.cum.T)  # one row per state
+        self.cum = np.zeros((self.g.shape[1], self.N + 1))
+        np.cumsum(safe.T / self.N, axis=1, out=self.cum[:, 1:])
         self.cdf0 = np.cumsum(marginal(hp, 0.0))
 
     def _cell(self, tau):
@@ -347,7 +346,7 @@ class _ThinningContext:
     def hazard(self, tau: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Integral of the bound of x from 0 to tau (before x's horizon)."""
         k, _ = self._cell(tau)
-        return self.cum[k, x] + (tau - k / self.N) * self.bounds[k, x]
+        return self.cum[x, k] + (tau - k / self.N) * self.bounds[k, x]
 
     def draw_destination(self, rng, tau, x) -> np.ndarray:
         """Jump destinations out of x at tau, one per entry, drawn from
@@ -433,14 +432,14 @@ def _thin_block(ctx: _ThinningContext, rng, size: int) -> tuple:
     while live.size or slow:
         lam = lam + rng.standard_exponential(live.size)
         hk = ctx.horizon[x]
-        out = lam >= ctx.cum[hk, x]
+        out = lam >= ctx.cum[x, hk]
         stopped = out & (hk < N)
         reached = list(zip(live[stopped].tolist(), (hk[stopped] / N).tolist(),
                            x[stopped].tolist()))
         live, x, lam = live[~out], x[~out], lam[~out]
-        k = _search_rows(ctx.cum_rows, x, lam) - 1
+        k = _search_rows(ctx.cum, x, lam) - 1
         bound = ctx.bounds[k, x]
-        s = k / N + (lam - ctx.cum[k, x]) / bound
+        s = k / N + (lam - ctx.cum[x, k]) / bound
         hit = rng.random(live.size) * bound < ctx.rate(s, x)
         jumps = [(live[hit], s[hit], ctx.draw_destination(rng, s[hit], x[hit]))]
         live, x, lam = live[~hit], x[~hit], lam[~hit]

@@ -49,13 +49,6 @@ class StateSpace:
     def n(self) -> int:
         return len(self.labels)
 
-    def index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ModelValidationError(f"unknown state label {label!r}",
-                                       reason="unknown_label") from None
-
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -203,12 +196,6 @@ class PathView:
     def state_at(self, t: float) -> int:
         k = bisect.bisect_right(self.times, t)
         return self.x0 if k == 0 else int(self.states[k - 1])
-
-    def segments(self) -> list[tuple[float, float, int]]:
-        """Constant-state pieces (start, end, state) covering [0,1]."""
-        knots = [0.0, *self.times.tolist(), 1.0]
-        occupied = [self.x0, *self.states.tolist()]
-        return [(knots[i], knots[i + 1], x) for i, x in enumerate(occupied)]
 
 
 @dataclass(frozen=True, eq=False)

@@ -170,6 +170,39 @@ def test_reruns_are_byte_identical(command, request, tmp_path):
         assert a.decode().startswith(head)
 
 
+@pytest.mark.parametrize("process", ["P", "R"])
+def test_paths_csv_holds_each_start_then_its_jumps(tmp_path, monkeypatch,
+                                                  process):
+    """paths.csv has, for each path of the sampled batch in turn, one
+    (path_id, 0.0, x0) row and then one row per jump, also for runs of
+    paths with no jump."""
+    batches = []
+
+    def keep(sample):
+        return lambda *args: batches.append(sample(*args)) or batches[-1]
+
+    monkeypatch.setattr(htlab.h_transform, "sample_paths_P",
+                        keep(htlab.h_transform.sample_paths_P))
+    monkeypatch.setattr(htlab.cli, "sample_paths_R",
+                        keep(htlab.cli.sample_paths_R))
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(JUMP_YAML.replace("n_paths: 50",
+                                     f"n_paths: 50\n  process: {process}"),
+                   encoding="utf-8")
+    assert run("sample", str(cfg), tmp_path / "out") == 0
+    [paths] = batches
+    expected = [(i, t, x) for i, p in enumerate(paths)
+                for t, x in zip([0.0, *p.times.tolist()],
+                                [p.x0, *p.states.tolist()])]
+    lines = (tmp_path / "out" / "paths.csv").read_text().splitlines()
+    assert lines[3] == "path_id,time,state"
+    rows = [(int(i), float(t), int(x))
+            for i, t, x in (line.split(",") for line in lines[4:])]
+    assert rows == expected
+    still = np.diff(paths.offsets) == 0
+    assert np.any(still[1:] & still[:-1]) and not still.all()
+
+
 def test_sample_requires_seed(tmp_path, capsys):
     cfg = tmp_path / "noseed.yaml"
     cfg.write_text(JUMP_YAML.replace("  seed: 7\n", ""), encoding="utf-8")
@@ -479,7 +512,8 @@ def test_unknown_key_is_a_config_error(tmp_path, capsys, text, old, new, key):
     ("n_paths: 2000", "n_paths: many", "bad_config"),
     ("V: 0.1", "V: .inf", "nonfinite_potential"),
     ("N: 200", "N: .inf", "bad_config"),
-], ids=["V", "t", "times", "n_paths", "V_inf", "N_inf"])
+    ("seed: 3", "seed: -1", "bad_config: sampling.seed"),
+], ids=["V", "t", "times", "n_paths", "V_inf", "N_inf", "negative_seed"])
 def test_malformed_diffusion_value_is_a_config_error(tmp_path, capsys, old,
                                                      new, reason):
     assert old in DIFFUSION_YAML
@@ -589,9 +623,23 @@ def test_nonfinite_time_is_off_grid(tmp_path, capsys, command, old, new,
      "mu1: [0.2, 0.2, 0.6]\n  max_iter: many", "bad_config"),
     ("bridge", "mu1: [0.2, 0.2, 0.6]",
      "mu1: [0.2, 0.2, 0.6]\n  max_iter: many", "bad_config"),
+    ("sample", "seed: 7", "seed: -1", "bad_config: sampling.seed"),
+    ("check", "seed: 7", "seed: -1", "bad_config: sampling.seed"),
+    ("report", "seed: 7", "seed: -1", "bad_config: sampling.seed"),
+    ("bridge", "mu1: [0.2, 0.2, 0.6]", "mu1: [0.2, 0.2, 0.6]\n  max_iter: 0",
+     "bad_config: bridge.max_iter"),
+    ("bridge", "mu1: [0.2, 0.2, 0.6]", "mu1: [0.2, 0.2, 0.6]\n  max_iter: -5",
+     "bad_config: bridge.max_iter"),
+    ("report", "mu1: [0.2, 0.2, 0.6]", "mu1: [0.2, 0.2, 0.6]\n  max_iter: 0",
+     "bad_config: bridge.max_iter"),
+    ("report", "mu1: [0.2, 0.2, 0.6]", "mu1: [0.2, 0.2, 0.6]\n  max_iter: -5",
+     "bad_config: bridge.max_iter"),
 ], ids=["transform_off_grid", "check_tolerance", "check_seed",
         "check_off_grid", "report_tolerance", "report_bridge_tol",
-        "report_max_iter", "bridge_max_iter"])
+        "report_max_iter", "bridge_max_iter", "sample_negative_seed",
+        "check_negative_seed", "report_negative_seed", "bridge_max_iter_0",
+        "bridge_max_iter_negative", "report_max_iter_0",
+        "report_max_iter_negative"])
 def test_bad_setting_fails_before_anything_is_built(tmp_path, capsys,
                                                     monkeypatch, command, old,
                                                     new, reason):

@@ -171,8 +171,9 @@ def test_solve_g_monte_carlo_oracle():
         paths = sample_paths_R(model, n_paths, seed=90 + x0, x0=x0)
         samples = np.empty(n_paths)
         for i, p in enumerate(paths):
-            occupation = sum(b - a for a, b, s in p.segments() if s == 1)
-            samples[i] = np.exp(-occupation)
+            knots = np.concatenate(([0.0], p.times, [1.0]))
+            occupied = np.concatenate(([p.x0], p.states))
+            samples[i] = np.exp(-np.diff(knots)[occupied == 1].sum())
         se = samples.std(ddof=1) / np.sqrt(n_paths)
         assert abs(samples.mean() - g[0, x0]) <= 3.0 * se
 

