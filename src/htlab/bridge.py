@@ -72,6 +72,10 @@ def ipf_solve(problem: BridgeProblem, tol: float = DEFAULT_TOL,
     The marginal error is the max of the two l1 gaps and must decrease
     monotonically; a strictly positive kernel guarantees convergence.
     """
+    if max_iter < 1:
+        raise ModelValidationError("need max_iter > 0", reason="bad_max_iter")
+    if not 0.0 < tol < np.inf:  # NaN fails both
+        raise ModelValidationError("need 0 < tol < inf", reason="bad_tolerance")
     on0 = problem.mu0 > 0
     on1 = problem.mu1 > 0
     restricted = bool((~on0).any() or (~on1).any())

@@ -39,28 +39,6 @@ EXIT_VALIDATION = 2
 EXIT_CHECK = 3
 
 
-def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="htlab",
-        description="Reweighted Markov dynamics: solvers, samplers, checks.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, blurb in [
-            ("model", "build and validate the configured model"),
-            ("fk", "solve the backward and forward weight functions"),
-            ("transform", "build the transformed process and its reports"),
-            ("sample", "draw reference or transformed paths"),
-            ("check", "run residual and inequality checks"),
-            ("hjb", "evaluate both Hamilton-Jacobi residual forms"),
-            ("bridge", "fit endpoint marginals by proportional scaling"),
-            ("diffusion", "run the one-dimensional PDE pipeline"),
-            ("report", "aggregate pass/fail across configured checks")]:
-        p = sub.add_parser(name, help=blurb)
-        p.add_argument("--config", required=True, help="YAML run config")
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--verbose", action="store_true")
-    return parser
-
-
 def _say(args, text: str):
     if args.verbose:
         print(text)
@@ -392,23 +370,37 @@ def cmd_report(cfg: RunConfig, args) -> int:
 
 
 _COMMANDS = {
-    "model": cmd_model,
-    "fk": cmd_fk,
-    "transform": cmd_transform,
-    "sample": cmd_sample,
-    "check": cmd_check,
-    "hjb": cmd_hjb,
-    "bridge": cmd_bridge,
-    "diffusion": cmd_diffusion,
-    "report": cmd_report,
+    "model": (cmd_model, "build and validate the configured model"),
+    "fk": (cmd_fk, "solve the backward and forward weight functions"),
+    "transform": (cmd_transform,
+                  "build the transformed process and its reports"),
+    "sample": (cmd_sample, "draw reference or transformed paths"),
+    "check": (cmd_check, "run residual and inequality checks"),
+    "hjb": (cmd_hjb, "evaluate both Hamilton-Jacobi residual forms"),
+    "bridge": (cmd_bridge, "fit endpoint marginals by proportional scaling"),
+    "diffusion": (cmd_diffusion, "run the one-dimensional PDE pipeline"),
+    "report": (cmd_report, "aggregate pass/fail across configured checks"),
 }
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="htlab",
+        description="Reweighted Markov dynamics: solvers, samplers, checks.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, blurb) in _COMMANDS.items():
+        p = sub.add_parser(name, help=blurb)
+        p.add_argument("--config", required=True, help="YAML run config")
+        p.add_argument("--out", default="out", help="output directory")
+        p.add_argument("--verbose", action="store_true")
+    return parser
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        return _COMMANDS[args.command](cfg, args)
+        return _COMMANDS[args.command][0](cfg, args)
     except FileNotFoundError as exc:
         print(f"error: reason=missing_file: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

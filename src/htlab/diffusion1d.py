@@ -27,7 +27,7 @@ from htlab.feynman_kac import (FKSolution, derivative, log_g,
                                potential_on_grid, repeated_rows,
                                weight_on_nodes)
 from htlab.h_transform import _BLOCK_ROWS, HProcess, marginal, normalization
-from htlab.markov_core import TimeGrid, _freeze
+from htlab.markov_core import TimeGrid, _freeze, _seeded
 
 # Equal-width histogram bins of empirical_vs_fk_marginal, capped at M.
 _TV_BINS = 64
@@ -168,30 +168,37 @@ def _factored_solver(diag, upper, lower):
     return solve
 
 
-def _cn_nodes(Vg: np.ndarray, center: float, half: float, upper, lower,
-              ks: range):
-    """Yield (solve, plus), the Crank-Nicolson diagonals of each row k of
-    Vg in ks, a range of step 1 or -1 over all of Vg's rows.
+def _cn_cells(model: Diffusion1DModel, Vg: np.ndarray, dt: float,
+              forward: bool):
+    """Yield (solve, multiply) for each cell [k, k+1] of Vg's rows, k
+    descending for the backward sweep and ascending for the forward one.
 
     Vg holds the V rows of consecutive time nodes: all of them for a full
     sweep, or the rows a resumed forward sweep crosses. With
-    h_k = half (center - Vg[k]), solve(rhs) solves the left-hand side of
-    row k, whose diagonal is 1 - h_k and whose bands are upper and lower,
-    and plus = 1 + h_k is its right-hand diagonal. A row equal to the row
-    before it in ks gets that row's pair, so a run of equal rows forms its
-    diagonals once and its factor at most once. The sweeps never solve on
-    the last row of Vg (node N of a full sweep): a run of that row alone
-    has no solve.
+    h_k = dt/2 (A - Vg[k]), solve(rhs) solves the left-hand side 1 - h_k of
+    row k and multiply(v) applies the right-hand side 1 + h_k of row k + 1.
+    The forward step is the transpose of the backward one: its bands are
+    swapped. A row equal to the row before it in the sweep gets that row's
+    diagonals, so a run of equal rows forms them once and its factor at most
+    once. The last row of Vg (node N of a full sweep) is never solved on.
     """
+    half = 0.5 * dt
+    center, upper, lower = _operator_bands(model)
+    hu, hl = half * upper, half * lower
+    if forward:
+        hu, hl = hl, hu
     same = repeated_rows(Vg)
-    before = min(0, -ks.step)  # same[k + before]: V[k] equals the row before
-    for k in ks:
-        if k == ks[0] or not same[k + before]:
+    rows = range(len(Vg)) if forward else range(len(Vg) - 1, -1, -1)
+    for k in rows:
+        if k == rows[0] or not same[min(k, k - rows.step)]:
             h = half * (center - Vg[k])
             minus, plus, solve = 1.0 - h, 1.0 + h, None
         if solve is None and k < len(same):
-            solve = _factored_solver(minus, upper, lower)
-        yield solve, plus
+            solve = _factored_solver(minus, -hu, -hl)
+        if k != rows[0]:
+            solve_k, plus_k1 = (last[0], plus) if forward else (solve, last[1])
+            yield solve_k, functools.partial(_tridiag_mul, plus_k1, hu, hl)
+        last = solve, plus
 
 
 def _clip_negatives(x: np.ndarray, what: str) -> int:
@@ -221,21 +228,15 @@ def solve_g_pde(model: Diffusion1DModel, V, gamma1,
     gamma1 = weight_on_nodes(gamma1, model.M + 1, "terminal weight",
                              "bad_terminal")
     Vg = potential_on_grid(V, grid, model.M + 1)
-    N, half = grid.N, 0.5 * grid.dt
-    center, upper, lower = _operator_bands(model)
-    hu, hl = half * upper, half * lower
-    nodes = _cn_nodes(Vg, center, half, -hu, -hl, range(N, -1, -1))
+    N = grid.N
     vals = np.empty((N + 1, model.M + 1))
     vals[N] = gamma1
     clipped = 0
-    # node k + 1's right-hand diagonal serves step k, and its solve served
-    # step k + 1
-    plus_next = next(nodes)[1]
-    for k, (solve, plus) in zip(range(N - 1, -1, -1), nodes):
-        g = solve(_tridiag_mul(plus_next, hu, hl, vals[k + 1]))
+    cells = _cn_cells(model, Vg, grid.dt, forward=False)
+    for k, (solve, multiply) in zip(range(N - 1, -1, -1), cells):
+        g = solve(multiply(vals[k + 1]))
         clipped += _clip_negatives(g, "backward")
         vals[k] = g
-        plus_next = plus
     vals.setflags(write=False)
     return vals, clipped
 
@@ -249,18 +250,11 @@ def _forward_steps(model: Diffusion1DModel, Vg: np.ndarray, f: np.ndarray,
     DiffusionTransform.f_rows resumes it from a stored row, so a resumed
     row has the bits, clipped zeros included, of the full sweep's.
     """
-    half = 0.5 * dt
-    center, upper, lower = _operator_bands(model)
-    hu, hl = half * upper, half * lower
-    # transposes of the backward step: swap the off-diagonal bands
-    nodes = _cn_nodes(Vg, center, half, -hl, -hu, range(len(Vg)))
     mw = model.m_weights
-    solve = next(nodes)[0]
-    for solve_next, plus_next in nodes:
-        f = _tridiag_mul(plus_next, hl, hu, solve(mw * f))
+    for solve, multiply in _cn_cells(model, Vg, dt, forward=True):
+        f = multiply(solve(mw * f))
         f /= mw
         yield f, _clip_negatives(f, "forward")
-        solve = solve_next
 
 
 def solve_f_pde(model: Diffusion1DModel, V, f0, grid: TimeGrid,
@@ -547,7 +541,7 @@ def _em_positions(model: Diffusion1DModel, n_paths: int, seed, steps: int,
     """Yield the positions at t = 0 and after each of the `steps` steps."""
     lo, hi = model.x_min, model.x_max
     width = hi - lo
-    rng = np.random.default_rng(seed)
+    rng = _seeded(seed, np.random.default_rng)
     # the draw's temporaries end with _em_start, before the steps begin
     x = _em_start(model, n_paths, rng, x0, initial_masses)
     yield x

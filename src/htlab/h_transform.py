@@ -309,15 +309,7 @@ class _ThinningContext:
         # numerator[k, x] = sum_y J(x,y) g(t_k, y); linear interpolation of g
         # makes the interpolated numerator exact.
         self.numer = self.g @ hp.model.J.rates.T
-        # Out-edges per state, padded to the largest out-degree: padding
-        # has rate 0 and repeats the state's last target.
-        source, target, rate = hp.model.J.edges
-        first = np.searchsorted(source, np.arange(hp.n))
-        degree = np.diff(first, append=source.size)
-        slot = np.arange(degree.max())
-        edge = first[:, None] + np.minimum(slot, degree[:, None] - 1)
-        self.out_targets = target[edge]
-        self.out_rates = np.where(slot < degree[:, None], rate[edge], 0.0)
+        self.out = hp.model.J.out_edges
         with np.errstate(divide="ignore", invalid="ignore"):
             rates = np.where(self.g > 0.0, self.numer / self.g, np.inf)
         self.bounds = _THINNING_SAFETY * np.maximum(rates[:-1], rates[1:])
@@ -358,8 +350,8 @@ class _ThinningContext:
         """
         k, a = self._cell(np.atleast_1d(tau))
         x = np.atleast_1d(x)
-        k, a, y = k[:, None], a[:, None], self.out_targets[x]
-        c = np.cumsum(self.out_rates[x]
+        k, a, y = k[:, None], a[:, None], self.out.target[x]
+        c = np.cumsum(self.out.rate[x]
                       * ((1.0 - a) * self.g[k, y] + a * self.g[k + 1, y]),
                       axis=1)
         u = rng.random(len(c))[:, None] * c[:, -1:]

@@ -102,32 +102,22 @@ def discrete_hjb_residual(g: np.ndarray, model: ReversibleModel,
                                    reason="dimension_mismatch")
     V = potential_on_grid(V, grid, model.n)
     psi = log_g(g)
-    n = model.n
     source, target, rate = model.J.edges
+    first = model.J.out_edges.first
     finite = np.isfinite(psi)
     # A point is evaluable when psi is finite there and at every jump target.
-    # Every state has an out-edge, so each state opens a reduceat group.
-    first = np.searchsorted(source, np.arange(n))
     defined = finite & ~np.logical_or.reduceat(~finite[:, target], first,
                                                axis=1)
 
-    # Each weighted term is scattered onto its edge in a zeroed n x n buffer
-    # per row and summed along the row. Summing the edges alone would round
-    # differently; the zeros keep the bits of a dense row sum of J * f(D psi).
     linear, theta_sum, gap = np.full((3, *g.shape), np.nan)
-    pairs = source * n + target
-    dense = np.zeros((_ROWS_PER_BLOCK, n * n))
     rows = np.flatnonzero(defined.any(axis=1))
     for start in range(0, rows.size, _ROWS_PER_BLOCK):
         ks = rows[start:start + _ROWS_PER_BLOCK]
         p = np.where(finite[ks], psi[ks], 0.0)
         dpsi = p[:, target] - p[:, source]
-        block = dense[:ks.size]
-        sums = []
-        for term in (dpsi, theta(dpsi), np.expm1(dpsi)):
-            block[:, pairs] = rate * term
-            sums.append(block.reshape(ks.size, n, n).sum(axis=2))
-        linear[ks], theta_sum[ks], collapsed = sums
+        linear[ks], theta_sum[ks], collapsed = (
+            np.add.reduceat(rate * term, first, axis=1)
+            for term in (dpsi, theta(dpsi), np.expm1(dpsi)))
         gap[ks] = np.abs((linear[ks] + theta_sum[ks]) - collapsed)
 
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -96,17 +96,28 @@ class Edges(NamedTuple):
     rate: np.ndarray
 
 
+class OutEdges(NamedTuple):
+    """Each state's out-edges: x's run of Edges (never empty) starts at
+    first[x], and row x of target and rate lists it, padded to the largest
+    out-degree with rate 0 and x's last target. Read-only arrays."""
+
+    first: np.ndarray
+    target: np.ndarray
+    rate: np.ndarray
+
+
 @dataclass(frozen=True)
 class JumpKernel:
     """Matrix of jump rates J(x, y); diagonal identically zero.
 
     edges lists the positive rates, grouped by source state and ordered by
-    target within each source, for the layers whose work is O(edges).
+    target within each source, and out_edges per state, for O(edges) work.
     """
 
     rates: np.ndarray
     exit_rates: np.ndarray = field(init=False)
     edges: Edges = field(init=False)
+    out_edges: OutEdges = field(init=False)
 
     def __post_init__(self):
         r = np.asarray(self.rates, dtype=float)
@@ -129,11 +140,18 @@ class JumpKernel:
                                        reason="absorbing_state")
         source, target = np.nonzero(rates)
         edges = Edges(source, target, rates[source, target])
-        for a in edges:
+        first = np.searchsorted(source, np.arange(len(rates)))
+        degree = np.diff(first, append=source.size)[:, None]
+        slot = np.arange(degree.max())
+        edge = first[:, None] + np.minimum(slot, degree - 1)
+        out_edges = OutEdges(first, target[edge],
+                             np.where(slot < degree, edges.rate[edge], 0.0))
+        for a in (*edges, *out_edges):
             a.setflags(write=False)
         object.__setattr__(self, "rates", rates)
         object.__setattr__(self, "exit_rates", exit_rates)
         object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "out_edges", out_edges)
 
     @property
     def n(self) -> int:
@@ -379,6 +397,14 @@ def transition_matrix(model: ReversibleModel, t: float) -> np.ndarray:
     return _uniformized_exponential(model.Q, lam, float(t))
 
 
+def _seeded(seed, make):
+    """make(seed), with numpy's refusal of the seed raised as bad_seed."""
+    try:
+        return make(seed)
+    except (TypeError, ValueError) as exc:
+        raise ModelValidationError(f"seed {seed!r}: {exc}", reason="bad_seed")
+
+
 def _search_rows(A: np.ndarray, rows: np.ndarray, v: np.ndarray) -> np.ndarray:
     """np.searchsorted(A[r], v, side="right") for each pair (rows[i], v[i]).
 
@@ -401,8 +427,9 @@ def sample_path_R(model: ReversibleModel, x0, seed) -> PathBatch:
     of x0 (a scalar x0 gives a batch of one), all from one generator.
 
     Holding time in x is exponential with the exit rate of x; the jump
-    destination is drawn proportionally to the rates out of x. Each round
-    steps every path still short of t = 1 at once.
+    destination is drawn proportionally to the rates on x's out-edges, and
+    a draw at or past their sum takes the last one. Each round steps every
+    path still short of t = 1 at once.
     """
     x0 = np.atleast_1d(np.asarray(x0))
     if (x0.ndim != 1 or x0.dtype.kind not in "iu"
@@ -413,8 +440,9 @@ def sample_path_R(model: ReversibleModel, x0, seed) -> PathBatch:
     if not x0.size:
         raise DegenerateInputError("need at least one path",
                                    reason="empty_request")
-    rng = np.random.default_rng(seed)
-    cum_rates = np.cumsum(model.J.rates, axis=1)
+    rng = _seeded(seed, np.random.default_rng)
+    out = model.J.out_edges
+    cum_rates = np.cumsum(out.rate, axis=1)
     live = np.arange(x0.size)
     x, t = x0.astype(np.intp), np.zeros(x0.size)
     path, times, states = [], [], []
@@ -423,7 +451,7 @@ def sample_path_R(model: ReversibleModel, x0, seed) -> PathBatch:
         go = t < 1.0
         live, x, t = live[go], x[go], t[go]
         u = rng.random(live.size) * cum_rates[x, -1]
-        x = np.minimum(_search_rows(cum_rates, x, u), model.n - 1)
+        x = out.target[x, _search_rows(cum_rates[:, :-1], x, u)]
         path.append(live)
         times.append(t)
         states.append(x)
@@ -451,7 +479,7 @@ def _path_blocks(seed, n_paths: int) -> list:
     block b draws from child b of SeedSequence(seed)."""
     if n_paths < 1:
         raise DegenerateInputError("need at least one path", reason="empty_request")
-    children = np.random.SeedSequence(seed).spawn(-(-n_paths // PATH_BLOCK))
+    children = _seeded(seed, np.random.SeedSequence).spawn(-(-n_paths // PATH_BLOCK))
     return [(min(PATH_BLOCK, n_paths - b * PATH_BLOCK), np.random.default_rng(c))
             for b, c in enumerate(children)]
 

@@ -153,6 +153,22 @@ def test_ipf_iteration_budget():
     assert info.value.final_error > 0
 
 
+@pytest.mark.parametrize("limits, reason", [
+    ({"max_iter": 0}, "bad_max_iter"),
+    ({"max_iter": -3}, "bad_max_iter"),
+    ({"tol": 0.0}, "bad_tolerance"),
+    ({"tol": -1e-10}, "bad_tolerance"),
+    ({"tol": np.nan}, "bad_tolerance"),
+    ({"tol": np.inf}, "bad_tolerance"),
+])
+def test_ipf_rejects_limits_it_cannot_run(limits, reason):
+    """No iteration, or a tolerance no error can fall below (or one every
+    error falls below), is a validation error, not a stalled fit."""
+    with pytest.raises(ModelValidationError) as info:
+        ipf_solve(three_state_problem(), **limits)
+    assert info.value.reason == reason
+
+
 def test_marginal_validation():
     model = reversible_two_state()
     with pytest.raises(ModelValidationError):

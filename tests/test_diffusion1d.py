@@ -837,6 +837,20 @@ def test_em_rejects_empty_requests(n_paths):
     assert info.value.reason == "empty_request"
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "x"])
+def test_em_rejects_a_bad_seed(seed):
+    """A seed numpy refuses is a bad_seed, not numpy's bare error."""
+    model = quadratic_model()
+    with pytest.raises(ModelValidationError) as info:
+        sample_em_paths(model, 4, seed=seed, steps=200, x0=0.0)
+    assert info.value.reason == "bad_seed"
+    tr = build_diffusion_transform(model, 0.0, np.ones(129), np.ones(129),
+                                   TimeGrid(100))
+    with pytest.raises(ModelValidationError) as info:
+        empirical_vs_fk_marginal(tr, 0.5, 4, seed=seed)
+    assert info.value.reason == "bad_seed"
+
+
 def test_em_escape_guard():
     model = quadratic_model()
     runaway = np.full((101, model.M + 1), 1e4)

@@ -352,12 +352,16 @@ def _zero_gamma1_hprocess():
      "bf1bfdebab501daa15dc725eadb7ae9fb8cf225a64fafff0de27c84c1aa2acf9"),
     (lambda: sample_paths_R(generic_hprocess().model, 2000, seed=23), False,
      "be06c89c230faa5a6e53fd92a7079b2e7646203c15e76483dcb76dc273763b35"),
-], ids=["P", "P_zero_gamma1", "R"])
+    (lambda: sample_paths_R(chorded_ring_model(), 2000, seed=29), False,
+     "59c44a66bb050a6738d87b4f8553ca4c9c595876b871bab202a419061e61a920"),
+], ids=["P", "P_zero_gamma1", "R", "R_unequal_degrees"])
 def test_jump_sampler_streams_are_pinned(monkeypatch, sample, slow_cells,
                                          digest):
     """The jump samplers' batches are fixed by seed, down to the last bit:
     the sha256 of x0, offsets, times and states, each in a fixed dtype.
-    slow_cells says whether some path continues in _jump_in_slow_cells."""
+    slow_cells says whether some path continues in _jump_in_slow_cells.
+    The chorded ring's out-degrees differ, so its R draws read padded
+    slots of the out-edge table."""
     slow = []
     run_slow = h_transform._jump_in_slow_cells
     monkeypatch.setattr(h_transform, "_jump_in_slow_cells",

@@ -9,6 +9,7 @@ from conftest import (chorded_ring_model, path_batch, ring_kernel,
                       two_state_model)
 from htlab.errors import (DegenerateInputError, HTLabError,
                           ModelValidationError)
+from htlab.h_transform import build_h_process, sample_paths_P
 from htlab.markov_core import (JumpKernel, PathBatch, StateSpace, TimeGrid,
                                build_metropolis, build_reversible_model,
                                check_irreducibility,
@@ -241,6 +242,21 @@ def test_sampler_determinism():
     np.testing.assert_array_equal(a.times, b.times)
     np.testing.assert_array_equal(a.states, b.states)
     assert a.x0 == b.x0
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "x"])
+def test_jump_samplers_reject_a_bad_seed(seed):
+    """A seed numpy refuses is a bad_seed, not numpy's bare error."""
+    model = chorded_ring_model()
+    hp = build_h_process(model, np.ones(model.n), np.ones(model.n), 0.0,
+                         TimeGrid(20))
+    for sample in (lambda: sample_path_R(model, 0, seed),
+                   lambda: sample_paths_R(model, 4, seed),
+                   lambda: sample_paths_R(model, 4, seed, x0=1),
+                   lambda: sample_paths_P(hp, 4, seed)):
+        with pytest.raises(ModelValidationError) as info:
+            sample()
+        assert info.value.reason == "bad_seed"
 
 
 def test_empirical_marginal_edge_cases():
