@@ -9,6 +9,7 @@ this product form.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +17,8 @@ import numpy as np
 from htlab.errors import (ConvergenceError, InconsistencyError,
                           ModelValidationError)
 from htlab.h_transform import HProcess, build_h_process, marginal
-from htlab.markov_core import ReversibleModel, TimeGrid, _freeze, transition_matrix
+from htlab.markov_core import (ReversibleModel, TimeGrid, _freeze, _is_integer,
+                               transition_matrix)
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
@@ -36,7 +38,7 @@ def _probability_vector(v, n: int, what: str) -> np.ndarray:
     return _freeze(v / v.sum())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BridgeProblem:
     """Reference chain, target marginals, and the two-time joint kernel."""
 
@@ -53,7 +55,7 @@ def build_bridge_problem(model: ReversibleModel, mu0, mu1) -> BridgeProblem:
     return BridgeProblem(model=model, mu0=mu0, mu1=mu1, K=_freeze(K))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IPFResult:
     f0: np.ndarray
     gamma1: np.ndarray
@@ -72,10 +74,13 @@ def ipf_solve(problem: BridgeProblem, tol: float = DEFAULT_TOL,
     The marginal error is the max of the two l1 gaps and must decrease
     monotonically; a strictly positive kernel guarantees convergence.
     """
-    if max_iter < 1:
-        raise ModelValidationError("need max_iter > 0", reason="bad_max_iter")
-    if not 0.0 < tol < np.inf:  # NaN fails both
-        raise ModelValidationError("need 0 < tol < inf", reason="bad_tolerance")
+    if not (_is_integer(max_iter) and max_iter >= 1):
+        raise ModelValidationError(f"need an integer max_iter > 0, got "
+                                   f"{max_iter!r}", reason="bad_max_iter")
+    # a NaN fails the comparisons
+    if not (isinstance(tol, numbers.Real) and 0.0 < tol < np.inf):
+        raise ModelValidationError(f"need a real 0 < tol < inf, got {tol!r}",
+                                   reason="bad_tolerance")
     on0 = problem.mu0 > 0
     on1 = problem.mu1 > 0
     restricted = bool((~on0).any() or (~on1).any())

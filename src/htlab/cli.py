@@ -30,8 +30,8 @@ from htlab.errors import (ConvergenceError, HTLabError, InconsistencyError,
                           ModelValidationError)
 from htlab.feynman_kac import (check_fk_generator, check_semigroup,
                                fk_propagator, solve_fk)
-from htlab.markov_core import (ReversibleModel, detailed_balance_violation,
-                               sample_paths_R)
+from htlab.markov_core import (ReversibleModel, _require_paths,
+                               detailed_balance_violation, sample_paths_R)
 from htlab.reports import write_csv, write_text
 
 EXIT_OK = 0
@@ -147,6 +147,7 @@ def cmd_transform(cfg: RunConfig, args) -> int:
 def cmd_sample(cfg: RunConfig, args) -> int:
     seed = cfg.require_seed()
     n_paths = _read_int(cfg.sampling.get("n_paths", 1000), "sampling.n_paths")
+    _require_paths(n_paths)
     process = str(cfg.sampling.get("process", "P"))
     if process == "P":
         model, grid, hp = _hprocess(cfg)
@@ -329,7 +330,7 @@ def cmd_diffusion(cfg: RunConfig, args) -> int:
         sampling = (_read(float, cfg.sampling.get("t", 0.5), "sampling.t"),
                     _read_int(cfg.sampling["n_paths"], "sampling.n_paths"),
                     cfg.require_seed())
-        diffusion1d._require_paths(sampling[1])
+        _require_paths(sampling[1])
         rows = indices + [grid.node_index(sampling[0])]
     tr = diffusion1d.build_diffusion_transform(model, V, f0, gamma1, grid)
     # one f_rows call resumes the forward sweep once per stored row, for the

@@ -27,7 +27,7 @@ from htlab.feynman_kac import (FKSolution, derivative, log_g,
                                potential_on_grid, repeated_rows,
                                weight_on_nodes)
 from htlab.h_transform import _BLOCK_ROWS, HProcess, marginal, normalization
-from htlab.markov_core import TimeGrid, _freeze, _seeded
+from htlab.markov_core import TimeGrid, _freeze, _require_paths, _seeded
 
 # Equal-width histogram bins of empirical_vs_fk_marginal, capped at M.
 _TV_BINS = 64
@@ -49,7 +49,7 @@ def check_window(x_min, x_max, M):
                                    reason="grid_too_coarse")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Diffusion1DModel:
     """Potential landscape on a uniform spatial grid with no-flux walls."""
 
@@ -298,7 +298,7 @@ def diffusion_hjb_residual(g: np.ndarray, model: Diffusion1DModel, V,
             + 0.5 * dxx_psi + 0.5 * dx_psi ** 2 - Vg)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiffusionTransform(HProcess):
     """The transformed diffusion: an HProcess whose m is the model's
     m_weights, plus the count of Crank-Nicolson nodes clipped to zero in
@@ -399,9 +399,9 @@ def _reflect(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
 class _DriftField:
     """Drift evaluation with linear interpolation in space and time.
 
-    The space lookup `_interp(x, row, slopes)` returns exactly
-    np.interp(x, xs, row), bit for bit, but finds the cell directly on the
-    uniform grid instead of by binary search:
+    The space lookup `_interp(x, row, slopes)` has np.interp(x, xs, row)'s
+    bits where that is finite and is non-finite where it is not, but finds
+    the cell directly on the uniform grid instead of by binary search:
     - the cell j is floor((x - x_min) * (1 / dx)), moved by at most one
       cell on each side to undo rounding, so that xs[j] <= x < xs[j+1];
     - inside the window the value is slopes[j] (x - xs[j]) + row[j], with
@@ -410,8 +410,8 @@ class _DriftField:
       node does not leak onto the node;
     - x >= xs[-1] returns row[-1] and x < xs[0] returns row[0] (xs[-1] can
       differ from x_max by rounding);
-    - NaN x gives NaN, and a NaN value from an infinite row entry is
-      retried from the right end of the cell, as np.interp does.
+    - NaN x gives NaN, and so may a cell with an infinite end where
+      np.interp gives inf; __call__ then raises masked_drift.
 
     `rows(block)` returns the drift on a slice of the time nodes 0..N (a
     transform's drift_rows, or an explicit array's __getitem__); None is
@@ -468,13 +468,6 @@ class _DriftField:
             out *= slopes.take(j)
             row_j = row.take(j)
             out += row_j
-            retry = np.isnan(out)
-            if retry.any():
-                i = np.flatnonzero(retry & (xj < x) & (j < self.M))
-                ji = j[i]
-                y = slopes[ji] * (x[i] - xs[ji + 1]) + row[ji + 1]
-                out[i] = np.where(np.isnan(y) & (row[ji] == row[ji + 1]),
-                                  row[ji], y)
         np.copyto(out, row_j, where=node)
         return out
 
@@ -504,13 +497,6 @@ class _DriftField:
             raise PositivityError("a path reached a region where the drift "
                                   "field is masked", reason="masked_drift")
         return out
-
-
-def _require_paths(n_paths: int):
-    """Reject an empty or negative path count before anything is allocated."""
-    if n_paths < 1:
-        raise DegenerateInputError("need at least one path",
-                                   reason="empty_request")
 
 
 def _em_start(model: Diffusion1DModel, n_paths: int, rng, x0,

@@ -89,7 +89,7 @@ def weight_on_nodes(w, n: int, what: str, reason: str) -> np.ndarray:
     return w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FKPropagator:
     """Per-step propagator factors plus on-demand products.
 
@@ -114,7 +114,7 @@ class FKPropagator:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FKSolution:
     """Grid values of the backward function g and forward function f.
 
@@ -254,7 +254,7 @@ def check_semigroup(prop: FKPropagator, s: float, t: float, u: float) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorResidual:
     """Pointwise residual of the backward equation and its maximum."""
 

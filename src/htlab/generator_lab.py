@@ -23,7 +23,7 @@ DEFAULT_H_SEQUENCE = (1e-2, 5e-3, 2.5e-3)
 _H_CELLS = (8, 4, 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DerivativeEstimate:
     """Finite-difference generator estimates over a step sequence.
 
@@ -142,7 +142,7 @@ def carre_du_champ(model: ReversibleModel, phi: np.ndarray,
     return jump_form
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IdentityResidual:
     """Largest residual of a generator identity, and the estimate it used."""
 

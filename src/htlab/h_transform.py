@@ -39,7 +39,7 @@ _THINNING_SAFETY = 1.1
 _BLOCK_ROWS = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HProcess:
     """Transformed law: reference model plus (f0, gamma1, V) and FK data.
 

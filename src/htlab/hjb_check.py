@@ -48,7 +48,7 @@ def theta_star(b):
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HJBResidual:
     """Pointwise HJB residual with NaN where it is not defined (masked)."""
 
@@ -102,11 +102,12 @@ def discrete_hjb_residual(g: np.ndarray, model: ReversibleModel,
                                    reason="dimension_mismatch")
     V = potential_on_grid(V, grid, model.n)
     psi = log_g(g)
-    source, target, rate = model.J.edges
-    first = model.J.out_edges.first
+    out = model.J.out_edges
+    source, slot = np.nonzero(out.rate)  # in np.nonzero(J.rates)'s order
+    target, rate = out.target[source, slot], out.rate[source, slot]
     finite = np.isfinite(psi)
     # A point is evaluable when psi is finite there and at every jump target.
-    defined = finite & ~np.logical_or.reduceat(~finite[:, target], first,
+    defined = finite & ~np.logical_or.reduceat(~finite[:, target], out.first,
                                                axis=1)
 
     linear, theta_sum, gap = np.full((3, *g.shape), np.nan)
@@ -116,7 +117,7 @@ def discrete_hjb_residual(g: np.ndarray, model: ReversibleModel,
         p = np.where(finite[ks], psi[ks], 0.0)
         dpsi = p[:, target] - p[:, source]
         linear[ks], theta_sum[ks], collapsed = (
-            np.add.reduceat(rate * term, first, axis=1)
+            np.add.reduceat(rate * term, out.first, axis=1)
             for term in (dpsi, theta(dpsi), np.expm1(dpsi)))
         gap[ks] = np.abs((linear[ks] + theta_sum[ks]) - collapsed)
 

@@ -87,36 +87,26 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return out
 
 
-class Edges(NamedTuple):
-    """The positive entries of a rate matrix in row-major order: edge i
-    jumps from source[i] to target[i] at rate[i]. Read-only arrays."""
-
-    source: np.ndarray
-    target: np.ndarray
-    rate: np.ndarray
-
-
 class OutEdges(NamedTuple):
-    """Each state's out-edges: x's run of Edges (never empty) starts at
-    first[x], and row x of target and rate lists it, padded to the largest
-    out-degree with rate 0 and x's last target. Read-only arrays."""
+    """Each state's out-edges, by target: row x of target and rate lists
+    x's, padded to the largest out-degree with rate 0 and x's last target.
+    The real slots (rate > 0) in row-major order are np.nonzero(rates)'s
+    entries; x's run of them (never empty) starts at first[x]. Read-only."""
 
     first: np.ndarray
     target: np.ndarray
     rate: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JumpKernel:
     """Matrix of jump rates J(x, y); diagonal identically zero.
 
-    edges lists the positive rates, grouped by source state and ordered by
-    target within each source, and out_edges per state, for O(edges) work.
+    out_edges lists each state's positive rates, for O(edges) work.
     """
 
     rates: np.ndarray
     exit_rates: np.ndarray = field(init=False)
-    edges: Edges = field(init=False)
     out_edges: OutEdges = field(init=False)
 
     def __post_init__(self):
@@ -139,18 +129,16 @@ class JumpKernel:
             raise DegenerateInputError("every state needs a positive exit rate",
                                        reason="absorbing_state")
         source, target = np.nonzero(rates)
-        edges = Edges(source, target, rates[source, target])
         first = np.searchsorted(source, np.arange(len(rates)))
         degree = np.diff(first, append=source.size)[:, None]
         slot = np.arange(degree.max())
-        edge = first[:, None] + np.minimum(slot, degree - 1)
-        out_edges = OutEdges(first, target[edge],
-                             np.where(slot < degree, edges.rate[edge], 0.0))
-        for a in (*edges, *out_edges):
+        target = target[first[:, None] + np.minimum(slot, degree - 1)]
+        out_edges = OutEdges(first, target, np.where(
+            slot < degree, np.take_along_axis(rates, target, axis=1), 0.0))
+        for a in out_edges:
             a.setflags(write=False)
         object.__setattr__(self, "rates", rates)
         object.__setattr__(self, "exit_rates", exit_rates)
-        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "out_edges", out_edges)
 
     @property
@@ -158,7 +146,7 @@ class JumpKernel:
         return self.rates.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReversibleModel:
     """Jump kernel J with reversing probability m, plus the generator Q."""
 
@@ -179,12 +167,9 @@ class ReversibleModel:
         if abs(m.sum() - 1.0) > 1e-12:
             raise ModelValidationError("reversing measure must sum to 1",
                                        reason="unnormalized_measure")
-        viol = detailed_balance_violation(self.J.rates, m)
-        scale = max(np.max(m[:, None] * self.J.rates), 1.0)
-        if viol > DETAILED_BALANCE_RTOL * scale:
-            raise ModelValidationError(
-                f"detailed balance violated (max |m(x)J(x,y)-m(y)J(y,x)| = {viol:.3e})",
-                reason="detailed_balance_violation")
+        _require_detailed_balance(
+            self.J.rates, m,
+            "detailed balance violated (max |m(x)J(x,y)-m(y)J(y,x)| = {:.3e})")
         if not check_irreducibility(self.J):
             raise ModelValidationError("jump kernel must be irreducible",
                                        reason="not_irreducible")
@@ -302,6 +287,17 @@ def detailed_balance_violation(rates: np.ndarray, m: np.ndarray) -> float:
     return float(np.max(np.abs(flux - flux.T)))
 
 
+def _require_detailed_balance(rates: np.ndarray, m: np.ndarray,
+                              message: str):
+    """Raise detailed_balance_violation, with message formatted on the
+    violation, if it exceeds DETAILED_BALANCE_RTOL times the largest flux
+    m(x)J(x,y), or times 1 when that is larger."""
+    viol = detailed_balance_violation(rates, m)
+    if viol > DETAILED_BALANCE_RTOL * max(np.max(m[:, None] * rates), 1.0):
+        raise ModelValidationError(message.format(viol),
+                                   reason="detailed_balance_violation")
+
+
 def check_irreducibility(J: JumpKernel | np.ndarray) -> bool:
     """True iff the directed graph of positive rates is strongly connected,
     that is, iff state 0 reaches every state along the edges and back."""
@@ -345,12 +341,8 @@ def build_metropolis(space: StateSpace, J0: JumpKernel, m0: np.ndarray,
     if np.any(m0 <= 0):
         raise ModelValidationError("base measure must be strictly positive",
                                    reason="nonpositive_measure")
-    viol = detailed_balance_violation(J0.rates, m0 / m0.sum())
-    scale = max(np.max((m0 / m0.sum())[:, None] * J0.rates), 1.0)
-    if viol > DETAILED_BALANCE_RTOL * scale:
-        raise ModelValidationError(
-            f"(m0, J0) violate detailed balance by {viol:.3e}",
-            reason="detailed_balance_violation")
+    _require_detailed_balance(J0.rates, m0 / m0.sum(),
+                              "(m0, J0) violate detailed balance by {:.3e}")
     tilt = np.exp(U[:, None] - U[None, :])
     J = JumpKernel(tilt * J0.rates)
     m = np.exp(-2.0 * U) * m0
@@ -397,6 +389,23 @@ def transition_matrix(model: ReversibleModel, t: float) -> np.ndarray:
     return _uniformized_exponential(model.Q, lam, float(t))
 
 
+def _is_integer(v) -> bool:
+    """True for a Python or numpy integer, and False for a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _require_paths(n_paths):
+    """Reject a path count that is not an integer (bad_path_count) or is
+    below 1 (empty_request), before anything is drawn or allocated."""
+    if not _is_integer(n_paths):
+        raise ModelValidationError(
+            f"path count must be an integer, got {n_paths!r}",
+            reason="bad_path_count")
+    if n_paths < 1:
+        raise DegenerateInputError("need at least one path",
+                                   reason="empty_request")
+
+
 def _seeded(seed, make):
     """make(seed), with numpy's refusal of the seed raised as bad_seed."""
     try:
@@ -437,9 +446,7 @@ def sample_path_R(model: ReversibleModel, x0, seed) -> PathBatch:
         raise ModelValidationError(
             f"initial states must be state indices below {model.n}",
             reason="unknown_state")
-    if not x0.size:
-        raise DegenerateInputError("need at least one path",
-                                   reason="empty_request")
+    _require_paths(x0.size)
     rng = _seeded(seed, np.random.default_rng)
     out = model.J.out_edges
     cum_rates = np.cumsum(out.rate, axis=1)
@@ -477,8 +484,7 @@ def _batch_from_rounds(x0, path, times, states, n_states, seed) -> PathBatch:
 def _path_blocks(seed, n_paths: int) -> list:
     """(size, generator) per block of PATH_BLOCK paths, the last one short;
     block b draws from child b of SeedSequence(seed)."""
-    if n_paths < 1:
-        raise DegenerateInputError("need at least one path", reason="empty_request")
+    _require_paths(n_paths)
     children = _seeded(seed, np.random.SeedSequence).spawn(-(-n_paths // PATH_BLOCK))
     return [(min(PATH_BLOCK, n_paths - b * PATH_BLOCK), np.random.default_rng(c))
             for b, c in enumerate(children)]

@@ -67,7 +67,7 @@ class YoungFunction:
         return YoungFunction("power", 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedMeasure:
     """Strictly positive weights with total mass one."""
 

@@ -160,10 +160,16 @@ def test_ipf_iteration_budget():
     ({"tol": -1e-10}, "bad_tolerance"),
     ({"tol": np.nan}, "bad_tolerance"),
     ({"tol": np.inf}, "bad_tolerance"),
+    ({"max_iter": 2.5}, "bad_max_iter"),
+    ({"max_iter": "5"}, "bad_max_iter"),
+    ({"max_iter": True}, "bad_max_iter"),
+    ({"tol": "x"}, "bad_tolerance"),
+    ({"tol": None}, "bad_tolerance"),
 ])
 def test_ipf_rejects_limits_it_cannot_run(limits, reason):
     """No iteration, or a tolerance no error can fall below (or one every
-    error falls below), is a validation error, not a stalled fit."""
+    error falls below), is a validation error, not a stalled fit; so is a
+    max_iter that is not an integer, or a tol that is not a real number."""
     with pytest.raises(ModelValidationError) as info:
         ipf_solve(three_state_problem(), **limits)
     assert info.value.reason == reason

@@ -634,17 +634,19 @@ def test_nonfinite_time_is_off_grid(tmp_path, capsys, command, old, new,
      "bad_config: bridge.max_iter"),
     ("report", "mu1: [0.2, 0.2, 0.6]", "mu1: [0.2, 0.2, 0.6]\n  max_iter: -5",
      "bad_config: bridge.max_iter"),
+    ("sample", "n_paths: 50", "n_paths: 0", "empty_request"),
 ], ids=["transform_off_grid", "check_tolerance", "check_seed",
         "check_off_grid", "report_tolerance", "report_bridge_tol",
         "report_max_iter", "bridge_max_iter", "sample_negative_seed",
         "check_negative_seed", "report_negative_seed", "bridge_max_iter_0",
         "bridge_max_iter_negative", "report_max_iter_0",
-        "report_max_iter_negative"])
+        "report_max_iter_negative", "sample_no_paths"])
 def test_bad_setting_fails_before_anything_is_built(tmp_path, capsys,
                                                     monkeypatch, command, old,
                                                     new, reason):
-    """Scalar settings (times, tolerances, seed, bridge limits) are read and
-    checked before the h-process or the bridge problem is built."""
+    """Scalar settings (times, tolerances, seed, bridge limits, path count)
+    are read and checked before the h-process or the bridge problem is
+    built."""
     def forbidden(*args, **kwargs):
         raise AssertionError("built before the settings were checked")
 

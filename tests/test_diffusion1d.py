@@ -659,6 +659,9 @@ def interp_probe(model, rng):
 @pytest.mark.parametrize("M", [16, 17, 1024])
 @pytest.mark.parametrize("lo,hi", [(-1.0, 0.3), (-2.0, 2.0), (0.1, 0.7)])
 def test_interp_kernel_matches_np_interp(M, lo, hi):
+    """np.interp's bits wherever np.interp is finite, and a non-finite
+    value exactly where it is not; on a row with infinite entries the
+    field raises masked_drift."""
     model = Diffusion1DModel(lo, hi, M, 0.0)
     field = _DriftField(model, None)
     rng = np.random.default_rng(M)
@@ -671,8 +674,16 @@ def test_interp_kernel_matches_np_interp(M, lo, hi):
             row[rng.integers(0, M + 1, 3)] = [np.inf, -np.inf, np.inf]
         if trial % 4 == 3:
             row[rng.integers(0, M + 1, 6)] = [0.0, -0.0] * 3
-        assert_same_bits(field._interp(x, row, field._slopes(row)),
-                         np.interp(x, model.xs, row))
+        got = field._interp(x, row, field._slopes(row))
+        want = np.interp(x, model.xs, row)
+        finite = np.isfinite(want)
+        np.testing.assert_array_equal(np.isfinite(got), finite)
+        assert_same_bits(got[finite], want[finite])
+        if trial % 4 == 2:
+            field.static, field.static_slopes = row, field._slopes(row)
+            with pytest.raises(PositivityError) as info:
+                field(0.0, x[np.isfinite(x)])
+            assert info.value.reason == "masked_drift"
 
 
 def test_interp_kernel_node_hits_and_ends():
@@ -835,6 +846,21 @@ def test_em_rejects_empty_requests(n_paths):
     with pytest.raises(DegenerateInputError) as info:
         empirical_vs_fk_marginal(tr, 0.5, n_paths, seed=1)
     assert info.value.reason == "empty_request"
+
+
+@pytest.mark.parametrize("n_paths", [2.5, True, np.float64(3.0)])
+def test_em_rejects_a_path_count_that_is_not_an_integer(n_paths):
+    """A count that is not an integer is a bad_path_count, raised before
+    anything is drawn, not numpy's bare error or a silent cast."""
+    model = quadratic_model()
+    tr = build_diffusion_transform(model, 0.0, np.ones(129), np.ones(129),
+                                   TimeGrid(100))
+    for sample in (lambda: sample_em_paths(model, n_paths, seed=1, steps=200,
+                                           x0=0.0),
+                   lambda: empirical_vs_fk_marginal(tr, 0.5, n_paths, seed=1)):
+        with pytest.raises(ModelValidationError) as info:
+            sample()
+        assert info.value.reason == "bad_path_count"
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, "x"])

@@ -10,9 +10,9 @@ from conftest import (chorded_ring_model, path_batch, ring_kernel,
 from htlab.errors import (DegenerateInputError, HTLabError,
                           ModelValidationError)
 from htlab.h_transform import build_h_process, sample_paths_P
-from htlab.markov_core import (JumpKernel, PathBatch, StateSpace, TimeGrid,
-                               build_metropolis, build_reversible_model,
-                               check_irreducibility,
+from htlab.markov_core import (DETAILED_BALANCE_RTOL, JumpKernel, PathBatch,
+                               StateSpace, TimeGrid, build_metropolis,
+                               build_reversible_model, check_irreducibility,
                                detailed_balance_violation, empirical_marginal,
                                _search_rows, sample_path_R, sample_paths_R,
                                transition_matrix)
@@ -52,6 +52,33 @@ def test_metropolis_rejects_unbalanced_base():
     with pytest.raises(ModelValidationError) as err:
         build_metropolis(space, J0, np.array([0.5, 0.5]), np.zeros(2))
     assert err.value.reason == "detailed_balance_violation"
+    assert "(m0, J0) violate detailed balance by 5.000e-01" in str(err.value)
+
+
+def test_detailed_balance_tolerance_scales_with_the_largest_flux():
+    """Both entry points reject a gap above DETAILED_BALANCE_RTOL times
+    max(largest flux, 1), and take one below it."""
+    space = StateSpace(("a", "b"))
+    for scale in (1.0, 1e6):
+        for rel, ok in ((0.5, True), (2.0, False)):
+            gap = rel * DETAILED_BALANCE_RTOL * scale
+            rates = scale * np.array([[0.0, 2.0], [2.0, 0.0]])
+            rates[0, 1] += 2.0 * gap  # flux gap m(0) * 2 gap = gap
+            J = JumpKernel(rates)
+            for build in (lambda: build_reversible_model(space, J,
+                                                         [0.5, 0.5]),
+                          lambda: build_metropolis(space, J, np.ones(2),
+                                                   np.zeros(2))):
+                if ok:
+                    build()
+                    continue
+                with pytest.raises(ModelValidationError) as err:
+                    build()
+                assert err.value.reason == "detailed_balance_violation"
+    with pytest.raises(ModelValidationError) as err:
+        build_reversible_model(space, J, [0.5, 0.5])
+    assert str(err.value).startswith(
+        "detailed balance violated (max |m(x)J(x,y)-m(y)J(y,x)| = 2.000e-04)")
 
 
 @pytest.mark.filterwarnings("error")
@@ -259,6 +286,23 @@ def test_jump_samplers_reject_a_bad_seed(seed):
         assert info.value.reason == "bad_seed"
 
 
+@pytest.mark.parametrize("n_paths", [2.5, True, np.float64(4.0), "4"])
+def test_jump_samplers_reject_a_path_count_that_is_not_an_integer(n_paths):
+    """A count that is not an integer is a bad_path_count, raised before
+    anything is drawn; numpy integers are counts."""
+    model = chorded_ring_model()
+    hp = build_h_process(model, np.ones(model.n), np.ones(model.n), 0.0,
+                         TimeGrid(20))
+    for sample in (lambda: sample_paths_R(model, n_paths, 1),
+                   lambda: sample_paths_R(model, n_paths, 1, x0=1),
+                   lambda: sample_paths_P(hp, n_paths, 1)):
+        with pytest.raises(ModelValidationError) as info:
+            sample()
+        assert info.value.reason == "bad_path_count"
+    assert len(sample_paths_R(model, np.int64(3), 1)) == 3
+    assert len(sample_paths_P(hp, np.int32(3), 1)) == 3
+
+
 def test_empirical_marginal_edge_cases():
     model = two_state_model()
     lone = sample_path_R(model, 1, seed=7)
@@ -376,21 +420,64 @@ def test_jump_kernel_validation():
         JumpKernel(np.array([[0.0, 0.0], [1.0, 0.0]]))
 
 
-def test_jump_kernel_edges_are_read_only_and_row_major():
-    """The edge list holds every positive rate, grouped by source and
-    ordered by target within a source (the order of np.nonzero)."""
+def test_jump_kernel_out_edges_are_read_only_and_row_major():
+    """The out-edge table holds every positive rate: its real slots, in
+    row-major order, are np.nonzero's entries, first holds their row
+    starts, and padding repeats the row's last target at rate 0."""
     J = chorded_ring_model().J
-    source, target, rate = J.edges
-    assert not any(a.flags.writeable for a in J.edges)
+    first, target, rate = J.out_edges
+    assert not any(a.flags.writeable for a in J.out_edges)
     with pytest.raises(ValueError):
-        rate[0] = 1.0
-    np.testing.assert_array_equal(np.lexsort((target, source)),
-                                  np.arange(source.size))
-    assert np.all(np.diff(source * J.n + target) > 0)
+        rate[0, 0] = 1.0
+    row, slot = np.nonzero(rate > 0)
+    source, dest = np.nonzero(J.rates)
+    np.testing.assert_array_equal(row, source)
+    np.testing.assert_array_equal(target[row, slot], dest)
+    np.testing.assert_array_equal(rate[row, slot], J.rates[source, dest])
+    np.testing.assert_array_equal(first, np.searchsorted(row, np.arange(J.n)))
+    degree = np.count_nonzero(J.rates, axis=1)
+    assert rate.shape == target.shape == (J.n, degree.max())
+    assert degree.min() < degree.max()  # so some rows are padded
+    for x, d in enumerate(degree):
+        assert np.all(rate[x, :d] > 0) and np.all(rate[x, d:] == 0.0)
+        assert np.all(target[x, d:] == target[x, d - 1])
     dense = np.zeros_like(J.rates)
-    dense[source, target] = rate
+    np.add.at(dense, (np.arange(J.n)[:, None], target), rate)
     np.testing.assert_array_equal(dense, J.rates)
-    assert np.all(rate > 0) and source.size == np.count_nonzero(J.rates)
+
+
+def test_models_compare_and_hash_by_identity():
+    """Models hold arrays, so == and hash are those of object identity:
+    two models of equal content are different objects, and neither
+    comparison raises numpy's ambiguous-truth-value error."""
+    a, b = chorded_ring_model(), chorded_ring_model()
+    assert a == a and a != b and a.J != b.J
+    assert a in [b, a] and b not in [a]
+    assert hash(a) == hash(a) and len({a, b, a.J, b.J}) == 4
+
+
+def test_every_dataclass_holding_an_array_compares_by_identity():
+    """A dataclass with an ndarray field needs eq=False: the generated ==
+    compares fields as tuples, which raises on arrays, and makes the class
+    unhashable."""
+    import dataclasses
+    import importlib
+    import pkgutil
+
+    import htlab
+
+    holders = {}
+    for info in pkgutil.iter_modules(htlab.__path__):
+        module = importlib.import_module(f"htlab.{info.name}")
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                    and obj.__module__ == module.__name__
+                    and any("ndarray" in str(f.type)
+                            for f in dataclasses.fields(obj))):
+                holders[obj.__qualname__] = obj.__dataclass_params__.eq
+    assert {"JumpKernel", "ReversibleModel", "Diffusion1DModel", "HProcess",
+            "DiffusionTransform", "PathBatch"} <= set(holders)
+    assert [name for name, eq in holders.items() if eq] == []
 
 
 def test_reversible_model_validation():
