@@ -104,10 +104,10 @@ def cmd_fk(cfg: RunConfig, args) -> int:
     model = _jump_model(cfg)
     grid = cfg.time_grid
     f0, gamma1, V = transform_pieces(cfg, model, grid)
-    fk = solve_fk(model, V, f0, gamma1, grid)
+    g, f = solve_fk(model, V, f0, gamma1, grid)
     write_csv(os.path.join(args.out, "fk.csv"),
               {**_time_state(grid.nodes, model.n),
-               "g": fk.g.ravel(), "f": fk.f.ravel()},
+               "g": g.ravel(), "f": f.ravel()},
               meta={"grid_N": grid.N})
     _say(args, f"fk solved on N={grid.N}")
     return EXIT_OK
@@ -193,7 +193,7 @@ def _run_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
     results.append(("semigroup_identity", gap <= tol_semigroup,
                     f"gap={gap:.3e} tol={tol_semigroup:.1e}"))
 
-    res = check_fk_generator(hp.model, hp.V, hp.fk.g, grid)
+    res = check_fk_generator(hp.model, hp.V, hp.g, grid)
     results.append(("backward_equation_residual", res.max_residual <= tol_pde,
                     f"max={res.max_residual:.3e} tol={tol_pde:.1e}"))
 
@@ -252,7 +252,7 @@ def cmd_check(cfg: RunConfig, args) -> int:
 
 def cmd_hjb(cfg: RunConfig, args) -> int:
     model, grid, hp = _hprocess(cfg)
-    res_exp, res_log = hjb_check.discrete_hjb_residual(hp.fk.g, model, hp.V,
+    res_exp, res_log = hjb_check.discrete_hjb_residual(hp.g, model, hp.V,
                                                        grid)
     columns = {**_time_state(grid.nodes, model.n),
                "residual_exponential": res_exp.residual.ravel(),
@@ -339,11 +339,11 @@ def cmd_diffusion(cfg: RunConfig, args) -> int:
     lines = [f"normalization_c={tr.c!r}",
              f"clipped_nodes={tr.clipped_nodes}"]
     if sampling is not None:
-        masses = f[-1] * tr.fk.g[rows[-1]] * tr.m  # marginal(tr, t)'s bits
+        masses = f[-1] * tr.g[rows[-1]] * tr.m  # marginal(tr, t)'s bits
         tv = diffusion1d.empirical_vs_fk_marginal(tr, *sampling,
                                                   masses=masses)
         lines.append(f"empirical_tv={tv!r}")
-    for name, values in [("diffusion_g.csv", tr.fk.g[indices]),
+    for name, values in [("diffusion_g.csv", tr.g[indices]),
                          ("diffusion_f.csv", f[:len(indices)]),
                          ("diffusion_drift.csv", tr.drift_rows(indices))]:
         write_csv(os.path.join(args.out, name),

@@ -62,9 +62,12 @@ _MODEL_KEYS = {"jump": {"kind", "states", "J0", "m0", "U"},
                "diffusion": {"kind", "x_min", "x_max", "M", "U"}}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunConfig:
-    """Parsed configuration with raw sections and typed accessors."""
+    """Parsed configuration with raw sections and typed accessors.
+
+    The sections are dicts, so == and hash are those of object identity.
+    """
 
     model: dict = field(default_factory=dict)
     transform: dict = field(default_factory=dict)

@@ -23,11 +23,11 @@ import numpy as np
 
 from htlab.errors import (DegenerateInputError, ModelValidationError,
                           PositivityError)
-from htlab.feynman_kac import (FKSolution, derivative, log_g,
-                               potential_on_grid, repeated_rows,
-                               weight_on_nodes)
+from htlab.feynman_kac import (derivative, log_g, potential_on_grid,
+                               repeated_rows, weight_on_nodes)
 from htlab.h_transform import _BLOCK_ROWS, HProcess, marginal, normalization
-from htlab.markov_core import TimeGrid, _freeze, _require_paths, _seeded
+from htlab.markov_core import (TimeGrid, _freeze, _is_integer, _require_paths,
+                               _seeded)
 
 # Equal-width histogram bins of empirical_vs_fk_marginal, capped at M.
 _TV_BINS = 64
@@ -35,7 +35,8 @@ _TV_BINS = 64
 
 def check_window(x_min, x_max, M):
     """Reject a window that is not finite with positive width (bad_domain),
-    or that has fewer than 16 cells (grid_too_coarse).
+    a cell count M that is not an integer (bad_grid_size), or fewer than
+    16 cells (grid_too_coarse).
 
     The width is taken in Python floats, which overflow to inf silently, so
     a huge window raises no numpy warning before it is refused.
@@ -44,6 +45,9 @@ def check_window(x_min, x_max, M):
     if not (lo < hi and math.isfinite(hi - lo)):  # NaN fails both
         raise ModelValidationError("domain must be finite with positive "
                                    "width", reason="bad_domain")
+    if not _is_integer(M):
+        raise ModelValidationError(f"need an integer count of spatial cells, "
+                                   f"got {M!r}", reason="bad_grid_size")
     if M < 16:
         raise ModelValidationError("need at least 16 spatial cells",
                                    reason="grid_too_coarse")
@@ -305,12 +309,11 @@ class DiffusionTransform(HProcess):
     both solves.
 
     g is stored whole. f is stored only at every _BLOCK_ROWS-th node and at
-    node N, in f_stored (row ceil(k / _BLOCK_ROWS) holds node k), and fk.f
-    is None, so f is read through f_rows alone. The transformed drift is
-    not stored: drift_rows derives it from g.
+    node N, in f_stored (row ceil(k / _BLOCK_ROWS) holds node k), so f is
+    read through f_rows alone. The transformed drift is not stored:
+    drift_rows derives it from g.
     """
 
-    f_stored: np.ndarray
     clipped_nodes: int
 
     def f_rows(self, rows) -> np.ndarray:
@@ -350,7 +353,7 @@ class DiffusionTransform(HProcess):
         The log and the stencil act row by row, so a row's drift has the
         same bits whichever rows are formed with it.
         """
-        drift = derivative(log_g(self.fk.g[rows]), self.model.dx, axis=-1)
+        drift = derivative(log_g(self.g[rows]), self.model.dx, axis=-1)
         drift -= self.model.U_prime
         drift.setflags(write=False)
         return drift
@@ -375,8 +378,7 @@ def build_diffusion_transform(model: Diffusion1DModel, V, f0, gamma1,
     f0 = _freeze(f0 / c)
     f_stored, clipped_f = solve_f_pde(model, V, f0, grid, _BLOCK_ROWS)
     return DiffusionTransform(model=model, f0=f0, gamma1=gamma1, V=V,
-                              grid=grid, c=c, m=mw, f_stored=f_stored,
-                              fk=FKSolution(g=g, f=None),
+                              grid=grid, g=g, f_stored=f_stored, c=c, m=mw,
                               clipped_nodes=clipped_g + clipped_f)
 
 
@@ -603,6 +605,9 @@ def empirical_vs_fk_marginal(transform: DiffusionTransform, t: float,
     equal-width bins as the path histogram. There are min(_TV_BINS, M) bins,
     so every bin holds at least one node. masses is marginal(transform, t)
     when the caller already has it, which spares a resumed forward sweep.
+    A path that reaches a masked drift raises masked_drift; when the
+    solves clipped nodes to zero, the message gives their count, the
+    likely cause.
     """
     _require_paths(n_paths)
     model, grid = transform.model, transform.grid
@@ -610,9 +615,17 @@ def empirical_vs_fk_marginal(transform: DiffusionTransform, t: float,
     bins = min(_TV_BINS, model.M)
     edges = np.linspace(model.x_min, model.x_max, bins + 1)
     field = _DriftField(model, transform.drift_rows, grid.N)
-    for positions in _em_positions(model, n_paths, seed, k, field, None,
-                                   marginal(transform, 0.0), t):
-        pass  # only the positions at time t are kept
+    try:
+        for positions in _em_positions(model, n_paths, seed, k, field, None,
+                                       marginal(transform, 0.0), t):
+            pass  # only the positions at time t are kept
+    except PositivityError as err:
+        if err.reason != "masked_drift" or not transform.clipped_nodes:
+            raise
+        raise PositivityError(
+            f"{err}; the Crank-Nicolson solves clipped negative values to "
+            f"zero (clipped_nodes={transform.clipped_nodes}), and the drift "
+            "is masked where g vanishes", reason=err.reason) from err
     hist, _ = np.histogram(positions, bins=edges)
     empirical = hist / n_paths
     if masses is None:

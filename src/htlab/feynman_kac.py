@@ -114,18 +114,6 @@ class FKPropagator:
         return out
 
 
-@dataclass(frozen=True, eq=False)
-class FKSolution:
-    """Grid values of the backward function g and forward function f.
-
-    f is None in a diffusion1d.DiffusionTransform, which stores f only at
-    some nodes; h_transform.HProcess.f_rows reads f on either kind.
-    """
-
-    g: np.ndarray
-    f: np.ndarray | None
-
-
 def rk4_matrix_step(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray,
                     h: float) -> np.ndarray:
     """One classical RK4 step of dM/dtau = M A(tau) from M = I.
@@ -231,14 +219,14 @@ def solve_f(model: ReversibleModel, V, f0,
 
 
 def solve_fk(model: ReversibleModel, V, f0, gamma1,
-             grid: TimeGrid) -> FKSolution:
-    """Both Feynman-Kac functions, g and f, on the grid.
+             grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Both Feynman-Kac functions on the grid, as the read-only pair (g, f).
 
     f is solved first, so a bad f0 is reported before a bad gamma1, as in
     build_h_process.
     """
     f = _freeze(solve_f(model, V, f0, grid))
-    return FKSolution(g=_freeze(solve_g(model, V, gamma1, grid)), f=f)
+    return _freeze(solve_g(model, V, gamma1, grid)), f
 
 
 def check_semigroup(prop: FKPropagator, s: float, t: float, u: float) -> float:

@@ -161,7 +161,7 @@ def check_transformed_generator(hp: HProcess, u: np.ndarray,
     which share the transition matrices; the max is then over all of them.
     """
     k = hp.grid.node_index(t)
-    g_t = hp.fk.g[k]
+    g_t = hp.g[k]
     if np.any(g_t <= 0):
         raise PositivityError("g must be positive at the evaluation time",
                               reason="zero_g_slice")

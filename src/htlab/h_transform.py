@@ -2,11 +2,12 @@
 
 An HProcess is the reweighting of a reference model by an initial weight, a
 terminal weight and an exponential potential factor, for a jump chain and
-(as diffusion1d.DiffusionTransform) for a diffusion alike. The class bundles
-the Feynman-Kac solution that makes the transform concrete; marginals and
-relative entropy take either kind. For jump chains the module also exposes
-g between grid nodes, the time-dependent jump kernel of the transformed
-dynamics, exact path density ratios and a thinning-based path sampler.
+(as diffusion1d.DiffusionTransform) for a diffusion alike. The class holds
+the Feynman-Kac functions g and f that make the transform concrete;
+marginals and relative entropy take either kind. For jump chains the module
+also exposes g between grid nodes, the time-dependent jump kernel of the
+transformed dynamics, exact path density ratios and a thinning-based path
+sampler.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ import numpy as np
 from htlab.errors import (ConvergenceError, DegenerateInputError,
                           InconsistencyError, ModelValidationError,
                           PositivityError)
-from htlab.feynman_kac import (FKSolution, POSITIVITY_THRESHOLD,
-                               potential_on_grid, positivity_report, solve_f,
-                               solve_g, weight_on_nodes)
+from htlab.feynman_kac import (POSITIVITY_THRESHOLD, potential_on_grid,
+                               positivity_report, solve_f, solve_g,
+                               weight_on_nodes)
 from htlab.markov_core import (PathBatch, PathView, ReversibleModel, TimeGrid,
                                _batch_from_rounds, _freeze, _path_blocks,
                                _search_rows)
@@ -41,7 +42,7 @@ _BLOCK_ROWS = 64
 
 @dataclass(frozen=True, eq=False)
 class HProcess:
-    """Transformed law: reference model plus (f0, gamma1, V) and FK data.
+    """Transformed law: reference model plus (f0, gamma1, V), g and f.
 
     f0 is stored post-normalization: the recorded constant c rescales the
     user's initial weight so that the transformed law has total mass one.
@@ -50,7 +51,9 @@ class HProcess:
     (N+1) x n view from feynman_kac.potential_on_grid that both sweeps
     took (row stride 0 for a V constant in time); passing it back there
     copies nothing. m holds the reference law's node masses: the jump
-    chain's m, the diffusion's m_weights.
+    chain's m, the diffusion's m_weights. g is the read-only (N+1) x n
+    backward function. f_stored holds the forward function at its stored
+    time nodes: every node on a jump chain; f_rows reads f on any node.
     """
 
     model: object
@@ -58,7 +61,8 @@ class HProcess:
     gamma1: np.ndarray
     V: np.ndarray
     grid: TimeGrid
-    fk: FKSolution
+    g: np.ndarray
+    f_stored: np.ndarray
     c: float
     m: np.ndarray
 
@@ -72,7 +76,7 @@ class HProcess:
         Every reader of f goes through this method: a DiffusionTransform
         stores f only at some nodes and derives the other rows.
         """
-        return self.fk.f[rows]
+        return self.f_stored[rows]
 
     @functools.cached_property
     def V_cum(self) -> np.ndarray:
@@ -114,18 +118,18 @@ def build_h_process(model: ReversibleModel, f0, gamma1, V,
     gamma1 = weight_on_nodes(gamma1, model.n, "terminal weight",
                              "negative_weight")
     V = potential_on_grid(V, grid, model.n)
-    g = solve_g(model, V, gamma1, grid)
+    g = _freeze(solve_g(model, V, gamma1, grid))
     c = normalization(model.m, f0, g[0])
     f0 = _freeze(f0 / c)
-    fk = FKSolution(g=_freeze(g), f=_freeze(solve_f(model, V, f0, grid)))
-    return HProcess(model=model, f0=f0, gamma1=gamma1, V=V, grid=grid, fk=fk,
-                    c=c, m=model.m)
+    f = _freeze(solve_f(model, V, f0, grid))
+    return HProcess(model=model, f0=f0, gamma1=gamma1, V=V, grid=grid, g=g,
+                    f_stored=f, c=c, m=model.m)
 
 
 def marginal(hp: HProcess, t: float) -> np.ndarray:
     """One-time marginal at a grid node: density f g against m."""
     k = hp.grid.node_index(t)
-    return hp.f_rows(k) * hp.fk.g[k] * hp.m
+    return hp.f_rows(k) * hp.g[k] * hp.m
 
 
 def g_at(hp: HProcess, tau: float) -> np.ndarray:
@@ -140,10 +144,10 @@ def g_at(hp: HProcess, tau: float) -> np.ndarray:
     s = tau * N
     node = round(s)
     if node / N == tau:
-        return hp.fk.g[node]
+        return hp.g[node]
     k = min(int(s), N - 1)
     a = s - k
-    g0, g1 = hp.fk.g[k], hp.fk.g[k + 1]
+    g0, g1 = hp.g[k], hp.g[k + 1]
     Q, V = hp.model.Q, hp.V
     d0 = dt * (V[k] * g0 - Q @ g0)
     d1 = dt * (V[k + 1] * g1 - Q @ g1)
@@ -155,7 +159,7 @@ def g_at(hp: HProcess, tau: float) -> np.ndarray:
 def jump_kernel(hp: HProcess, t: float) -> np.ndarray:
     """Transformed rates J(x,y) g(t,y)/g(t,x); NaN rows where g(t,x) = 0."""
     k = hp.grid.node_index(t)
-    g = hp.fk.g[k]
+    g = hp.g[k]
     usable = g > POSITIVITY_THRESHOLD
     p = marginal(hp, t)
     if np.any(~usable & (p > MASS_THRESHOLD)):
@@ -187,13 +191,13 @@ def forward_marginal_evolve(hp: HProcess) -> np.ndarray:
     positive on the whole grid; zero terminal states make the endpoint rates
     singular and are rejected with the positivity flags.
     """
-    flags = positivity_report(hp.fk.g, hp.grid)
+    flags = positivity_report(hp.g, hp.grid)
     if flags:
         raise PositivityError(
             f"g vanishes at {len(flags)} grid points (first: {flags[0]}); "
             "master-equation evolution needs strictly positive g",
             reason="zero_g_nodes")
-    g = hp.fk.g
+    g = hp.g
     J = hp.model.J.rates
     N, h = hp.grid.N, hp.grid.dt
     p = np.empty((N + 1, hp.n))
@@ -231,7 +235,7 @@ def relative_entropy(hp: HProcess) -> float:
     for start in range(0, N + 1, _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
         P = None  # the old block goes before the new is formed
-        P = hp.f_rows(rows) * hp.fk.g[rows] * hp.m
+        P = hp.f_rows(rows) * hp.g[rows] * hp.m
         if start == 0:
             initial_term = mass_weighted_log(P[0], hp.f0, "initial weight")
         if start + _BLOCK_ROWS > N:
@@ -283,13 +287,13 @@ def path_density_ratio(hp: HProcess, path: PathView,
     if ks > kt:
         raise ModelValidationError("need s <= t", reason="bad_time_order")
     xs, xt = path.state_at(s), path.state_at(t)
-    gs = hp.fk.g[ks, xs]
+    gs = hp.g[ks, xs]
     if gs <= POSITIVITY_THRESHOLD:
         raise PositivityError("g vanishes at the start state",
                               reason="zero_g_at_start")
     density_s = hp.f_rows(ks)[xs] * gs
     integral = integrate_potential_along_path(hp, path, s, t)
-    return float(density_s / gs * np.exp(-integral) * hp.fk.g[kt, xt])
+    return float(density_s / gs * np.exp(-integral) * hp.g[kt, xt])
 
 
 class _ThinningContext:
@@ -305,7 +309,7 @@ class _ThinningContext:
 
     def __init__(self, hp: HProcess):
         self.N = hp.grid.N
-        self.g = hp.fk.g
+        self.g = hp.g
         # numerator[k, x] = sum_y J(x,y) g(t_k, y); linear interpolation of g
         # makes the interpolated numerator exact.
         self.numer = self.g @ hp.model.J.rates.T

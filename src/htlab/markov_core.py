@@ -52,11 +52,18 @@ class StateSpace:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid t_k = k/N on the unit time interval."""
+    """Uniform grid t_k = k/N on the unit time interval.
+
+    N must be an integer (bad_grid_size) of at least 2 (grid_too_coarse).
+    """
 
     N: int
 
     def __post_init__(self):
+        if not _is_integer(self.N):
+            raise ModelValidationError(
+                f"time grid needs an integer N, got {self.N!r}",
+                reason="bad_grid_size")
         if self.N < 2:
             raise ModelValidationError("time grid needs N >= 2 steps",
                                        reason="grid_too_coarse")

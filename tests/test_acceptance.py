@@ -93,7 +93,7 @@ def test_03_transformed_generator_identity():
 def test_04_forward_master_equation():
     hp = generic_hprocess(N=1000)
     evolved = forward_marginal_evolve(hp)
-    product = hp.fk.f * hp.fk.g * hp.model.m[None, :]
+    product = hp.f_stored * hp.g * hp.model.m[None, :]
     gap = float(np.abs(evolved - product).sum(axis=1).max())
     _verdict(4, {"marginal_consistency": gap <= 1e-6})
 

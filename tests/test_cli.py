@@ -300,7 +300,8 @@ def test_diffusion_resumes_the_forward_sweep_once(diffusion_config, tmp_path,
 def test_diffusion_path_on_a_masked_drift_fails(tmp_path, capsys):
     """A steep potential on a coarse step clips g to zero near the terminal
     peak, and a path that reaches the masked drift there stops the run with
-    masked_drift before any output is written."""
+    masked_drift before any output is written. The message names the
+    clipped node count, the cause of the masked drift."""
     U = (5.0 * np.linspace(-2.0, 2.0, 65) ** 2).tolist()
     cfg = tmp_path / "masked.yaml"
     cfg.write_text(f"""
@@ -318,7 +319,8 @@ sampling:
 """, encoding="utf-8")
     out = tmp_path / "out"
     assert run("diffusion", str(cfg), out) == 2
-    assert "reason=masked_drift" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "reason=masked_drift" in err and "clipped_nodes=218" in err
     assert not out.exists()
 
 

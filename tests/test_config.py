@@ -105,6 +105,14 @@ def test_model_section_validation():
             model={"kind": "diffusion", "x_min": 0.0, "M": 64}))
 
 
+def test_run_configs_compare_and_hash_by_identity():
+    """A config holds dict sections, so == and hash are those of object
+    identity, and hash does not raise on the unhashable dicts."""
+    a, b = RunConfig(model={"kind": "jump"}), RunConfig(model={"kind": "jump"})
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
+
+
 def test_jump_model_without_tilt_uses_base_measure():
     cfg = RunConfig(model={"kind": "jump",
                            "J0": [[0.0, 1.0], [1.0, 0.0]],

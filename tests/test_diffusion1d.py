@@ -49,8 +49,9 @@ def gaussian_weight(model, eps, y0=0.0):
 def test_model_validation_and_geometry():
     with pytest.raises(ModelValidationError):
         Diffusion1DModel(1.0, 1.0, 64, 0.0)
-    with pytest.raises(ModelValidationError):
+    with pytest.raises(ModelValidationError) as err:
         Diffusion1DModel(0.0, 1.0, 8, 0.0)
+    assert err.value.reason == "grid_too_coarse"
     with pytest.raises(ModelValidationError):
         Diffusion1DModel(0.0, 1.0, 64, np.zeros(10))
     with pytest.raises(ModelValidationError):
@@ -63,6 +64,15 @@ def test_model_validation_and_geometry():
     w = np.exp(-2.0 * model.U)
     w[[0, -1]] *= 0.5
     np.testing.assert_allclose(model.m_weights, w / w.sum(), rtol=1e-12)
+
+
+@pytest.mark.parametrize("M", [2.5, 200.0, True, np.float64(64)])
+def test_model_refuses_a_cell_count_that_is_not_an_integer(M):
+    """A float or bool M is refused with bad_grid_size, not as a bare
+    TypeError from np.full."""
+    with pytest.raises(ModelValidationError, match="integer count") as err:
+        Diffusion1DModel(-2.0, 2.0, M, 0.0)
+    assert err.value.reason == "bad_grid_size"
 
 
 @pytest.mark.filterwarnings("error")
@@ -419,7 +429,7 @@ def test_transform_marginals_are_probabilities():
         assert np.all(masses >= 0)
         assert masses.sum() == pytest.approx(1.0, abs=1e-12)
     assert tr.c > 0
-    for values in (tr.f0, tr.gamma1, tr.V, tr.m, tr.fk.g, tr.f_stored,
+    for values in (tr.f0, tr.gamma1, tr.V, tr.m, tr.g, tr.f_stored,
                    tr.f_rows(slice(None)), tr.f_rows(7),
                    tr.drift_rows(slice(None)), tr.drift_rows(7)):
         assert not values.flags.writeable
@@ -439,7 +449,6 @@ def test_f_rows_resume_the_full_forward_sweep(V_kind):
                                    gaussian_weight(model, 0.8), grid)
     full, _ = solve_f_pde(model, V, tr.f0, grid)
     B, N = _BLOCK_ROWS, grid.N
-    assert tr.fk.f is None
     assert_same_bits(tr.f_stored, full[[0, B, 2 * B, N]])
     for rows in (0, B - 1, B, B + 1, N - 1, N, slice(None),
                  [N - 1, B + 1, 0, B - 1, B + 1, N, 3, B]):
@@ -488,7 +497,7 @@ def test_relative_entropy_comes_from_the_jump_chain_function():
 def full_grid_relative_entropy(hp, f):
     """relative_entropy's sum on the whole (N+1) x n flow P = f g m, as it
     was formed before the sums ran a block of rows at a time."""
-    P = f * hp.fk.g * hp.m[None, :]
+    P = f * hp.g * hp.m[None, :]
     N = hp.grid.N
     weights = np.full(N + 1, hp.grid.dt)
     weights[0] = weights[N] = 0.5 * hp.grid.dt
@@ -504,7 +513,7 @@ def test_relative_entropy_by_blocks_matches_the_full_grid_sum(kind):
     """N = 150 spans three blocks of rows, the last one short."""
     if kind == "jump":
         hp = generic_hprocess(N=150)
-        f = hp.fk.f
+        f = hp.f_stored
     else:
         model = quadratic_model(M=64)
         grid = TimeGrid(150)
@@ -540,7 +549,7 @@ def test_flat_g_gives_reference_drift():
     grid = TimeGrid(100)
     tr = build_diffusion_transform(model, 0.0, np.ones(model.M + 1),
                                    np.ones(model.M + 1), grid)
-    np.testing.assert_allclose(log_g(tr.fk.g), 0.0, atol=1e-12)
+    np.testing.assert_allclose(log_g(tr.g), 0.0, atol=1e-12)
     np.testing.assert_allclose(tr.drift_rows(slice(None)),
                                np.tile(-model.U_prime, (101, 1)), atol=1e-12)
 
@@ -552,7 +561,7 @@ def test_drift_is_gauge_invariant():
     tr1 = build_diffusion_transform(model, 0.0, np.ones(129), gamma1, grid)
     tr2 = build_diffusion_transform(model, 0.0, np.ones(129), 2.5 * gamma1,
                                     grid)
-    np.testing.assert_allclose(log_g(tr2.fk.g) - log_g(tr1.fk.g),
+    np.testing.assert_allclose(log_g(tr2.g) - log_g(tr1.g),
                                np.log(2.5), atol=1e-10)
     np.testing.assert_allclose(tr2.drift_rows(slice(None)),
                                tr1.drift_rows(slice(None)), atol=1e-9)
@@ -578,9 +587,9 @@ def test_masked_psi_propagates_and_blocks_sampling():
     grid = TimeGrid(100)
     gamma1 = np.where(model.xs >= 0.0, gaussian_weight(model, 0.8), 0.0)
     tr = build_diffusion_transform(model, 0.0, np.ones(65), gamma1, grid)
-    assert np.isnan(log_g(tr.fk.g)[-1, 0])
+    assert np.isnan(log_g(tr.g)[-1, 0])
     assert np.isnan(tr.drift_rows(-1)[0])
-    assert np.isfinite(log_g(tr.fk.g)[:-1]).all()
+    assert np.isfinite(log_g(tr.g)[:-1]).all()
     # off-grid final step blends into the masked terminal row
     with pytest.raises(PositivityError):
         sample_em_paths(model, 4, seed=3, steps=101,
@@ -597,7 +606,7 @@ def test_drift_is_the_derivative_of_log_g(masked):
         gamma1 = np.where(model.xs >= 0.0, gamma1, 0.0)
     tr = build_diffusion_transform(model, 0.1, np.ones(65), gamma1,
                                    TimeGrid(150))
-    full = derivative(log_g(tr.fk.g), model.dx, -1) - model.U_prime
+    full = derivative(log_g(tr.g), model.dx, -1) - model.U_prime
     assert np.isnan(full).any() == masked
     B = _BLOCK_ROWS
     for rows in (slice(None), slice(0, B + 1), slice(B, 2 * B + 1),
@@ -613,12 +622,12 @@ def test_hjb_residual_exact_and_pade():
     grid = TimeGrid(512)
     tr = build_diffusion_transform(model, 0.0, np.ones(129), np.ones(129),
                                    grid)
-    res0 = diffusion_hjb_residual(tr.fk.g, model, 0.0, grid)
+    res0 = diffusion_hjb_residual(tr.g, model, 0.0, grid)
     assert np.max(np.abs(res0)) <= 1e-12
     c = 0.05
     tr_c = build_diffusion_transform(model, c, np.ones(129), np.ones(129),
                                      grid)
-    res_c = diffusion_hjb_residual(tr_c.fk.g, model, c, grid)
+    res_c = diffusion_hjb_residual(tr_c.g, model, c, grid)
     # psi is exactly linear in time, leaving only the c^3 dt^2 / 12 Pade bias
     assert np.max(np.abs(res_c)) <= 1e-10
 
@@ -629,7 +638,7 @@ def test_hjb_residual_gaussian_scales_with_dx():
         grid = TimeGrid(512)
         tr = build_diffusion_transform(model, 0.0, np.ones(M + 1),
                                        gaussian_weight(model, 0.5), grid)
-        res = diffusion_hjb_residual(tr.fk.g, model, 0.0, grid)
+        res = diffusion_hjb_residual(tr.g, model, 0.0, grid)
         win = np.abs(model.xs) <= 2.0
         return float(np.nanmax(np.abs(res[:, win])))
 

@@ -239,8 +239,8 @@ def test_fg_duality():
     model = two_state_model()
     grid = TimeGrid(150)
     V = _wavy(model, grid)
-    sol = solve_fk(model, V, np.array([0.5, 1.5]), np.array([1.0, 0.3]), grid)
-    pairing = np.sum(sol.f * sol.g * model.m[None, :], axis=1)
+    g, f = solve_fk(model, V, np.array([0.5, 1.5]), np.array([1.0, 0.3]), grid)
+    pairing = np.sum(f * g * model.m[None, :], axis=1)
     np.testing.assert_allclose(pairing, pairing[0], rtol=1e-12)
 
 
@@ -249,10 +249,10 @@ def test_g_against_propagator_composition():
     model = two_state_model()
     grid = TimeGrid(100)
     V = _wavy(model, grid)
-    sol = solve_fk(model, V, np.ones(2), np.array([0.2, 1.0]), grid)
+    g, _ = solve_fk(model, V, np.ones(2), np.array([0.2, 1.0]), grid)
     prop = fk_propagator(model, V, grid)
     for k, l in ((0, 100), (30, 80)):
-        np.testing.assert_allclose(sol.g[k], prop.matrix(k, l) @ sol.g[l],
+        np.testing.assert_allclose(g[k], prop.matrix(k, l) @ g[l],
                                    rtol=1e-12)
 
 
@@ -454,9 +454,9 @@ def _jump_outputs(V, grid):
     model = five_state_model()
     hp = build_h_process(model, np.linspace(0.5, 1.5, 5),
                          np.array([0.5, 1.0, 0.8, 0.3, 1.2]), V, grid)
-    return (hp.fk.g, hp.fk.f, hp.V, hp.V_cum, relative_entropy(hp),
+    return (hp.g, hp.f_stored, hp.V, hp.V_cum, relative_entropy(hp),
             fk_propagator(model, V, grid).step,
-            check_fk_generator(model, V, hp.fk.g, grid).residual)
+            check_fk_generator(model, V, hp.g, grid).residual)
 
 
 def _cn_outputs(V, grid):

@@ -95,7 +95,7 @@ def test_stochastic_derivative_transformed_sees_time_dependence():
     u = np.arange(5, dtype=float)
     t = 0.5
     est = stochastic_derivative(hp, u, t)
-    g_t = hp.fk.g[50]
+    g_t = hp.g[50]
     rhs = hp.model.Q @ u + carre_du_champ(hp.model, g_t, u) / g_t
     np.testing.assert_allclose(est.extrapolated, rhs, atol=1e-5)
     assert np.max(np.abs(est.estimates[0] - rhs)) > 10 * np.max(
@@ -206,7 +206,7 @@ def test_fk_stochastic_derivative_constant_potential():
 
 def test_fk_stochastic_derivative_generic():
     hp = generic_hprocess(N=1000)
-    res = check_fk_stochastic_derivative(hp.model, hp.V, hp.fk.g, hp.grid, 0.4)
+    res = check_fk_stochastic_derivative(hp.model, hp.V, hp.g, hp.grid, 0.4)
     assert res.max_residual <= 1e-5
 
 

@@ -19,6 +19,7 @@ from conftest import (chorded_ring_model, five_state_model, generic_hprocess,
 from htlab.errors import (DegenerateInputError, ModelValidationError,
                           PositivityError)
 from htlab import feynman_kac, h_transform
+from htlab.diffusion1d import Diffusion1DModel, build_diffusion_transform
 from htlab.feynman_kac import rk4_matrix_step, solve_f, solve_fk, solve_g
 from htlab.h_transform import (build_h_process, forward_marginal_evolve, g_at,
                                integrate_potential_along_path, jump_kernel,
@@ -64,15 +65,38 @@ def test_h_process_builds_no_propagator(monkeypatch):
     monkeypatch.setattr(feynman_kac, "fk_propagator", forbidden)
     monkeypatch.setattr(h_transform, "fk_propagator", forbidden, raising=False)
     hp = build_h_process(model, f0, gamma1, V, grid)
-    fk = solve_fk(model, V, hp.f0, gamma1, grid)
+    g_fk, f_fk = solve_fk(model, V, hp.f0, gamma1, grid)
 
     g = solve_g(model, V, gamma1, grid)
     c = float(np.sum(model.m * f0 * g[0]))
     f = solve_f(model, V, f0 / c, grid)
     assert hp.c == c
-    for sol in (hp.fk, fk):
-        assert np.array_equal(sol.g, g)
-        assert np.array_equal(sol.f, f)
+    for g_sol, f_sol in ((hp.g, hp.f_stored), (g_fk, f_fk)):
+        assert np.array_equal(g_sol, g)
+        assert np.array_equal(f_sol, f)
+
+
+@pytest.mark.parametrize("kind", ["jump", "diffusion"])
+def test_transform_holds_g_and_stored_f(kind):
+    """Both kinds hold g whole and f at its stored nodes, read-only, with
+    no wrapper record. A jump chain stores f at every node, and solve_fk
+    on the normalized f0 gives the transform's g and f bit for bit."""
+    if kind == "jump":
+        hp = generic_hprocess()
+        assert hp.f_rows(slice(None)).tobytes() == hp.f_stored.tobytes()
+        g, f = solve_fk(hp.model, hp.V, hp.f0, hp.gamma1, hp.grid)
+        assert not (g.flags.writeable or f.flags.writeable)
+        assert g.tobytes() == hp.g.tobytes()
+        assert f.tobytes() == hp.f_stored.tobytes()
+    else:
+        xs = np.linspace(-2.0, 2.0, 65)
+        model = Diffusion1DModel(-2.0, 2.0, 64, 0.5 * xs ** 2)
+        hp = build_diffusion_transform(model, 0.0, np.ones(65),
+                                       np.exp(-xs ** 2), TimeGrid(100))
+        assert hp.f_stored.shape == (3, hp.n)  # nodes 0, 64 and 100
+    assert hp.g.shape == (hp.grid.N + 1, hp.n)
+    assert not (hp.g.flags.writeable or hp.f_stored.flags.writeable)
+    assert not hasattr(hp, "fk")
 
 
 @pytest.mark.parametrize("V_kind", ["scalar", "vector", "field"])
@@ -106,7 +130,7 @@ def test_g_at_returns_the_grid_values_at_nodes():
     hp = generic_hprocess()
     N = hp.grid.N
     for k in range(N + 1):
-        assert np.array_equal(g_at(hp, k / N), hp.fk.g[k]), k
+        assert np.array_equal(g_at(hp, k / N), hp.g[k]), k
 
 
 def _half_step_midpoints(hp):
@@ -117,7 +141,7 @@ def _half_step_midpoints(hp):
         factor = rk4_matrix_step(Q - np.diag(0.5 * (v[k] + v[k + 1])),
                                  Q - np.diag(0.25 * v[k] + 0.75 * v[k + 1]),
                                  Q - np.diag(v[k + 1]), 0.5 * h)
-        out[k] = factor @ hp.fk.g[k + 1]
+        out[k] = factor @ hp.g[k + 1]
     return out
 
 
@@ -167,7 +191,7 @@ def test_forward_evolution_matches_fk_marginal():
     np.testing.assert_allclose(p_id, np.tile(model.m, (101, 1)), atol=1e-12)
     hp = generic_hprocess(N=200)
     p = forward_marginal_evolve(hp)
-    exact = hp.fk.f * hp.fk.g * hp.model.m[None, :]
+    exact = hp.f_stored * hp.g * hp.model.m[None, :]
     assert np.max(np.abs(p - exact)) <= 1e-8
 
 
@@ -233,7 +257,7 @@ def test_density_ratio_windowed_form():
     ks, kt = 25, 75
     xs, xt = path.state_at(s), path.state_at(t)
     integral = integrate_potential_along_path(hp, path, s, t)
-    expected = hp.fk.f[ks, xs] * np.exp(-integral) * hp.fk.g[kt, xt]
+    expected = hp.f_stored[ks, xs] * np.exp(-integral) * hp.g[kt, xt]
     assert path_density_ratio(hp, path, s, t) == pytest.approx(expected,
                                                                rel=1e-12)
 

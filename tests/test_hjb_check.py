@@ -117,9 +117,9 @@ def test_residual_log_mode_exact_for_linear_psi():
 def test_residual_exponential_mode_matches_backward_equation():
     """residual * g equals the backward-equation residual, pointwise."""
     hp = generic_hprocess()
-    res, _ = discrete_hjb_residual(hp.fk.g, hp.model, hp.V, hp.grid)
-    fk_res = check_fk_generator(hp.model, hp.V, hp.fk.g, hp.grid)
-    np.testing.assert_allclose(np.abs(res.residual) * hp.fk.g,
+    res, _ = discrete_hjb_residual(hp.g, hp.model, hp.V, hp.grid)
+    fk_res = check_fk_generator(hp.model, hp.V, hp.g, hp.grid)
+    np.testing.assert_allclose(np.abs(res.residual) * hp.g,
                                fk_res.residual, atol=1e-12)
     assert res.self_check_max <= 1e-12
 
@@ -127,7 +127,7 @@ def test_residual_exponential_mode_matches_backward_equation():
 def test_residual_modes_differ_at_second_order():
     def mode_gap(N):
         hp = generic_hprocess(N=N)
-        r_exp, r_log = discrete_hjb_residual(hp.fk.g, hp.model, hp.V, hp.grid)
+        r_exp, r_log = discrete_hjb_residual(hp.g, hp.model, hp.V, hp.grid)
         return np.max(np.abs(r_exp.residual - r_log.residual))
 
     ratio = mode_gap(100) / mode_gap(200)
@@ -152,7 +152,7 @@ def test_residual_masks_pinned_states():
 def test_residual_small_for_generic_transform():
     """Both forms shrink toward zero as the grid refines."""
     hp = generic_hprocess(N=400)
-    for res in discrete_hjb_residual(hp.fk.g, hp.model, hp.V, hp.grid):
+    for res in discrete_hjb_residual(hp.g, hp.model, hp.V, hp.grid):
         assert res.max_residual <= 1e-4
         assert res.mean_residual <= res.max_residual
 
@@ -238,8 +238,8 @@ def test_edge_residual_matches_the_dense_rows_to_rounding(build, gamma1):
     grid = TimeGrid(40)
     hp = build_h_process(model, np.ones(model.n), np.array(gamma1),
                          wavy_potential(model, grid), grid)
-    new = discrete_hjb_residual(hp.fk.g, model, hp.V, grid)
-    old = dense_hjb_residual(hp.fk.g, model, hp.V, grid)
+    new = discrete_hjb_residual(hp.g, model, hp.V, grid)
+    old = dense_hjb_residual(hp.g, model, hp.V, grid)
     for a, b in zip(new, old):
         np.testing.assert_array_equal(a.defined, b.defined)
         np.testing.assert_array_equal(np.isnan(a.residual),
@@ -275,6 +275,6 @@ def test_edge_layers_form_no_n_by_n_scratch():
         finally:
             tracemalloc.stop()
 
-    assert peak(lambda: discrete_hjb_residual(hp.fk.g, model, hp.V,
+    assert peak(lambda: discrete_hjb_residual(hp.g, model, hp.V,
                                               grid)) < dense
     assert peak(lambda: sample_path_R(model, np.arange(200), 5)) < dense / 4

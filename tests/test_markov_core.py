@@ -457,12 +457,14 @@ def test_models_compare_and_hash_by_identity():
 
 
 def test_every_dataclass_holding_an_array_compares_by_identity():
-    """A dataclass with an ndarray field needs eq=False: the generated ==
-    compares fields as tuples, which raises on arrays, and makes the class
-    unhashable."""
+    """A dataclass with an ndarray or dict field needs eq=False: the
+    generated == compares fields as tuples, which raises on arrays, and the
+    generated hash raises on either (a frozen class with eq=True hashes
+    its fields)."""
     import dataclasses
     import importlib
     import pkgutil
+    import re
 
     import htlab
 
@@ -472,11 +474,11 @@ def test_every_dataclass_holding_an_array_compares_by_identity():
         for obj in vars(module).values():
             if (isinstance(obj, type) and dataclasses.is_dataclass(obj)
                     and obj.__module__ == module.__name__
-                    and any("ndarray" in str(f.type)
+                    and any(re.search(r"\b(ndarray|dict)\b", str(f.type))
                             for f in dataclasses.fields(obj))):
                 holders[obj.__qualname__] = obj.__dataclass_params__.eq
     assert {"JumpKernel", "ReversibleModel", "Diffusion1DModel", "HProcess",
-            "DiffusionTransform", "PathBatch"} <= set(holders)
+            "DiffusionTransform", "PathBatch", "RunConfig"} <= set(holders)
     assert [name for name, eq in holders.items() if eq] == []
 
 
@@ -499,5 +501,16 @@ def test_time_grid():
         with pytest.raises(ModelValidationError, match="not a node") as err:
             grid.node_index(t)
         assert err.value.reason == "off_grid_time"
-    with pytest.raises(ModelValidationError):
+    with pytest.raises(ModelValidationError) as err:
         TimeGrid(1)
+    assert err.value.reason == "grid_too_coarse"
+    assert TimeGrid(np.int64(10)).nodes.shape == (11,)
+
+
+@pytest.mark.parametrize("N", [2.5, 200.0, True, np.float64(10)])
+def test_time_grid_refuses_a_count_that_is_not_an_integer(N):
+    """A float or bool N is refused at construction, not later as a bare
+    TypeError from the sweeps' allocations."""
+    with pytest.raises(ModelValidationError, match="integer N") as err:
+        TimeGrid(N)
+    assert err.value.reason == "bad_grid_size"
